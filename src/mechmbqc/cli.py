@@ -97,7 +97,7 @@ def _sweep_point(args):
         durations = schedule.durations
     else:
         result = run_monitoring_protocol(program, params, config.schedule(),
-                                         samples_per_step=16)
+                                         samples_per_step=config.samples_per_step)
         durations = result.schedule.durations
     return result.final_fidelity, result.max_fidelity, durations
 
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PhysicalityError, RuntimeError) as exc:
+    except (PhysicalityError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

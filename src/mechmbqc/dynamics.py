@@ -3,8 +3,10 @@
 Unmonitored bath channels drive a Lyapunov equation
 ``sigma' = A sigma + sigma A^T + D``; continuously monitored channels add the
 Riccati term ``- sigma B B^T sigma`` and modify the coefficients. Both kinds
-of channel compose additively into a single matrix ODE that is integrated
-with fixed-step RK4.
+of channel compose additively into a single matrix ODE with constant
+coefficients, which :class:`Propagator` solves exactly through its
+linear-fractional (Davison-Maki) form. :func:`integrate` samples that exact
+flow on a fixed time grid.
 
 Couplings are expressed in the quadrature representation: a system-bath
 coupling Hamiltonian (1/2) r^T [[0, C], [C^T, 0]] r with ``n`` system and
@@ -14,24 +16,21 @@ coupling Hamiltonian (1/2) r^T [[0, C], [C^T, 0]] r with ``n`` system and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
 
 from .states import GaussianState, symplectic_form
 
-# Default number of RK4 steps between physicality checks.
-CHECK_INTERVAL = 100
-
 
 class PhysicalityError(RuntimeError):
-    """Raised when an integrated covariance stops being a physical state."""
+    """Raised when a propagated covariance stops being a physical state."""
 
     def __init__(self, t: float, nu_min: float):
         super().__init__(
             f"covariance lost physicality at t = {t:.6e} "
-            f"(min symplectic eigenvalue {nu_min:.6e}); "
-            "the time step is probably too large"
+            f"(min symplectic eigenvalue {nu_min:.6e})"
         )
         self.t = t
         self.nu_min = nu_min
@@ -187,6 +186,9 @@ class EvolutionCoefficients:
     """Additively combined coefficients of the covariance ODE.
 
     sigma' = drift sigma + sigma drift^T + diffusion - sigma (B B^T) sigma.
+
+    The matrices are stored read-only, so the exact flow built from them
+    (:attr:`propagator`) stays valid for the object's lifetime.
     """
 
     drift: np.ndarray
@@ -194,22 +196,23 @@ class EvolutionCoefficients:
     backaction: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        drift = np.asarray(self.drift, dtype=float)
-        diffusion = np.asarray(self.diffusion, dtype=float)
+        drift = np.array(self.drift, dtype=float)
+        diffusion = np.array(self.diffusion, dtype=float)
         dim = drift.shape[0]
         backaction = self.backaction
         if backaction is None:
             backaction = np.zeros((dim, 0))
-        backaction = np.asarray(backaction, dtype=float)
+        backaction = np.array(backaction, dtype=float)
         if diffusion.shape != (dim, dim):
             raise ValueError("diffusion matrix dimension mismatch")
         if np.max(np.abs(diffusion - diffusion.T)) > 1e-9 * max(1.0, np.max(np.abs(diffusion))):
             raise ValueError("diffusion matrix must be symmetric")
         if backaction.shape[0] != dim:
             raise ValueError("backaction matrix dimension mismatch")
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "diffusion", diffusion)
-        object.__setattr__(self, "backaction", backaction)
+        for name, value in (("drift", drift), ("diffusion", diffusion),
+                            ("backaction", backaction)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -217,6 +220,59 @@ class EvolutionCoefficients:
 
     def bbt(self) -> np.ndarray:
         return self.backaction @ self.backaction.T
+
+    @cached_property
+    def propagator(self) -> "Propagator":
+        """The exact flow of these coefficients, built on first use."""
+        return Propagator(self)
+
+
+class Propagator:
+    """Exact flow of the covariance ODE over intervals of any length.
+
+    With constant coefficients the Riccati equation is solved by
+    sigma = Y X^-1, where [X; Y] obeys the linear ODE
+    d/dt [X; Y] = H [X; Y] with H = [[-A^T, G], [D, A]] and G = B B^T
+    (Davison & Maki, IEEE TAC 18, 1973; for G = 0 this is the Lyapunov flow
+    of Van Loan, IEEE TAC 23, 1978). Over an interval h one step is
+    sigma <- (Phi21 + Phi22 sigma)(Phi11 + Phi12 sigma)^-1 with
+    Phi = expm(h H), i.e. [X; Y] = Phi[:, :n] + Phi[:, n:] sigma.
+
+    An interval is split into ceil(h * lambda) equal substeps, lambda the
+    largest real part in the spectrum of H, so X grows by at most about e
+    per substep and stays well conditioned. Phi is computed once per
+    distinct interval length and shared by all its substeps.
+    """
+
+    def __init__(self, coeffs: EvolutionCoefficients):
+        a = coeffs.drift
+        self.dim = coeffs.dim
+        self.hamiltonian = np.block([[-a.T, coeffs.bbt()], [coeffs.diffusion, a]])
+        self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
+        self._flows = {}
+
+    def _flow(self, h: float):
+        flow = self._flows.get(h)
+        if flow is None:
+            n_sub = max(1, int(np.ceil(h * self.rate)))
+            phi = sla.expm((h / n_sub) * self.hamiltonian)
+            d = self.dim
+            flow = (n_sub, np.ascontiguousarray(phi[:, :d]),
+                    np.ascontiguousarray(phi[:, d:]))
+            self._flows[h] = flow
+        return flow
+
+    def advance(self, sigma: np.ndarray, h: float) -> np.ndarray:
+        """Covariance after an interval ``h``, starting from ``sigma``."""
+        n_sub, offset, slope = self._flow(h)
+        d = self.dim
+        for _ in range(n_sub):
+            xy = offset + slope @ sigma
+            # The new covariance Y X^-1 is symmetric, so it equals its
+            # transpose X^-T Y^T, which one solve gives.
+            sigma = np.linalg.solve(xy[:d].T, xy[d:].T)
+            sigma = 0.5 * (sigma + sigma.T)
+        return sigma
 
 
 def build_coefficients(coupling: CouplingSpec, baths: BathSpec) -> EvolutionCoefficients:
@@ -273,14 +329,16 @@ class Trajectory:
 
 def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
                horizon: float, safety: float = 20.0) -> float:
-    """Fixed time step sized against the fastest rate in the ODE.
+    """Grid step that decides where :func:`integrate` places its samples.
 
-    The linear part contributes its spectral norm. The measurement
-    nonlinearity enters through ``sigma B B^T``, which only reads the
-    covariance columns of the monitored block, so the estimate uses the norm
-    of those columns (plus diffusive growth over the horizon) rather than the
-    full covariance: quadratures that merely anti-squeeze without coupling to
-    the monitored modes do not make the system stiff.
+    The propagation between samples is exact, so this step sets no accuracy;
+    it fixes the sample times, which are part of every run's output (the
+    maximum fidelity of a run is taken over them). It is sized against the
+    fastest rate in the ODE. The linear part contributes its spectral norm.
+    The measurement nonlinearity enters through ``sigma B B^T``, which only
+    reads the covariance columns of the monitored block, so the estimate uses
+    the norm of those columns (plus diffusive growth over the horizon) rather
+    than the full covariance.
     """
     if isinstance(sigma0, GaussianState):
         sigma0 = sigma0.cov
@@ -303,22 +361,25 @@ def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
 
 
 def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
-              n_samples: int = 200, check_interval: int = CHECK_INTERVAL,
-              t_offset: float = 0.0, physicality_atol: float = 1e-6) -> Trajectory:
-    """Integrate the covariance ODE with fixed-step RK4.
+              n_samples: int = 200, t_offset: float = 0.0,
+              physicality_atol: float = 1e-6) -> Trajectory:
+    """Propagate the covariance exactly and sample it on a grid of step dt.
 
-    The covariance is symmetrized after every step and checked for
-    physicality every ``check_interval`` steps (and at the end); a violation
-    beyond ``physicality_atol`` raises :class:`PhysicalityError`. The last
-    step is shortened so the trajectory lands exactly on ``t_total``.
+    The horizon is cut into ``ceil(t_total / dt)`` grid steps, the last one
+    shortened to land on ``t_total``. A sample is stored every
+    ``sample_every`` steps, with ``sample_every`` the smallest stride that
+    keeps the count within ``n_samples``, and at ``t_total``. Between
+    samples the covariance follows the exact flow of ``coeffs.propagator``,
+    so ``dt`` only decides where samples fall. Every propagated sample is
+    checked for physicality; a violation beyond ``physicality_atol`` raises
+    :class:`PhysicalityError` at the first offending sample.
 
     Args:
         sigma0: initial covariance (or GaussianState).
         coeffs: combined ODE coefficients.
         t_total: integration horizon (>= 0).
-        dt: fixed step (> 0).
+        dt: grid step (> 0).
         n_samples: cap on the number of stored samples (endpoints included).
-        check_interval: steps between physicality checks; 0 disables.
         t_offset: value the returned time axis starts at.
 
     Returns:
@@ -335,39 +396,20 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     n_steps = max(1, int(np.ceil(t_total / dt))) if t_total > 0 else 0
     sample_every = max(1, int(np.ceil(n_steps / max(1, n_samples - 1)))) if n_steps else 1
 
-    drift = coeffs.drift
-    diffusion = coeffs.diffusion
-    backaction = coeffs.backaction
-    has_backaction = bool(np.any(backaction))
-
-    def rhs(s):
-        # s is kept symmetric, so drift @ s + s @ drift.T == a + a.T here,
-        # and s B B^T s factors through the thin matrix s @ B.
-        a = drift @ s
-        out = a + a.T + diffusion
-        if has_backaction:
-            g = s @ backaction
-            out -= g @ g.T
-        return out
-
+    propagator = coeffs.propagator
     times = [t_offset]
-    covs = [sigma.copy()]
-    t = 0.0
-    for step in range(n_steps):
-        h = min(dt, t_total - t)
-        k1 = rhs(sigma)
-        k2 = rhs(sigma + 0.5 * h * k1)
-        k3 = rhs(sigma + 0.5 * h * k2)
-        k4 = rhs(sigma + h * k3)
-        sigma = sigma + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sigma = 0.5 * (sigma + sigma.T)
-        t += h
-        last = step == n_steps - 1
-        if check_interval and (step % check_interval == check_interval - 1 or last):
-            _require_physical(sigma, t + t_offset, physicality_atol)
-        if step % sample_every == sample_every - 1 or last:
-            times.append(t + t_offset)
-            covs.append(sigma.copy())
+    covs = [sigma]
+    marks = range(sample_every, n_steps, sample_every)
+    for k in marks:
+        sigma = propagator.advance(sigma, sample_every * dt)
+        times.append(t_offset + k * dt)
+        _require_physical(sigma, times[-1], physicality_atol)
+        covs.append(sigma)
+    if n_steps:
+        sigma = propagator.advance(sigma, t_total - (marks[-1] * dt if marks else 0.0))
+        times.append(t_offset + t_total)
+        _require_physical(sigma, times[-1], physicality_atol)
+        covs.append(sigma)
     return Trajectory(np.asarray(times), np.asarray(covs))
 
 
@@ -379,41 +421,32 @@ def _require_physical(sigma: np.ndarray, t: float, atol: float):
         raise PhysicalityError(t, float(state.symplectic_spectrum()[0]))
 
 
-def steady_state(coeffs: EvolutionCoefficients, sigma0=None, tol: float = 1e-10,
-                 max_time: float = None) -> GaussianState:
+def steady_state(coeffs: EvolutionCoefficients, tol: float = 1e-10) -> GaussianState:
     """Stationary covariance of the evolution.
 
     Without measurement backaction this solves the algebraic Lyapunov
-    equation directly (the drift must be Hurwitz). With backaction the ODE is
-    iterated from ``sigma0`` (default: vacuum) over doubling horizons until
-    the residual norm of the right-hand side falls below ``tol``.
+    equation (the drift must be Hurwitz). With backaction it is the
+    stabilizing solution of the continuous-time algebraic Riccati equation
+    ``A sigma + sigma A^T + D - sigma B B^T sigma = 0``, accepted only if
+    its residual is below ``tol`` relative to the largest term.
     """
     dim = coeffs.dim
-    if not np.any(coeffs.bbt()):
+    if not np.any(coeffs.backaction):
         evals = np.linalg.eigvals(coeffs.drift)
         if np.max(evals.real) >= 0.0:
             raise ValueError("drift is not Hurwitz; no unique Lyapunov steady state")
         solution = sla.solve_continuous_lyapunov(coeffs.drift, -coeffs.diffusion)
         return GaussianState(dim // 2, 0.5 * (solution + solution.T))
 
-    sigma = 0.5 * np.eye(dim) if sigma0 is None else np.array(
-        sigma0.cov if isinstance(sigma0, GaussianState) else sigma0, dtype=float
-    )
-    rate = np.linalg.norm(coeffs.drift, 2) + np.linalg.norm(coeffs.bbt(), 2)
-    horizon = 1.0 / rate if rate > 0 else 1.0
-    if max_time is None:
-        max_time = 1e7 * horizon
-    elapsed = 0.0
-    while elapsed < max_time:
-        dt = suggest_dt(coeffs, sigma, horizon)
-        traj = integrate(sigma, coeffs, horizon, dt, n_samples=2)
-        sigma = traj.covs[-1]
-        elapsed += horizon
-        horizon *= 2.0
-        residual = (
-            coeffs.drift @ sigma + sigma @ coeffs.drift.T + coeffs.diffusion
-            - sigma @ coeffs.bbt() @ sigma
-        )
-        if np.max(np.abs(residual)) < tol * max(1.0, np.max(np.abs(sigma))):
-            return GaussianState(dim // 2, sigma)
-    raise RuntimeError("steady-state iteration did not converge within max_time")
+    backaction = coeffs.backaction
+    sigma = sla.solve_continuous_are(coeffs.drift.T, backaction, coeffs.diffusion,
+                                     np.eye(backaction.shape[1]))
+    sigma = 0.5 * (sigma + sigma.T)
+    a_sigma = coeffs.drift @ sigma
+    g = sigma @ backaction
+    residual = a_sigma + a_sigma.T + coeffs.diffusion - g @ g.T
+    scale = max(np.max(np.abs(a_sigma)), np.max(np.abs(coeffs.diffusion)),
+                np.max(np.abs(g @ g.T)))
+    if np.max(np.abs(residual)) > tol * scale:
+        raise np.linalg.LinAlgError("Riccati steady state did not meet its residual tolerance")
+    return GaussianState(dim // 2, sigma)

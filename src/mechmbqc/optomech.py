@@ -296,15 +296,18 @@ def _reset_cavity(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
-# Chunks per monitoring step: the fixed RK4 step is re-sized at each chunk
-# boundary so early transients do not dictate the step for the whole run.
+# Chunks per monitoring step. Each chunk lays its own sample grid from a
+# freshly suggested dt, so early transients are sampled more densely than
+# the rest of the step. The propagation itself is exact; the chunks only set
+# the sample times, which the reported fidelity trace (and its maximum) is
+# taken on.
 CHUNKS_PER_STEP = 8
 
 
 def _integrate_step(cov: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
                     n_samples: int, t_offset: float,
                     n_chunks: int = CHUNKS_PER_STEP) -> Trajectory:
-    """Integrate one monitoring step in chunks of freshly suggested dt."""
+    """Propagate one monitoring step, sampled chunk by chunk."""
     chunk = t_mon / n_chunks
     per_chunk = max(2, int(np.ceil(n_samples / n_chunks)))
     times = [t_offset]
@@ -329,7 +332,7 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
     """Emulate a gate program by continuous monitoring and score it.
 
     Each step QND-couples the cavity to the next node of the cluster at the
-    program's quadrature angle and integrates the monitored dynamics for the
+    program's quadrature angle and propagates the monitored dynamics for the
     scheduled duration. The fidelity trace compares the reduced state of the
     output node(s) with the projective-measurement reference at every sample.
 
@@ -432,12 +435,22 @@ def _would_be_output_fidelity(cov: np.ndarray, step_index: int,
     state = mech
     for later in range(step_index + 1, len(measured_nodes)):
         idx = remaining.index(measured_nodes[later])
-        # Integrated covariances carry RK4 error, so the physicality guard
-        # gets the integrator's tolerance rather than the constructor's.
+        # Propagated covariances carry accumulated rounding error, so the
+        # physicality guard gets a looser tolerance than the constructor's.
         state = homodyne_project(state, idx, phases[later], atol=1e-5)
         remaining.pop(idx)
     outputs = [remaining.index(m) for m in output_modes]
     return fidelity(partial_trace(state, outputs), reference)
+
+
+def _advance(cov: np.ndarray, coeffs: EvolutionCoefficients,
+             duration: float) -> np.ndarray:
+    """Covariance after one optimizer increment, physicality-checked.
+
+    One grid step spans the whole increment, so every increment of a step
+    reuses the flow that ``coeffs.propagator`` cached for that duration.
+    """
+    return integrate(cov, coeffs, duration, duration, n_samples=2).covs[-1]
 
 
 def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
@@ -479,8 +492,7 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
         best_cov, best_t = cov, 0.0
         elapsed = 0.0
         while elapsed + time_resolution <= max_step_duration + 1e-15:
-            dt = suggest_dt(coeffs, cov, time_resolution)
-            cov = integrate(cov, coeffs, time_resolution, dt, n_samples=2).covs[-1]
+            cov = _advance(cov, coeffs, time_resolution)
             elapsed += time_resolution
             f_now = _would_be_output_fidelity(
                 cov, k, measured_nodes, phases, n_mech, output_modes, reference
@@ -493,9 +505,7 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
             # Monitoring never helped this step; keep it at the minimal
             # resolvable duration rather than emitting an empty step.
             best_t = time_resolution
-            dt = suggest_dt(coeffs, best_cov, time_resolution)
-            best_cov = integrate(best_cov, coeffs, time_resolution, dt,
-                                 n_samples=2).covs[-1]
+            best_cov = _advance(best_cov, coeffs, time_resolution)
         cov = best_cov
         durations.append(best_t)
 

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
@@ -68,6 +69,9 @@ class GaussianState:
         n_modes: number of bosonic modes.
         cov: 2n x 2n real symmetric covariance matrix in (q1, p1, ...)
             ordering; stored symmetrized and read-only.
+
+    Because ``cov`` cannot change, the symplectic spectrum is computed at
+    most once per state and shared by every physicality and purity test.
     """
 
     n_modes: int
@@ -88,8 +92,15 @@ class GaussianState:
         cov.flags.writeable = False
         object.__setattr__(self, "cov", cov)
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        spectrum = symplectic_eigenvalues(self.cov)
+        spectrum.flags.writeable = False
+        return spectrum
+
     def symplectic_spectrum(self) -> np.ndarray:
-        return symplectic_eigenvalues(self.cov)
+        """Symplectic eigenvalues, ascending (a read-only array)."""
+        return self._spectrum
 
     def is_physical(self, atol: float = PHYSICALITY_ATOL) -> bool:
         # Highly squeezed covariances stress the eigensolver, so the slack

@@ -8,6 +8,7 @@ import pytest
 
 from mechmbqc import cli
 from mechmbqc.config import ConfigError, PRESETS, config_from_dict, load_config
+from mechmbqc.optomech import run_monitoring_protocol
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -138,6 +139,50 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     path = write_config(tmp_path, BASE)
     assert cli.main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("error, exit_code", [
+    (np.linalg.LinAlgError("singular matrix"), 3),
+    (RuntimeError("not a numerical failure"), None),
+], ids=["linalg-error", "plain-runtime-error"])
+def test_only_numerical_errors_map_to_exit_3(tmp_path, monkeypatch, error,
+                                             exit_code):
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_monitoring_protocol", boom)
+    argv = ["simulate", "--config", str(write_config(tmp_path, BASE)),
+            "--out", str(tmp_path / "o")]
+    if exit_code is None:
+        with pytest.raises(RuntimeError, match="not a numerical failure"):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == exit_code
+
+
+def test_sweep_points_use_config_samples_per_step(tmp_path):
+    # With a CZ step of 50 us on set1 the fidelity peaks between samples,
+    # so the maximum over the trace depends on the sample count.
+    payload = {
+        "preset": "set1",
+        "gate": "cz",
+        "schedule": {"mode": "equal", "t_mon_us": 50.0},
+        "samples_per_step": 40,
+        "sweep": {"axes": [{"param": "eta", "values": [0.99]}]},
+    }
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    data = [line.split(",") for line in lines if not line.startswith("#")]
+    row = dict(zip(data[0], data[1]))
+
+    config = load_config(path)
+    direct = run_monitoring_protocol(
+        config.program(), config.physical_params({"eta": 0.99}),
+        config.schedule(), samples_per_step=40)
+    assert row["max_fidelity"] == f"{direct.max_fidelity:.12g}"
+    assert row["final_fidelity"] == f"{direct.final_fidelity:.12g}"
 
 
 def test_sweep_outputs_are_worker_count_independent(tmp_path):

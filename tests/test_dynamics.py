@@ -1,9 +1,12 @@
 """Tests for the conditional covariance dynamics: coefficient builders
-checked against hand computations, the RK4 integrator against closed-form
-solutions, and steady states against scipy's algebraic solvers."""
+checked against hand computations, the exact propagator against closed-form
+solutions and an independent RK4 integrator, and steady states against
+scipy's algebraic solvers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 from scipy import linalg as sla
 
@@ -170,7 +173,7 @@ def test_coefficients_compose_additively():
 
 
 # ---------------------------------------------------------------------------
-# integrator
+# exact propagator
 
 
 def test_integrate_matches_thermal_relaxation():
@@ -259,13 +262,15 @@ def test_integrate_rejects_bad_step():
         dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_integrate_aborts_on_physicality_loss():
-    # An absurdly large fixed step makes RK4 blow up; the guard reports it.
-    coeffs, b, _ = scalar_riccati_setup(4.0, 20.0, 1.0)
-    with pytest.raises(dyn.PhysicalityError):
-        dyn.integrate(np.diag([30.0, 30.0]), coeffs, 2000.0, dt=40.0,
-                      check_interval=1)
+    # Negative-definite diffusion drains a thermal state below vacuum:
+    # sigma(t) = (2 - t) I becomes unphysical after t = 1.5. The guard must
+    # fire at the first sample past that point, t = 1.6, and not earlier.
+    coeffs = dyn.EvolutionCoefficients(np.zeros((2, 2)), -np.eye(2))
+    with pytest.raises(dyn.PhysicalityError) as info:
+        dyn.integrate(2.0 * np.eye(2), coeffs, 3.0, dt=0.1, n_samples=31)
+    assert info.value.t == pytest.approx(1.6)
+    assert info.value.nu_min == pytest.approx(0.4)
 
 
 def test_suggest_dt_resolves_fastest_scale():
@@ -282,6 +287,94 @@ def test_integrator_dt_refinement_converges():
     coarse = dyn.integrate(np.diag([4.0, 1.0]), coeffs, t_end, dt=t_end / 400)
     fine = dyn.integrate(np.diag([4.0, 1.0]), coeffs, t_end, dt=t_end / 800)
     assert np.max(np.abs(coarse.covs[-1] - fine.covs[-1])) < 1e-9
+
+
+def test_propagator_reuses_one_flow_per_interval_length(monkeypatch):
+    # Ten increments of one length cost a single matrix exponential, and the
+    # exact flow composes: ten increments equal one interval ten times longer.
+    coeffs, b, _ = scalar_riccati_setup(3.0, 8.0, 0.95)
+    calls = []
+    expm = dyn.sla.expm
+
+    def counting_expm(matrix):
+        calls.append(matrix)
+        return expm(matrix)
+
+    monkeypatch.setattr(dyn.sla, "expm", counting_expm)
+    h = 0.1 / b
+    sigma = np.diag([4.0, 1.0])
+    for _ in range(10):
+        sigma = dyn.integrate(sigma, coeffs, h, dt=h, n_samples=2).covs[-1]
+    assert len(calls) == 1
+    once = dyn.integrate(np.diag([4.0, 1.0]), coeffs, 10 * h, dt=10 * h,
+                         n_samples=2).covs[-1]
+    assert_allclose(sigma, once, rtol=1e-12)
+
+
+def rk4_reference(sigma0, coeffs, t_total, n_steps):
+    """Classical fixed-step RK4 on the covariance ODE: the independent
+    oracle the exact propagator is checked against."""
+    a, d, g = coeffs.drift, coeffs.diffusion, coeffs.bbt()
+
+    def rhs(s):
+        return a @ s + s @ a.T + d - s @ g @ s
+
+    h = t_total / n_steps
+    sigma = np.array(sigma0, dtype=float)
+    for _ in range(n_steps):
+        k1 = rhs(sigma)
+        k2 = rhs(sigma + 0.5 * h * k1)
+        k3 = rhs(sigma + 0.5 * h * k2)
+        k4 = rhs(sigma + h * k3)
+        sigma = sigma + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return sigma
+
+
+def random_physical_coefficients(seed, n_modes):
+    """Coefficients of random physical channels, built through the public
+    spec objects: a random Hamiltonian, one monitored channel read out by
+    squeezed homodyne at efficiency eta, and thermal dissipative channels."""
+    rng = np.random.default_rng(seed)
+    dim = 2 * n_modes
+    h = rng.normal(size=(dim, dim))
+    c_m = rng.normal(size=(dim, 2))
+    c_d = 0.5 * rng.normal(size=(dim, dim))
+    occupancies = rng.uniform(0.0, 2.0, size=n_modes)
+    coupling = dyn.CouplingSpec(0.5 * (h + h.T), c_m, c_d)
+    baths = dyn.BathSpec(
+        sigma_monitored=0.5 * np.eye(2),
+        sigma_dissipative=np.diag(np.repeat(occupancies + 0.5, 2)),
+        sigma_post_meas=dyn.homodyne_post_meas_cov(rng.uniform(0.0, 15.0)),
+        eta=rng.uniform(0.3, 1.0),
+    )
+    return dyn.build_coefficients(coupling, baths)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 2),
+       n_samples=hst.integers(2, 9))
+def test_exact_propagator_matches_rk4_on_random_physical_channels(
+        seed, n_modes, n_samples):
+    coeffs = random_physical_coefficients(seed, n_modes)
+    # Start from a random pure state, which any physical channel maps to a
+    # physical state.
+    squeezing = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=n_modes)
+    sigma0 = 0.5 * np.diag(np.exp(np.ravel([[r, -r] for r in squeezing])))
+    # A horizon of several rate times makes long sample intervals take
+    # several substeps.
+    rate = np.linalg.norm(coeffs.drift, 2) + np.linalg.norm(coeffs.bbt(), 2)
+    t_total = 4.0 / rate
+    traj = dyn.integrate(sigma0, coeffs, t_total, dt=t_total / 64,
+                         n_samples=n_samples)
+    oracle, t_prev = sigma0, 0.0
+    for t, cov in zip(traj.times, traj.covs):
+        assert_allclose(cov, cov.T, rtol=0, atol=1e-14 * np.max(np.abs(cov)))
+        assert GaussianState(n_modes, cov).is_physical()
+        n_steps = int(np.ceil(2000 * (t - t_prev) / t_total))
+        if n_steps:
+            oracle = rk4_reference(oracle, coeffs, t - t_prev, n_steps)
+        t_prev = t
+        assert np.max(np.abs(cov - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
 
 # ---------------------------------------------------------------------------
