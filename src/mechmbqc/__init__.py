@@ -20,6 +20,7 @@ from .states import (
 )
 from .mbqc import (
     GateProgram,
+    MeasurementPattern,
     compose_oracle,
     cz_program,
     expected_output,

@@ -21,7 +21,7 @@ from . import __version__, mbqc
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .dynamics import PhysicalityError
 from .optomech import optimize_schedule, run_monitoring_protocol
-from .states import GraphSpec, build_cluster, nullifier_variances, vacuum, squeeze_momentum
+from .states import build_cluster, nullifier_variances
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,6 +54,15 @@ def _base_header(config: ExperimentConfig, command: str) -> dict:
     }
 
 
+def _trace_columns(result) -> dict:
+    """The fidelity trace of a protocol run, with 1-based step numbers."""
+    step_index = np.empty(len(result.times), dtype=int)
+    for k, sl in enumerate(result.step_slices):
+        step_index[sl] = k + 1
+    return {"time_s": result.times, "step": step_index,
+            "fidelity": result.fidelities}
+
+
 def cmd_simulate(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     params = config.physical_params()
     result = run_monitoring_protocol(
@@ -62,14 +71,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     )
     header = _base_header(config, "simulate")
     header["schedule_us"] = " ".join(f"{t * 1e6:.6g}" for t in result.schedule.durations)
-    step_index = np.empty(len(result.times), dtype=int)
-    for k, sl in enumerate(result.step_slices):
-        step_index[sl] = k + 1
-    _write_columns(out_dir / "trace.csv", header, {
-        "time_s": result.times,
-        "step": step_index,
-        "fidelity": result.fidelities,
-    })
+    _write_columns(out_dir / "trace.csv", header, _trace_columns(result))
     summary = dict(header)
     summary["final_fidelity"] = f"{result.final_fidelity:.12g}"
     summary["max_fidelity"] = f"{result.max_fidelity:.12g}"
@@ -84,8 +86,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 def _sweep_point(args):
     """Worker for one grid point; module-level so it pickles."""
-    config_dict, overrides = args
-    config = config_from_dict(config_dict)
+    config, overrides = args
     params = config.physical_params(overrides)
     program = config.program()
     if config.schedule_mode == "optimized":
@@ -108,13 +109,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     names = [name for name, _ in config.sweep_axes]
     grids = [values for _, values in config.sweep_axes]
     points = list(itertools.product(*grids))
-    raw = {
-        "params": dict(config.param_values),
-        "gate": config.gate,
-        "schedule": _schedule_dict(config),
-        "samples_per_step": config.samples_per_step,
-    }
-    jobs = [(raw, dict(zip(names, point))) for point in points]
+    jobs = [(config, dict(zip(names, point))) for point in points]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -136,18 +131,6 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def _schedule_dict(config: ExperimentConfig) -> dict:
-    out = {"mode": config.schedule_mode}
-    if config.schedule_mode == "equal":
-        out["t_mon_us"] = config.t_mon_us
-    elif config.schedule_mode == "optimized":
-        out["resolution_us"] = config.time_resolution_us
-        out["max_step_us"] = config.max_step_us
-    else:
-        out["durations_us"] = list(config.explicit_durations_us)
-    return out
-
-
 def cmd_optimize(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     params = config.physical_params()
     schedule, result = optimize_schedule(
@@ -160,14 +143,7 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     header["optimized_steps_us"] = " ".join(f"{t * 1e6:.6g}" for t in schedule.durations)
     header["final_fidelity"] = f"{result.final_fidelity:.12g}"
     header["trace_monotone"] = bool(len(diffs) == 0 or diffs.min() >= -1e-6)
-    step_index = np.empty(len(result.times), dtype=int)
-    for k, sl in enumerate(result.step_slices):
-        step_index[sl] = k + 1
-    _write_columns(out_dir / "optimize.csv", header, {
-        "time_s": result.times,
-        "step": step_index,
-        "fidelity": result.fidelities,
-    })
+    _write_columns(out_dir / "optimize.csv", header, _trace_columns(result))
     steps = ", ".join(f"{t * 1e6:.2f}" for t in schedule.durations)
     print(f"optimized steps [us]: {steps}; final fidelity "
           f"{result.final_fidelity:.6f}; wrote {out_dir / 'optimize.csv'}")
@@ -180,13 +156,15 @@ def cmd_oracle(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     r_db = params.r_cluster_db
     header = _base_header(config, "oracle")
 
-    inp = squeeze_momentum(vacuum(1), 0, r_db)
-    if program.is_two_mode:
-        output = mbqc.run_projective_cz(inp, inp, r_db)
+    # The cluster carries the default input (momentum-squeezed vacuum at the
+    # cluster squeezing) on its input nodes.
+    pattern = program.pattern()
+    cluster = build_cluster(pattern.graph, r_db)
+    output = pattern.complete(cluster)
+    if program.lambdas is None:
         reference = mbqc.cz_reference_matrix()
         header["reference"] = "dual-rail CZ with per-rail Fourier by-product"
     else:
-        output = mbqc.run_projective_mbqc(inp, program, r_db)
         reference = program.target_matrix()
         header["lambdas"] = " ".join(f"{x:.6g}" for x in program.lambdas)
         check = np.max(np.abs(
@@ -195,17 +173,15 @@ def cmd_oracle(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
         header["teleportation_identity_maxerr"] = f"{check:.3e}"
     header["target_matrix"] = " ".join(f"{x:.12g}" for x in reference.ravel())
 
-    graph = GraphSpec.linear(5 if not program.is_two_mode else 4)
-    cluster = build_cluster(graph, r_db)
-    nullifiers = nullifier_variances(cluster, graph)
-    header["cluster_nodes"] = graph.n_nodes
+    nullifiers = nullifier_variances(cluster, pattern.graph)
+    header["cluster_nodes"] = pattern.graph.n_nodes
     flat = output.cov.ravel()
     _write_columns(out_dir / "oracle.csv", header, {
         "index": np.arange(flat.size),
         "output_cov": flat,
     })
     _write_columns(out_dir / "nullifiers.csv", dict(header), {
-        "node": np.arange(graph.n_nodes),
+        "node": np.arange(pattern.graph.n_nodes),
         "nullifier_variance": nullifiers,
     })
     print(f"projective oracle output ({output.n_modes} mode(s)); "

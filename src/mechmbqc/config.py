@@ -15,36 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mbqc import GateProgram, named_program
-from .optomech import MonitoringSchedule, PhysicalParams, default_mech_frequencies
+from .optomech import PRESETS, MonitoringSchedule, PhysicalParams
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
-
-# The two named parameter sets, in config units.
-PRESETS = {
-    "set1": {
-        "eta": 0.99,
-        "gamma_hz": 8.0,
-        "kappa_hz": 0.33e6,
-        "tau_over_kappa": 0.01,
-        "alpha_g_rad_per_s": 0.35e6,
-        "temperature_k": 1e-3,
-        "r_post_meas_db": 10.0,
-        "r_cluster_db": 3.0,
-    },
-    "set2": {
-        "eta": 1.0,
-        "gamma_hz": 0.0,
-        "kappa_hz": 0.1e6,
-        "tau_over_kappa": 0.0,
-        "alpha_g_rad_per_s": 0.35e6,
-        "temperature_k": 0.0,
-        "r_post_meas_db": 20.0,
-        "r_cluster_db": 3.0,
-    },
-}
 
 PARAM_KEYS = tuple(PRESETS["set1"].keys())
 
@@ -59,19 +35,8 @@ def params_from_dict(values: dict, n_mech: int) -> PhysicalParams:
     missing = set(PARAM_KEYS) - set(values)
     if missing:
         raise ConfigError(f"missing parameter keys: {sorted(missing)}")
-    kappa = 2.0 * np.pi * float(values["kappa_hz"])
     try:
-        return PhysicalParams(
-            eta=float(values["eta"]),
-            gamma=2.0 * np.pi * float(values["gamma_hz"]),
-            kappa=kappa,
-            tau=float(values["tau_over_kappa"]) * kappa,
-            alpha_g=float(values["alpha_g_rad_per_s"]),
-            temperature_k=float(values["temperature_k"]),
-            r_post_meas_db=float(values["r_post_meas_db"]),
-            r_cluster_db=float(values["r_cluster_db"]),
-            mech_frequencies=default_mech_frequencies(n_mech),
-        )
+        return PhysicalParams.from_values(values, n_mech)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -110,16 +75,14 @@ class ExperimentConfig:
         return named_program(self.gate)
 
     def n_steps(self) -> int:
-        return 2 if self.program().is_two_mode else 4
-
-    def n_mech(self) -> int:
-        return 4 if self.program().is_two_mode else 5
+        return len(self.program().measurement_phases())
 
     def physical_params(self, overrides: dict = None) -> PhysicalParams:
+        """Parameters with one resonator per node of the program's cluster."""
         values = dict(self.param_values)
         if overrides:
             values.update(overrides)
-        return params_from_dict(values, self.n_mech())
+        return params_from_dict(values, self.program().pattern().graph.n_nodes)
 
     def schedule(self) -> MonitoringSchedule:
         if self.schedule_mode == "equal":

@@ -327,8 +327,12 @@ class Trajectory:
         return columns
 
 
+# Grid steps per inverse fastest rate in :func:`suggest_dt`.
+DT_SAFETY = 20.0
+
+
 def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
-               horizon: float, safety: float = 20.0) -> float:
+               horizon: float) -> float:
     """Grid step that decides where :func:`integrate` places its samples.
 
     The propagation between samples is exact, so this step sets no accuracy;
@@ -357,12 +361,15 @@ def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
         rate += np.linalg.norm(bbt, 2) * v_est
     if rate <= 0.0:
         return horizon
-    return min(horizon, 1.0 / (safety * rate))
+    return min(horizon, 1.0 / (DT_SAFETY * rate))
+
+
+# Slack on the minimum symplectic eigenvalue of a propagated sample.
+PROPAGATION_ATOL = 1e-6
 
 
 def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
-              n_samples: int = 200, t_offset: float = 0.0,
-              physicality_atol: float = 1e-6) -> Trajectory:
+              n_samples: int = 200, t_offset: float = 0.0) -> Trajectory:
     """Propagate the covariance exactly and sample it on a grid of step dt.
 
     The horizon is cut into ``ceil(t_total / dt)`` grid steps, the last one
@@ -371,7 +378,7 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     keeps the count within ``n_samples``, and at ``t_total``. Between
     samples the covariance follows the exact flow of ``coeffs.propagator``,
     so ``dt`` only decides where samples fall. Every propagated sample is
-    checked for physicality; a violation beyond ``physicality_atol`` raises
+    checked for physicality; a violation beyond ``PROPAGATION_ATOL`` raises
     :class:`PhysicalityError` at the first offending sample.
 
     Args:
@@ -403,21 +410,21 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     for k in marks:
         sigma = propagator.advance(sigma, sample_every * dt)
         times.append(t_offset + k * dt)
-        _require_physical(sigma, times[-1], physicality_atol)
+        _require_physical(sigma, times[-1])
         covs.append(sigma)
     if n_steps:
         sigma = propagator.advance(sigma, t_total - (marks[-1] * dt if marks else 0.0))
         times.append(t_offset + t_total)
-        _require_physical(sigma, times[-1], physicality_atol)
+        _require_physical(sigma, times[-1])
         covs.append(sigma)
     return Trajectory(np.asarray(times), np.asarray(covs))
 
 
-def _require_physical(sigma: np.ndarray, t: float, atol: float):
+def _require_physical(sigma: np.ndarray, t: float):
     if not np.all(np.isfinite(sigma)):
         raise PhysicalityError(t, float("-inf"))
     state = GaussianState(sigma.shape[0] // 2, sigma)
-    if not state.is_physical(atol):
+    if not state.is_physical(PROPAGATION_ATOL):
         raise PhysicalityError(t, float(state.symplectic_spectrum()[0]))
 
 

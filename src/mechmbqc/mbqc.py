@@ -5,20 +5,25 @@ A single-mode Gaussian gate is encoded as four shear parameters
 ``p + lambda_j q`` on the first four nodes of a five-node linear cluster
 teleports the input (node 1) to the output node with the gate applied.
 The two-mode CZ gate uses the dual-rail form of a four-node cluster.
+
+:meth:`GateProgram.pattern` is the one place that spells out which cluster a
+program runs on and which nodes it measures, at which angles; the projective
+runners and the monitored protocol all follow that pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .states import (
     GaussianState,
-    apply_cz,
+    GraphSpec,
+    build_cluster,
     homodyne_project,
     is_symplectic,
-    squeeze_momentum,
+    partial_trace,
 )
 
 FOURIER = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -97,6 +102,47 @@ def gate_to_lambdas(matrix) -> tuple:
 
 
 @dataclass(frozen=True)
+class MeasurementPattern:
+    """Where a gate program runs: its cluster graph and node roles.
+
+    Attributes:
+        graph: the cluster graph.
+        inputs: nodes that carry the program's input modes.
+        measured: nodes measured, in order, one per step.
+        phases: quadrature angle of each measurement.
+        outputs: nodes that survive and hold the result, in output order.
+    """
+
+    graph: GraphSpec
+    inputs: tuple
+    measured: tuple
+    phases: tuple
+    outputs: tuple
+
+    def complete(self, state: GaussianState) -> GaussianState:
+        """Finish the pattern by ideal homodyne measurements.
+
+        ``state`` holds one mode per graph node. Every measured node is
+        projected in turn, any node that is neither measured nor an output
+        is traced out, and the reduced state of the output nodes is
+        returned in output order.
+        """
+        remaining = list(range(self.graph.n_nodes))
+        for node, phi in zip(self.measured, self.phases):
+            idx = remaining.index(node)
+            state = homodyne_project(state, idx, phi)
+            remaining.pop(idx)
+        return partial_trace(state, [remaining.index(m) for m in self.outputs])
+
+    def after(self, steps: int) -> "MeasurementPattern":
+        """What is left to do once the first ``steps`` measurements are done.
+
+        Their nodes stay in the graph; completion traces them out.
+        """
+        return replace(self, measured=self.measured[steps:], phases=self.phases[steps:])
+
+
+@dataclass(frozen=True)
 class GateProgram:
     """A measurement program: either four shear parameters or the two-mode CZ.
 
@@ -122,6 +168,19 @@ class GateProgram:
         if self.is_two_mode:
             return (np.pi / 2.0, np.pi / 2.0)
         return tuple(lambda_to_phase(lam) for lam in self.lambdas)
+
+    def pattern(self) -> MeasurementPattern:
+        """The cluster and measurement sequence that run this program.
+
+        Single-mode programs teleport node 0 along a five-node chain by
+        measuring nodes 0..3; the output is node 4. The CZ program uses the
+        four-node dual rail: inputs on the middle nodes 1 and 2, both
+        measured in p, outputs on the end nodes (0, 3).
+        """
+        phases = self.measurement_phases()
+        if self.is_two_mode:
+            return MeasurementPattern(GraphSpec.linear(4), (1, 2), (1, 2), phases, (0, 3))
+        return MeasurementPattern(GraphSpec.linear(5), (0,), (0, 1, 2, 3), phases, (4,))
 
     def target_matrix(self) -> np.ndarray:
         if self.is_two_mode:
@@ -173,66 +232,22 @@ def expected_output(matrix: np.ndarray, input_cov: np.ndarray) -> np.ndarray:
     return matrix @ np.asarray(input_cov, dtype=float) @ matrix.T
 
 
-def linear_cluster_with_input(input_state: GaussianState, n_ancilla: int,
-                              r_cluster_db: float) -> GaussianState:
-    """Chain cluster whose first node carries ``input_state``.
-
-    The ancilla nodes are momentum-squeezed vacua at ``r_cluster_db``, linked
-    to the input and to each other by unit-weight CZ gates.
-    """
-    if input_state.n_modes != 1:
-        raise ValueError("input must be single-mode")
-    n = n_ancilla + 1
-    cov = 0.5 * np.eye(2 * n)
-    cov[:2, :2] = input_state.cov
-    state = GaussianState(n, cov)
-    for node in range(1, n):
-        state = squeeze_momentum(state, node, r_cluster_db)
-    for j in range(n - 1):
-        state = apply_cz(state, j, j + 1)
-    return state
-
-
-def run_projective_mbqc(input_state: GaussianState, program: GateProgram,
+def run_projective_mbqc(input_mode: GaussianState, program: GateProgram,
                         r_cluster_db: float) -> GaussianState:
     """Apply a single-mode program by ideal homodyne measurements.
 
-    Builds the five-node linear cluster (input at node 1), measures nodes
-    1..4 in the bases p + lambda_j q and returns the surviving output node.
-    In the infinite-squeezing limit the output covariance approaches
-    ``M sigma_in M^T`` with M = ``lambdas_to_symplectic(program.lambdas)``.
+    Builds the program's five-node linear cluster with ``input_mode`` on
+    node 1, measures nodes 1..4 in the bases p + lambda_j q and returns the
+    surviving output node. In the infinite-squeezing limit the output
+    covariance approaches ``M sigma_in M^T`` with
+    M = ``lambdas_to_symplectic(program.lambdas)``.
     """
     if program.is_two_mode:
         raise ValueError("use run_projective_cz for the two-mode program")
-    state = linear_cluster_with_input(input_state, 4, r_cluster_db)
-    for phi in program.measurement_phases():
-        state = homodyne_project(state, 0, phi)
-    return state
-
-
-def dual_rail_with_inputs(input1: GaussianState, input2: GaussianState,
-                          r_cluster_db: float,
-                          rung_weight: float = 1.0) -> GaussianState:
-    """Four-node dual rail: inputs sit on the middle nodes of the chain.
-
-    Mode layout is (end1, mid2, mid3, end4) with chain edges 1-2, 2-3, 3-4.
-    The end nodes are momentum-squeezed vacua at ``r_cluster_db``; measuring
-    p on both middle nodes teleports each input to its rail's end node while
-    the 2-3 rung edge (weight ``rung_weight``) applies the CZ. A zero rung
-    weight leaves two independent teleportation wires.
-    """
-    if input1.n_modes != 1 or input2.n_modes != 1:
-        raise ValueError("inputs must be single-mode")
-    cov = 0.5 * np.eye(8)
-    cov[2:4, 2:4] = input1.cov
-    cov[4:6, 4:6] = input2.cov
-    state = GaussianState(4, cov)
-    for node in (0, 3):
-        state = squeeze_momentum(state, node, r_cluster_db)
-    state = apply_cz(state, 0, 1)
-    state = apply_cz(state, 1, 2, rung_weight)
-    state = apply_cz(state, 2, 3)
-    return state
+    pattern = program.pattern()
+    cluster = build_cluster(pattern.graph, r_cluster_db,
+                            inputs={pattern.inputs[0]: input_mode})
+    return pattern.complete(cluster)
 
 
 def run_projective_cz(input1: GaussianState, input2: GaussianState,
@@ -240,17 +255,19 @@ def run_projective_cz(input1: GaussianState, input2: GaussianState,
                       rung_weight: float = 1.0) -> GaussianState:
     """Apply the CZ gate via two momentum measurements on the dual rail.
 
-    Returns the two-mode state of the end nodes, ordered (rail of input1,
-    rail of input2). In the infinite-squeezing limit this equals
-    ``S (sigma1 + sigma2) S^T`` with ``S = (f + f) S_CZ`` -- the CZ dressed
-    by the single-teleportation Fourier by-product on each rail.
+    The inputs sit on the middle nodes of the CZ program's four-node chain,
+    whose middle (rung) edge gets weight ``rung_weight``; a zero weight
+    leaves two independent teleportation wires. Returns the two-mode state
+    of the end nodes, ordered (rail of input1, rail of input2). In the
+    infinite-squeezing limit this equals ``S (sigma1 + sigma2) S^T`` with
+    ``S = (f + f) S_CZ`` -- the CZ dressed by the single-teleportation
+    Fourier by-product on each rail.
     """
-    state = dual_rail_with_inputs(input1, input2, r_cluster_db, rung_weight)
-    # Middle nodes are modes 1 and 2; after the first projection the second
-    # middle node shifts down to index 1.
-    state = homodyne_project(state, 1, np.pi / 2.0)
-    state = homodyne_project(state, 1, np.pi / 2.0)
-    return state
+    pattern = cz_program().pattern()
+    rung = GraphSpec(4, ((0, 1), (1, 2, rung_weight), (2, 3)))
+    cluster = build_cluster(rung, r_cluster_db,
+                            inputs=dict(zip(pattern.inputs, (input1, input2))))
+    return pattern.complete(cluster)
 
 
 def cz_reference_matrix(weight: float = 1.0) -> np.ndarray:

@@ -18,14 +18,7 @@ import numpy as np
 from scipy import constants
 
 from . import mbqc
-from .states import (
-    GaussianState,
-    fidelity,
-    homodyne_project,
-    partial_trace,
-    squeeze_momentum,
-    vacuum,
-)
+from .states import GaussianState, build_cluster, fidelity
 from .dynamics import (
     BathSpec,
     CouplingSpec,
@@ -125,39 +118,62 @@ class PhysicalParams:
     def with_mech_count(self, n_mech: int) -> "PhysicalParams":
         return replace(self, mech_frequencies=default_mech_frequencies(n_mech))
 
+    @classmethod
+    def from_values(cls, values: dict, n_mech: int) -> "PhysicalParams":
+        """Parameters from a mapping in preset units (the keys of PRESETS).
 
-# The damping and decay rates are quoted as frequencies (gamma/2pi,
-# kappa/2pi) and converted here; the coupling alpha_g is quoted directly as
-# an angular rate.
+        Rates quoted as ordinary frequencies (``_hz``) are multiplied by
+        2 pi; the coupling ``alpha_g_rad_per_s`` is already an angular rate.
+        """
+        kappa = 2.0 * np.pi * float(values["kappa_hz"])
+        return cls(
+            eta=float(values["eta"]),
+            gamma=2.0 * np.pi * float(values["gamma_hz"]),
+            kappa=kappa,
+            tau=float(values["tau_over_kappa"]) * kappa,
+            alpha_g=float(values["alpha_g_rad_per_s"]),
+            temperature_k=float(values["temperature_k"]),
+            r_post_meas_db=float(values["r_post_meas_db"]),
+            r_cluster_db=float(values["r_cluster_db"]),
+            mech_frequencies=default_mech_frequencies(n_mech),
+        )
+
+
+# The two named parameter sets, in preset units (see PhysicalParams.from_values).
+PRESETS = {
+    # Experimentally motivated.
+    "set1": {
+        "eta": 0.99,
+        "gamma_hz": 8.0,
+        "kappa_hz": 0.33e6,
+        "tau_over_kappa": 0.01,
+        "alpha_g_rad_per_s": 0.35e6,
+        "temperature_k": 1e-3,
+        "r_post_meas_db": 10.0,
+        "r_cluster_db": 3.0,
+    },
+    # Close to ideal: lossless, cold, near-perfect detection.
+    "set2": {
+        "eta": 1.0,
+        "gamma_hz": 0.0,
+        "kappa_hz": 0.1e6,
+        "tau_over_kappa": 0.0,
+        "alpha_g_rad_per_s": 0.35e6,
+        "temperature_k": 0.0,
+        "r_post_meas_db": 20.0,
+        "r_cluster_db": 3.0,
+    },
+}
+
+
 def params_set1(n_mech: int = 5) -> PhysicalParams:
-    """Experimentally motivated parameter set."""
-    kappa = 2.0 * np.pi * 0.33e6
-    return PhysicalParams(
-        eta=0.99,
-        gamma=2.0 * np.pi * 8.0,
-        kappa=kappa,
-        tau=0.01 * kappa,
-        alpha_g=0.35e6,
-        temperature_k=1e-3,
-        r_post_meas_db=10.0,
-        r_cluster_db=3.0,
-        mech_frequencies=default_mech_frequencies(n_mech),
-    )
+    """Experimentally motivated parameter set (``PRESETS["set1"]``)."""
+    return PhysicalParams.from_values(PRESETS["set1"], n_mech)
 
 
 def params_set2(n_mech: int = 5) -> PhysicalParams:
-    """Close-to-ideal parameter set: lossless, cold, near-perfect detection."""
-    return PhysicalParams(
-        eta=1.0,
-        gamma=0.0,
-        kappa=2.0 * np.pi * 0.1e6,
-        tau=0.0,
-        alpha_g=0.35e6,
-        temperature_k=0.0,
-        r_post_meas_db=20.0,
-        r_cluster_db=3.0,
-        mech_frequencies=default_mech_frequencies(n_mech),
-    )
+    """Close-to-ideal parameter set (``PRESETS["set2"]``)."""
+    return PhysicalParams.from_values(PRESETS["set2"], n_mech)
 
 
 def build_qnd_step(params: PhysicalParams, addressed: int, phi: float):
@@ -250,50 +266,81 @@ class ProtocolResult:
         return float(np.max(self.fidelities))
 
 
-def _protocol_layout(program: mbqc.GateProgram, params: PhysicalParams,
-                     input_state: GaussianState = None,
-                     input_state2: GaussianState = None):
-    """Initial mechanical cluster, measured-node order and output modes."""
-    if program.is_two_mode:
-        n_mech = 4
-        if input_state is None:
-            input_state = squeeze_momentum(vacuum(1), 0, params.r_cluster_db)
-        if input_state2 is None:
-            input_state2 = squeeze_momentum(vacuum(1), 0, params.r_cluster_db)
-        cluster = mbqc.dual_rail_with_inputs(input_state, input_state2,
-                                             params.r_cluster_db)
-        measured_nodes = (1, 2)
-        output_modes = (0, 3)
-        reference = mbqc.run_projective_cz(input_state, input_state2,
-                                           params.r_cluster_db)
-    else:
-        n_mech = 5
-        if input_state is None:
-            input_state = squeeze_momentum(vacuum(1), 0, params.r_cluster_db)
-        cluster = mbqc.linear_cluster_with_input(input_state, 4,
-                                                 params.r_cluster_db)
-        measured_nodes = (0, 1, 2, 3)
-        output_modes = (4,)
-        reference = mbqc.run_projective_mbqc(input_state, program,
-                                             params.r_cluster_db)
-    if params.n_mech != n_mech:
-        params = params.with_mech_count(n_mech)
-    return params, cluster, measured_nodes, output_modes, reference
+@dataclass(frozen=True)
+class _Protocol:
+    """A gate program made ready to monitor, shared by every driver.
+
+    Attributes:
+        params: physical parameters at the pattern's mechanical mode count.
+        pattern: the program's measurement pattern.
+        cluster: the mechanical cluster state the monitoring starts from.
+        reference: the ideal projective output of the same cluster.
+        steps: evolution coefficients of each measurement step.
+    """
+
+    params: PhysicalParams
+    pattern: mbqc.MeasurementPattern
+    cluster: GaussianState
+    reference: GaussianState
+    steps: tuple
+
+    def initial_cov(self) -> np.ndarray:
+        """The cluster with the cavity, in vacuum, appended as the last mode."""
+        n = self.cluster.cov.shape[0]
+        cov = 0.5 * np.eye(n + 2)
+        cov[:n, :n] = self.cluster.cov
+        return cov
+
+    def handover(self, cov: np.ndarray) -> np.ndarray:
+        """The covariance one step leaves to the next.
+
+        With ``params.reset_cavity`` the cavity returns to vacuum, without
+        correlations; otherwise the dynamics simply carries over.
+        """
+        if not self.params.reset_cavity:
+            return cov
+        cov = cov.copy()
+        cov[-2:, :] = 0.0
+        cov[:, -2:] = 0.0
+        cov[-2:, -2:] = 0.5 * np.eye(2)
+        return cov
+
+    def output_state(self, cov: np.ndarray) -> GaussianState:
+        """Reduced state of the output nodes in a full-system covariance."""
+        outputs = self.pattern.outputs
+        idx = np.array([[2 * m, 2 * m + 1] for m in outputs]).ravel()
+        return GaussianState(len(outputs), cov[np.ix_(idx, idx)])
+
+    def completed_fidelity(self, cov: np.ndarray, step: int) -> float:
+        """Fidelity of the output the protocol would deliver if monitoring
+        stopped now, during step ``step``.
+
+        The cavity is dropped and the measurements of all later steps are
+        completed as ideal projections, so the quality of the steps
+        monitored so far (including the one in progress) is priced into the
+        result.
+        """
+        n = 2 * self.params.n_mech
+        mech = GaussianState(self.params.n_mech, cov[:n, :n])
+        return fidelity(self.pattern.after(step + 1).complete(mech), self.reference)
 
 
-def _attach_cavity(mech_cov: np.ndarray) -> np.ndarray:
-    dim = mech_cov.shape[0] + 2
-    cov = 0.5 * np.eye(dim)
-    cov[: mech_cov.shape[0], : mech_cov.shape[0]] = mech_cov
-    return cov
+def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
+    """Cluster, projective reference and per-step coefficients of a program.
 
-
-def _reset_cavity(cov: np.ndarray) -> np.ndarray:
-    cov = cov.copy()
-    cov[-2:, :] = 0.0
-    cov[:, -2:] = 0.0
-    cov[-2:, -2:] = 0.5 * np.eye(2)
-    return cov
+    The monitored cluster carries the default input, a momentum-squeezed
+    vacuum at the cluster squeezing, on every input node, so it is the
+    plain cluster of the program's graph.
+    """
+    pattern = program.pattern()
+    if params.n_mech != pattern.graph.n_nodes:
+        params = params.with_mech_count(pattern.graph.n_nodes)
+    cluster = build_cluster(pattern.graph, params.r_cluster_db)
+    steps = tuple(
+        build_coefficients(*build_qnd_step(params, node, phi))
+        for node, phi in zip(pattern.measured, pattern.phases)
+    )
+    return _Protocol(params, pattern, cluster, pattern.complete(cluster), steps)
 
 
 # Chunks per monitoring step. Each chunk lays its own sample grid from a
@@ -305,15 +352,14 @@ CHUNKS_PER_STEP = 8
 
 
 def _integrate_step(cov: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
-                    n_samples: int, t_offset: float,
-                    n_chunks: int = CHUNKS_PER_STEP) -> Trajectory:
+                    n_samples: int, t_offset: float) -> Trajectory:
     """Propagate one monitoring step, sampled chunk by chunk."""
-    chunk = t_mon / n_chunks
-    per_chunk = max(2, int(np.ceil(n_samples / n_chunks)))
+    chunk = t_mon / CHUNKS_PER_STEP
+    per_chunk = max(2, int(np.ceil(n_samples / CHUNKS_PER_STEP)))
     times = [t_offset]
     covs = [np.array(cov)]
     t = t_offset
-    for _ in range(n_chunks):
+    for _ in range(CHUNKS_PER_STEP):
         dt = suggest_dt(coeffs, covs[-1], chunk)
         traj = integrate(covs[-1], coeffs, chunk, dt, n_samples=per_chunk,
                          t_offset=t)
@@ -323,78 +369,75 @@ def _integrate_step(cov: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float
     return Trajectory(np.asarray(times), np.asarray(covs))
 
 
+def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
+             samples_per_step: int, keep_trajectories: bool) -> ProtocolResult:
+    """Run a prepared protocol on a schedule and score every sample."""
+    if len(schedule.durations) != len(protocol.steps):
+        raise ValueError(
+            f"schedule has {len(schedule.durations)} steps, "
+            f"program needs {len(protocol.steps)}"
+        )
+    cov = protocol.initial_cov()
+    times = []
+    fids = []
+    slices = []
+    trajectories = []
+    t_start = 0.0
+    for k, (coeffs, t_mon) in enumerate(zip(protocol.steps, schedule.durations)):
+        if k:
+            cov = protocol.handover(cov)
+        traj = _integrate_step(cov, coeffs, t_mon, samples_per_step, t_start)
+        cov = traj.covs[-1]
+        t_start += t_mon
+        if keep_trajectories:
+            trajectories.append(traj)
+        start = len(times)
+        times.extend(traj.times)
+        fids.extend(fidelity(protocol.output_state(c), protocol.reference)
+                    for c in traj.covs)
+        slices.append(slice(start, len(times)))
+
+    return ProtocolResult(
+        times=np.asarray(times),
+        fidelities=np.asarray(fids),
+        step_slices=tuple(slices),
+        output_state=protocol.output_state(cov),
+        reference_state=protocol.reference,
+        schedule=schedule,
+        trajectories=tuple(trajectories),
+    )
+
+
+# Samples per step of a protocol run, unless the caller asks otherwise.
+SAMPLES_PER_STEP = 120
+
+
 def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
                             schedule: MonitoringSchedule,
-                            input_state: GaussianState = None,
-                            input_state2: GaussianState = None,
-                            samples_per_step: int = 120,
+                            samples_per_step: int = SAMPLES_PER_STEP,
                             keep_trajectories: bool = False) -> ProtocolResult:
     """Emulate a gate program by continuous monitoring and score it.
 
-    Each step QND-couples the cavity to the next node of the cluster at the
-    program's quadrature angle and propagates the monitored dynamics for the
-    scheduled duration. The fidelity trace compares the reduced state of the
-    output node(s) with the projective-measurement reference at every sample.
+    Each step QND-couples the cavity to the next measured node of the
+    program's pattern at its quadrature angle and propagates the monitored
+    dynamics for the scheduled duration. The cluster carries the default
+    input (momentum-squeezed vacuum at the cluster squeezing). The fidelity
+    trace compares the reduced state of the output node(s) with the
+    projective-measurement reference at every sample.
 
     Args:
         program: single-mode gate program (four steps) or CZ (two steps).
         params: physical parameters; the mechanical mode count is adjusted
             to the cluster size if needed.
         schedule: one duration per measurement step.
-        input_state: optional single-mode input (default: momentum-squeezed
-            vacuum at the cluster squeezing).
-        input_state2: second input for the CZ program.
         samples_per_step: fidelity samples stored per step.
         keep_trajectories: also return the sampled full-system trajectories.
 
     Returns:
         ProtocolResult with the fidelity-vs-time trace and final states.
     """
-    params, cluster, measured_nodes, output_modes, reference = _protocol_layout(
-        program, params, input_state, input_state2
-    )
-    phases = program.measurement_phases()
-    if len(schedule.durations) != len(phases):
-        raise ValueError(
-            f"schedule has {len(schedule.durations)} steps, "
-            f"program needs {len(phases)}"
-        )
-
-    cov = _attach_cavity(cluster.cov)
-    times = []
-    fids = []
-    slices = []
-    trajectories = []
-    t_start = 0.0
-    cursor = 0
-    for node, phi, t_mon in zip(measured_nodes, phases, schedule.durations):
-        if params.reset_cavity and t_start > 0.0:
-            cov = _reset_cavity(cov)
-        coupling, baths = build_qnd_step(params, node, phi)
-        coeffs = build_coefficients(coupling, baths)
-        traj = _integrate_step(cov, coeffs, t_mon, samples_per_step, t_start)
-        cov = traj.covs[-1]
-        t_start += t_mon
-        if keep_trajectories:
-            trajectories.append(traj)
-        for i, t in enumerate(traj.times):
-            out = partial_trace(traj.state_at(i), output_modes)
-            times.append(t)
-            fids.append(fidelity(out, reference))
-        slices.append(slice(cursor, len(times)))
-        cursor = len(times)
-
-    full = GaussianState(cov.shape[0] // 2, cov)
-    output_state = partial_trace(full, output_modes)
-    return ProtocolResult(
-        times=np.asarray(times),
-        fidelities=np.asarray(fids),
-        step_slices=tuple(slices),
-        output_state=output_state,
-        reference_state=reference,
-        schedule=schedule,
-        trajectories=tuple(trajectories),
-    )
+    return _monitor(_prepare(program, params), schedule, samples_per_step,
+                    keep_trajectories)
 
 
 def measured_node_decorrelation(trajectory: Trajectory, node: int,
@@ -419,30 +462,6 @@ def measured_node_decorrelation(trajectory: Trajectory, node: int,
     return norms
 
 
-def _would_be_output_fidelity(cov: np.ndarray, step_index: int,
-                              measured_nodes, phases, n_mech: int,
-                              output_modes, reference: GaussianState) -> float:
-    """Fidelity of the output the protocol would deliver if monitoring
-    stopped now.
-
-    The cavity is dropped, the measurements of all later steps are completed
-    as ideal projections, and the surviving output mode(s) are compared to
-    the projective reference. The quality of the steps monitored so far
-    (including the one in progress) is thereby priced into the result.
-    """
-    mech = partial_trace(GaussianState(cov.shape[0] // 2, cov), range(n_mech))
-    remaining = list(range(mech.n_modes))
-    state = mech
-    for later in range(step_index + 1, len(measured_nodes)):
-        idx = remaining.index(measured_nodes[later])
-        # Propagated covariances carry accumulated rounding error, so the
-        # physicality guard gets a looser tolerance than the constructor's.
-        state = homodyne_project(state, idx, phases[later], atol=1e-5)
-        remaining.pop(idx)
-    outputs = [remaining.index(m) for m in output_modes]
-    return fidelity(partial_trace(state, outputs), reference)
-
-
 def _advance(cov: np.ndarray, coeffs: EvolutionCoefficients,
              duration: float) -> np.ndarray:
     """Covariance after one optimizer increment, physicality-checked.
@@ -453,17 +472,18 @@ def _advance(cov: np.ndarray, coeffs: EvolutionCoefficients,
     return integrate(cov, coeffs, duration, duration, n_samples=2).covs[-1]
 
 
+# A step ends once its would-be fidelity falls this far below its best.
+DECREASE_TOL = 2e-4
+
+
 def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
-                      time_resolution: float, max_step_duration: float,
-                      input_state: GaussianState = None,
-                      input_state2: GaussianState = None,
-                      decrease_tol: float = 2e-4):
+                      time_resolution: float, max_step_duration: float):
     """Greedy per-step monitoring-time search that never lets fidelity drop.
 
     Each step is extended in increments of ``time_resolution`` while the
     would-be final output (later measurements completed projectively) keeps
     improving in fidelity against the projective reference; once it falls by
-    more than ``decrease_tol`` below the best value seen, the step rolls
+    more than ``DECREASE_TOL`` below the best value seen, the step rolls
     back to its best point and the next step begins. Steps without an
     interior optimum run to ``max_step_duration``.
 
@@ -473,33 +493,23 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
     """
     if time_resolution <= 0 or max_step_duration <= 0:
         raise ValueError("time resolution and max duration must be positive")
-    params, cluster, measured_nodes, output_modes, reference = _protocol_layout(
-        program, params, input_state, input_state2
-    )
-    phases = program.measurement_phases()
-    n_mech = params.n_mech
+    protocol = _prepare(program, params)
 
-    cov = _attach_cavity(cluster.cov)
+    cov = protocol.initial_cov()
     durations = []
-    for k, (node, phi) in enumerate(zip(measured_nodes, phases)):
-        if params.reset_cavity and durations:
-            cov = _reset_cavity(cov)
-        coupling, baths = build_qnd_step(params, node, phi)
-        coeffs = build_coefficients(coupling, baths)
-        best_f = _would_be_output_fidelity(
-            cov, k, measured_nodes, phases, n_mech, output_modes, reference
-        )
+    for k, coeffs in enumerate(protocol.steps):
+        if k:
+            cov = protocol.handover(cov)
+        best_f = protocol.completed_fidelity(cov, k)
         best_cov, best_t = cov, 0.0
         elapsed = 0.0
         while elapsed + time_resolution <= max_step_duration + 1e-15:
             cov = _advance(cov, coeffs, time_resolution)
             elapsed += time_resolution
-            f_now = _would_be_output_fidelity(
-                cov, k, measured_nodes, phases, n_mech, output_modes, reference
-            )
+            f_now = protocol.completed_fidelity(cov, k)
             if f_now > best_f:
                 best_f, best_cov, best_t = f_now, cov, elapsed
-            elif f_now < best_f - decrease_tol:
+            elif f_now < best_f - DECREASE_TOL:
                 break
         if best_t == 0.0:
             # Monitoring never helped this step; keep it at the minimal
@@ -510,11 +520,7 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
         durations.append(best_t)
 
     schedule = MonitoringSchedule(tuple(durations))
-    result = run_monitoring_protocol(
-        program, params, schedule, input_state=input_state,
-        input_state2=input_state2
-    )
-    return schedule, result
+    return schedule, _monitor(protocol, schedule, SAMPLES_PER_STEP, False)
 
 
 def gate_comparison(params: PhysicalParams, schedule: MonitoringSchedule,

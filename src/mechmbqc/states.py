@@ -250,15 +250,24 @@ class GraphSpec:
         return out
 
 
-def build_cluster(graph: GraphSpec, r_cluster_db: float) -> GaussianState:
+def build_cluster(graph: GraphSpec, r_cluster_db: float,
+                  inputs: dict = None) -> GaussianState:
     """Build a Gaussian cluster state on ``graph``.
 
-    Every node starts as a momentum-squeezed vacuum at ``r_cluster_db`` and
-    each weighted edge is applied as a CZ gate.
+    ``inputs`` maps nodes to single-mode states that are placed there
+    unchanged. Every other node starts as a momentum-squeezed vacuum at
+    ``r_cluster_db``. Each weighted edge is then applied as a CZ gate.
     """
-    state = vacuum(graph.n_nodes)
+    inputs = dict(inputs or {})
+    cov = VACUUM_VAR * np.eye(2 * graph.n_nodes)
+    for node, state in inputs.items():
+        if state.n_modes != 1 or not 0 <= node < graph.n_nodes:
+            raise ValueError("cluster inputs must be single-mode states on graph nodes")
+        cov[2 * node : 2 * node + 2, 2 * node : 2 * node + 2] = state.cov
+    state = GaussianState(graph.n_nodes, cov)
     for node in range(graph.n_nodes):
-        state = squeeze_momentum(state, node, r_cluster_db)
+        if node not in inputs:
+            state = squeeze_momentum(state, node, r_cluster_db)
     for j, k, w in graph.edges:
         state = apply_cz(state, j, k, w)
     return state

@@ -167,3 +167,38 @@ def test_projective_cz_zero_rung_gives_independent_wires():
 def test_cz_reference_matrix_is_symplectic():
     assert st.is_symplectic(mbqc.cz_reference_matrix())
     assert st.is_symplectic(mbqc.cz_reference_matrix(1.7))
+
+
+# ---------------------------------------------------------------------------
+# measurement patterns
+
+
+@pytest.mark.parametrize("program", [
+    mbqc.identity_program(), mbqc.shear_program(3.0), mbqc.cz_program(),
+], ids=["identity", "shear3", "cz"])
+def test_pattern_nodes_partition_the_graph(program):
+    pattern = program.pattern()
+    assert pattern.phases == program.measurement_phases()
+    assert len(pattern.measured) == len(pattern.phases)
+    assert set(pattern.inputs) <= set(pattern.measured)
+    nodes = sorted(pattern.measured + pattern.outputs)
+    assert nodes == list(range(pattern.graph.n_nodes))
+
+
+def test_pattern_completion_after_every_measurement_only_traces_out():
+    # With every step done, completion just keeps the output nodes.
+    pattern = mbqc.cz_program().pattern()
+    cluster = st.build_cluster(pattern.graph, 6.0)
+    kept = pattern.after(len(pattern.measured)).complete(cluster)
+    assert np.array_equal(kept.cov, st.partial_trace(cluster, (0, 3)).cov)
+
+
+def test_projective_runners_follow_the_program_pattern():
+    inp = st.squeeze_momentum(st.vacuum(1), 0, 5.0)
+    program = mbqc.shear_program(2.0)
+    pattern = program.pattern()
+    by_hand = st.build_cluster(pattern.graph, 5.0, inputs={0: inp})
+    for phi in pattern.phases:
+        by_hand = st.homodyne_project(by_hand, 0, phi)
+    out = mbqc.run_projective_mbqc(inp, program, 5.0)
+    assert np.array_equal(out.cov, by_hand.cov)

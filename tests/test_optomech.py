@@ -8,6 +8,7 @@ from scipy import constants
 from mechmbqc import dynamics as dyn
 from mechmbqc import mbqc
 from mechmbqc import optomech as om
+from mechmbqc import states as st
 
 from dataclasses import replace
 
@@ -233,6 +234,66 @@ def test_cavity_reset_option_changes_later_steps():
         mbqc.identity_program(), replace(p, reset_cavity=False), sched,
         samples_per_step=6)
     assert not np.allclose(res_reset.output_state.cov, res_plain.output_state.cov)
+
+
+@pytest.mark.parametrize("program", [
+    mbqc.identity_program(), mbqc.shear_program(3.0), mbqc.cz_program(),
+], ids=["identity", "shear3", "cz"])
+def test_protocol_starts_from_the_pattern_cluster_and_scores_against_projective_run(program):
+    p = om.params_set1()
+    r_db = p.r_cluster_db
+    n_steps = len(program.measurement_phases())
+    res = om.run_monitoring_protocol(program, p,
+                                     om.MonitoringSchedule.equal(2e-6, n_steps),
+                                     samples_per_step=4, keep_trajectories=True)
+    graph = program.pattern().graph
+    start = res.trajectories[0].covs[0]
+    cluster = st.build_cluster(graph, r_db)
+    assert np.array_equal(start[: 2 * graph.n_nodes, : 2 * graph.n_nodes], cluster.cov)
+    inp = st.squeeze_momentum(st.vacuum(1), 0, r_db)
+    if program.is_two_mode:
+        projective = mbqc.run_projective_cz(inp, inp, r_db)
+    else:
+        projective = mbqc.run_projective_mbqc(inp, program, r_db)
+    assert np.array_equal(res.reference_state.cov, projective.cov)
+
+
+# Final and maximum fidelities of short runs, recorded before the protocol
+# engine was shared between the protocol runner and the optimizer; the
+# refactoring kept every output bit-identical.
+PINNED_RUNS = {
+    "set2-shear1-3us": (mbqc.shear_program(1.0), om.params_set2(), 3e-6,
+                        0.8612953779453969, 0.8612953779453969),
+    "set1-cz-reset-60us": (mbqc.cz_program(),
+                           replace(om.params_set1(), reset_cavity=True), 60e-6,
+                           0.9747570265382448, 0.9751314257559869),
+    "set1-fourier-10mK-40us": (mbqc.fourier_program(),
+                               replace(om.params_set1(), temperature_k=10e-3),
+                               40e-6, 0.9389282262569298, 0.9393171954012304),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_protocol_pinned_fidelities(name):
+    program, params, t_mon, final, best = PINNED_RUNS[name]
+    sched = om.MonitoringSchedule.equal(t_mon, len(program.measurement_phases()))
+    res = om.run_monitoring_protocol(program, params, sched, samples_per_step=10)
+    assert res.final_fidelity == pytest.approx(final, rel=0, abs=1e-12)
+    assert res.max_fidelity == pytest.approx(best, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("temperature_k, durations, final", [
+    (1e-3, (2e-05, 2e-05, 2e-05, 2e-05), 0.9821668486207664),
+    (10e-3, (1.6e-05, 9.999999999999999e-06, 2e-05, 2e-05), 0.9661242176763669),
+], ids=["1mK", "10mK"])
+def test_optimizer_pinned_schedule(temperature_k, durations, final):
+    p = replace(om.params_set1(), temperature_k=temperature_k)
+    sched, res = om.optimize_schedule(mbqc.identity_program(), p,
+                                      time_resolution=2e-6,
+                                      max_step_duration=20e-6)
+    assert sched.durations == durations
+    assert res.final_fidelity == pytest.approx(final, rel=0, abs=1e-12)
+    assert res.max_fidelity == pytest.approx(final, rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,17 @@ def test_two_node_cluster_matches_manual_construction():
     assert_allclose(cluster.cov, manual.cov)
 
 
+def test_cluster_inputs_are_placed_unsqueezed():
+    inp = st.thermal(1, 0.3)
+    cluster = st.build_cluster(st.GraphSpec(3), 4.0, inputs={1: inp})
+    single = st.squeeze_momentum(st.vacuum(1), 0, 4.0)
+    assert np.array_equal(cluster.cov, block_diag(single.cov, inp.cov, single.cov))
+    with pytest.raises(ValueError):
+        st.build_cluster(st.GraphSpec(3), 4.0, inputs={0: st.vacuum(2)})
+    with pytest.raises(ValueError):
+        st.build_cluster(st.GraphSpec(3), 4.0, inputs={3: inp})
+
+
 def test_linear_cluster_nullifiers_shrink_with_squeezing():
     graph = st.GraphSpec.linear(5)
     previous = np.inf
