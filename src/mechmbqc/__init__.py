@@ -9,6 +9,7 @@ from .states import (
     build_cluster,
     check_physical,
     fidelity,
+    fidelity_to,
     homodyne_project,
     nullifier_variances,
     partial_trace,

@@ -21,7 +21,14 @@ from functools import cached_property
 import numpy as np
 from scipy import linalg as sla
 
-from .states import GaussianState, symplectic_form
+from .states import (
+    VACUUM_VAR,
+    GaussianState,
+    physicality_slack,
+    symmetrize,
+    symplectic_eigenvalues,
+    symplectic_form,
+)
 
 
 class PhysicalityError(RuntimeError):
@@ -187,8 +194,9 @@ class EvolutionCoefficients:
 
     sigma' = drift sigma + sigma drift^T + diffusion - sigma (B B^T) sigma.
 
-    The matrices are stored read-only, so the exact flow built from them
-    (:attr:`propagator`) stays valid for the object's lifetime.
+    The matrices are stored read-only, so everything derived from them
+    alone (``B B^T``, the spectral norms, the exact flow :attr:`propagator`)
+    is computed once and stays valid for the object's lifetime.
     """
 
     drift: np.ndarray
@@ -218,8 +226,25 @@ class EvolutionCoefficients:
     def dim(self) -> int:
         return self.drift.shape[0]
 
+    @cached_property
+    def _bbt(self) -> np.ndarray:
+        bbt = self.backaction @ self.backaction.T
+        bbt.flags.writeable = False
+        return bbt
+
     def bbt(self) -> np.ndarray:
-        return self.backaction @ self.backaction.T
+        """The backaction matrix B B^T (a read-only array)."""
+        return self._bbt
+
+    @cached_property
+    def drift_norm(self) -> float:
+        """Spectral norm of the drift matrix."""
+        return float(np.linalg.norm(self.drift, 2))
+
+    @cached_property
+    def bbt_norm(self) -> float:
+        """Spectral norm of B B^T."""
+        return float(np.linalg.norm(self._bbt, 2))
 
     @cached_property
     def propagator(self) -> "Propagator":
@@ -321,9 +346,8 @@ class Trajectory:
         flat = self.covs[:, iu[0], iu[1]]
         for col, (i, j) in enumerate(zip(*iu)):
             columns[f"cov_{i}_{j}"] = flat[:, col]
-        columns["min_symplectic_eigenvalue"] = np.array(
-            [self.state_at(k).symplectic_spectrum()[0] for k in range(len(self))]
-        )
+        columns["min_symplectic_eigenvalue"] = symplectic_eigenvalues(
+            symmetrize(self.covs))[:, 0]
         return columns
 
 
@@ -347,7 +371,7 @@ def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
     if isinstance(sigma0, GaussianState):
         sigma0 = sigma0.cov
     sigma = np.asarray(sigma0, dtype=float)
-    rate = np.linalg.norm(coeffs.drift, 2)
+    rate = coeffs.drift_norm
     bbt = coeffs.bbt()
     if np.any(bbt):
         cols = np.flatnonzero(np.abs(bbt).max(axis=0))
@@ -358,7 +382,7 @@ def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
         window = np.minimum(horizon, 1.0 / np.maximum(-a_diag, 1.0 / horizon))
         growth = float(np.max(d_diag * window, initial=0.0))
         v_est = max(np.linalg.norm(sigma[:, cols], 2) + growth, 1.0)
-        rate += np.linalg.norm(bbt, 2) * v_est
+        rate += coeffs.bbt_norm * v_est
     if rate <= 0.0:
         return horizon
     return min(horizon, 1.0 / (DT_SAFETY * rate))
@@ -378,7 +402,9 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     keeps the count within ``n_samples``, and at ``t_total``. Between
     samples the covariance follows the exact flow of ``coeffs.propagator``,
     so ``dt`` only decides where samples fall. Every propagated sample is
-    checked for physicality; a violation beyond ``PROPAGATION_ATOL`` raises
+    checked for physicality, all of them at once after the propagation; a
+    violation beyond ``PROPAGATION_ATOL`` (scaled as in
+    :func:`~mechmbqc.states.physicality_slack`) raises
     :class:`PhysicalityError` at the first offending sample.
 
     Args:
@@ -407,25 +433,39 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     times = [t_offset]
     covs = [sigma]
     marks = range(sample_every, n_steps, sample_every)
-    for k in marks:
-        sigma = propagator.advance(sigma, sample_every * dt)
-        times.append(t_offset + k * dt)
-        _require_physical(sigma, times[-1])
-        covs.append(sigma)
-    if n_steps:
-        sigma = propagator.advance(sigma, t_total - (marks[-1] * dt if marks else 0.0))
-        times.append(t_offset + t_total)
-        _require_physical(sigma, times[-1])
-        covs.append(sigma)
-    return Trajectory(np.asarray(times), np.asarray(covs))
+    try:
+        for k in marks:
+            sigma = propagator.advance(sigma, sample_every * dt)
+            times.append(t_offset + k * dt)
+            covs.append(sigma)
+        if n_steps:
+            sigma = propagator.advance(sigma, t_total - (marks[-1] * dt if marks else 0.0))
+            times.append(t_offset + t_total)
+            covs.append(sigma)
+    except np.linalg.LinAlgError:
+        # A sample before the failed solve may already be unphysical; that
+        # is the first fault, so it is reported in preference.
+        _check_samples(times[1:], np.asarray(covs)[1:])
+        raise
+    covs = np.asarray(covs)
+    _check_samples(times[1:], covs[1:])
+    return Trajectory(np.asarray(times), covs)
 
 
-def _require_physical(sigma: np.ndarray, t: float):
-    if not np.all(np.isfinite(sigma)):
-        raise PhysicalityError(t, float("-inf"))
-    state = GaussianState(sigma.shape[0] // 2, sigma)
-    if not state.is_physical(PROPAGATION_ATOL):
-        raise PhysicalityError(t, float(state.symplectic_spectrum()[0]))
+def _check_samples(times: list, covs: np.ndarray):
+    """Raise :class:`PhysicalityError` at the first sample that is not
+    finite or whose minimum symplectic eigenvalue falls below vacuum by more
+    than the scaled ``PROPAGATION_ATOL``."""
+    finite = np.isfinite(covs).all(axis=(-2, -1))
+    n_finite = int(np.argmin(finite)) if not np.all(finite) else len(covs)
+    checked = covs[:n_finite]
+    nu_min = symplectic_eigenvalues(checked)[:, 0]
+    unphysical = ~(nu_min >= VACUUM_VAR - physicality_slack(checked, PROPAGATION_ATOL))
+    if np.any(unphysical):
+        first = int(np.argmax(unphysical))
+        raise PhysicalityError(times[first], float(nu_min[first]))
+    if n_finite < len(covs):
+        raise PhysicalityError(times[n_finite], float("-inf"))
 
 
 def steady_state(coeffs: EvolutionCoefficients, tol: float = 1e-10) -> GaussianState:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import constants
 
 from . import mbqc
-from .states import GaussianState, build_cluster, fidelity
+from .states import GaussianState, build_cluster, fidelity, fidelity_to
 from .dynamics import (
     BathSpec,
     CouplingSpec,
@@ -305,11 +305,15 @@ class _Protocol:
         cov[-2:, -2:] = 0.5 * np.eye(2)
         return cov
 
+    def output_block(self, cov: np.ndarray) -> np.ndarray:
+        """The output nodes' block of a full-system covariance, or of each
+        covariance in a stack."""
+        idx = np.array([[2 * m, 2 * m + 1] for m in self.pattern.outputs]).ravel()
+        return cov[..., idx, :][..., idx]
+
     def output_state(self, cov: np.ndarray) -> GaussianState:
         """Reduced state of the output nodes in a full-system covariance."""
-        outputs = self.pattern.outputs
-        idx = np.array([[2 * m, 2 * m + 1] for m in outputs]).ravel()
-        return GaussianState(len(outputs), cov[np.ix_(idx, idx)])
+        return GaussianState(len(self.pattern.outputs), self.output_block(cov))
 
     def completed_fidelity(self, cov: np.ndarray, step: int) -> float:
         """Fidelity of the output the protocol would deliver if monitoring
@@ -393,8 +397,7 @@ def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
             trajectories.append(traj)
         start = len(times)
         times.extend(traj.times)
-        fids.extend(fidelity(protocol.output_state(c), protocol.reference)
-                    for c in traj.covs)
+        fids.extend(fidelity_to(protocol.output_block(traj.covs), protocol.reference))
         slices.append(slice(start, len(times)))
 
     return ProtocolResult(
@@ -450,16 +453,13 @@ def measured_node_decorrelation(trajectory: Trajectory, node: int,
     survive even an ideal projective measurement and are physically inert.
     Without ``phi`` the full 2-row block is used.
     """
-    norms = np.empty(len(trajectory))
-    rows = slice(2 * node, 2 * node + 2)
-    keep = np.ones(trajectory.covs.shape[1], dtype=bool)
+    covs = trajectory.covs
+    keep = np.ones(covs.shape[1], dtype=bool)
     keep[2 * node : 2 * node + 2] = False
-    for i, cov in enumerate(trajectory.covs):
-        block = cov[rows, :][:, keep]
-        if phi is not None:
-            block = np.array([np.cos(phi), np.sin(phi)]) @ block
-        norms[i] = np.linalg.norm(block)
-    return norms
+    blocks = covs[:, 2 * node : 2 * node + 2, keep]
+    if phi is not None:
+        blocks = np.array([np.cos(phi), np.sin(phi)]) @ blocks
+    return np.linalg.norm(blocks.reshape(len(covs), -1), axis=1)
 
 
 def _advance(cov: np.ndarray, coeffs: EvolutionCoefficients,

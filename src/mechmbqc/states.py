@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import linalg as sla
@@ -30,12 +30,17 @@ PHYSICALITY_ATOL = 1e-9
 PINV_RCOND = 1e-12
 
 
+@cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form, a direct sum of [[0, 1], [-1, 0]]."""
+    """Return the 2n x 2n symplectic form, a direct sum of [[0, 1], [-1, 0]].
+
+    Built once per mode count; the returned array is shared and read-only.
+    """
     omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for j in range(n_modes):
-        omega[2 * j, 2 * j + 1] = 1.0
-        omega[2 * j + 1, 2 * j] = -1.0
+    j = np.arange(n_modes)
+    omega[2 * j, 2 * j + 1] = 1.0
+    omega[2 * j + 1, 2 * j] = -1.0
+    omega.flags.writeable = False
     return omega
 
 
@@ -51,14 +56,41 @@ def is_symplectic(matrix: np.ndarray, atol: float = 1e-10) -> bool:
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted ascending.
 
-    The eigenvalues of ``Omega @ cov`` come in pairs ``+/- i nu``; the
-    ``nu >= 1/2`` condition is the physicality criterion in the vacuum = 1/2
-    convention.
+    ``cov`` may also be a stack of shape ``(..., 2n, 2n)``; each matrix's
+    spectrum then runs along the last axis of the result, with the same
+    values a call per matrix gives. The eigenvalues of ``Omega @ cov`` come
+    in pairs ``+/- i nu``; the ``nu >= 1/2`` condition is the physicality
+    criterion in the vacuum = 1/2 convention.
     """
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    evals = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cov)))
-    return 0.5 * (evals[0::2] + evals[1::2])
+    n = cov.shape[-1] // 2
+    evals = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cov)), axis=-1)
+    return 0.5 * (evals[..., 0::2] + evals[..., 1::2])
+
+
+def physicality_slack(cov: np.ndarray, atol: float = PHYSICALITY_ATOL):
+    """Slack on the minimum symplectic eigenvalue, per matrix of ``cov``.
+
+    Highly squeezed covariances stress the eigensolver, so the slack is
+    ``max(atol, 1e-10 * max|cov|)``: it scales with the matrix magnitude.
+    ``cov`` may be one matrix or a stack ``(..., 2n, 2n)``.
+    """
+    return np.maximum(atol, 1e-10 * np.max(np.abs(cov), axis=(-2, -1)))
+
+
+def symmetrize(cov: np.ndarray) -> np.ndarray:
+    """Symmetric part of a covariance matrix, or of each in a stack.
+
+    Raises:
+        ValueError: if a matrix departs from symmetry by more than
+            ``SYMMETRY_RTOL`` relative to its largest entry (at least 1).
+    """
+    cov = np.asarray(cov, dtype=float)
+    transposed = np.swapaxes(cov, -1, -2)
+    scale = np.maximum(np.max(np.abs(cov), axis=(-2, -1)), 1.0)
+    if np.any(np.max(np.abs(cov - transposed), axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+        raise ValueError("covariance matrix is not symmetric")
+    return 0.5 * (cov + transposed)
 
 
 @dataclass(frozen=True)
@@ -80,15 +112,12 @@ class GaussianState:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("a Gaussian state needs at least one mode")
-        cov = np.array(self.cov, dtype=float)
+        cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (2 * self.n_modes, 2 * self.n_modes):
             raise ValueError(
                 f"covariance shape {cov.shape} does not match {self.n_modes} modes"
             )
-        scale = max(np.max(np.abs(cov)), 1.0)
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_RTOL * scale:
-            raise ValueError("covariance matrix is not symmetric")
-        cov = 0.5 * (cov + cov.T)
+        cov = symmetrize(cov)
         cov.flags.writeable = False
         object.__setattr__(self, "cov", cov)
 
@@ -103,9 +132,7 @@ class GaussianState:
         return self._spectrum
 
     def is_physical(self, atol: float = PHYSICALITY_ATOL) -> bool:
-        # Highly squeezed covariances stress the eigensolver, so the slack
-        # scales with the matrix magnitude.
-        tol = max(atol, 1e-10 * np.max(np.abs(self.cov)))
+        tol = physicality_slack(self.cov, atol)
         return bool(self.symplectic_spectrum()[0] >= VACUUM_VAR - tol)
 
     def is_pure(self, atol: float = 1e-7) -> bool:
@@ -348,12 +375,13 @@ def homodyne_project(state: GaussianState, mode: int, phi: float,
     return GaussianState(len(rest), sigma_a - update)
 
 
-def _overlap(cov_sum: np.ndarray) -> float:
-    """tr(rho1 rho2) for zero-mean Gaussians, 1/sqrt(det(sigma1 + sigma2))."""
+def _overlap(cov_sum: np.ndarray):
+    """tr(rho1 rho2) for zero-mean Gaussians, 1/sqrt(det(sigma1 + sigma2)),
+    for one covariance sum or each of a stack."""
     sign, logdet = np.linalg.slogdet(cov_sum)
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise ValueError("covariance sum is not positive definite")
-    return float(np.exp(-0.5 * logdet))
+    return np.exp(-0.5 * logdet)
 
 
 def fidelity(state1: GaussianState, state2: GaussianState) -> float:
@@ -394,3 +422,31 @@ def fidelity(state1: GaussianState, state2: GaussianState) -> float:
     total = 2.0 * (core + np.eye(2 * n)) @ v_aux
     f = np.sqrt(np.linalg.det(total) * np.linalg.det(sum_inv))
     return float(min(1.0, f))
+
+
+def fidelity_to(covs: np.ndarray, reference: GaussianState) -> np.ndarray:
+    """Fidelity of each covariance in a stack ``(N, 2n, 2n)`` to one state.
+
+    Entry ``i`` equals ``fidelity(GaussianState(n, covs[i]), reference)``
+    under the same contract: every matrix must be symmetric, and every
+    matrix and the reference physical. With a pure reference each entry is
+    the overlap ``min(1, 1/sqrt(det(sigma_i + sigma_ref)))``, from one
+    batched determinant; otherwise each entry goes through :func:`fidelity`.
+    """
+    covs = np.asarray(covs, dtype=float)
+    if covs.ndim != 3 or covs.shape[1:] != reference.cov.shape:
+        raise ValueError("fidelity needs equal mode counts")
+    covs = symmetrize(covs)
+    nu = np.append(symplectic_eigenvalues(covs)[:, 0],
+                   reference.symplectic_spectrum()[0])
+    slack = np.append(physicality_slack(covs), physicality_slack(reference.cov))
+    unphysical = ~(nu >= VACUUM_VAR - slack)
+    if np.any(unphysical):
+        raise ValueError(
+            "fidelity input is unphysical "
+            f"(min symplectic eigenvalue {nu[np.argmax(unphysical)]:.3e})"
+        )
+    if not reference.is_pure():
+        return np.array([fidelity(GaussianState(reference.n_modes, cov), reference)
+                         for cov in covs])
+    return np.minimum(1.0, _overlap(covs + reference.cov))

@@ -150,6 +150,16 @@ def test_coefficients_without_monitored_channel_have_no_backaction():
     assert not np.any(coeffs.bbt())
 
 
+def test_coefficient_only_quantities_are_cached_read_only():
+    coeffs = random_physical_coefficients(7, 2)
+    bbt = coeffs.bbt()
+    assert coeffs.bbt() is bbt
+    assert not bbt.flags.writeable
+    assert np.array_equal(bbt, coeffs.backaction @ coeffs.backaction.T)
+    assert coeffs.drift_norm == np.linalg.norm(coeffs.drift, 2)
+    assert coeffs.bbt_norm == np.linalg.norm(bbt, 2)
+
+
 def test_coefficients_compose_additively():
     # build_coefficients must equal the manual sum of its three parts.
     rng = np.random.default_rng(2)
@@ -271,6 +281,54 @@ def test_integrate_aborts_on_physicality_loss():
         dyn.integrate(2.0 * np.eye(2), coeffs, 3.0, dt=0.1, n_samples=31)
     assert info.value.t == pytest.approx(1.6)
     assert info.value.nu_min == pytest.approx(0.4)
+
+
+def failing_propagator(monkeypatch, coeffs, failures):
+    """Make the n-th call of ``coeffs.propagator.advance`` misbehave.
+
+    ``failures`` maps a call number (1-based) to a function of the correctly
+    advanced covariance that returns the sample to store or raises.
+    """
+    propagator = coeffs.propagator
+    advance = propagator.advance
+    calls = []
+
+    def faulty(sigma, h):
+        calls.append(h)
+        result = advance(sigma, h)
+        return failures.get(len(calls), lambda s: s)(result)
+
+    monkeypatch.setattr(propagator, "advance", faulty)
+
+
+def test_integrate_reports_non_finite_sample_at_its_time(monkeypatch):
+    # The third of ten samples turns to NaN; every later sample inherits it.
+    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
+    failing_propagator(monkeypatch, coeffs, {3: lambda s: np.full_like(s, np.nan)})
+    with pytest.raises(dyn.PhysicalityError) as info:
+        dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.1, n_samples=11)
+    assert info.value.t == pytest.approx(0.3)
+    assert info.value.nu_min == -np.inf
+
+
+def test_integrate_guards_samples_before_a_failed_solve(monkeypatch):
+    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
+
+    def singular(sigma):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # Physical samples before the failure: the solver's error propagates.
+    failing_propagator(monkeypatch, coeffs, {4: singular})
+    with pytest.raises(np.linalg.LinAlgError):
+        dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.1, n_samples=11)
+
+    # An unphysical sample before the failure is the first fault.
+    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
+    failing_propagator(monkeypatch, coeffs, {2: lambda s: 0.3 * np.eye(2), 4: singular})
+    with pytest.raises(dyn.PhysicalityError) as info:
+        dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.1, n_samples=11)
+    assert info.value.t == pytest.approx(0.2)
+    assert info.value.nu_min == pytest.approx(0.3)
 
 
 def test_suggest_dt_resolves_fastest_scale():
@@ -444,3 +502,11 @@ def test_trajectory_columnar_export():
     assert_allclose(columns["time_s"], traj.times)
     assert_allclose(columns["cov_0_1"], traj.covs[:, 0, 1])
     assert np.all(columns["min_symplectic_eigenvalue"] >= 0.5 - 1e-9)
+
+
+def test_trajectory_export_spectrum_matches_per_sample_states():
+    coeffs = random_physical_coefficients(3, 2)
+    sigma0 = np.diag([2.0, 0.3, 1.0, 0.6])
+    traj = dyn.integrate(sigma0, coeffs, 1.0, dt=0.01, n_samples=12)
+    per_sample = [traj.state_at(k).symplectic_spectrum()[0] for k in range(len(traj))]
+    assert np.array_equal(traj.as_records()["min_symplectic_eigenvalue"], per_sample)

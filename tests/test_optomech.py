@@ -307,6 +307,22 @@ def test_decorrelation_of_product_state_is_zero():
     assert_allclose(om.measured_node_decorrelation(traj, 1), 0.0)
 
 
+@pytest.mark.parametrize("node, phi", [(0, None), (0, 0.4), (2, -1.3), (5, None)])
+def test_decorrelation_matches_per_sample_norms(node, phi):
+    rng = np.random.default_rng(node)
+    covs = rng.normal(size=(7, 12, 12))
+    traj = dyn.Trajectory(np.arange(7.0), covs + covs.transpose(0, 2, 1))
+    keep = [j for j in range(12) if j // 2 != node]
+    expected = []
+    for cov in traj.covs:
+        block = cov[2 * node : 2 * node + 2][:, keep]
+        if phi is not None:
+            block = np.cos(phi) * block[0] + np.sin(phi) * block[1]
+        expected.append(np.sqrt(np.sum(block ** 2)))
+    assert_allclose(om.measured_node_decorrelation(traj, node, phi=phi), expected,
+                    rtol=1e-14)
+
+
 def test_decorrelation_decays_under_set2():
     p = om.params_set2()
     prog = mbqc.shear_program(1.0)

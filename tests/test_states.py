@@ -4,6 +4,8 @@ density-matrix oracle)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, expm
 
@@ -74,6 +76,14 @@ def gaussian_and_rho(nbar, r, theta, dim=60):
 
 # ---------------------------------------------------------------------------
 # symplectic basics
+
+
+def test_symplectic_form_is_built_once_and_read_only():
+    omega = st.symplectic_form(4)
+    assert st.symplectic_form(4) is omega
+    assert not omega.flags.writeable
+    with pytest.raises(ValueError):
+        omega[0, 1] = 2.0
 
 
 def test_symplectic_form_properties():
@@ -456,3 +466,62 @@ def test_fidelity_dimension_mismatch():
 def test_fidelity_rejects_unphysical():
     with pytest.raises(ValueError, match="unphysical"):
         st.fidelity(st.vacuum(1), st.GaussianState(1, 0.25 * np.eye(2)))
+
+
+# ---------------------------------------------------------------------------
+# stacked spectra and scoring
+
+
+def random_physical_cov(rng, n_modes, pure=False):
+    """Williamson form S diag(nu) S^T with S = expm(Omega K), K symmetric."""
+    dim = 2 * n_modes
+    k = rng.normal(scale=0.6, size=(dim, dim))
+    s = expm(st.symplectic_form(n_modes) @ (0.5 * (k + k.T)))
+    nu = np.full(n_modes, 0.5) if pure else rng.uniform(0.5, 3.0, size=n_modes)
+    cov = s @ np.diag(np.repeat(nu, 2)) @ s.T
+    return 0.5 * (cov + cov.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 6),
+       n_stack=hst.integers(1, 5))
+def test_stacked_symplectic_eigenvalues_equal_per_matrix_calls(seed, n_modes, n_stack):
+    rng = np.random.default_rng(seed)
+    covs = np.array([random_physical_cov(rng, n_modes, pure=rng.random() < 0.3)
+                     for _ in range(n_stack)])
+    stacked = st.symplectic_eigenvalues(covs)
+    assert stacked.shape == (n_stack, n_modes)
+    assert np.array_equal(stacked,
+                          np.array([st.symplectic_eigenvalues(c) for c in covs]))
+    assert np.array_equal(st.symplectic_eigenvalues(covs[None])[0], stacked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 2),
+       n_stack=hst.integers(1, 6), pure_reference=hst.booleans())
+def test_fidelity_to_equals_per_entry_fidelity(seed, n_modes, n_stack, pure_reference):
+    # A mixed reference takes the per-entry fallback; entries are a mix of
+    # pure and mixed states either way.
+    rng = np.random.default_rng(seed)
+    reference = st.GaussianState(n_modes, random_physical_cov(rng, n_modes,
+                                                              pure=pure_reference))
+    covs = np.array([random_physical_cov(rng, n_modes, pure=rng.random() < 0.3)
+                     for _ in range(n_stack)])
+    expected = [st.fidelity(st.GaussianState(n_modes, c), reference) for c in covs]
+    stacked = st.fidelity_to(covs, reference)
+    assert stacked.shape == (n_stack,)
+    assert_allclose(stacked, expected, rtol=0, atol=1e-14)
+
+
+def test_fidelity_to_rejects_unphysical_and_asymmetric_entries():
+    reference = st.vacuum(1)
+    good = 0.5 * np.eye(2)
+    with pytest.raises(ValueError, match="unphysical"):
+        st.fidelity_to(np.array([good, 0.25 * np.eye(2), good]), reference)
+    with pytest.raises(ValueError, match="unphysical"):
+        st.fidelity_to(np.array([good]), st.GaussianState(1, 0.25 * np.eye(2)))
+    skewed = np.array([[0.5, 0.1], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        st.fidelity_to(np.array([good, skewed]), reference)
+    with pytest.raises(ValueError, match="mode counts"):
+        st.fidelity_to(np.array([0.5 * np.eye(4)]), reference)
