@@ -21,9 +21,9 @@ from .states import (
     GaussianState,
     GraphSpec,
     build_cluster,
-    homodyne_project,
+    homodyne_project_covs,
     is_symplectic,
-    partial_trace,
+    symmetrize,
 )
 
 FOURIER = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -119,20 +119,30 @@ class MeasurementPattern:
     phases: tuple
     outputs: tuple
 
-    def complete(self, state: GaussianState) -> GaussianState:
-        """Finish the pattern by ideal homodyne measurements.
+    def complete_covs(self, covs: np.ndarray) -> np.ndarray:
+        """Finish the pattern by ideal homodyne measurements, for each
+        covariance in a stack ``(N, 2n, 2n)`` with one mode per graph node.
 
-        ``state`` holds one mode per graph node. Every measured node is
-        projected in turn, any node that is neither measured nor an output
-        is traced out, and the reduced state of the output nodes is
-        returned in output order.
+        Every measured node is projected in turn, all matrices at once, any
+        node that is neither measured nor an output is traced out, and the
+        ``(N, 2m, 2m)`` stack of output-node covariances is returned in
+        output order. Each matrix must be symmetric and stay physical
+        through every projection (see :func:`homodyne_project_covs`).
         """
+        covs = symmetrize(covs)
         remaining = list(range(self.graph.n_nodes))
         for node, phi in zip(self.measured, self.phases):
             idx = remaining.index(node)
-            state = homodyne_project(state, idx, phi)
+            covs = homodyne_project_covs(covs, idx, phi)
             remaining.pop(idx)
-        return partial_trace(state, [remaining.index(m) for m in self.outputs])
+        keep = np.array([[2 * remaining.index(m), 2 * remaining.index(m) + 1]
+                         for m in self.outputs]).ravel()
+        return covs[:, keep][:, :, keep]
+
+    def complete(self, state: GaussianState) -> GaussianState:
+        """The single-state form of :meth:`complete_covs`: the reduced
+        output state of ``state`` once the pattern is finished."""
+        return GaussianState(len(self.outputs), self.complete_covs(state.cov[None])[0])
 
     def after(self, steps: int) -> "MeasurementPattern":
         """What is left to do once the first ``steps`` measurements are done.

@@ -18,12 +18,14 @@ import numpy as np
 from scipy import constants
 
 from . import mbqc
-from .states import GaussianState, build_cluster, fidelity, fidelity_to
+from .states import GaussianState, build_cluster, fidelity_to
 from .dynamics import (
     BathSpec,
     CouplingSpec,
     EvolutionCoefficients,
+    PhysicalityError,
     Trajectory,
+    _check_samples,
     build_coefficients,
     homodyne_post_meas_cov,
     integrate,
@@ -315,9 +317,10 @@ class _Protocol:
         """Reduced state of the output nodes in a full-system covariance."""
         return GaussianState(len(self.pattern.outputs), self.output_block(cov))
 
-    def completed_fidelity(self, cov: np.ndarray, step: int) -> float:
+    def completed_fidelities(self, covs: np.ndarray, step: int) -> np.ndarray:
         """Fidelity of the output the protocol would deliver if monitoring
-        stopped now, during step ``step``.
+        stopped at each full-system covariance of a stack, during step
+        ``step``.
 
         The cavity is dropped and the measurements of all later steps are
         completed as ideal projections, so the quality of the steps
@@ -325,8 +328,8 @@ class _Protocol:
         result.
         """
         n = 2 * self.params.n_mech
-        mech = GaussianState(self.params.n_mech, cov[:n, :n])
-        return fidelity(self.pattern.after(step + 1).complete(mech), self.reference)
+        outputs = self.pattern.after(step + 1).complete_covs(covs[:, :n, :n])
+        return fidelity_to(outputs, self.reference)
 
 
 def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
@@ -462,30 +465,78 @@ def measured_node_decorrelation(trajectory: Trajectory, node: int,
     return np.linalg.norm(blocks.reshape(len(covs), -1), axis=1)
 
 
-def _advance(cov: np.ndarray, coeffs: EvolutionCoefficients,
-             duration: float) -> np.ndarray:
-    """Covariance after one optimizer increment, physicality-checked.
-
-    One grid step spans the whole increment, so every increment of a step
-    reuses the flow that ``coeffs.propagator`` cached for that duration.
-    """
-    return integrate(cov, coeffs, duration, duration, n_samples=2).covs[-1]
-
-
 # A step ends once its would-be fidelity falls this far below its best.
 DECREASE_TOL = 2e-4
+
+# Increments the search propagates, guards and scores in one pass.
+SEARCH_BLOCK = 8
+
+
+def _score_increments(protocol: _Protocol, step: int, cov: np.ndarray,
+                      times: list, time_resolution: float):
+    """Covariances and completed fidelities after each of ``len(times)``
+    increments from ``cov``, guarded as samples at the step times ``times``."""
+    advance = protocol.steps[step].propagator.advance
+    covs = []
+    for _ in times:
+        cov = advance(cov, time_resolution)
+        covs.append(cov)
+    covs = np.asarray(covs)
+    _check_samples(times, covs)
+    return covs, protocol.completed_fidelities(covs, step)
+
+
+def _step_increments(protocol: _Protocol, step: int, cov: np.ndarray,
+                     time_resolution: float, max_step_duration: float):
+    """Yield ``(elapsed, covariance, completed fidelity)`` after every
+    increment of one step, computed ``SEARCH_BLOCK`` increments at a time.
+
+    A block that fails anywhere is redone one increment at a time, so the
+    error surfaces at the increment that causes it, and only if the caller
+    reads that far.
+    """
+    elapsed = 0.0
+    while True:
+        times = []
+        while (len(times) < SEARCH_BLOCK
+               and elapsed + time_resolution <= max_step_duration + 1e-15):
+            elapsed += time_resolution
+            times.append(elapsed)
+        if not times:
+            return
+        try:
+            covs, fids = _score_increments(protocol, step, cov, times, time_resolution)
+        except (np.linalg.LinAlgError, PhysicalityError, ValueError):
+            for t in times:
+                (cov,), (f_now,) = _score_increments(protocol, step, cov, [t],
+                                                     time_resolution)
+                yield t, cov, f_now
+            continue
+        yield from zip(times, covs, fids)
+        cov = covs[-1]
 
 
 def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
                       time_resolution: float, max_step_duration: float):
-    """Greedy per-step monitoring-time search that never lets fidelity drop.
+    """Greedy per-step monitoring-time search on the completed fidelity.
 
     Each step is extended in increments of ``time_resolution`` while the
     would-be final output (later measurements completed projectively) keeps
     improving in fidelity against the projective reference; once it falls by
     more than ``DECREASE_TOL`` below the best value seen, the step rolls
     back to its best point and the next step begins. Steps without an
-    interior optimum run to ``max_step_duration``.
+    interior optimum run to ``max_step_duration``. A step that never
+    improves keeps the minimal duration ``time_resolution``.
+
+    The search never accepts a drop of this completed fidelity. The returned
+    result's ``fidelities`` are the raw output-node fidelities of the
+    replayed schedule, a different metric that may still dip within and
+    between steps.
+
+    Increments are propagated, guarded and scored in blocks of
+    ``SEARCH_BLOCK``, then scanned in order; the result is the same as one
+    increment at a time, and a :class:`PhysicalityError` reports the
+    failing increment's elapsed time within its step.
 
     Returns:
         (MonitoringSchedule, ProtocolResult) where the result's trace was
@@ -500,22 +551,25 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
     for k, coeffs in enumerate(protocol.steps):
         if k:
             cov = protocol.handover(cov)
-        best_f = protocol.completed_fidelity(cov, k)
+        best_f = protocol.completed_fidelities(cov[None], k)[0]
         best_cov, best_t = cov, 0.0
-        elapsed = 0.0
-        while elapsed + time_resolution <= max_step_duration + 1e-15:
-            cov = _advance(cov, coeffs, time_resolution)
-            elapsed += time_resolution
-            f_now = protocol.completed_fidelity(cov, k)
+        first_cov = None
+        for t, cov_t, f_now in _step_increments(protocol, k, cov, time_resolution,
+                                                max_step_duration):
+            if first_cov is None:
+                first_cov = cov_t
             if f_now > best_f:
-                best_f, best_cov, best_t = f_now, cov, elapsed
+                best_f, best_cov, best_t = f_now, cov_t, t
             elif f_now < best_f - DECREASE_TOL:
                 break
         if best_t == 0.0:
             # Monitoring never helped this step; keep it at the minimal
             # resolvable duration rather than emitting an empty step.
             best_t = time_resolution
-            best_cov = _advance(best_cov, coeffs, time_resolution)
+            best_cov = first_cov
+            if best_cov is None:
+                best_cov = coeffs.propagator.advance(cov, time_resolution)
+                _check_samples([time_resolution], best_cov[None])
         cov = best_cov
         durations.append(best_t)
 

@@ -332,47 +332,64 @@ def partial_trace(state: GaussianState, modes_to_keep) -> GaussianState:
     return GaussianState(len(keep), state.cov[np.ix_(idx, idx)])
 
 
-def homodyne_project(state: GaussianState, mode: int, phi: float,
-                     atol: float = PHYSICALITY_ATOL) -> GaussianState:
-    """Project one mode onto the quadrature X_phi = q cos(phi) + p sin(phi).
+def homodyne_project_covs(covs: np.ndarray, mode: int, phi: float,
+                          atol: float = PHYSICALITY_ATOL) -> np.ndarray:
+    """Project one mode of every covariance in a stack ``(N, 2n, 2n)``.
 
-    The measured mode is rotated so X_phi becomes its q quadrature, the
+    The measured quadrature is X_phi = q cos(phi) + p sin(phi). Each matrix
+    is rotated so X_phi becomes the measured mode's q quadrature; the
     remaining modes receive the Schur-complement update
     ``sigma_A - sigma_AB (Pi sigma_B Pi)^+ sigma_AB^T`` with Pi = diag(1, 0),
     and the measured mode is removed. At the covariance level the update is
-    independent of the measurement outcome.
+    independent of the measurement outcome. Each entry of the result is the
+    one a stack holding only its matrix gives.
 
     Args:
-        state: input state; must be physical.
+        covs: symmetric covariances, all of them physical.
         mode: index of the measured mode.
         phi: quadrature angle in radians.
-        atol: physicality slack on the input (loosen for states carrying
+        atol: physicality slack on the inputs (loosen for states carrying
             accumulated integration error).
 
     Returns:
-        GaussianState with one fewer mode.
+        The ``(N, 2n - 2, 2n - 2)`` stack of symmetrized results.
     """
-    state._check_mode(mode)
-    if state.n_modes < 2:
+    covs = np.asarray(covs, dtype=float)
+    n_modes = covs.shape[-1] // 2
+    if not 0 <= mode < n_modes:
+        raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
+    if n_modes < 2:
         raise ValueError("measuring the only mode leaves no state behind")
-    physical, nu_min = check_physical(state, atol)
-    if not physical:
-        raise ValueError(f"input state is unphysical (min symplectic eigenvalue {nu_min:.3e})")
+    nu_min = symplectic_eigenvalues(covs)[:, 0]
+    unphysical = ~(nu_min >= VACUUM_VAR - physicality_slack(covs, atol))
+    if np.any(unphysical):
+        raise ValueError("input state is unphysical (min symplectic eigenvalue "
+                         f"{nu_min[np.argmax(unphysical)]:.3e})")
 
-    rot = embed_single_mode(rotation_matrix(phi), state.n_modes, mode)
-    cov = rot @ state.cov @ rot.T
+    rot = embed_single_mode(rotation_matrix(phi), n_modes, mode)
+    cov = rot @ covs @ rot.T
 
-    rest = [m for m in range(state.n_modes) if m != mode]
-    idx_a = np.concatenate([[2 * m, 2 * m + 1] for m in rest]).astype(int)
-    idx_b = np.array([2 * mode, 2 * mode + 1])
-
-    sigma_a = cov[np.ix_(idx_a, idx_a)]
-    sigma_ab = cov[np.ix_(idx_a, idx_b)]
-    sigma_b = cov[np.ix_(idx_b, idx_b)]
+    idx_a = np.delete(np.arange(2 * n_modes), [2 * mode, 2 * mode + 1])
+    idx_b = slice(2 * mode, 2 * mode + 2)
+    sigma_a = cov[:, idx_a][:, :, idx_a]
+    sigma_ab = cov[:, idx_a, idx_b]
+    sigma_b = cov[:, idx_b, idx_b]
 
     pi = np.diag([1.0, 0.0])
-    update = sigma_ab @ np.linalg.pinv(pi @ sigma_b @ pi, rcond=PINV_RCOND) @ sigma_ab.T
-    return GaussianState(len(rest), sigma_a - update)
+    gain = np.linalg.pinv(pi @ sigma_b @ pi, rcond=PINV_RCOND)
+    return symmetrize(sigma_a - sigma_ab @ gain @ np.swapaxes(sigma_ab, -1, -2))
+
+
+def homodyne_project(state: GaussianState, mode: int, phi: float,
+                     atol: float = PHYSICALITY_ATOL) -> GaussianState:
+    """Project one mode of a state onto the quadrature X_phi.
+
+    The single-state form of :func:`homodyne_project_covs`, under the same
+    contract: ``state`` must be physical to within ``atol``. Returns the
+    GaussianState with one fewer mode.
+    """
+    cov = homodyne_project_covs(state.cov[None], mode, phi, atol)[0]
+    return GaussianState(state.n_modes - 1, cov)
 
 
 def _overlap(cov_sum: np.ndarray):

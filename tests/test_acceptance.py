@@ -5,7 +5,8 @@ report. Tolerances are pinned here and nowhere else.
 
 Criteria 2 (shear(3)/shear(5) clause) and 6 encode targets that the physics
 of the model cannot meet as literally stated; they are asserted faithfully
-and report the measured values (see the repository notes for the analysis).
+and report the measured values. Each criterion's failure message carries the
+analysis of why its target is out of reach.
 """
 
 import time

@@ -3,8 +3,10 @@ teleportation composition identity and the projective protocol runners."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, expm
 
 from mechmbqc import mbqc
 from mechmbqc import states as st
@@ -202,3 +204,33 @@ def test_projective_runners_follow_the_program_pattern():
         by_hand = st.homodyne_project(by_hand, 0, phi)
     out = mbqc.run_projective_mbqc(inp, program, 5.0)
     assert np.array_equal(out.cov, by_hand.cov)
+
+
+def random_physical_cov(rng, n_modes):
+    """A thermal state under a random symplectic map expm(Omega K)."""
+    dim = 2 * n_modes
+    k = rng.normal(scale=0.6, size=(dim, dim))
+    s = expm(st.symplectic_form(n_modes) @ (0.5 * (k + k.T)))
+    cov = s @ np.diag(np.repeat(rng.uniform(0.5, 3.0, size=n_modes), 2)) @ s.T
+    return 0.5 * (cov + cov.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_nodes=hst.integers(2, 6),
+       n_stack=hst.integers(1, 5))
+def test_stacked_completion_equals_per_state_completion(seed, n_nodes, n_stack):
+    # Random measured nodes in random order at random angles, and a random
+    # non-empty choice and order of outputs among the rest.
+    rng = np.random.default_rng(seed)
+    order = [int(m) for m in rng.permutation(n_nodes)]
+    n_measured = int(rng.integers(0, n_nodes))
+    rest = order[n_measured:]
+    outputs = tuple(rest[: int(rng.integers(1, len(rest) + 1))])
+    pattern = mbqc.MeasurementPattern(
+        st.GraphSpec.linear(n_nodes), (), tuple(order[:n_measured]),
+        tuple(rng.uniform(-np.pi, np.pi, size=n_measured)), outputs)
+    covs = np.array([random_physical_cov(rng, n_nodes) for _ in range(n_stack)])
+    stacked = pattern.complete_covs(covs)
+    assert stacked.shape == (n_stack, 2 * len(outputs), 2 * len(outputs))
+    for cov, out in zip(covs, stacked):
+        assert np.array_equal(out, pattern.complete(st.GaussianState(n_nodes, cov)).cov)

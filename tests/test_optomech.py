@@ -383,6 +383,149 @@ def test_optimizer_interior_maximum_with_losses():
     assert result.final_fidelity > 0.9
 
 
+def greedy_oracle(program, params, time_resolution, max_step_duration):
+    """The greedy search one increment at a time, as a reference.
+
+    Each increment is propagated with ``Propagator.advance``, guarded with
+    ``_check_samples`` at its elapsed step time, and scored by a per-state
+    completion and ``fidelity``. Returns the schedule and, per step, the
+    covariance it started from, the increments scanned and how it ended.
+    """
+    protocol = om._prepare(program, params)
+    n = 2 * protocol.params.n_mech
+
+    def completed(cov, k):
+        mech = st.GaussianState(n // 2, cov[:n, :n])
+        return st.fidelity(protocol.pattern.after(k + 1).complete(mech),
+                           protocol.reference)
+
+    cov = protocol.initial_cov()
+    durations, steps = [], []
+    for k, coeffs in enumerate(protocol.steps):
+        if k:
+            cov = protocol.handover(cov)
+        step = {"start": cov, "scanned": 0, "stop": "max_step"}
+        best_f, best_cov, best_t = completed(cov, k), cov, 0.0
+        elapsed = 0.0
+        while elapsed + time_resolution <= max_step_duration + 1e-15:
+            cov = coeffs.propagator.advance(cov, time_resolution)
+            elapsed += time_resolution
+            dyn._check_samples([elapsed], cov[None])
+            step["scanned"] += 1
+            f_now = completed(cov, k)
+            if f_now > best_f:
+                best_f, best_cov, best_t = f_now, cov, elapsed
+            elif f_now < best_f - om.DECREASE_TOL:
+                step["stop"] = "decrease_tol"
+                break
+        if best_t == 0.0:
+            step["stop"] = "never_improved"
+            best_t = time_resolution
+            best_cov = coeffs.propagator.advance(best_cov, time_resolution)
+            dyn._check_samples([time_resolution], best_cov[None])
+        cov = best_cov
+        durations.append(best_t)
+        steps.append(step)
+    return om.MonitoringSchedule(tuple(durations)), steps
+
+
+ORACLE_PROGRAMS = {
+    "identity": mbqc.identity_program(),
+    "fourier": mbqc.fourier_program(),
+    "shear3.7": mbqc.shear_program(3.7),
+    "cz": mbqc.cz_program(),
+}
+
+
+@pytest.mark.parametrize("temperature_k", [1e-3, 3e-3, 10e-3], ids=["1mK", "3mK", "10mK"])
+@pytest.mark.parametrize("gate", sorted(ORACLE_PROGRAMS))
+def test_block_search_matches_per_increment_oracle(gate, temperature_k):
+    # 15 increments fit a step, so the search crosses a block boundary; at
+    # 1 mK some steps run to the maximum.
+    program = ORACLE_PROGRAMS[gate]
+    p = replace(om.params_set1(), temperature_k=temperature_k)
+    sched, result = om.optimize_schedule(program, p, time_resolution=4e-6,
+                                         max_step_duration=60e-6)
+    oracle, steps = greedy_oracle(program, p, 4e-6, 60e-6)
+    assert sched.durations == oracle.durations
+    replay = om.run_monitoring_protocol(program, p, oracle)
+    assert np.array_equal(result.fidelities, replay.fidelities)
+    if temperature_k == 1e-3 and gate != "cz":
+        assert "max_step" in [step["stop"] for step in steps]
+
+
+@pytest.mark.parametrize("program, temperature_k, resolution, max_step, stops", [
+    (mbqc.identity_program(), 10.0, 2e-6, 20e-6, {"never_improved"}),
+    (mbqc.cz_program(), 1e-3, 3e-6, 2e-6, {"never_improved"}),
+    (mbqc.shear_program(1.0), 1e-3, 1e-6, 5e-6, {"max_step"}),
+], ids=["never-improves", "max-below-resolution", "hits-max"])
+def test_block_search_matches_oracle_at_the_edges(program, temperature_k, resolution,
+                                                  max_step, stops):
+    p = replace(om.params_set1(), temperature_k=temperature_k)
+    sched, result = om.optimize_schedule(program, p, resolution, max_step)
+    oracle, steps = greedy_oracle(program, p, resolution, max_step)
+    assert {step["stop"] for step in steps} == stops
+    assert sched.durations == oracle.durations
+    replay = om.run_monitoring_protocol(program, p, oracle)
+    assert np.array_equal(result.fidelities, replay.fidelities)
+
+
+def poison_increment(monkeypatch, start_cov, propagator, increment, resolution):
+    """Make ``Propagator.advance`` return NaN for one increment of a step:
+    the one that starts from the covariance ``increment - 1`` clean
+    increments after ``start_cov``."""
+    poisoned_input = start_cov
+    for _ in range(increment - 1):
+        poisoned_input = propagator.advance(poisoned_input, resolution)
+    real_advance = dyn.Propagator.advance
+
+    def advance(self, sigma, h):
+        out = real_advance(self, sigma, h)
+        if h == resolution and np.array_equal(sigma, poisoned_input):
+            return np.full_like(out, np.nan)
+        return out
+
+    monkeypatch.setattr(dyn.Propagator, "advance", advance)
+
+
+SEARCH_CASE = (mbqc.identity_program(), replace(om.params_set1(), temperature_k=10e-3),
+               2e-6, 200e-6)
+
+
+def test_optimizer_search_error_surfaces_at_its_increment(monkeypatch):
+    # Step 0 of this search peaks at 8 increments and stops at the 10th, in
+    # the block of increments 9-16; increment 17 starts a block never built.
+    program, p, resolution, max_step = SEARCH_CASE
+    clean, steps = greedy_oracle(program, p, resolution, max_step)
+    stop = steps[0]["scanned"]
+    assert steps[0]["stop"] == "decrease_tol" and stop == 10
+    propagator = om._prepare(program, p).steps[0].propagator
+    for increment in (1, 9, stop, stop + 1, 17):
+        with monkeypatch.context() as patch:
+            poison_increment(patch, steps[0]["start"], propagator, increment, resolution)
+            if increment > stop:
+                sched, _ = om.optimize_schedule(program, p, resolution, max_step)
+                assert sched.durations == clean.durations
+                continue
+            with pytest.raises(dyn.PhysicalityError) as info:
+                om.optimize_schedule(program, p, resolution, max_step)
+            assert info.value.t == sum([resolution] * increment)
+            assert info.value.t == pytest.approx(increment * resolution, rel=1e-12)
+
+
+def test_optimizer_physicality_error_reports_elapsed_step_time(monkeypatch):
+    # A failure at increment 3 of step 1 reports 3 increments, the time
+    # within its step, not the resolution and not the protocol time.
+    program, p, resolution, max_step = SEARCH_CASE
+    _, steps = greedy_oracle(program, p, resolution, max_step)
+    propagator = om._prepare(program, p).steps[1].propagator
+    poison_increment(monkeypatch, steps[1]["start"], propagator, 3, resolution)
+    with pytest.raises(dyn.PhysicalityError) as info:
+        om.optimize_schedule(program, p, resolution, max_step)
+    assert info.value.t == pytest.approx(6e-6, rel=1e-12)
+    assert info.value.nu_min == float("-inf")
+
+
 def test_optimizer_rejects_bad_arguments():
     with pytest.raises(ValueError):
         om.optimize_schedule(mbqc.identity_program(), om.params_set2(),

@@ -525,3 +525,31 @@ def test_fidelity_to_rejects_unphysical_and_asymmetric_entries():
         st.fidelity_to(np.array([good, skewed]), reference)
     with pytest.raises(ValueError, match="mode counts"):
         st.fidelity_to(np.array([0.5 * np.eye(4)]), reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(2, 6),
+       n_stack=hst.integers(1, 6), phi=hst.floats(-np.pi, np.pi))
+def test_stacked_projection_equals_per_state_projection(seed, n_modes, n_stack, phi):
+    rng = np.random.default_rng(seed)
+    covs = np.array([random_physical_cov(rng, n_modes, pure=rng.random() < 0.3)
+                     for _ in range(n_stack)])
+    mode = int(rng.integers(n_modes))
+    stacked = st.homodyne_project_covs(covs, mode, phi)
+    assert stacked.shape == (n_stack, 2 * n_modes - 2, 2 * n_modes - 2)
+    for cov, out in zip(covs, stacked):
+        single = st.homodyne_project(st.GaussianState(n_modes, cov), mode, phi)
+        assert np.array_equal(out, single.cov)
+        assert_allclose(out, schur_homodyne_reference(cov, mode, phi),
+                        rtol=1e-9, atol=1e-9 * np.max(np.abs(cov)))
+
+
+def test_stacked_projection_rejects_one_unphysical_entry_as_a_single_call_does():
+    good = 0.5 * np.eye(4)
+    bad = 0.25 * np.eye(4)
+    with pytest.raises(ValueError) as single:
+        st.homodyne_project(st.GaussianState(2, bad), 1, 0.3)
+    with pytest.raises(ValueError) as stacked:
+        st.homodyne_project_covs(np.array([good, bad, good]), 1, 0.3)
+    assert str(stacked.value) == str(single.value)
+    assert str(single.value) == "input state is unphysical (min symplectic eigenvalue 2.500e-01)"
