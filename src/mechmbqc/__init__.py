@@ -33,9 +33,9 @@ from .mbqc import (
     lambdas_to_symplectic,
     named_program,
     program_from_matrix,
-    run_projective_cz,
-    run_projective_mbqc,
+    run_projective,
     shear_program,
+    single_mode_program,
 )
 from .dynamics import (
     BathSpec,

@@ -158,20 +158,18 @@ def cmd_oracle(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
     # The cluster carries the default input (momentum-squeezed vacuum at the
     # cluster squeezing) on its input nodes.
-    pattern = program.pattern()
+    pattern = program.pattern
     cluster = build_cluster(pattern.graph, r_db)
     output = pattern.complete(cluster)
-    if program.lambdas is None:
-        reference = mbqc.cz_reference_matrix()
-        header["reference"] = "dual-rail CZ with per-rail Fourier by-product"
-    else:
-        reference = program.target_matrix()
+    if program.lambdas:
         header["lambdas"] = " ".join(f"{x:.6g}" for x in program.lambdas)
         check = np.max(np.abs(
-            mbqc.compose_oracle(program.lambdas) - reference
+            mbqc.compose_oracle(program.lambdas) - program.target
         ))
         header["teleportation_identity_maxerr"] = f"{check:.3e}"
-    header["target_matrix"] = " ".join(f"{x:.12g}" for x in reference.ravel())
+    else:
+        header["reference"] = "dual-rail CZ with per-rail Fourier by-product"
+    header["target_matrix"] = " ".join(f"{x:.12g}" for x in program.target.ravel())
 
     nullifiers = nullifier_variances(cluster, pattern.graph)
     header["cluster_nodes"] = pattern.graph.n_nodes

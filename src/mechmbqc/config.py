@@ -65,6 +65,14 @@ class ExperimentConfig:
             self.program()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for key, values in (("t_mon_us", (self.t_mon_us,)),
+                            ("resolution_us", (self.time_resolution_us,)),
+                            ("max_step_us", (self.max_step_us,)),
+                            ("durations_us", self.explicit_durations_us)):
+            for value in values:
+                if not (isinstance(value, (int, float)) and 0 < value < np.inf):
+                    raise ConfigError(f"schedule '{key}' must be positive and "
+                                      f"finite, got {value!r}")
         for axis_name, values in self.sweep_axes:
             if axis_name not in PARAM_KEYS:
                 raise ConfigError(f"sweep axis '{axis_name}' is not a parameter")
@@ -82,7 +90,7 @@ class ExperimentConfig:
         values = dict(self.param_values)
         if overrides:
             values.update(overrides)
-        return params_from_dict(values, self.program().pattern().graph.n_nodes)
+        return params_from_dict(values, self.program().pattern.graph.n_nodes)
 
     def schedule(self) -> MonitoringSchedule:
         if self.schedule_mode == "equal":

@@ -103,14 +103,6 @@ class BathSpec:
         for name in ("sigma_monitored", "sigma_dissipative", "sigma_post_meas"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
-    def effective_post_meas(self) -> np.ndarray:
-        """Post-measurement covariance distorted by detector inefficiency.
-
-        sigma_m -> sigma_m / eta + (1 - eta)/eta * I.
-        """
-        dim = self.sigma_post_meas.shape[0]
-        return self.sigma_post_meas / self.eta + (1.0 - self.eta) / self.eta * np.eye(dim)
-
 
 def homodyne_post_meas_cov(r_post_meas_db: float, n_channels: int = 1) -> np.ndarray:
     """Position-squeezed post-measurement covariance (1/2) diag(e^-2r, e^2r)."""

@@ -1,21 +1,25 @@
 """Gate programs for measurement-driven Gaussian computation.
 
-A single-mode Gaussian gate is encoded as four shear parameters
-``(lambda1, ..., lambda4)``; running the associated quadrature measurements
-``p + lambda_j q`` on the first four nodes of a five-node linear cluster
-teleports the input (node 1) to the output node with the gate applied.
-The two-mode CZ gate uses the dual-rail form of a four-node cluster.
+A :class:`GateProgram` is a record of two things: the measurement pattern
+that runs it (cluster graph, input, measured and output nodes, quadrature
+angles) and the symplectic matrix that pattern implements on its inputs in
+the infinite-squeezing limit. The projective runner, the monitored protocol,
+the optimizer and the CLI all read these two fields; none of them asks what
+kind of program it holds.
 
-:meth:`GateProgram.pattern` is the one place that spells out which cluster a
-program runs on and which nodes it measures, at which angles; the projective
-runners and the monitored protocol all follow that pattern.
+Two constructors hold the cluster layouts. :func:`single_mode_program` turns
+four shear parameters ``(lambda1, ..., lambda4)`` into the measurements
+``p + lambda_j q`` on the first four nodes of a five-node chain, which
+teleport the input (node 0) to node 4 with the gate applied.
+:func:`cz_program` is the two-mode CZ on the four-node dual rail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .states import (
     GaussianState,
@@ -152,85 +156,112 @@ class MeasurementPattern:
         return replace(self, measured=self.measured[steps:], phases=self.phases[steps:])
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: the target is an array.
+@dataclass(frozen=True, eq=False)
 class GateProgram:
-    """A measurement program: either four shear parameters or the two-mode CZ.
+    """A measurement program: the pattern that runs it and the gate it runs.
 
-    ``lambdas`` is a length-4 tuple for single-mode programs and None for the
-    CZ program, whose two steps are both pure momentum measurements.
+    Attributes:
+        pattern: cluster graph, node roles and measurement angles.
+        target: the 2m x 2m symplectic matrix the pattern implements on its
+            m input modes in the infinite-squeezing limit; read-only.
+        name: label used in results and reports.
+        lambdas: the four shear parameters of a single-mode chain program
+            (see :func:`single_mode_program`), or ``()`` for any other
+            program.
     """
 
-    lambdas: tuple | None
-    name: str = ""
+    pattern: MeasurementPattern
+    target: np.ndarray = field(repr=False)
+    name: str
+    lambdas: tuple
 
     def __post_init__(self):
-        if self.lambdas is not None:
-            if len(self.lambdas) != 4:
-                raise ValueError("single-mode programs use exactly four measurements")
-            object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
-
-    @property
-    def is_two_mode(self) -> bool:
-        return self.lambdas is None
+        target = np.array(self.target, dtype=float)
+        n_modes = len(self.pattern.inputs)
+        if len(self.pattern.outputs) != n_modes or target.shape != (2 * n_modes,) * 2:
+            raise ValueError("target must map the pattern's inputs to its outputs")
+        target.flags.writeable = False
+        object.__setattr__(self, "target", target)
 
     def measurement_phases(self) -> tuple:
         """Quadrature angles, one per measurement step."""
-        if self.is_two_mode:
-            return (np.pi / 2.0, np.pi / 2.0)
-        return tuple(lambda_to_phase(lam) for lam in self.lambdas)
-
-    def pattern(self) -> MeasurementPattern:
-        """The cluster and measurement sequence that run this program.
-
-        Single-mode programs teleport node 0 along a five-node chain by
-        measuring nodes 0..3; the output is node 4. The CZ program uses the
-        four-node dual rail: inputs on the middle nodes 1 and 2, both
-        measured in p, outputs on the end nodes (0, 3).
-        """
-        phases = self.measurement_phases()
-        if self.is_two_mode:
-            return MeasurementPattern(GraphSpec.linear(4), (1, 2), (1, 2), phases, (0, 3))
-        return MeasurementPattern(GraphSpec.linear(5), (0,), (0, 1, 2, 3), phases, (4,))
+        return self.pattern.phases
 
     def target_matrix(self) -> np.ndarray:
-        if self.is_two_mode:
-            raise ValueError("the CZ program has no single-mode target matrix")
-        return lambdas_to_symplectic(self.lambdas)
+        return self.target
 
 
-def identity_program() -> GateProgram:
-    return GateProgram((0.0, 0.0, 0.0, 0.0), name="identity")
+def single_mode_program(lambdas, name: str) -> GateProgram:
+    """A single-mode gate from four shear parameters.
 
-
-def fourier_program() -> GateProgram:
-    return GateProgram((1.0, 1.0, 1.0, 0.0), name="fourier")
-
-
-def shear_program(lam: float) -> GateProgram:
-    return GateProgram((float(lam), 0.0, 0.0, 0.0), name=f"shear({lam:g})")
+    The input on node 0 of a five-node chain is teleported to node 4 by
+    measuring nodes 0..3 in the bases p + lambda_j q; the gate is
+    :func:`lambdas_to_symplectic` of the parameters.
+    """
+    lambdas = tuple(float(x) for x in lambdas)
+    if len(lambdas) != 4:
+        raise ValueError("single-mode programs use exactly four measurements")
+    phases = tuple(lambda_to_phase(lam) for lam in lambdas)
+    pattern = MeasurementPattern(GraphSpec.linear(5), (0,), (0, 1, 2, 3), phases, (4,))
+    return GateProgram(pattern, lambdas_to_symplectic(lambdas), name, lambdas)
 
 
 def cz_program() -> GateProgram:
-    return GateProgram(None, name="cz")
+    """The two-mode CZ on the four-node dual rail.
+
+    The inputs sit on the middle nodes 1 and 2, both measured in p; the
+    outputs are the end nodes, ordered (rail of input 1, rail of input 2).
+    The target is ``(f + f) S_CZ``: the CZ dressed by the
+    single-teleportation Fourier by-product on each rail.
+    """
+    pattern = MeasurementPattern(GraphSpec.linear(4), (1, 2), (1, 2),
+                                 (np.pi / 2.0, np.pi / 2.0), (0, 3))
+    s_cz = np.eye(4)
+    s_cz[1, 2] = s_cz[3, 0] = 1.0
+    return GateProgram(pattern, block_diag(FOURIER, FOURIER) @ s_cz, "cz", ())
+
+
+def identity_program() -> GateProgram:
+    return single_mode_program((0.0, 0.0, 0.0, 0.0), "identity")
+
+
+def fourier_program() -> GateProgram:
+    return single_mode_program((1.0, 1.0, 1.0, 0.0), "fourier")
+
+
+def shear_program(lam: float) -> GateProgram:
+    return single_mode_program((float(lam), 0.0, 0.0, 0.0), f"shear({lam:g})")
 
 
 def program_from_matrix(matrix) -> GateProgram:
     """Measurement program for an explicit 2x2 symplectic target."""
-    return GateProgram(gate_to_lambdas(matrix), name="custom")
+    return single_mode_program(gate_to_lambdas(matrix), "custom")
 
 
 def named_program(name: str) -> GateProgram:
-    """Look up a program by name: identity | fourier | shear:<lam> | cz."""
+    """Look up a program by name: identity | i | fourier | f | cz | shear |
+    shear:<lam>, in any case and with surrounding whitespace.
+
+    A bare ``shear`` is shear(1); ``<lam>`` must be a finite number.
+    """
     key = name.strip().lower()
     if key in ("identity", "i"):
         return identity_program()
     if key in ("fourier", "f"):
         return fourier_program()
-    if key.startswith("shear"):
-        _, _, arg = key.partition(":")
-        return shear_program(float(arg) if arg else 1.0)
     if key == "cz":
         return cz_program()
+    if key == "shear":
+        return shear_program(1.0)
+    head, sep, arg = key.partition(":")
+    if head == "shear" and sep:
+        try:
+            lam = float(arg)
+        except ValueError:
+            lam = np.nan
+        if np.isfinite(lam):
+            return shear_program(lam)
     raise ValueError(f"unknown gate program '{name}'")
 
 
@@ -242,50 +273,18 @@ def expected_output(matrix: np.ndarray, input_cov: np.ndarray) -> np.ndarray:
     return matrix @ np.asarray(input_cov, dtype=float) @ matrix.T
 
 
-def run_projective_mbqc(input_mode: GaussianState, program: GateProgram,
-                        r_cluster_db: float) -> GaussianState:
-    """Apply a single-mode program by ideal homodyne measurements.
+def run_projective(program: GateProgram, inputs, r_cluster_db: float) -> GaussianState:
+    """Apply a program by ideal homodyne measurements.
 
-    Builds the program's five-node linear cluster with ``input_mode`` on
-    node 1, measures nodes 1..4 in the bases p + lambda_j q and returns the
-    surviving output node. In the infinite-squeezing limit the output
-    covariance approaches ``M sigma_in M^T`` with
-    M = ``lambdas_to_symplectic(program.lambdas)``.
+    Builds the program's cluster with the single-mode states ``inputs`` on
+    its input nodes, in order, completes the pattern and returns the state
+    of the output nodes, in output order. In the infinite-squeezing limit
+    its covariance approaches ``target (sigma_1 + ... + sigma_m) target^T``.
     """
-    if program.is_two_mode:
-        raise ValueError("use run_projective_cz for the two-mode program")
-    pattern = program.pattern()
+    pattern = program.pattern
+    if len(inputs) != len(pattern.inputs):
+        raise ValueError(f"program takes {len(pattern.inputs)} input mode(s), "
+                         f"got {len(inputs)}")
     cluster = build_cluster(pattern.graph, r_cluster_db,
-                            inputs={pattern.inputs[0]: input_mode})
+                            inputs=dict(zip(pattern.inputs, inputs)))
     return pattern.complete(cluster)
-
-
-def run_projective_cz(input1: GaussianState, input2: GaussianState,
-                      r_cluster_db: float,
-                      rung_weight: float = 1.0) -> GaussianState:
-    """Apply the CZ gate via two momentum measurements on the dual rail.
-
-    The inputs sit on the middle nodes of the CZ program's four-node chain,
-    whose middle (rung) edge gets weight ``rung_weight``; a zero weight
-    leaves two independent teleportation wires. Returns the two-mode state
-    of the end nodes, ordered (rail of input1, rail of input2). In the
-    infinite-squeezing limit this equals ``S (sigma1 + sigma2) S^T`` with
-    ``S = (f + f) S_CZ`` -- the CZ dressed by the single-teleportation
-    Fourier by-product on each rail.
-    """
-    pattern = cz_program().pattern()
-    rung = GraphSpec(4, ((0, 1), (1, 2, rung_weight), (2, 3)))
-    cluster = build_cluster(rung, r_cluster_db,
-                            inputs=dict(zip(pattern.inputs, (input1, input2))))
-    return pattern.complete(cluster)
-
-
-def cz_reference_matrix(weight: float = 1.0) -> np.ndarray:
-    """The 4x4 symplectic the dual-rail protocol implements, (f + f) S_CZ."""
-    s_cz = np.eye(4)
-    s_cz[1, 2] = weight
-    s_cz[3, 0] = weight
-    f2 = np.zeros((4, 4))
-    f2[:2, :2] = FOURIER
-    f2[2:, 2:] = FOURIER
-    return f2 @ s_cz

@@ -339,7 +339,7 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
     vacuum at the cluster squeezing, on every input node, so it is the
     plain cluster of the program's graph.
     """
-    pattern = program.pattern()
+    pattern = program.pattern
     if params.n_mech != pattern.graph.n_nodes:
         params = params.with_mech_count(pattern.graph.n_nodes)
     cluster = build_cluster(pattern.graph, params.r_cluster_db)
@@ -432,7 +432,7 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
     projective-measurement reference at every sample.
 
     Args:
-        program: single-mode gate program (four steps) or CZ (two steps).
+        program: any gate program; its pattern sets the steps.
         params: physical parameters; the mechanical mode count is adjusted
             to the cluster size if needed.
         schedule: one duration per measurement step.

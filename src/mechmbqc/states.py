@@ -139,12 +139,6 @@ class GaussianState:
         spectrum = self.symplectic_spectrum()
         return bool(np.all(np.abs(spectrum - VACUUM_VAR) < atol))
 
-    def mode_block(self, mode: int) -> np.ndarray:
-        """The 2x2 covariance block of a single mode."""
-        self._check_mode(mode)
-        s = slice(2 * mode, 2 * mode + 2)
-        return np.array(self.cov[s, s])
-
     def _check_mode(self, mode: int):
         if not 0 <= mode < self.n_modes:
             raise ValueError(f"mode index {mode} out of range for {self.n_modes} modes")

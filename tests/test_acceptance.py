@@ -63,7 +63,7 @@ def test_criterion_2_projective_oracle_correctness():
     inp = standard_input()
     fids = {}
     for program in GATE_SET:
-        out = mbqc.run_projective_mbqc(inp, program, 20.0)
+        out = mbqc.run_projective(program, [inp], 20.0)
         reference = st.GaussianState(
             1, mbqc.expected_output(program.target_matrix(), inp.cov))
         fids[program.name] = st.fidelity(out, reference)
@@ -73,7 +73,7 @@ def test_criterion_2_projective_oracle_correctness():
         reference = st.GaussianState(
             1, mbqc.expected_output(program.target_matrix(), inp.cov))
         values = [
-            st.fidelity(mbqc.run_projective_mbqc(inp, program, r_db), reference)
+            st.fidelity(mbqc.run_projective(program, [inp], r_db), reference)
             for r_db in (3.0, 6.0, 10.0, 15.0, 20.0)
         ]
         monotone &= all(b > a for a, b in zip(values, values[1:]))

@@ -71,6 +71,31 @@ def test_config_rejects_bad_gate_and_preset():
         config_from_dict(dict(BASE, preset="set3"))
 
 
+@pytest.mark.parametrize("gate", ["shear=5", "shearx", "shear_3", "shear:", "shear:nan"])
+def test_misspelled_gate_is_a_config_error(tmp_path, gate):
+    with pytest.raises(ConfigError, match="unknown gate program"):
+        config_from_dict(dict(BASE, gate=gate))
+    path = write_config(tmp_path, dict(BASE, gate=gate))
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_mon_us", 0.0),
+    ("resolution_us", -2.0),
+    ("max_step_us", 0.0),
+    ("durations_us", [3.0, 3.0, -1.0, 3.0]),
+])
+def test_non_positive_schedule_values_are_config_errors(tmp_path, capsys, key, value):
+    payload = dict(BASE, schedule=dict(BASE["schedule"], **{key: value}))
+    path = write_config(tmp_path, payload)
+    for command in ("simulate", "optimize"):
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / command)]) == 2
+        assert f"config error: schedule '{key}'" in capsys.readouterr().err
+
+
 def test_config_requires_complete_params_without_preset():
     with pytest.raises(ConfigError, match="missing parameter"):
         config_from_dict({"params": {"eta": 1.0}})

@@ -1,6 +1,8 @@
 """Tests for gate programs: the shear-parameter decomposition, the
 teleportation composition identity and the projective protocol runners."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,14 +70,43 @@ def test_named_program_lookup():
     assert mbqc.named_program("identity").lambdas == (0, 0, 0, 0)
     assert mbqc.named_program("F").lambdas == (1, 1, 1, 0)
     assert mbqc.named_program("shear:3").lambdas == (3, 0, 0, 0)
-    assert mbqc.named_program("cz").is_two_mode
+    assert mbqc.named_program(" Shear ").lambdas == (1, 0, 0, 0)
+    assert mbqc.named_program("SHEAR:-2.5").lambdas == (-2.5, 0, 0, 0)
+    cz = mbqc.named_program("cz")
+    assert cz.lambdas == ()
+    assert cz.pattern.inputs == (1, 2)
     with pytest.raises(ValueError):
         mbqc.named_program("hadamard")
 
 
+@pytest.mark.parametrize("name", ["shear=5", "shearx", "shear_3", "shear:",
+                                  "shear:inf", "shear:nan", "shear:1:2"])
+def test_named_program_rejects_near_miss_shear_names(name):
+    with pytest.raises(ValueError, match="unknown gate program"):
+        mbqc.named_program(name)
+
+
+def test_single_mode_program_record():
+    program = mbqc.single_mode_program((0.5, 0, -1, 2), "mine")
+    assert program.name == "mine"
+    assert program.lambdas == (0.5, 0.0, -1.0, 2.0)
+    assert all(isinstance(lam, float) for lam in program.lambdas)
+    assert program.measurement_phases() == program.pattern.phases == tuple(
+        mbqc.lambda_to_phase(lam) for lam in program.lambdas)
+    assert np.array_equal(program.target_matrix(),
+                          mbqc.lambdas_to_symplectic(program.lambdas))
+    assert not program.target.flags.writeable
+
+
 def test_program_needs_four_lambdas():
     with pytest.raises(ValueError):
-        mbqc.GateProgram((1.0, 2.0))
+        mbqc.single_mode_program((1.0, 2.0), "short")
+
+
+def test_program_target_must_match_the_pattern():
+    pattern = mbqc.cz_program().pattern
+    with pytest.raises(ValueError, match="inputs"):
+        mbqc.GateProgram(pattern, np.eye(2), "bad", ())
 
 
 def test_program_from_explicit_matrix():
@@ -108,7 +139,7 @@ def test_projective_mbqc_reaches_target_at_high_squeezing(program):
     # leaks lambda^2 Var(q_in) worth of input information past the ancilla's
     # finite anti-squeezed mask, so the bound here is the 50 dB level.
     inp = st.squeeze_momentum(st.vacuum(1), 0, 3.0)
-    out = mbqc.run_projective_mbqc(inp, program, 50.0)
+    out = mbqc.run_projective(program, [inp], 50.0)
     reference = st.GaussianState(
         1, mbqc.expected_output(program.target_matrix(), inp.cov)
     )
@@ -122,7 +153,7 @@ def test_projective_mbqc_fidelity_monotone_in_cluster_squeezing():
         1, mbqc.expected_output(program.target_matrix(), inp.cov)
     )
     fids = [
-        st.fidelity(mbqc.run_projective_mbqc(inp, program, r_db), reference)
+        st.fidelity(mbqc.run_projective(program, [inp], r_db), reference)
         for r_db in (3.0, 6.0, 10.0, 15.0, 20.0)
     ]
     assert all(b > a for a, b in zip(fids, fids[1:]))
@@ -130,25 +161,39 @@ def test_projective_mbqc_fidelity_monotone_in_cluster_squeezing():
 
 def test_projective_mbqc_output_is_pure():
     inp = st.squeeze_momentum(st.vacuum(1), 0, 3.0)
-    out = mbqc.run_projective_mbqc(inp, mbqc.fourier_program(), 3.0)
+    out = mbqc.run_projective(mbqc.fourier_program(), [inp], 3.0)
     assert out.n_modes == 1
     assert out.is_pure(atol=1e-8)
 
 
-def test_projective_cz_matches_reference_matrix():
-    i1 = st.squeeze_momentum(st.vacuum(1), 0, 4.0)
-    i2 = st.squeeze_momentum(st.vacuum(1), 0, 7.0)
-    out = mbqc.run_projective_cz(i1, i2, 60.0)
-    s_ref = mbqc.cz_reference_matrix()
-    expected = s_ref @ block_diag(i1.cov, i2.cov) @ s_ref.T
+@pytest.mark.parametrize("program", [
+    mbqc.identity_program(),
+    mbqc.fourier_program(),
+    mbqc.shear_program(0.7),
+    mbqc.program_from_matrix(mbqc.lambdas_to_symplectic((0.3, -0.4, 0.8, 0.2))),
+    mbqc.cz_program(),
+], ids=["identity", "fourier", "shear0.7", "from-matrix", "cz"])
+def test_projective_run_matches_target_matrix(program):
+    target = program.target_matrix()
+    assert st.is_symplectic(target)
+    inputs = [st.squeeze_momentum(st.vacuum(1), 0, r_db)
+              for r_db in (4.0, 7.0)[: len(program.pattern.inputs)]]
+    out = mbqc.run_projective(program, inputs, 60.0)
+    expected = target @ block_diag(*(inp.cov for inp in inputs)) @ target.T
     assert_allclose(out.cov, expected, atol=2e-4)
+
+
+def test_projective_run_needs_one_input_per_input_node():
+    inp = st.vacuum(1)
+    with pytest.raises(ValueError, match="2 input mode"):
+        mbqc.run_projective(mbqc.cz_program(), [inp], 6.0)
 
 
 def test_projective_cz_swap_symmetry():
     i1 = st.squeeze_momentum(st.vacuum(1), 0, 4.0)
     i2 = st.thermal(1, 0.0)
-    out12 = mbqc.run_projective_cz(i1, i2, 8.0)
-    out21 = mbqc.run_projective_cz(i2, i1, 8.0)
+    out12 = mbqc.run_projective(mbqc.cz_program(), (i1, i2), 8.0)
+    out21 = mbqc.run_projective(mbqc.cz_program(), (i2, i1), 8.0)
     swap = np.zeros((4, 4))
     swap[:2, 2:] = np.eye(2)
     swap[2:, :2] = np.eye(2)
@@ -158,17 +203,15 @@ def test_projective_cz_swap_symmetry():
 def test_projective_cz_zero_rung_gives_independent_wires():
     i1 = st.squeeze_momentum(st.vacuum(1), 0, 5.0)
     i2 = st.squeeze_momentum(st.vacuum(1), 0, 9.0)
-    out = mbqc.run_projective_cz(i1, i2, 60.0, rung_weight=0.0)
+    cz = mbqc.cz_program()
+    no_rung = st.GraphSpec(4, ((0, 1), (2, 3)))
+    wires = replace(cz, pattern=replace(cz.pattern, graph=no_rung))
+    out = mbqc.run_projective(wires, (i1, i2), 60.0)
     f2 = block_diag(mbqc.FOURIER, mbqc.FOURIER)
     expected = f2 @ block_diag(i1.cov, i2.cov) @ f2.T
     assert_allclose(out.cov, expected, atol=2e-4)
     # No correlations between the rails.
     assert np.max(np.abs(out.cov[:2, 2:])) < 1e-10
-
-
-def test_cz_reference_matrix_is_symplectic():
-    assert st.is_symplectic(mbqc.cz_reference_matrix())
-    assert st.is_symplectic(mbqc.cz_reference_matrix(1.7))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +222,7 @@ def test_cz_reference_matrix_is_symplectic():
     mbqc.identity_program(), mbqc.shear_program(3.0), mbqc.cz_program(),
 ], ids=["identity", "shear3", "cz"])
 def test_pattern_nodes_partition_the_graph(program):
-    pattern = program.pattern()
+    pattern = program.pattern
     assert pattern.phases == program.measurement_phases()
     assert len(pattern.measured) == len(pattern.phases)
     assert set(pattern.inputs) <= set(pattern.measured)
@@ -189,7 +232,7 @@ def test_pattern_nodes_partition_the_graph(program):
 
 def test_pattern_completion_after_every_measurement_only_traces_out():
     # With every step done, completion just keeps the output nodes.
-    pattern = mbqc.cz_program().pattern()
+    pattern = mbqc.cz_program().pattern
     cluster = st.build_cluster(pattern.graph, 6.0)
     kept = pattern.after(len(pattern.measured)).complete(cluster)
     assert np.array_equal(kept.cov, st.partial_trace(cluster, (0, 3)).cov)
@@ -198,11 +241,11 @@ def test_pattern_completion_after_every_measurement_only_traces_out():
 def test_projective_runners_follow_the_program_pattern():
     inp = st.squeeze_momentum(st.vacuum(1), 0, 5.0)
     program = mbqc.shear_program(2.0)
-    pattern = program.pattern()
+    pattern = program.pattern
     by_hand = st.build_cluster(pattern.graph, 5.0, inputs={0: inp})
     for phi in pattern.phases:
         by_hand = st.homodyne_project(by_hand, 0, phi)
-    out = mbqc.run_projective_mbqc(inp, program, 5.0)
+    out = mbqc.run_projective(program, [inp], 5.0)
     assert np.array_equal(out.cov, by_hand.cov)
 
 

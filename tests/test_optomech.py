@@ -246,15 +246,12 @@ def test_protocol_starts_from_the_pattern_cluster_and_scores_against_projective_
     res = om.run_monitoring_protocol(program, p,
                                      om.MonitoringSchedule.equal(2e-6, n_steps),
                                      samples_per_step=4, keep_trajectories=True)
-    graph = program.pattern().graph
+    graph = program.pattern.graph
     start = res.trajectories[0].covs[0]
     cluster = st.build_cluster(graph, r_db)
     assert np.array_equal(start[: 2 * graph.n_nodes, : 2 * graph.n_nodes], cluster.cov)
     inp = st.squeeze_momentum(st.vacuum(1), 0, r_db)
-    if program.is_two_mode:
-        projective = mbqc.run_projective_cz(inp, inp, r_db)
-    else:
-        projective = mbqc.run_projective_mbqc(inp, program, r_db)
+    projective = mbqc.run_projective(program, [inp] * len(program.pattern.inputs), r_db)
     assert np.array_equal(res.reference_state.cov, projective.cov)
 
 
