@@ -7,7 +7,6 @@ from .states import (
     apply_cz,
     apply_symplectic,
     build_cluster,
-    check_physical,
     fidelity,
     fidelity_to,
     homodyne_project,

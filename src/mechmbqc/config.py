@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ def params_from_dict(values: dict, n_mech: int) -> PhysicalParams:
         raise ConfigError(f"missing parameter keys: {sorted(missing)}")
     try:
         return PhysicalParams.from_values(values, n_mech)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -56,6 +56,11 @@ class ExperimentConfig:
     samples_per_step: int = 60
 
     def __post_init__(self):
+        if not isinstance(self.gate, str):
+            raise ConfigError(f"'gate' must be a string, got {self.gate!r}")
+        if type(self.samples_per_step) is not int or self.samples_per_step < 2:
+            raise ConfigError("'samples_per_step' must be an integer of at least 2, "
+                              f"got {self.samples_per_step!r}")
         if self.schedule_mode not in _SCHEDULE_MODES:
             raise ConfigError(
                 f"schedule mode must be one of {_SCHEDULE_MODES}, "
@@ -105,31 +110,31 @@ class ExperimentConfig:
             )
         raise ConfigError("an optimized schedule is produced by the optimizer")
 
-    def canonical_dict(self) -> dict:
-        return {
-            "params": {k: self.param_values[k] for k in sorted(self.param_values)},
-            "gate": self.gate,
-            "schedule_mode": self.schedule_mode,
-            "t_mon_us": self.t_mon_us,
-            "time_resolution_us": self.time_resolution_us,
-            "max_step_us": self.max_step_us,
-            "explicit_durations_us": list(self.explicit_durations_us),
-            "sweep_axes": [[name, list(vals)] for name, vals in self.sweep_axes],
-            "samples_per_step": self.samples_per_step,
-        }
-
     def digest(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
+        fields = asdict(self)
+        fields["params"] = fields.pop("param_values")
+        blob = json.dumps(fields, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _convert(kind, value, what: str):
+    """``kind(value)``, with a failure reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} has the wrong type: {value!r}") from exc
 
 
 def _axis_values(spec: dict) -> list:
     if "values" in spec:
-        return [float(v) for v in spec["values"]]
+        return [_convert(float, v, "sweep value")
+                for v in _convert(list, spec["values"], "sweep axis 'values'")]
     try:
-        start, stop, count = spec["start"], spec["stop"], int(spec["count"])
+        start, stop, count = spec["start"], spec["stop"], spec["count"]
     except KeyError as exc:
         raise ConfigError(f"sweep axis needs 'values' or start/stop/count: {exc}")
+    start, stop = (_convert(float, x, "sweep axis start/stop") for x in (start, stop))
+    count = _convert(int, count, "sweep axis count")
     if count < 1:
         raise ConfigError("sweep axis count must be positive")
     return [float(v) for v in np.linspace(start, stop, count)]
@@ -145,7 +150,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     preset = raw.get("preset")
-    if preset is not None and preset not in PRESETS:
+    if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
         raise ConfigError(f"unknown preset '{preset}'; have {sorted(PRESETS)}")
     values = dict(PRESETS[preset]) if preset else {}
     overrides = raw.get("params", {})
@@ -166,21 +171,27 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if sweep:
         if not isinstance(sweep, dict) or "axes" not in sweep:
             raise ConfigError("'sweep' must be an object with an 'axes' list")
-        for axis in sweep["axes"]:
+        for axis in _convert(list, sweep["axes"], "sweep 'axes'"):
+            axis = _convert(dict, axis, "sweep axis")
             axes.append((axis.get("param", ""), tuple(_axis_values(axis))))
         if not 1 <= len(axes) <= 2:
             raise ConfigError("sweeps support one or two axes")
 
+    t_mon_us, resolution_us, max_step_us = (
+        _convert(float, schedule.get(key, default), f"schedule '{key}'")
+        for key, default in (("t_mon_us", 60.0), ("resolution_us", 2.0),
+                             ("max_step_us", 200.0)))
     config = ExperimentConfig(
         param_values=values,
         gate=raw.get("gate", "shear:1"),
         schedule_mode=schedule.get("mode", "equal"),
-        t_mon_us=float(schedule.get("t_mon_us", 60.0)),
-        time_resolution_us=float(schedule.get("resolution_us", 2.0)),
-        max_step_us=float(schedule.get("max_step_us", 200.0)),
-        explicit_durations_us=tuple(schedule.get("durations_us", ())),
+        t_mon_us=t_mon_us,
+        time_resolution_us=resolution_us,
+        max_step_us=max_step_us,
+        explicit_durations_us=_convert(tuple, schedule.get("durations_us", ()),
+                                       "schedule 'durations_us'"),
         sweep_axes=tuple(axes),
-        samples_per_step=int(raw.get("samples_per_step", 60)),
+        samples_per_step=raw.get("samples_per_step", 60),
     )
     config.physical_params()  # validate completeness and ranges up front
     return config

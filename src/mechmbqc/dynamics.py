@@ -22,9 +22,9 @@ import numpy as np
 from scipy import linalg as sla
 
 from .states import (
-    VACUUM_VAR,
     GaussianState,
-    physicality_slack,
+    db_to_squeeze_parameter,
+    first_unphysical,
     symmetrize,
     symplectic_eigenvalues,
     symplectic_form,
@@ -104,11 +104,10 @@ class BathSpec:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
-def homodyne_post_meas_cov(r_post_meas_db: float, n_channels: int = 1) -> np.ndarray:
+def homodyne_post_meas_cov(r_post_meas_db: float) -> np.ndarray:
     """Position-squeezed post-measurement covariance (1/2) diag(e^-2r, e^2r)."""
-    r = float(r_post_meas_db) * np.log(10.0) / 20.0
-    block = 0.5 * np.diag([np.exp(-2.0 * r), np.exp(2.0 * r)])
-    return sla.block_diag(*([block] * n_channels))
+    r = db_to_squeeze_parameter(r_post_meas_db)
+    return 0.5 * np.diag([np.exp(-2.0 * r), np.exp(2.0 * r)])
 
 
 def build_lyapunov(c_dissipative: np.ndarray, sigma_bath: np.ndarray):
@@ -360,8 +359,6 @@ def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
     the norm of those columns (plus diffusive growth over the horizon) rather
     than the full covariance.
     """
-    if isinstance(sigma0, GaussianState):
-        sigma0 = sigma0.cov
     sigma = np.asarray(sigma0, dtype=float)
     rate = coeffs.drift_norm
     bbt = coeffs.bbt()
@@ -395,8 +392,8 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     samples the covariance follows the exact flow of ``coeffs.propagator``,
     so ``dt`` only decides where samples fall. Every propagated sample is
     checked for physicality, all of them at once after the propagation; a
-    violation beyond ``PROPAGATION_ATOL`` (scaled as in
-    :func:`~mechmbqc.states.physicality_slack`) raises
+    violation beyond ``PROPAGATION_ATOL`` (judged by
+    :func:`~mechmbqc.states.first_unphysical`) raises
     :class:`PhysicalityError` at the first offending sample.
 
     Args:
@@ -448,16 +445,10 @@ def _check_samples(times: list, covs: np.ndarray):
     """Raise :class:`PhysicalityError` at the first sample that is not
     finite or whose minimum symplectic eigenvalue falls below vacuum by more
     than the scaled ``PROPAGATION_ATOL``."""
-    finite = np.isfinite(covs).all(axis=(-2, -1))
-    n_finite = int(np.argmin(finite)) if not np.all(finite) else len(covs)
-    checked = covs[:n_finite]
-    nu_min = symplectic_eigenvalues(checked)[:, 0]
-    unphysical = ~(nu_min >= VACUUM_VAR - physicality_slack(checked, PROPAGATION_ATOL))
-    if np.any(unphysical):
-        first = int(np.argmax(unphysical))
-        raise PhysicalityError(times[first], float(nu_min[first]))
-    if n_finite < len(covs):
-        raise PhysicalityError(times[n_finite], float("-inf"))
+    unphysical = first_unphysical(covs, PROPAGATION_ATOL)
+    if unphysical is not None:
+        first, nu_min = unphysical
+        raise PhysicalityError(times[first], nu_min)
 
 
 def steady_state(coeffs: EvolutionCoefficients, tol: float = 1e-10) -> GaussianState:

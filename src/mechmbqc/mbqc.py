@@ -25,8 +25,10 @@ from .states import (
     GaussianState,
     GraphSpec,
     build_cluster,
+    cz_matrix,
     homodyne_project_covs,
     is_symplectic,
+    quadratures,
     symmetrize,
 )
 
@@ -139,8 +141,7 @@ class MeasurementPattern:
             idx = remaining.index(node)
             covs = homodyne_project_covs(covs, idx, phi)
             remaining.pop(idx)
-        keep = np.array([[2 * remaining.index(m), 2 * remaining.index(m) + 1]
-                         for m in self.outputs]).ravel()
+        keep = quadratures([remaining.index(m) for m in self.outputs])
         return covs[:, keep][:, :, keep]
 
     def complete(self, state: GaussianState) -> GaussianState:
@@ -217,9 +218,8 @@ def cz_program() -> GateProgram:
     """
     pattern = MeasurementPattern(GraphSpec.linear(4), (1, 2), (1, 2),
                                  (np.pi / 2.0, np.pi / 2.0), (0, 3))
-    s_cz = np.eye(4)
-    s_cz[1, 2] = s_cz[3, 0] = 1.0
-    return GateProgram(pattern, block_diag(FOURIER, FOURIER) @ s_cz, "cz", ())
+    target = block_diag(FOURIER, FOURIER) @ cz_matrix(2, 0, 1)
+    return GateProgram(pattern, target, "cz", ())
 
 
 def identity_program() -> GateProgram:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import constants
 
 from . import mbqc
-from .states import GaussianState, build_cluster, fidelity_to
+from .states import GaussianState, build_cluster, fidelity_to, quadratures, thermal, vacuum
 from .dynamics import (
     BathSpec,
     CouplingSpec,
@@ -207,19 +207,15 @@ def build_qnd_step(params: PhysicalParams, addressed: int, phi: float):
     c_monitored = np.zeros((dim, 2))
     c_monitored[q_cav:, :] = np.sqrt(params.kappa) * np.eye(2)
 
-    # Dissipative channels: cavity tau first, then one per resonator.
+    # Dissipative channels: cavity tau first (a vacuum bath), then one
+    # thermal bath per resonator.
     c_dissipative = np.zeros((dim, 2 * (n_mech + 1)))
     c_dissipative[q_cav:, :2] = np.sqrt(params.tau) * np.eye(2)
-    for j in range(n_mech):
-        c_dissipative[2 * j : 2 * j + 2, 2 * (j + 1) : 2 * (j + 2)] = (
-            np.sqrt(params.gamma) * np.eye(2)
-        )
+    c_dissipative[:q_cav, 2:] = np.sqrt(params.gamma) * np.eye(q_cav)
 
-    occ = params.occupancies()
-    bath_diag = np.concatenate([[0.5, 0.5], np.repeat(occ + 0.5, 2)])
     baths = BathSpec(
-        sigma_monitored=0.5 * np.eye(2),
-        sigma_dissipative=np.diag(bath_diag),
+        sigma_monitored=vacuum(1).cov,
+        sigma_dissipative=thermal(n, np.append(0.0, params.occupancies())).cov,
         sigma_post_meas=homodyne_post_meas_cov(params.r_post_meas_db),
         eta=params.eta,
     )
@@ -310,7 +306,7 @@ class _Protocol:
     def output_block(self, cov: np.ndarray) -> np.ndarray:
         """The output nodes' block of a full-system covariance, or of each
         covariance in a stack."""
-        idx = np.array([[2 * m, 2 * m + 1] for m in self.pattern.outputs]).ravel()
+        idx = quadratures(self.pattern.outputs)
         return cov[..., idx, :][..., idx]
 
     def output_state(self, cov: np.ndarray) -> GaussianState:

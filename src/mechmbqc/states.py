@@ -68,14 +68,35 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (evals[..., 0::2] + evals[..., 1::2])
 
 
-def physicality_slack(cov: np.ndarray, atol: float = PHYSICALITY_ATOL):
-    """Slack on the minimum symplectic eigenvalue, per matrix of ``cov``.
+def first_unphysical(covs: np.ndarray, atol: float):
+    """The first matrix of a stack ``(N, 2n, 2n)`` that is not a physical
+    state, as ``(index, min symplectic eigenvalue)``, or ``None``.
 
-    Highly squeezed covariances stress the eigensolver, so the slack is
-    ``max(atol, 1e-10 * max|cov|)``: it scales with the matrix magnitude.
-    ``cov`` may be one matrix or a stack ``(..., 2n, 2n)``.
+    A matrix fails if it is not finite (reported as ``-inf``; no later
+    matrix is examined) or if its minimum symplectic eigenvalue is below
+    vacuum by more than the slack ``max(atol, 1e-10 * max|cov|)``, which
+    scales with the matrix because highly squeezed covariances stress the
+    eigensolver. This is the one physicality test of the package.
     """
-    return np.maximum(atol, 1e-10 * np.max(np.abs(cov), axis=(-2, -1)))
+    covs = np.asarray(covs, dtype=float)
+    finite = np.isfinite(covs).all(axis=(-2, -1))
+    n_finite = len(covs) if finite.all() else int(np.argmin(finite))
+    checked = covs[:n_finite]
+    nu_min = symplectic_eigenvalues(checked)[:, 0]
+    slack = np.maximum(atol, 1e-10 * np.max(np.abs(checked), axis=(-2, -1)))
+    unphysical = ~(nu_min >= VACUUM_VAR - slack)
+    if np.any(unphysical):
+        first = int(np.argmax(unphysical))
+        return first, float(nu_min[first])
+    if n_finite < len(covs):
+        return n_finite, float("-inf")
+    return None
+
+
+def quadratures(modes) -> np.ndarray:
+    """Row indices ``2m, 2m + 1`` of each listed mode ``m``, in order."""
+    modes = np.asarray(modes, dtype=int)
+    return np.stack([2 * modes, 2 * modes + 1], axis=-1).ravel()
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
@@ -103,7 +124,9 @@ class GaussianState:
             ordering; stored symmetrized and read-only.
 
     Because ``cov`` cannot change, the symplectic spectrum is computed at
-    most once per state and shared by every physicality and purity test.
+    most once per state and shared by :meth:`symplectic_spectrum` and
+    every purity test; :meth:`is_physical` goes through
+    :func:`first_unphysical` like every other physicality test.
     """
 
     n_modes: int
@@ -131,9 +154,8 @@ class GaussianState:
         """Symplectic eigenvalues, ascending (a read-only array)."""
         return self._spectrum
 
-    def is_physical(self, atol: float = PHYSICALITY_ATOL) -> bool:
-        tol = physicality_slack(self.cov, atol)
-        return bool(self.symplectic_spectrum()[0] >= VACUUM_VAR - tol)
+    def is_physical(self) -> bool:
+        return first_unphysical(self.cov[None], PHYSICALITY_ATOL) is None
 
     def is_pure(self, atol: float = 1e-7) -> bool:
         spectrum = self.symplectic_spectrum()
@@ -142,12 +164,6 @@ class GaussianState:
     def _check_mode(self, mode: int):
         if not 0 <= mode < self.n_modes:
             raise ValueError(f"mode index {mode} out of range for {self.n_modes} modes")
-
-
-def check_physical(state: GaussianState, atol: float = PHYSICALITY_ATOL):
-    """Return ``(is_physical, min_symplectic_eigenvalue)``."""
-    nu_min = float(state.symplectic_spectrum()[0])
-    return state.is_physical(atol), nu_min
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -309,12 +325,6 @@ def nullifier_variances(state: GaussianState, graph: GraphSpec) -> np.ndarray:
     return variances
 
 
-def normalize_angle(phi: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    phi = float(np.mod(phi + np.pi, 2.0 * np.pi) - np.pi)
-    return np.pi if phi == -np.pi else phi
-
-
 def partial_trace(state: GaussianState, modes_to_keep) -> GaussianState:
     """Reduced state on the listed modes (order preserved)."""
     keep = list(modes_to_keep)
@@ -322,12 +332,11 @@ def partial_trace(state: GaussianState, modes_to_keep) -> GaussianState:
         raise ValueError("must keep at least one mode")
     for mode in keep:
         state._check_mode(mode)
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep]).astype(int)
+    idx = quadratures(keep)
     return GaussianState(len(keep), state.cov[np.ix_(idx, idx)])
 
 
-def homodyne_project_covs(covs: np.ndarray, mode: int, phi: float,
-                          atol: float = PHYSICALITY_ATOL) -> np.ndarray:
+def homodyne_project_covs(covs: np.ndarray, mode: int, phi: float) -> np.ndarray:
     """Project one mode of every covariance in a stack ``(N, 2n, 2n)``.
 
     The measured quadrature is X_phi = q cos(phi) + p sin(phi). Each matrix
@@ -342,8 +351,6 @@ def homodyne_project_covs(covs: np.ndarray, mode: int, phi: float,
         covs: symmetric covariances, all of them physical.
         mode: index of the measured mode.
         phi: quadrature angle in radians.
-        atol: physicality slack on the inputs (loosen for states carrying
-            accumulated integration error).
 
     Returns:
         The ``(N, 2n - 2, 2n - 2)`` stack of symmetrized results.
@@ -354,16 +361,15 @@ def homodyne_project_covs(covs: np.ndarray, mode: int, phi: float,
         raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
     if n_modes < 2:
         raise ValueError("measuring the only mode leaves no state behind")
-    nu_min = symplectic_eigenvalues(covs)[:, 0]
-    unphysical = ~(nu_min >= VACUUM_VAR - physicality_slack(covs, atol))
-    if np.any(unphysical):
+    unphysical = first_unphysical(covs, PHYSICALITY_ATOL)
+    if unphysical is not None:
         raise ValueError("input state is unphysical (min symplectic eigenvalue "
-                         f"{nu_min[np.argmax(unphysical)]:.3e})")
+                         f"{unphysical[1]:.3e})")
 
     rot = embed_single_mode(rotation_matrix(phi), n_modes, mode)
     cov = rot @ covs @ rot.T
 
-    idx_a = np.delete(np.arange(2 * n_modes), [2 * mode, 2 * mode + 1])
+    idx_a = np.delete(np.arange(2 * n_modes), quadratures([mode]))
     idx_b = slice(2 * mode, 2 * mode + 2)
     sigma_a = cov[:, idx_a][:, :, idx_a]
     sigma_ab = cov[:, idx_a, idx_b]
@@ -374,15 +380,14 @@ def homodyne_project_covs(covs: np.ndarray, mode: int, phi: float,
     return symmetrize(sigma_a - sigma_ab @ gain @ np.swapaxes(sigma_ab, -1, -2))
 
 
-def homodyne_project(state: GaussianState, mode: int, phi: float,
-                     atol: float = PHYSICALITY_ATOL) -> GaussianState:
+def homodyne_project(state: GaussianState, mode: int, phi: float) -> GaussianState:
     """Project one mode of a state onto the quadrature X_phi.
 
     The single-state form of :func:`homodyne_project_covs`, under the same
-    contract: ``state`` must be physical to within ``atol``. Returns the
-    GaussianState with one fewer mode.
+    contract: ``state`` must be physical. Returns the GaussianState with one
+    fewer mode.
     """
-    cov = homodyne_project_covs(state.cov[None], mode, phi, atol)[0]
+    cov = homodyne_project_covs(state.cov[None], mode, phi)[0]
     return GaussianState(state.n_modes - 1, cov)
 
 
@@ -393,6 +398,13 @@ def _overlap(cov_sum: np.ndarray):
     if np.any(sign <= 0):
         raise ValueError("covariance sum is not positive definite")
     return np.exp(-0.5 * logdet)
+
+
+def _check_fidelity_inputs(covs: np.ndarray):
+    unphysical = first_unphysical(covs, PHYSICALITY_ATOL)
+    if unphysical is not None:
+        raise ValueError("fidelity input is unphysical "
+                         f"(min symplectic eigenvalue {unphysical[1]:.3e})")
 
 
 def fidelity(state1: GaussianState, state2: GaussianState) -> float:
@@ -408,12 +420,7 @@ def fidelity(state1: GaussianState, state2: GaussianState) -> float:
     """
     if state1.n_modes != state2.n_modes:
         raise ValueError("fidelity needs equal mode counts")
-    for state in (state1, state2):
-        physical, nu_min = check_physical(state)
-        if not physical:
-            raise ValueError(
-                f"fidelity input is unphysical (min symplectic eigenvalue {nu_min:.3e})"
-            )
+    _check_fidelity_inputs(np.array([state1.cov, state2.cov]))
 
     cov_sum = state1.cov + state2.cov
     if state1.is_pure() or state2.is_pure():
@@ -448,15 +455,7 @@ def fidelity_to(covs: np.ndarray, reference: GaussianState) -> np.ndarray:
     if covs.ndim != 3 or covs.shape[1:] != reference.cov.shape:
         raise ValueError("fidelity needs equal mode counts")
     covs = symmetrize(covs)
-    nu = np.append(symplectic_eigenvalues(covs)[:, 0],
-                   reference.symplectic_spectrum()[0])
-    slack = np.append(physicality_slack(covs), physicality_slack(reference.cov))
-    unphysical = ~(nu >= VACUUM_VAR - slack)
-    if np.any(unphysical):
-        raise ValueError(
-            "fidelity input is unphysical "
-            f"(min symplectic eigenvalue {nu[np.argmax(unphysical)]:.3e})"
-        )
+    _check_fidelity_inputs(np.concatenate([covs, reference.cov[None]]))
     if not reference.is_pure():
         return np.array([fidelity(GaussianState(reference.n_modes, cov), reference)
                          for cov in covs])

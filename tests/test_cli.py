@@ -96,6 +96,44 @@ def test_non_positive_schedule_values_are_config_errors(tmp_path, capsys, key, v
         assert f"config error: schedule '{key}'" in capsys.readouterr().err
 
 
+SWEEP_AXIS = {"param": "eta", "values": [0.9, 1.0]}
+
+
+@pytest.mark.parametrize("payload", [
+    dict(BASE, samples_per_step="abc"),
+    dict(BASE, schedule=dict(BASE["schedule"], t_mon_us="x")),
+    dict(BASE, schedule=dict(BASE["schedule"], t_mon_us=None)),
+    dict(BASE, sweep={"axes": [dict(SWEEP_AXIS, values=["a"])]}),
+    dict(BASE, sweep={"axes": ["eta"]}),
+    dict(BASE, gate=7),
+    dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
+                                "count": "x"}]}),
+], ids=["samples_per_step", "t_mon_us", "t_mon_us_null", "sweep_values",
+        "sweep_axis", "gate", "sweep_count"])
+def test_wrongly_typed_config_value_exits_with_config_error(tmp_path, capsys, payload):
+    with pytest.raises(ConfigError):
+        config_from_dict(payload)
+    path = write_config(tmp_path, payload)
+    for command in ("simulate", "sweep"):
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, 2.5])
+def test_samples_per_step_must_be_an_integer_of_at_least_two(tmp_path, value):
+    with pytest.raises(ConfigError, match="samples_per_step"):
+        config_from_dict(dict(BASE, samples_per_step=value))
+    path = write_config(tmp_path, dict(BASE, samples_per_step=value))
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+
+
+def test_two_samples_per_step_is_accepted():
+    assert config_from_dict(dict(BASE, samples_per_step=2)).samples_per_step == 2
+
+
 def test_config_requires_complete_params_without_preset():
     with pytest.raises(ConfigError, match="missing parameter"):
         config_from_dict({"params": {"eta": 1.0}})

@@ -375,24 +375,42 @@ def test_partial_trace_empty_keep_set():
 # physicality
 
 
-def test_normalize_angle_range():
-    for phi in (-7.0, -np.pi, 0.0, 2.5, np.pi, 9.0):
-        reduced = st.normalize_angle(phi)
-        assert -np.pi < reduced <= np.pi
-        assert np.isclose(np.cos(reduced), np.cos(phi))
-        assert np.isclose(np.sin(reduced), np.sin(phi))
+def test_is_physical_vacuum():
+    state = st.vacuum(2)
+    assert state.is_physical()
+    assert_allclose(state.symplectic_spectrum()[0], 0.5, atol=1e-12)
 
 
-def test_check_physical_vacuum():
-    ok, nu = st.check_physical(st.vacuum(2))
-    assert ok
-    assert_allclose(nu, 0.5, atol=1e-12)
+def test_is_physical_rejects_quarter_identity():
+    state = st.GaussianState(1, 0.25 * np.eye(2))
+    assert not state.is_physical()
+    assert_allclose(state.symplectic_spectrum()[0], 0.25, atol=1e-12)
 
 
-def test_check_physical_rejects_quarter_identity():
-    ok, nu = st.check_physical(st.GaussianState(1, 0.25 * np.eye(2)))
-    assert not ok
-    assert_allclose(nu, 0.25, atol=1e-12)
+def test_two_physicality_slacks():
+    # Propagated samples carry integration error and get PROPAGATION_ATOL =
+    # 1e-6; every other check gets PHYSICALITY_ATOL = 1e-9.
+    from mechmbqc import dynamics as dyn
+
+    for shortfall, propagated_ok in ((1e-8, True), (1e-5, False)):
+        nu = 0.5 - shortfall
+        cov = np.diag([nu, nu, 0.5, 0.5])
+        state = st.GaussianState(2, cov)
+        assert not state.is_physical()
+        with pytest.raises(ValueError, match="input state is unphysical"):
+            st.homodyne_project_covs(cov[None], 1, 0.3)
+        for pair in ((state, st.vacuum(2)), (st.vacuum(2), state)):
+            with pytest.raises(ValueError, match="fidelity input is unphysical"):
+                st.fidelity(*pair)
+        with pytest.raises(ValueError, match="fidelity input is unphysical"):
+            st.fidelity_to(cov[None], st.vacuum(2))
+        if propagated_ok:
+            dyn._check_samples([1.0], cov[None])
+        else:
+            with pytest.raises(dyn.PhysicalityError) as err:
+                dyn._check_samples([1.0], cov[None])
+            assert err.value.t == 1.0
+            assert_allclose(err.value.nu_min, nu, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +512,51 @@ def test_stacked_symplectic_eigenvalues_equal_per_matrix_calls(seed, n_modes, n_
     assert np.array_equal(stacked,
                           np.array([st.symplectic_eigenvalues(c) for c in covs]))
     assert np.array_equal(st.symplectic_eigenvalues(covs[None])[0], stacked)
+
+
+def first_unphysical_oracle(covs, atol):
+    """The physicality test spelled out one matrix at a time."""
+    for index, cov in enumerate(covs):
+        if not np.all(np.isfinite(cov)):
+            return index, -np.inf
+        nu_min = st.symplectic_eigenvalues(cov)[0]
+        if not nu_min >= 0.5 - max(atol, 1e-10 * np.max(np.abs(cov))):
+            return index, nu_min
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 4),
+       kinds=hst.lists(hst.sampled_from(["physical", "scaled", "nan"]),
+                       min_size=0, max_size=6),
+       atol=hst.sampled_from([1e-9, 1e-6]))
+def test_first_unphysical_equals_per_matrix_check(seed, n_modes, kinds, atol):
+    rng = np.random.default_rng(seed)
+    covs = []
+    for kind in kinds:
+        cov = random_physical_cov(rng, n_modes, pure=rng.random() < 0.3)
+        if kind == "scaled":
+            cov = rng.uniform(0.2, 1.0) * cov
+        elif kind == "nan":
+            cov[tuple(rng.integers(2 * n_modes, size=2))] = np.nan
+        covs.append(cov)
+    covs = np.array(covs).reshape(len(kinds), 2 * n_modes, 2 * n_modes)
+    assert st.first_unphysical(covs, atol) == first_unphysical_oracle(covs, atol)
+
+
+def test_first_unphysical_reports_nan_as_minus_infinity():
+    good = 0.5 * np.eye(2)
+    assert st.first_unphysical(np.array([good, good]), 1e-9) is None
+    stack = np.array([good, np.full((2, 2), np.nan), 0.25 * np.eye(2)])
+    assert st.first_unphysical(stack, 1e-9) == (1, -np.inf)
+    with pytest.raises(ValueError) as err:
+        st.homodyne_project_covs(np.array([np.full((4, 4), np.inf)]), 0, 0.0)
+    assert str(err.value) == "input state is unphysical (min symplectic eigenvalue -inf)"
+
+
+def test_quadratures_lists_row_pairs_in_order():
+    assert st.quadratures([2, 0]).tolist() == [4, 5, 0, 1]
+    assert st.quadratures([]).tolist() == []
 
 
 @settings(max_examples=40, deadline=None)
