@@ -10,7 +10,6 @@ configurations reproduce identical files.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -106,10 +105,8 @@ def _sweep_point(args):
 def cmd_sweep(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     if not config.sweep_axes:
         raise ConfigError("sweep command needs a 'sweep' section with axes")
-    names = [name for name, _ in config.sweep_axes]
-    grids = [values for _, values in config.sweep_axes]
-    points = list(itertools.product(*grids))
-    jobs = [(config, dict(zip(names, point))) for point in points]
+    points = config.sweep_points()
+    jobs = [(config, point) for point in points]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -118,8 +115,9 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
         results = [_sweep_point(job) for job in jobs]
 
     header = _base_header(config, "sweep")
+    names = [name for name, _ in config.sweep_axes]
     header["axes"] = " ".join(names)
-    columns = {name: [point[i] for point in points] for i, name in enumerate(names)}
+    columns = {name: [point[name] for point in points] for name in names}
     columns["final_fidelity"] = [res[0] for res in results]
     columns["max_fidelity"] = [res[1] for res in results]
     for k in range(config.n_steps()):

@@ -9,6 +9,7 @@ survive into the physics.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -46,14 +47,14 @@ class ExperimentConfig:
     """One experiment: parameter set, gate program, schedule and sweep axes."""
 
     param_values: dict
-    gate: str = "shear:1"
-    schedule_mode: str = "equal"
-    t_mon_us: float = 60.0
-    time_resolution_us: float = 2.0
-    max_step_us: float = 200.0
-    explicit_durations_us: tuple = ()
-    sweep_axes: tuple = ()
-    samples_per_step: int = 60
+    gate: str
+    schedule_mode: str
+    t_mon_us: float
+    time_resolution_us: float
+    max_step_us: float
+    explicit_durations_us: tuple
+    sweep_axes: tuple
+    samples_per_step: int
 
     def __post_init__(self):
         if not isinstance(self.gate, str):
@@ -96,6 +97,12 @@ class ExperimentConfig:
         if overrides:
             values.update(overrides)
         return params_from_dict(values, self.program().pattern.graph.n_nodes)
+
+    def sweep_points(self) -> list:
+        """Parameter overrides at each sweep grid point, last axis fastest."""
+        names = [name for name, _ in self.sweep_axes]
+        return [dict(zip(names, point)) for point in
+                itertools.product(*(values for _, values in self.sweep_axes))]
 
     def schedule(self) -> MonitoringSchedule:
         if self.schedule_mode == "equal":
@@ -193,7 +200,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sweep_axes=tuple(axes),
         samples_per_step=raw.get("samples_per_step", 60),
     )
-    config.physical_params()  # validate completeness and ranges up front
+    for overrides in config.sweep_points():  # validate every point up front
+        config.physical_params(overrides)
     return config
 
 

@@ -25,11 +25,9 @@ from .states import (
     GaussianState,
     GraphSpec,
     build_cluster,
+    condition_on_homodyne,
     cz_matrix,
-    homodyne_project_covs,
     is_symplectic,
-    quadratures,
-    symmetrize,
 )
 
 FOURIER = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -129,20 +127,13 @@ class MeasurementPattern:
         """Finish the pattern by ideal homodyne measurements, for each
         covariance in a stack ``(N, 2n, 2n)`` with one mode per graph node.
 
-        Every measured node is projected in turn, all matrices at once, any
-        node that is neither measured nor an output is traced out, and the
-        ``(N, 2m, 2m)`` stack of output-node covariances is returned in
-        output order. Each matrix must be symmetric and stay physical
-        through every projection (see :func:`homodyne_project_covs`).
+        One Gaussian conditioning on all measured quadratures (see
+        :func:`condition_on_homodyne`) gives the ``(N, 2m, 2m)`` stack of
+        output-node covariances in output order; every other node is traced
+        out. Each matrix must be symmetric and, if anything is left to
+        measure, physical.
         """
-        covs = symmetrize(covs)
-        remaining = list(range(self.graph.n_nodes))
-        for node, phi in zip(self.measured, self.phases):
-            idx = remaining.index(node)
-            covs = homodyne_project_covs(covs, idx, phi)
-            remaining.pop(idx)
-        keep = quadratures([remaining.index(m) for m in self.outputs])
-        return covs[:, keep][:, :, keep]
+        return condition_on_homodyne(covs, self.measured, self.phases, self.outputs)
 
     def complete(self, state: GaussianState) -> GaussianState:
         """The single-state form of :meth:`complete_covs`: the reduced

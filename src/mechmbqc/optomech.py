@@ -91,14 +91,15 @@ class PhysicalParams:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        for name in ("gamma", "kappa", "tau", "alpha_g"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.temperature_k < 0.0:
-            raise ValueError("temperature must be non-negative")
+        for name in ("gamma", "kappa", "tau", "alpha_g", "temperature_k"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        for name in ("r_post_meas_db", "r_cluster_db"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         freqs = tuple(float(w) for w in self.mech_frequencies)
-        if not freqs or any(w <= 0 for w in freqs):
-            raise ValueError("mechanical frequencies must be positive")
+        if not freqs or not all(0 < w < np.inf for w in freqs):
+            raise ValueError("mech_frequencies must be positive and finite")
         object.__setattr__(self, "mech_frequencies", freqs)
         w_min = min(freqs)
         if self.kappa >= w_min or self.alpha_g >= w_min:
@@ -230,8 +231,8 @@ class MonitoringSchedule:
 
     def __post_init__(self):
         durations = tuple(float(t) for t in self.durations)
-        if any(t <= 0 for t in durations):
-            raise ValueError("monitoring durations must be positive")
+        if not all(0 < t < np.inf for t in durations):
+            raise ValueError("monitoring durations must be positive and finite")
         object.__setattr__(self, "durations", durations)
 
     @staticmethod
@@ -538,8 +539,10 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
         (MonitoringSchedule, ProtocolResult) where the result's trace was
         produced by the optimized schedule.
     """
-    if time_resolution <= 0 or max_step_duration <= 0:
-        raise ValueError("time resolution and max duration must be positive")
+    for name, value in (("time_resolution", time_resolution),
+                        ("max_step_duration", max_step_duration)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     protocol = _prepare(program, params)
 
     cov = protocol.initial_cov()

@@ -26,9 +26,6 @@ SYMMETRY_RTOL = 1e-10
 # Slack allowed on the minimum symplectic eigenvalue of a physical state.
 PHYSICALITY_ATOL = 1e-9
 
-# Relative cutoff for discarding singular values in pseudoinverses.
-PINV_RCOND = 1e-12
-
 
 @cache
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -276,16 +273,6 @@ class GraphSpec:
         """Chain graph 0-1-...-(n-1)."""
         return GraphSpec(n_nodes, tuple((j, j + 1, weight) for j in range(n_nodes - 1)))
 
-    def neighbors(self, node: int):
-        """Mapping of neighbor -> edge weight for one node."""
-        out = {}
-        for j, k, w in self.edges:
-            if j == node:
-                out[k] = out.get(k, 0.0) + w
-            elif k == node:
-                out[j] = out.get(j, 0.0) + w
-        return out
-
 
 def build_cluster(graph: GraphSpec, r_cluster_db: float,
                   inputs: dict = None) -> GaussianState:
@@ -315,14 +302,13 @@ def nullifier_variances(state: GaussianState, graph: GraphSpec) -> np.ndarray:
 
     These vanish in the infinite-squeezing limit of an ideal cluster state.
     """
-    variances = np.empty(graph.n_nodes)
-    for node in range(graph.n_nodes):
-        vec = np.zeros(2 * state.n_modes)
-        vec[2 * node + 1] = 1.0
-        for other, w in graph.neighbors(node).items():
-            vec[2 * other] = -w
-        variances[node] = vec @ state.cov @ vec
-    return variances
+    vecs = np.zeros((graph.n_nodes, 2 * state.n_modes))
+    nodes = np.arange(graph.n_nodes)
+    vecs[nodes, 2 * nodes + 1] = 1.0
+    for j, k, w in graph.edges:
+        vecs[j, 2 * k] -= w
+        vecs[k, 2 * j] -= w
+    return np.array([vec @ state.cov @ vec for vec in vecs])
 
 
 def partial_trace(state: GaussianState, modes_to_keep) -> GaussianState:
@@ -336,48 +322,55 @@ def partial_trace(state: GaussianState, modes_to_keep) -> GaussianState:
     return GaussianState(len(keep), state.cov[np.ix_(idx, idx)])
 
 
-def homodyne_project_covs(covs: np.ndarray, mode: int, phi: float) -> np.ndarray:
-    """Project one mode of every covariance in a stack ``(N, 2n, 2n)``.
+def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
+    """Measure several modes at once, for each covariance in a stack
+    ``(N, 2n, 2n)``, and return the ``(N, 2k, 2k)`` stack of kept-mode
+    covariances, symmetrized.
 
-    The measured quadrature is X_phi = q cos(phi) + p sin(phi). Each matrix
-    is rotated so X_phi becomes the measured mode's q quadrature; the
-    remaining modes receive the Schur-complement update
-    ``sigma_A - sigma_AB (Pi sigma_B Pi)^+ sigma_AB^T`` with Pi = diag(1, 0),
-    and the measured mode is removed. At the covariance level the update is
-    independent of the measurement outcome. Each entry of the result is the
+    Mode ``modes[i]`` is measured in X_phi = q cos(phi) + p sin(phi) at
+    ``phi = phases[i]``. With R the rows of these quadratures, the kept
+    modes K (in the order given) are left with the Gaussian conditional
+    covariance ``sigma_KK - sigma_KR (R sigma R^T)^-1 sigma_RK``, whatever
+    the outcomes and the measurement order. Modes neither measured nor kept
+    are traced out. Measured and kept modes must all be distinct. Every
+    matrix must be symmetric and, if anything is measured, physical; that
+    is checked once, before any arithmetic. Each entry of the result is the
     one a stack holding only its matrix gives.
-
-    Args:
-        covs: symmetric covariances, all of them physical.
-        mode: index of the measured mode.
-        phi: quadrature angle in radians.
-
-    Returns:
-        The ``(N, 2n - 2, 2n - 2)`` stack of symmetrized results.
     """
     covs = np.asarray(covs, dtype=float)
+    modes = np.asarray(modes, dtype=int)
     n_modes = covs.shape[-1] // 2
+    nodes = [*modes.tolist(), *keep]
+    if len(set(nodes)) < len(nodes) or not set(nodes) <= set(range(n_modes)):
+        raise ValueError("measured and kept modes must be distinct modes of the state")
+    if len(modes):
+        unphysical = first_unphysical(covs, PHYSICALITY_ATOL)
+        if unphysical is not None:
+            raise ValueError("input state is unphysical (min symplectic eigenvalue "
+                             f"{unphysical[1]:.3e})")
+    covs = symmetrize(covs)
+    rows = np.zeros((len(modes), 2 * n_modes))
+    j = np.arange(len(modes))
+    rows[j, 2 * modes] = np.cos(phases)
+    rows[j, 2 * modes + 1] = np.sin(phases)
+    idx = quadratures(keep)
+    sigma_kr = covs[:, idx] @ rows.T
+    gain = np.linalg.solve(rows @ covs @ rows.T, np.swapaxes(sigma_kr, -1, -2))
+    return symmetrize(covs[:, idx][:, :, idx] - sigma_kr @ gain)
+
+
+def homodyne_project_covs(covs: np.ndarray, mode: int, phi: float) -> np.ndarray:
+    """Project one mode of every covariance in a stack ``(N, 2n, 2n)``
+    onto X_phi: the one-mode case of :func:`condition_on_homodyne`, which
+    removes the mode and keeps the others in order.
+    """
+    n_modes = np.shape(covs)[-1] // 2
     if not 0 <= mode < n_modes:
         raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
     if n_modes < 2:
         raise ValueError("measuring the only mode leaves no state behind")
-    unphysical = first_unphysical(covs, PHYSICALITY_ATOL)
-    if unphysical is not None:
-        raise ValueError("input state is unphysical (min symplectic eigenvalue "
-                         f"{unphysical[1]:.3e})")
-
-    rot = embed_single_mode(rotation_matrix(phi), n_modes, mode)
-    cov = rot @ covs @ rot.T
-
-    idx_a = np.delete(np.arange(2 * n_modes), quadratures([mode]))
-    idx_b = slice(2 * mode, 2 * mode + 2)
-    sigma_a = cov[:, idx_a][:, :, idx_a]
-    sigma_ab = cov[:, idx_a, idx_b]
-    sigma_b = cov[:, idx_b, idx_b]
-
-    pi = np.diag([1.0, 0.0])
-    gain = np.linalg.pinv(pi @ sigma_b @ pi, rcond=PINV_RCOND)
-    return symmetrize(sigma_a - sigma_ab @ gain @ np.swapaxes(sigma_ab, -1, -2))
+    keep = [m for m in range(n_modes) if m != mode]
+    return condition_on_homodyne(covs, [mode], [phi], keep)
 
 
 def homodyne_project(state: GaussianState, mode: int, phi: float) -> GaussianState:

@@ -134,6 +134,44 @@ def test_two_samples_per_step_is_accepted():
     assert config_from_dict(dict(BASE, samples_per_step=2)).samples_per_step == 2
 
 
+@pytest.mark.parametrize("key, field", [
+    ("gamma_hz", "gamma"), ("kappa_hz", "kappa"), ("tau_over_kappa", "tau"),
+    ("alpha_g_rad_per_s", "alpha_g"), ("temperature_k", "temperature_k"),
+    ("r_post_meas_db", "r_post_meas_db"), ("r_cluster_db", "r_cluster_db"),
+])
+def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, key, field):
+    # eta's range check always excluded NaN and inf.
+    for value in (np.nan, np.inf, -np.inf, "1e400"):
+        payload = dict(BASE, params={key: value})
+        with pytest.raises(ConfigError, match=f"{field} must be .*finite"):
+            config_from_dict(payload)
+        path = write_config(tmp_path, payload)
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("axis", [
+    {"param": "eta", "values": [1.0, 0.9, -1]},
+    {"param": "gamma_hz", "values": [0.0, 10.0, np.inf]},
+], ids=["eta", "gamma_hz"])
+def test_sweep_values_are_validated_before_any_point_runs(tmp_path, monkeypatch, axis):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_monitoring_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_monitoring_protocol", counting)
+    payload = dict(BASE, sweep={"axes": [axis]})
+    with pytest.raises(ConfigError, match=f"{axis['param'].removesuffix('_hz')} must"):
+        config_from_dict(payload)
+    path = write_config(tmp_path, payload)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert calls == []
+
+
 def test_config_requires_complete_params_without_preset():
     with pytest.raises(ConfigError, match="missing parameter"):
         config_from_dict({"params": {"eta": 1.0}})

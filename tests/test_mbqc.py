@@ -242,11 +242,35 @@ def test_projective_runners_follow_the_program_pattern():
     inp = st.squeeze_momentum(st.vacuum(1), 0, 5.0)
     program = mbqc.shear_program(2.0)
     pattern = program.pattern
-    by_hand = st.build_cluster(pattern.graph, 5.0, inputs={0: inp})
-    for phi in pattern.phases:
-        by_hand = st.homodyne_project(by_hand, 0, phi)
+    cluster = st.build_cluster(pattern.graph, 5.0, inputs={0: inp})
+    by_hand = st.condition_on_homodyne(cluster.cov[None], pattern.measured,
+                                       pattern.phases, pattern.outputs)[0]
     out = mbqc.run_projective(program, [inp], 5.0)
-    assert np.array_equal(out.cov, by_hand.cov)
+    assert np.array_equal(out.cov, by_hand)
+
+
+def test_completion_checks_its_input_once(monkeypatch):
+    calls = []
+    first_unphysical = st.first_unphysical
+
+    def counting(covs, atol):
+        calls.append(len(covs))
+        return first_unphysical(covs, atol)
+
+    monkeypatch.setattr(st, "first_unphysical", counting)
+    pattern = mbqc.cz_program().pattern
+    cluster = st.build_cluster(pattern.graph, 6.0)
+    pattern.complete_covs(np.array([cluster.cov] * 3))
+    assert calls == [3]
+    pattern.after(len(pattern.measured)).complete_covs(cluster.cov[None])
+    assert calls == [3]
+
+
+def test_completion_rejects_overlapping_or_missing_nodes():
+    cluster = st.build_cluster(st.GraphSpec.linear(3), 3.0).cov[None]
+    for modes, keep in (((1, 1), (0,)), ((1,), (1,)), ((3,), (0,)), ((1,), (-1,))):
+        with pytest.raises(ValueError, match="distinct modes of the state"):
+            st.condition_on_homodyne(cluster, modes, (0.3,) * len(modes), keep)
 
 
 def random_physical_cov(rng, n_modes):
@@ -277,3 +301,33 @@ def test_stacked_completion_equals_per_state_completion(seed, n_nodes, n_stack):
     assert stacked.shape == (n_stack, 2 * len(outputs), 2 * len(outputs))
     for cov, out in zip(covs, stacked):
         assert np.array_equal(out, pattern.complete(st.GaussianState(n_nodes, cov)).cov)
+
+
+def sequential_completion(pattern, cov):
+    """The pattern finished one projection at a time: each measured node is
+    projected in turn, tracking where the surviving nodes sit."""
+    state = st.GaussianState(pattern.graph.n_nodes, cov)
+    remaining = list(range(pattern.graph.n_nodes))
+    for node, phi in zip(pattern.measured, pattern.phases):
+        state = st.homodyne_project(state, remaining.index(node), phi)
+        remaining.remove(node)
+    return st.partial_trace(state, [remaining.index(m) for m in pattern.outputs]).cov
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_nodes=hst.integers(2, 6))
+def test_one_conditioning_equals_sequential_projections(seed, n_nodes):
+    # Conditioning on all measured quadratures at once is the same Gaussian
+    # update as projecting them one by one, in any order.
+    rng = np.random.default_rng(seed)
+    order = [int(m) for m in rng.permutation(n_nodes)]
+    n_measured = int(rng.integers(1, n_nodes))
+    rest = [int(m) for m in rng.permutation(order[n_measured:])]
+    pattern = mbqc.MeasurementPattern(
+        st.GraphSpec.linear(n_nodes), (), tuple(order[:n_measured]),
+        tuple(rng.uniform(-np.pi, np.pi, size=n_measured)),
+        tuple(rest[: int(rng.integers(1, len(rest) + 1))]))
+    covs = np.array([random_physical_cov(rng, n_nodes) for _ in range(3)])
+    for cov, out in zip(covs, pattern.complete_covs(covs)):
+        assert_allclose(out, sequential_completion(pattern, cov),
+                        rtol=0, atol=1e-11 * np.max(np.abs(cov)))

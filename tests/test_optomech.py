@@ -81,6 +81,21 @@ def test_params_validation():
         replace(om.params_set1(), kappa=1e9)
 
 
+# NaN first: an unchecked infinite search bound would never return. eta's
+# range check already excludes all three.
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("field", ["gamma", "kappa", "tau", "alpha_g", "temperature_k",
+                                   "r_post_meas_db", "r_cluster_db", "mech_frequencies"])
+def test_params_reject_non_finite_values(field):
+    p = om.params_set1()
+    for value in NON_FINITE:
+        bad = (value,) * p.n_mech if field == "mech_frequencies" else value
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            replace(p, **{field: bad})
+
+
 # ---------------------------------------------------------------------------
 # QND step construction
 
@@ -529,6 +544,15 @@ def test_optimizer_rejects_bad_arguments():
                              time_resolution=0.0, max_step_duration=1e-5)
 
 
+@pytest.mark.parametrize("argument", ["time_resolution", "max_step_duration"])
+def test_optimizer_rejects_non_finite_arguments(argument):
+    for value in NON_FINITE:
+        kwargs = dict(time_resolution=1e-6, max_step_duration=1e-5)
+        kwargs[argument] = value
+        with pytest.raises(ValueError, match=f"{argument} must be positive and finite"):
+            om.optimize_schedule(mbqc.identity_program(), om.params_set2(), **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # parameter-dependence behaviour
 
@@ -606,3 +630,9 @@ def test_schedule_validation():
         om.MonitoringSchedule((1e-6, 0.0))
     sched = om.MonitoringSchedule.equal(2e-6, 4)
     assert sched.total == pytest.approx(8e-6)
+
+
+def test_schedule_rejects_non_finite_durations():
+    for value in NON_FINITE:
+        with pytest.raises(ValueError, match="durations must be positive and finite"):
+            om.MonitoringSchedule((1e-6, value, 1e-6, 1e-6))
