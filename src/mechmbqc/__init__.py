@@ -10,7 +10,6 @@ from .states import (
     fidelity,
     fidelity_to,
     homodyne_project,
-    homodyne_project_covs,
     nullifier_variances,
     partial_trace,
     squeeze_momentum,

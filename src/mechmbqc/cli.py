@@ -108,6 +108,8 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     points = config.sweep_points()
     jobs = [(config, point) for point in points]
 
+    # A fork pool starts all of its workers on the first submit.
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))

@@ -79,6 +79,9 @@ class ExperimentConfig:
                 if not (isinstance(value, (int, float)) and 0 < value < np.inf):
                     raise ConfigError(f"schedule '{key}' must be positive and "
                                       f"finite, got {value!r}")
+        axis_names = [name for name, _ in self.sweep_axes]
+        if len(set(axis_names)) < len(axis_names):
+            raise ConfigError(f"sweep axes repeat a parameter: {axis_names}")
         for axis_name, values in self.sweep_axes:
             if axis_name not in PARAM_KEYS:
                 raise ConfigError(f"sweep axis '{axis_name}' is not a parameter")

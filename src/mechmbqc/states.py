@@ -26,6 +26,9 @@ SYMMETRY_RTOL = 1e-10
 # Slack allowed on the minimum symplectic eigenvalue of a physical state.
 PHYSICALITY_ATOL = 1e-9
 
+# Largest distance from vacuum of any symplectic eigenvalue of a pure state.
+PURITY_ATOL = 1e-7
+
 
 @cache
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -88,6 +91,13 @@ def first_unphysical(covs: np.ndarray, atol: float):
     if n_finite < len(covs):
         return n_finite, float("-inf")
     return None
+
+
+def is_pure_spectrum(spectra: np.ndarray, atol: float) -> np.ndarray:
+    """Whether each symplectic spectrum (along the last axis) is that of a
+    pure state: every eigenvalue within ``atol`` of vacuum. The one purity
+    test of the package."""
+    return np.all(np.abs(spectra - VACUUM_VAR) < atol, axis=-1)
 
 
 def quadratures(modes) -> np.ndarray:
@@ -154,9 +164,8 @@ class GaussianState:
     def is_physical(self) -> bool:
         return first_unphysical(self.cov[None], PHYSICALITY_ATOL) is None
 
-    def is_pure(self, atol: float = 1e-7) -> bool:
-        spectrum = self.symplectic_spectrum()
-        return bool(np.all(np.abs(spectrum - VACUUM_VAR) < atol))
+    def is_pure(self, atol: float = PURITY_ATOL) -> bool:
+        return bool(is_pure_spectrum(self.symplectic_spectrum(), atol))
 
     def _check_mode(self, mode: int):
         if not 0 <= mode < self.n_modes:
@@ -312,14 +321,11 @@ def nullifier_variances(state: GaussianState, graph: GraphSpec) -> np.ndarray:
 
 
 def partial_trace(state: GaussianState, modes_to_keep) -> GaussianState:
-    """Reduced state on the listed modes (order preserved)."""
+    """Reduced state on the listed modes (order preserved): a
+    :func:`condition_on_homodyne` that measures nothing, so the listed
+    modes must be distinct modes of the state."""
     keep = list(modes_to_keep)
-    if not keep:
-        raise ValueError("must keep at least one mode")
-    for mode in keep:
-        state._check_mode(mode)
-    idx = quadratures(keep)
-    return GaussianState(len(keep), state.cov[np.ix_(idx, idx)])
+    return GaussianState(len(keep), condition_on_homodyne(state.cov[None], [], [], keep)[0])
 
 
 def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
@@ -332,10 +338,11 @@ def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
     modes K (in the order given) are left with the Gaussian conditional
     covariance ``sigma_KK - sigma_KR (R sigma R^T)^-1 sigma_RK``, whatever
     the outcomes and the measurement order. Modes neither measured nor kept
-    are traced out. Measured and kept modes must all be distinct. Every
-    matrix must be symmetric and, if anything is measured, physical; that
-    is checked once, before any arithmetic. Each entry of the result is the
-    one a stack holding only its matrix gives.
+    are traced out. Measured and kept modes must all be distinct, at least
+    one mode must be kept, and there must be one phase per measured mode.
+    Every matrix must be symmetric and, if anything is measured, physical;
+    that is checked once, before any arithmetic. Each entry of the result
+    is the one a stack holding only its matrix gives.
     """
     covs = np.asarray(covs, dtype=float)
     modes = np.asarray(modes, dtype=int)
@@ -343,6 +350,10 @@ def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
     nodes = [*modes.tolist(), *keep]
     if len(set(nodes)) < len(nodes) or not set(nodes) <= set(range(n_modes)):
         raise ValueError("measured and kept modes must be distinct modes of the state")
+    if not len(keep):
+        raise ValueError("must keep at least one mode")
+    if len(phases) != len(modes):
+        raise ValueError(f"{len(phases)} phases for {len(modes)} measured modes")
     if len(modes):
         unphysical = first_unphysical(covs, PHYSICALITY_ATOL)
         if unphysical is not None:
@@ -359,28 +370,19 @@ def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
     return symmetrize(covs[:, idx][:, :, idx] - sigma_kr @ gain)
 
 
-def homodyne_project_covs(covs: np.ndarray, mode: int, phi: float) -> np.ndarray:
-    """Project one mode of every covariance in a stack ``(N, 2n, 2n)``
-    onto X_phi: the one-mode case of :func:`condition_on_homodyne`, which
-    removes the mode and keeps the others in order.
-    """
-    n_modes = np.shape(covs)[-1] // 2
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
-    if n_modes < 2:
-        raise ValueError("measuring the only mode leaves no state behind")
-    keep = [m for m in range(n_modes) if m != mode]
-    return condition_on_homodyne(covs, [mode], [phi], keep)
-
-
 def homodyne_project(state: GaussianState, mode: int, phi: float) -> GaussianState:
     """Project one mode of a state onto the quadrature X_phi.
 
-    The single-state form of :func:`homodyne_project_covs`, under the same
-    contract: ``state`` must be physical. Returns the GaussianState with one
-    fewer mode.
+    The one-mode, single-state case of :func:`condition_on_homodyne`: the
+    measured mode is removed and the others are kept in order. ``state``
+    must be physical and have another mode. Returns the GaussianState with
+    one fewer mode.
     """
-    cov = homodyne_project_covs(state.cov[None], mode, phi)[0]
+    state._check_mode(mode)
+    if state.n_modes < 2:
+        raise ValueError("measuring the only mode leaves no state behind")
+    keep = [m for m in range(state.n_modes) if m != mode]
+    cov = condition_on_homodyne(state.cov[None], [mode], [phi], keep)[0]
     return GaussianState(state.n_modes - 1, cov)
 
 
@@ -393,63 +395,54 @@ def _overlap(cov_sum: np.ndarray):
     return np.exp(-0.5 * logdet)
 
 
-def _check_fidelity_inputs(covs: np.ndarray):
-    unphysical = first_unphysical(covs, PHYSICALITY_ATOL)
-    if unphysical is not None:
-        raise ValueError("fidelity input is unphysical "
-                         f"(min symplectic eigenvalue {unphysical[1]:.3e})")
+def _mixed_fidelity(covs: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Unclipped fidelity of each mixed covariance ``s1`` in a stack to the
+    mixed ``ref = s2``: the closed form of Banchi, Braunstein & Pirandola,
+    PRL 115, 260501 (2015), via W.T (s1+s2)^-1 (W/4 + s2 W s1), W = Omega."""
+    dim = ref.shape[-1]
+    omega = symplectic_form(dim // 2)
+    sum_inv = np.linalg.inv(covs + ref)
+    v_aux = omega.T @ sum_inv @ (0.25 * omega + ref @ omega @ covs)
+    w = v_aux @ omega
+    inner = np.eye(dim) + 0.25 * np.linalg.inv(w @ w)
+    # scipy>=1.10 does not promise a batched sqrtm, so take one at a time.
+    core = np.array([sla.sqrtm(m).real for m in inner]).reshape(inner.shape)
+    total = 2.0 * (core + np.eye(dim)) @ v_aux
+    return np.sqrt(np.linalg.det(total) * np.linalg.det(sum_inv))
 
 
 def fidelity(state1: GaussianState, state2: GaussianState) -> float:
-    """Uhlmann fidelity F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2.
-
-    Uses the overlap shortcut ``1/sqrt(det(sigma1 + sigma2))`` when either
-    state is pure (exact in that case) and the general closed form for a pair
-    of mixed Gaussian states otherwise. Both states must be physical, have
-    equal mode counts and zero means.
+    """Uhlmann fidelity F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 of two
+    zero-mean states: the one-entry case of :func:`fidelity_to`, under its
+    contract (both physical, equal mode counts; ``state2`` is checked last).
 
     Returns:
         Fidelity in [0, 1]; 1 iff the covariances coincide.
     """
-    if state1.n_modes != state2.n_modes:
-        raise ValueError("fidelity needs equal mode counts")
-    _check_fidelity_inputs(np.array([state1.cov, state2.cov]))
-
-    cov_sum = state1.cov + state2.cov
-    if state1.is_pure() or state2.is_pure():
-        return float(min(1.0, _overlap(cov_sum)))
-
-    # General mixed-Gaussian closed form via the auxiliary matrix
-    # W.T (s1+s2)^-1 (W/4 + s2 W s1) with W the symplectic form.
-    n = state1.n_modes
-    s1, s2 = state1.cov, state2.cov
-    omega = symplectic_form(n)
-    sum_inv = np.linalg.inv(cov_sum)
-    v_aux = omega.T @ sum_inv @ (0.25 * omega + s2 @ omega @ s1)
-    w = v_aux @ omega
-    core = sla.sqrtm(np.eye(2 * n) + 0.25 * np.linalg.inv(w @ w))
-    if np.iscomplexobj(core):
-        core = core.real
-    total = 2.0 * (core + np.eye(2 * n)) @ v_aux
-    f = np.sqrt(np.linalg.det(total) * np.linalg.det(sum_inv))
-    return float(min(1.0, f))
+    return float(fidelity_to(state1.cov[None], state2)[0])
 
 
 def fidelity_to(covs: np.ndarray, reference: GaussianState) -> np.ndarray:
-    """Fidelity of each covariance in a stack ``(N, 2n, 2n)`` to one state.
+    """Uhlmann fidelity of each covariance in a stack ``(N, 2n, 2n)`` to one
+    zero-mean state, clipped to 1; the package's only fidelity kernel.
 
-    Entry ``i`` equals ``fidelity(GaussianState(n, covs[i]), reference)``
-    under the same contract: every matrix must be symmetric, and every
-    matrix and the reference physical. With a pure reference each entry is
-    the overlap ``min(1, 1/sqrt(det(sigma_i + sigma_ref)))``, from one
-    batched determinant; otherwise each entry goes through :func:`fidelity`.
+    Every matrix must be symmetric with the reference's shape, and all of
+    them and then the reference physical (one :func:`first_unphysical`
+    call). A pair with a pure state gets the exact overlap
+    ``1/sqrt(det(sigma_i + sigma_ref))``; only pairs of two mixed states take
+    the general closed form. Each entry is the one a stack of one gives.
     """
     covs = np.asarray(covs, dtype=float)
     if covs.ndim != 3 or covs.shape[1:] != reference.cov.shape:
         raise ValueError("fidelity needs equal mode counts")
     covs = symmetrize(covs)
-    _check_fidelity_inputs(np.concatenate([covs, reference.cov[None]]))
+    unphysical = first_unphysical(np.concatenate([covs, reference.cov[None]]),
+                                  PHYSICALITY_ATOL)
+    if unphysical is not None:
+        raise ValueError("fidelity input is unphysical "
+                         f"(min symplectic eigenvalue {unphysical[1]:.3e})")
+    fids = _overlap(covs + reference.cov)
     if not reference.is_pure():
-        return np.array([fidelity(GaussianState(reference.n_modes, cov), reference)
-                         for cov in covs])
-    return np.minimum(1.0, _overlap(covs + reference.cov))
+        mixed = ~is_pure_spectrum(symplectic_eigenvalues(covs), PURITY_ATOL)
+        fids[mixed] = _mixed_fidelity(covs[mixed], reference.cov)
+    return np.minimum(1.0, fids)

@@ -307,6 +307,52 @@ def test_sweep_outputs_are_worker_count_independent(tmp_path):
     assert len(data) == 5  # header plus four grid points
 
 
+def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    payload = dict(BASE)
+    for values, expected_pools in (([1.0, 0.9], [2]), ([0.9], [])):
+        payload["sweep"] = {"axes": [{"param": "eta", "values": values}]}
+        path = write_config(tmp_path, payload)
+        outputs = []
+        for workers in ("1000", "1"):
+            out = tmp_path / f"w{workers}-{len(values)}"
+            assert cli.main(["sweep", "--config", str(path), "--out", str(out),
+                             "--workers", workers]) == 0
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert pools == expected_pools
+        assert outputs[0] == outputs[1]
+        pools.clear()
+
+
+def test_sweep_rejects_a_repeated_axis(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_monitoring_protocol",
+                        lambda *args, **kwargs: calls.append(args))
+    payload = dict(BASE)
+    payload["sweep"] = {"axes": [{"param": "eta", "values": [0.9, 1.0]},
+                                 {"param": "eta", "values": [0.5]}]}
+    with pytest.raises(ConfigError, match="repeat a parameter"):
+        config_from_dict(payload)
+    path = write_config(tmp_path, payload)
+    assert cli.main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "s")]) == 2
+    assert calls == []
+
+
 def test_sweep_requires_axes(tmp_path):
     path = write_config(tmp_path, BASE)
     assert cli.main(["sweep", "--config", str(path),

@@ -273,6 +273,13 @@ def test_completion_rejects_overlapping_or_missing_nodes():
             st.condition_on_homodyne(cluster, modes, (0.3,) * len(modes), keep)
 
 
+def test_completion_needs_one_phase_per_measured_mode():
+    cluster = st.build_cluster(st.GraphSpec.linear(5), 3.0).cov[None]
+    for phases in ((np.pi / 2.0,), (0.1, 0.2, 0.3, 0.4, 0.5)):
+        with pytest.raises(ValueError, match="phases for 4 measured modes"):
+            st.condition_on_homodyne(cluster, (0, 1, 2, 3), phases, (4,))
+
+
 def random_physical_cov(rng, n_modes):
     """A thermal state under a random symplectic map expm(Omega K)."""
     dim = 2 * n_modes

@@ -215,6 +215,17 @@ def test_protocol_schedule_length_must_match():
                                    om.MonitoringSchedule.equal(1e-6, 2))
 
 
+def test_protocol_rejects_a_pattern_with_fewer_phases_than_measurements():
+    # One angle for four measured nodes would be broadcast to all four by
+    # completion while the monitor ran a single step.
+    pattern = mbqc.MeasurementPattern(st.GraphSpec.linear(5), (0,), (0, 1, 2, 3),
+                                      (np.pi / 2.0,), (4,))
+    program = mbqc.GateProgram(pattern, np.eye(2), "short", ())
+    with pytest.raises(ValueError, match="1 phases for 4 measured modes"):
+        om.run_monitoring_protocol(program, om.params_set1(),
+                                   om.MonitoringSchedule.equal(40e-6, 1))
+
+
 def test_protocol_frozen_cluster_without_drive_or_loss():
     # alpha_g = 0 and no losses: the mechanical covariance cannot move.
     p = replace(om.params_set2(), alpha_g=0.0)

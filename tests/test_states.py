@@ -371,6 +371,14 @@ def test_partial_trace_empty_keep_set():
         st.partial_trace(st.vacuum(2), [])
 
 
+def test_partial_trace_rejects_a_repeated_mode():
+    # Keeping a mode twice would duplicate its quadratures into a singular,
+    # unphysical "state".
+    cluster = st.build_cluster(st.GraphSpec.linear(3), 3.0)
+    with pytest.raises(ValueError, match="distinct modes of the state"):
+        st.partial_trace(cluster, [0, 0])
+
+
 # ---------------------------------------------------------------------------
 # physicality
 
@@ -398,7 +406,7 @@ def test_two_physicality_slacks():
         state = st.GaussianState(2, cov)
         assert not state.is_physical()
         with pytest.raises(ValueError, match="input state is unphysical"):
-            st.homodyne_project_covs(cov[None], 1, 0.3)
+            st.condition_on_homodyne(cov[None], [1], [0.3], [0])
         for pair in ((state, st.vacuum(2)), (st.vacuum(2), state)):
             with pytest.raises(ValueError, match="fidelity input is unphysical"):
                 st.fidelity(*pair)
@@ -550,7 +558,7 @@ def test_first_unphysical_reports_nan_as_minus_infinity():
     stack = np.array([good, np.full((2, 2), np.nan), 0.25 * np.eye(2)])
     assert st.first_unphysical(stack, 1e-9) == (1, -np.inf)
     with pytest.raises(ValueError) as err:
-        st.homodyne_project_covs(np.array([np.full((4, 4), np.inf)]), 0, 0.0)
+        st.condition_on_homodyne(np.array([np.full((4, 4), np.inf)]), [0], [0.0], [1])
     assert str(err.value) == "input state is unphysical (min symplectic eigenvalue -inf)"
 
 
@@ -590,6 +598,23 @@ def test_fidelity_to_rejects_unphysical_and_asymmetric_entries():
         st.fidelity_to(np.array([0.5 * np.eye(4)]), reference)
 
 
+def test_mixed_reference_fidelity_to_checks_its_input_once(monkeypatch):
+    calls = []
+    first_unphysical = st.first_unphysical
+
+    def counting(covs, atol):
+        calls.append(len(covs))
+        return first_unphysical(covs, atol)
+
+    rng = np.random.default_rng(7)
+    covs = np.array([random_physical_cov(rng, 2, pure=k == 0) for k in range(5)])
+    reference = st.thermal(2, [0.3, 1.2])
+    expected = [st.fidelity(st.GaussianState(2, c), reference) for c in covs]
+    monkeypatch.setattr(st, "first_unphysical", counting)
+    assert np.array_equal(st.fidelity_to(covs, reference), expected)
+    assert calls == [6]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(2, 6),
        n_stack=hst.integers(1, 6), phi=hst.floats(-np.pi, np.pi))
@@ -598,7 +623,8 @@ def test_stacked_projection_equals_per_state_projection(seed, n_modes, n_stack, 
     covs = np.array([random_physical_cov(rng, n_modes, pure=rng.random() < 0.3)
                      for _ in range(n_stack)])
     mode = int(rng.integers(n_modes))
-    stacked = st.homodyne_project_covs(covs, mode, phi)
+    keep = [m for m in range(n_modes) if m != mode]
+    stacked = st.condition_on_homodyne(covs, [mode], [phi], keep)
     assert stacked.shape == (n_stack, 2 * n_modes - 2, 2 * n_modes - 2)
     for cov, out in zip(covs, stacked):
         single = st.homodyne_project(st.GaussianState(n_modes, cov), mode, phi)
@@ -613,6 +639,6 @@ def test_stacked_projection_rejects_one_unphysical_entry_as_a_single_call_does()
     with pytest.raises(ValueError) as single:
         st.homodyne_project(st.GaussianState(2, bad), 1, 0.3)
     with pytest.raises(ValueError) as stacked:
-        st.homodyne_project_covs(np.array([good, bad, good]), 1, 0.3)
+        st.condition_on_homodyne(np.array([good, bad, good]), [1], [0.3], [0])
     assert str(stacked.value) == str(single.value)
     assert str(single.value) == "input state is unphysical (min symplectic eigenvalue 2.500e-01)"
