@@ -21,7 +21,6 @@ from .states import (
 from .mbqc import (
     GateProgram,
     MeasurementPattern,
-    compose_oracle,
     cz_program,
     expected_output,
     fourier_program,

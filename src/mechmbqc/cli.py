@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, mbqc
+from . import __version__
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .dynamics import PhysicalityError
 from .optomech import optimize_schedule, run_monitoring_protocol
@@ -161,14 +161,7 @@ def cmd_oracle(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     pattern = program.pattern
     cluster = build_cluster(pattern.graph, r_db)
     output = pattern.complete(cluster)
-    if program.lambdas:
-        header["lambdas"] = " ".join(f"{x:.6g}" for x in program.lambdas)
-        check = np.max(np.abs(
-            mbqc.compose_oracle(program.lambdas) - program.target
-        ))
-        header["teleportation_identity_maxerr"] = f"{check:.3e}"
-    else:
-        header["reference"] = "dual-rail CZ with per-rail Fourier by-product"
+    header["phases"] = " ".join(f"{x:.12g}" for x in pattern.phases)
     header["target_matrix"] = " ".join(f"{x:.12g}" for x in program.target.ravel())
 
     nullifiers = nullifier_variances(cluster, pattern.graph)

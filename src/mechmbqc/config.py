@@ -28,6 +28,13 @@ PARAM_KEYS = tuple(PRESETS["set1"].keys())
 _SCHEDULE_MODES = ("equal", "optimized", "explicit")
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def params_from_dict(values: dict, n_mech: int) -> PhysicalParams:
     """Convert a config-units parameter mapping to PhysicalParams."""
     unknown = set(values) - set(PARAM_KEYS)
@@ -36,15 +43,22 @@ def params_from_dict(values: dict, n_mech: int) -> PhysicalParams:
     missing = set(PARAM_KEYS) - set(values)
     if missing:
         raise ConfigError(f"missing parameter keys: {sorted(missing)}")
+    values = {key: _number(value, f"parameter '{key}'")
+              for key, value in values.items()}
     try:
         return PhysicalParams.from_values(values, n_mech)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: parameter set, gate program, schedule and sweep axes."""
+    """One experiment: parameter set, gate program, schedule and sweep axes.
+
+    ``samples_per_step`` applies to monitored runs of a fixed schedule only;
+    ``optimize`` and optimized sweeps always replay at
+    ``optomech.SAMPLES_PER_STEP`` (120) samples per step.
+    """
 
     param_values: dict
     gate: str
@@ -76,7 +90,7 @@ class ExperimentConfig:
                             ("max_step_us", (self.max_step_us,)),
                             ("durations_us", self.explicit_durations_us)):
             for value in values:
-                if not (isinstance(value, (int, float)) and 0 < value < np.inf):
+                if not 0 < _number(value, f"schedule '{key}'") < np.inf:
                     raise ConfigError(f"schedule '{key}' must be positive and "
                                       f"finite, got {value!r}")
         axis_names = [name for name, _ in self.sweep_axes]
@@ -92,7 +106,7 @@ class ExperimentConfig:
         return named_program(self.gate)
 
     def n_steps(self) -> int:
-        return len(self.program().measurement_phases())
+        return len(self.program().pattern.measured)
 
     def physical_params(self, overrides: dict = None) -> PhysicalParams:
         """Parameters with one resonator per node of the program's cluster."""
@@ -137,17 +151,17 @@ def _convert(kind, value, what: str):
 
 def _axis_values(spec: dict) -> list:
     if "values" in spec:
-        return [_convert(float, v, "sweep value")
+        return [_number(v, "sweep value")
                 for v in _convert(list, spec["values"], "sweep axis 'values'")]
     try:
         start, stop, count = spec["start"], spec["stop"], spec["count"]
     except KeyError as exc:
         raise ConfigError(f"sweep axis needs 'values' or start/stop/count: {exc}")
-    start, stop = (_convert(float, x, "sweep axis start/stop") for x in (start, stop))
-    count = _convert(int, count, "sweep axis count")
-    if count < 1:
-        raise ConfigError("sweep axis count must be positive")
-    return [float(v) for v in np.linspace(start, stop, count)]
+    start, stop = (_number(x, "sweep axis start/stop") for x in (start, stop))
+    count = _number(count, "sweep axis count")
+    if not (count >= 1 and count.is_integer()):
+        raise ConfigError(f"sweep axis count must be a positive integer, got {count!r}")
+    return [float(v) for v in np.linspace(start, stop, int(count))]
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -188,7 +202,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError("sweeps support one or two axes")
 
     t_mon_us, resolution_us, max_step_us = (
-        _convert(float, schedule.get(key, default), f"schedule '{key}'")
+        _number(schedule.get(key, default), f"schedule '{key}'")
         for key, default in (("t_mon_us", 60.0), ("resolution_us", 2.0),
                              ("max_step_us", 200.0)))
     config = ExperimentConfig(

@@ -5,12 +5,14 @@ that runs it (cluster graph, input, measured and output nodes, quadrature
 angles) and the symplectic matrix that pattern implements on its inputs in
 the infinite-squeezing limit. The projective runner, the monitored protocol,
 the optimizer and the CLI all read these two fields; none of them asks what
-kind of program it holds.
+kind of program it holds; besides them the record has only a name.
 
 Two constructors hold the cluster layouts. :func:`single_mode_program` turns
 four shear parameters ``(lambda1, ..., lambda4)`` into the measurements
 ``p + lambda_j q`` on the first four nodes of a five-node chain, which
-teleport the input (node 0) to node 4 with the gate applied.
+teleport the input (node 0) to node 4 with the gate applied; the target is
+the closed form :func:`lambdas_to_symplectic` (the tests check it against
+the product of the four teleportations).
 :func:`cz_program` is the two-mode CZ on the four-node dual rail.
 """
 
@@ -53,15 +55,6 @@ def lambdas_to_symplectic(lambdas) -> np.ndarray:
     )
 
 
-def compose_oracle(lambdas) -> np.ndarray:
-    """The same gate built the long way, as the product f s(l4) f s(l3) f s(l2) f s(l1)."""
-    l1, l2, l3, l4 = lambdas
-    out = np.eye(2)
-    for lam in (l1, l2, l3, l4):
-        out = FOURIER @ shear_matrix(lam) @ out
-    return out
-
-
 def lambda_to_phase(lam: float) -> float:
     """Quadrature angle measuring p + lam q, i.e. phi = arctan(1/lam).
 
@@ -77,11 +70,12 @@ def gate_to_lambdas(matrix) -> tuple:
 
     The program is not unique; this picks the branch with lambda1 = 0 when
     the lower-left entry is non-zero and falls back to the remaining cases
-    otherwise. Raises ValueError for non-symplectic input.
+    otherwise. Raises ValueError for non-finite or non-symplectic input.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.shape != (2, 2) or abs(np.linalg.det(m) - 1.0) > 1e-9:
-        raise ValueError("target must be a 2x2 matrix with unit determinant")
+    if (m.shape != (2, 2) or not np.isfinite(m).all()
+            or abs(np.linalg.det(m) - 1.0) > 1e-9):
+        raise ValueError("target must be a finite 2x2 matrix with unit determinant")
     m11, m12 = m[0]
     m21, m22 = m[1]
     if abs(m21) > 1e-12:
@@ -158,15 +152,11 @@ class GateProgram:
         target: the 2m x 2m symplectic matrix the pattern implements on its
             m input modes in the infinite-squeezing limit; read-only.
         name: label used in results and reports.
-        lambdas: the four shear parameters of a single-mode chain program
-            (see :func:`single_mode_program`), or ``()`` for any other
-            program.
     """
 
     pattern: MeasurementPattern
     target: np.ndarray = field(repr=False)
     name: str
-    lambdas: tuple
 
     def __post_init__(self):
         target = np.array(self.target, dtype=float)
@@ -177,11 +167,9 @@ class GateProgram:
         object.__setattr__(self, "target", target)
 
     def measurement_phases(self) -> tuple:
-        """Quadrature angles, one per measurement step."""
+        """``pattern.phases``. The package reads that field; this wrapper
+        stays only for the benchmark harness, which still calls it."""
         return self.pattern.phases
-
-    def target_matrix(self) -> np.ndarray:
-        return self.target
 
 
 def single_mode_program(lambdas, name: str) -> GateProgram:
@@ -189,14 +177,16 @@ def single_mode_program(lambdas, name: str) -> GateProgram:
 
     The input on node 0 of a five-node chain is teleported to node 4 by
     measuring nodes 0..3 in the bases p + lambda_j q; the gate is
-    :func:`lambdas_to_symplectic` of the parameters.
+    :func:`lambdas_to_symplectic` of the parameters, which must be finite.
     """
     lambdas = tuple(float(x) for x in lambdas)
     if len(lambdas) != 4:
         raise ValueError("single-mode programs use exactly four measurements")
+    if not np.isfinite(lambdas).all():
+        raise ValueError(f"shear parameters must be finite, got {lambdas}")
     phases = tuple(lambda_to_phase(lam) for lam in lambdas)
     pattern = MeasurementPattern(GraphSpec.linear(5), (0,), (0, 1, 2, 3), phases, (4,))
-    return GateProgram(pattern, lambdas_to_symplectic(lambdas), name, lambdas)
+    return GateProgram(pattern, lambdas_to_symplectic(lambdas), name)
 
 
 def cz_program() -> GateProgram:
@@ -210,7 +200,7 @@ def cz_program() -> GateProgram:
     pattern = MeasurementPattern(GraphSpec.linear(4), (1, 2), (1, 2),
                                  (np.pi / 2.0, np.pi / 2.0), (0, 3))
     target = block_diag(FOURIER, FOURIER) @ cz_matrix(2, 0, 1)
-    return GateProgram(pattern, target, "cz", ())
+    return GateProgram(pattern, target, "cz")
 
 
 def identity_program() -> GateProgram:

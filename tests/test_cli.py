@@ -2,6 +2,7 @@
 and deterministic reproduction."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ import pytest
 from mechmbqc import cli
 from mechmbqc.config import ConfigError, PRESETS, config_from_dict, load_config
 from mechmbqc.optomech import run_monitoring_protocol
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -108,8 +112,23 @@ SWEEP_AXIS = {"param": "eta", "values": [0.9, 1.0]}
     dict(BASE, gate=7),
     dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
                                 "count": "x"}]}),
+    # Booleans and numeric strings are not numbers either.
+    dict(BASE, params={"gamma_hz": True}),
+    dict(BASE, params={"temperature_k": False}),
+    dict(BASE, params={"eta": "0.5"}),
+    dict(BASE, schedule=dict(BASE["schedule"], t_mon_us=True)),
+    dict(BASE, schedule={"mode": "explicit", "durations_us": [3.0, True, 3.0, 3.0]}),
+    dict(BASE, sweep={"axes": [dict(SWEEP_AXIS, values=[0.9, True])]}),
+    dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
+                                "count": True}]}),
+    dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
+                                "count": 2.5}]}),
+    dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
+                                "count": np.inf}]}),
 ], ids=["samples_per_step", "t_mon_us", "t_mon_us_null", "sweep_values",
-        "sweep_axis", "gate", "sweep_count"])
+        "sweep_axis", "gate", "sweep_count", "gamma_hz_bool", "temperature_k_bool",
+        "eta_string", "t_mon_us_bool", "durations_us_bool", "sweep_value_bool",
+        "sweep_count_bool", "sweep_count_fraction", "sweep_count_inf"])
 def test_wrongly_typed_config_value_exits_with_config_error(tmp_path, capsys, payload):
     with pytest.raises(ConfigError):
         config_from_dict(payload)
@@ -140,12 +159,14 @@ def test_two_samples_per_step_is_accepted():
     ("r_post_meas_db", "r_post_meas_db"), ("r_cluster_db", "r_cluster_db"),
 ])
 def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, key, field):
-    # eta's range check always excluded NaN and inf.
-    for value in (np.nan, np.inf, -np.inf, "1e400"):
-        payload = dict(BASE, params={key: value})
+    # eta's range check always excluded NaN and inf. The JSON number 1e400
+    # overflows to inf when parsed.
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        text = json.dumps(dict(BASE, params={key: "@"})).replace('"@"', literal)
         with pytest.raises(ConfigError, match=f"{field} must be .*finite"):
-            config_from_dict(payload)
-        path = write_config(tmp_path, payload)
+            config_from_dict(json.loads(text))
+        path = tmp_path / "config.json"
+        path.write_text(text)
         assert cli.main(["simulate", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field} must be")
@@ -377,4 +398,23 @@ def test_oracle_cz_variant(tmp_path):
     out = tmp_path / "cz"
     assert cli.main(["oracle", "--config", str(path), "--out", str(out)]) == 0
     text = (out / "oracle.csv").read_text()
-    assert "dual-rail" in text
+    assert "# gate: cz\n" in text
+    assert f"# phases: {np.pi / 2:.12g} {np.pi / 2:.12g}\n" in text
+    # The CZ dressed by the per-rail Fourier by-product, (f + f) S_CZ.
+    assert "# target_matrix: 0 -1 -1 0 1 0 0 0 -1 0 0 -1 0 0 1 0\n" in text
+
+
+def test_shipped_example_configs_load_and_run_oracle(tmp_path):
+    paths = sorted(EXAMPLES.glob("*.json"))
+    assert paths
+    for path in paths:
+        config = load_config(path)
+        out = tmp_path / path.stem
+        assert cli.main(["oracle", "--config", str(path), "--out", str(out)]) == 0
+        header = dict(line[2:].split(": ", 1) for line in
+                      (out / "oracle.csv").read_text().splitlines()
+                      if line.startswith("# "))
+        phases = config.program().pattern.phases
+        assert header["gate"] == config.gate
+        assert header["phases"] == " ".join(f"{phi:.12g}" for phi in phases)
+        assert len(phases) == config.n_steps()

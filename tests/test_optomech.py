@@ -220,7 +220,7 @@ def test_protocol_rejects_a_pattern_with_fewer_phases_than_measurements():
     # completion while the monitor ran a single step.
     pattern = mbqc.MeasurementPattern(st.GraphSpec.linear(5), (0,), (0, 1, 2, 3),
                                       (np.pi / 2.0,), (4,))
-    program = mbqc.GateProgram(pattern, np.eye(2), "short", ())
+    program = mbqc.GateProgram(pattern, np.eye(2), "short")
     with pytest.raises(ValueError, match="1 phases for 4 measured modes"):
         om.run_monitoring_protocol(program, om.params_set1(),
                                    om.MonitoringSchedule.equal(40e-6, 1))
