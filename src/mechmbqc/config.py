@@ -29,10 +29,15 @@ _SCHEDULE_MODES = ("equal", "optimized", "explicit")
 
 
 def _number(value, what: str) -> float:
-    """A JSON number as a float; booleans and strings are not numbers."""
+    """A JSON number as a float; booleans and strings are not numbers, and
+    an integer beyond the float range is not finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} must be finite, got an integer beyond "
+                          "the float range") from None
 
 
 def params_from_dict(values: dict, n_mech: int) -> PhysicalParams:
@@ -228,6 +233,6 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, non-UTF-8 bytes or an over-long integer
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(raw)

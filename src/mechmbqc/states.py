@@ -77,13 +77,28 @@ def first_unphysical(covs: np.ndarray, atol: float):
     vacuum by more than the slack ``max(atol, 1e-10 * max|cov|)``, which
     scales with the matrix because highly squeezed covariances stress the
     eigensolver. This is the one physicality test of the package.
+
+    A verdict is reached in two stages. A finite, non-empty stack is first
+    certified by one batched Cholesky of the Hermitian ``cov + i c Omega``
+    with ``c = 1/2 - slack``: it exists exactly when ``nu_min >= c``
+    (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)), and then the answer is
+    ``None``. Only a stack the certificate does not pass, or one holding a
+    NaN or inf, takes the spectral path, which decides, finds the first
+    failing index and reports its ``nu_min``.
     """
     covs = np.asarray(covs, dtype=float)
     finite = np.isfinite(covs).all(axis=(-2, -1))
     n_finite = len(covs) if finite.all() else int(np.argmin(finite))
     checked = covs[:n_finite]
-    nu_min = symplectic_eigenvalues(checked)[:, 0]
     slack = np.maximum(atol, 1e-10 * np.max(np.abs(checked), axis=(-2, -1)))
+    if n_finite and n_finite == len(covs):
+        omega = symplectic_form(covs.shape[-1] // 2)
+        try:
+            np.linalg.cholesky(covs + 1j * (VACUUM_VAR - slack)[:, None, None] * omega)
+            return None
+        except np.linalg.LinAlgError:
+            pass
+    nu_min = symplectic_eigenvalues(checked)[:, 0]
     unphysical = ~(nu_min >= VACUUM_VAR - slack)
     if np.any(unphysical):
         first = int(np.argmax(unphysical))
@@ -109,6 +124,9 @@ def quadratures(modes) -> np.ndarray:
 def symmetrize(cov: np.ndarray) -> np.ndarray:
     """Symmetric part of a covariance matrix, or of each in a stack.
 
+    A skew that is not a number (``inf - inf``, NaN) is not measured, so a
+    non-finite matrix is left for :func:`first_unphysical` to reject.
+
     Raises:
         ValueError: if a matrix departs from symmetry by more than
             ``SYMMETRY_RTOL`` relative to its largest entry (at least 1).
@@ -116,7 +134,9 @@ def symmetrize(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     transposed = np.swapaxes(cov, -1, -2)
     scale = np.maximum(np.max(np.abs(cov), axis=(-2, -1)), 1.0)
-    if np.any(np.max(np.abs(cov - transposed), axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+    with np.errstate(invalid="ignore"):
+        skew = np.max(np.abs(cov - transposed), axis=(-2, -1))
+    if np.any(skew > SYMMETRY_RTOL * scale):
         raise ValueError("covariance matrix is not symmetric")
     return 0.5 * (cov + transposed)
 
@@ -341,8 +361,9 @@ def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
     are traced out. Measured and kept modes must all be distinct, at least
     one mode must be kept, and there must be one phase per measured mode.
     Every matrix must be symmetric and, if anything is measured, physical;
-    that is checked once, before any arithmetic. Each entry of the result
-    is the one a stack holding only its matrix gives.
+    symmetry is checked first, then physicality, both before any
+    arithmetic. Each entry of the result is the one a stack holding only
+    its matrix gives.
     """
     covs = np.asarray(covs, dtype=float)
     modes = np.asarray(modes, dtype=int)
@@ -354,12 +375,12 @@ def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
         raise ValueError("must keep at least one mode")
     if len(phases) != len(modes):
         raise ValueError(f"{len(phases)} phases for {len(modes)} measured modes")
+    covs = symmetrize(covs)
     if len(modes):
         unphysical = first_unphysical(covs, PHYSICALITY_ATOL)
         if unphysical is not None:
             raise ValueError("input state is unphysical (min symplectic eigenvalue "
                              f"{unphysical[1]:.3e})")
-    covs = symmetrize(covs)
     rows = np.zeros((len(modes), 2 * n_modes))
     j = np.arange(len(modes))
     rows[j, 2 * modes] = np.cos(phases)

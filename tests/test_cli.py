@@ -125,10 +125,16 @@ SWEEP_AXIS = {"param": "eta", "values": [0.9, 1.0]}
                                 "count": 2.5}]}),
     dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
                                 "count": np.inf}]}),
+    # A JSON integer beyond the float range is not finite.
+    dict(BASE, params={"gamma_hz": 10**400}),
+    dict(BASE, schedule=dict(BASE["schedule"], t_mon_us=10**400)),
+    dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
+                                "count": 10**400}]}),
 ], ids=["samples_per_step", "t_mon_us", "t_mon_us_null", "sweep_values",
         "sweep_axis", "gate", "sweep_count", "gamma_hz_bool", "temperature_k_bool",
         "eta_string", "t_mon_us_bool", "durations_us_bool", "sweep_value_bool",
-        "sweep_count_bool", "sweep_count_fraction", "sweep_count_inf"])
+        "sweep_count_bool", "sweep_count_fraction", "sweep_count_inf",
+        "gamma_hz_huge_int", "t_mon_us_huge_int", "sweep_count_huge_int"])
 def test_wrongly_typed_config_value_exits_with_config_error(tmp_path, capsys, payload):
     with pytest.raises(ConfigError):
         config_from_dict(payload)
@@ -138,6 +144,30 @@ def test_wrongly_typed_config_value_exits_with_config_error(tmp_path, capsys, pa
                          "--out", str(tmp_path / command)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / command).exists()
+
+
+def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys):
+    # 401 digits overflow a float; past 4,300 digits the JSON parser itself
+    # refuses to read the integer.
+    for digits, message in ((400, "parameter 'gamma_hz' must be finite"),
+                            (5000, "config is not valid JSON")):
+        text = json.dumps(dict(BASE, params={"gamma_hz": "@"}))
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"@"', "1" + "0" * digits))
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert cli.main(["oracle", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert cli.main(["oracle", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
 
 
 @pytest.mark.parametrize("value", [0, 1, -3, 2.5])

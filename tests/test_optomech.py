@@ -319,6 +319,29 @@ def test_optimizer_pinned_schedule(temperature_k, durations, final):
     assert res.max_fidelity == pytest.approx(final, rel=0, abs=1e-12)
 
 
+def test_optimizer_guards_physicality_without_an_eigensolve(monkeypatch):
+    # Every guarded block of the search is physical, so the Cholesky
+    # certificate decides each one. The only eigensolves left are one per
+    # propagator (its growth rate) and the reference's purity spectrum.
+    counts = {"eigvals": 0, "propagators": 0}
+    eigvals, init = np.linalg.eigvals, dyn.Propagator.__init__
+
+    def counting_eigvals(matrix):
+        counts["eigvals"] += 1
+        return eigvals(matrix)
+
+    def counting_init(self, coeffs):
+        counts["propagators"] += 1
+        init(self, coeffs)
+
+    monkeypatch.setattr(st.np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(dyn.Propagator, "__init__", counting_init)
+    om.optimize_schedule(mbqc.identity_program(), om.params_set1(),
+                         time_resolution=2e-6, max_step_duration=200e-6)
+    assert counts["propagators"] == 4
+    assert counts["eigvals"] == counts["propagators"] + 1
+
+
 # ---------------------------------------------------------------------------
 # decorrelation
 

@@ -552,6 +552,58 @@ def test_first_unphysical_equals_per_matrix_check(seed, n_modes, kinds, atol):
     assert st.first_unphysical(covs, atol) == first_unphysical_oracle(covs, atol)
 
 
+def random_symplectic(rng, n_modes, squeeze_db):
+    """expm(Omega K1) Sq expm(Omega K2), K symmetric, Sq a single-mode
+    squeezer of ``squeeze_db`` on a random mode."""
+    omega = st.symplectic_form(n_modes)
+    k1, k2 = (rng.normal(scale=0.3, size=(2 * n_modes, 2 * n_modes)) for _ in range(2))
+    r = st.db_to_squeeze_parameter(squeeze_db)
+    squeeze = st.embed_single_mode(np.diag([np.exp(r), np.exp(-r)]), n_modes,
+                                   int(rng.integers(n_modes)))
+    return expm(omega @ (0.5 * (k1 + k1.T))) @ squeeze @ expm(omega @ (0.5 * (k2 + k2.T)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 6),
+       squeeze_db=hst.floats(0.0, 20.0), atol=hst.sampled_from([1e-9, 1e-6]),
+       side=hst.sampled_from([1.0, -1.0]), n_stack=hst.integers(1, 3))
+def test_certificate_agrees_with_spectral_check_at_the_boundary(
+        seed, n_modes, squeeze_db, atol, side, n_stack):
+    # sigma = S diag(nu) S^T with nu_min placed a relative 1e-6 above or
+    # below the threshold 1/2 - slack, where the Cholesky certificate of
+    # sigma + i(1/2 - slack)Omega is closest to the wrong verdict.
+    rng = np.random.default_rng(seed)
+    s = random_symplectic(rng, n_modes, squeeze_db)
+    nu = np.concatenate([[0.5], rng.uniform(1.0, 3.0, size=n_modes - 1)])
+    slack = max(atol, 1e-10 * np.max(np.abs(s @ np.diag(np.repeat(nu, 2)) @ s.T)))
+    nu[0] = (0.5 - slack) * (1.0 + side * 1e-6)
+    cov = s @ np.diag(np.repeat(nu, 2)) @ s.T
+    covs = [random_physical_cov(rng, n_modes) for _ in range(n_stack - 1)]
+    covs.insert(int(rng.integers(n_stack)), 0.5 * (cov + cov.T))
+    covs = np.array(covs)
+    expected = first_unphysical_oracle(covs, atol)
+    assert (expected is None) == (side > 0)
+    assert st.first_unphysical(covs, atol) == expected
+
+
+def test_first_unphysical_eigensolves_only_a_stack_it_cannot_certify(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigvals(matrix)
+
+    monkeypatch.setattr(st.np.linalg, "eigvals", counting)
+    rng = np.random.default_rng(3)
+    covs = np.array([random_physical_cov(rng, 3, pure=k < 2) for k in range(4)])
+    assert st.first_unphysical(covs, 1e-9) is None
+    assert calls == []
+    covs[2] = 0.25 * np.eye(6)
+    assert st.first_unphysical(covs, 1e-9) == (2, 0.25)
+    assert calls == [(4, 6, 6)]
+
+
 def test_first_unphysical_reports_nan_as_minus_infinity():
     good = 0.5 * np.eye(2)
     assert st.first_unphysical(np.array([good, good]), 1e-9) is None
@@ -631,6 +683,16 @@ def test_stacked_projection_equals_per_state_projection(seed, n_modes, n_stack, 
         assert np.array_equal(out, single.cov)
         assert_allclose(out, schur_homodyne_reference(cov, mode, phi),
                         rtol=1e-9, atol=1e-9 * np.max(np.abs(cov)))
+
+
+@pytest.mark.parametrize("row, col", [(0, 1), (1, 0), (0, 3), (3, 0)])
+def test_conditioning_checks_symmetry_before_physicality(row, col):
+    # An asymmetric matrix is reported as such wherever its skew sits; a
+    # physicality verdict on it would depend on which triangle is read.
+    cov = 0.5 * np.eye(4)
+    cov[row, col] += 3.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        st.condition_on_homodyne(cov[None], [0], [0.0], [1])
 
 
 def test_stacked_projection_rejects_one_unphysical_entry_as_a_single_call_does():
