@@ -1,10 +1,11 @@
 """Command-line experiment runner.
 
-Subcommands: simulate (one monitored protocol run), sweep (grid of runs over
-one or two parameters), optimize (per-step monitoring-time search), oracle
-(projective-measurement reference outputs). All outputs are columnar text
-with '#'-prefixed header metadata including the config hash, so identical
-configurations reproduce identical files.
+Subcommands: simulate (one protocol run), sweep (grid of runs over one or two
+parameters), optimize (per-step monitoring-time search), oracle
+(projective-measurement reference outputs). Simulate and every sweep point
+run the optimizer when the config's schedule is optimized. All outputs are
+columnar text with '#'-prefixed header metadata including the config hash, so
+identical configurations reproduce identical files.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .dynamics import PhysicalityError
-from .optomech import optimize_schedule, run_monitoring_protocol
+from .optomech import PRESETS, optimize_schedule, run_monitoring_protocol
 from .states import build_cluster, nullifier_variances
 
 EXIT_OK = 0
@@ -62,14 +64,26 @@ def _trace_columns(result) -> dict:
             "fidelity": result.fidelities}
 
 
+def _run(config: ExperimentConfig, overrides: dict = None) -> tuple:
+    """One protocol run of ``config``, with parameter ``overrides`` if given:
+    the optimizer's for an optimized schedule, else a monitored run of the
+    configured one. Returns ``(schedule, result)``."""
+    params = config.physical_params(overrides)
+    if config.schedule_mode == "optimized":
+        return optimize_schedule(
+            config.program(), params,
+            time_resolution=config.time_resolution_us * 1e-6,
+            max_step_duration=config.max_step_us * 1e-6,
+        )
+    result = run_monitoring_protocol(config.program(), params, config.schedule(),
+                                     samples_per_step=config.samples_per_step)
+    return result.schedule, result
+
+
 def cmd_simulate(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    params = config.physical_params()
-    result = run_monitoring_protocol(
-        config.program(), params, config.schedule(),
-        samples_per_step=config.samples_per_step,
-    )
+    schedule, result = _run(config)
     header = _base_header(config, "simulate")
-    header["schedule_us"] = " ".join(f"{t * 1e6:.6g}" for t in result.schedule.durations)
+    header["schedule_us"] = " ".join(f"{t * 1e6:.6g}" for t in schedule.durations)
     _write_columns(out_dir / "trace.csv", header, _trace_columns(result))
     summary = dict(header)
     summary["final_fidelity"] = f"{result.final_fidelity:.12g}"
@@ -84,22 +98,9 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def _sweep_point(args):
-    """Worker for one grid point; module-level so it pickles."""
-    config, overrides = args
-    params = config.physical_params(overrides)
-    program = config.program()
-    if config.schedule_mode == "optimized":
-        schedule, result = optimize_schedule(
-            program, params,
-            time_resolution=config.time_resolution_us * 1e-6,
-            max_step_duration=config.max_step_us * 1e-6,
-        )
-        durations = schedule.durations
-    else:
-        result = run_monitoring_protocol(program, params, config.schedule(),
-                                         samples_per_step=config.samples_per_step)
-        durations = result.schedule.durations
-    return result.final_fidelity, result.max_fidelity, durations
+    """:func:`_run` at one grid point; module-level so it pickles."""
+    schedule, result = _run(*args)
+    return result.final_fidelity, result.max_fidelity, schedule.durations
 
 
 def cmd_sweep(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
@@ -132,12 +133,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def cmd_optimize(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    params = config.physical_params()
-    schedule, result = optimize_schedule(
-        config.program(), params,
-        time_resolution=config.time_resolution_us * 1e-6,
-        max_step_duration=config.max_step_us * 1e-6,
-    )
+    schedule, result = _run(replace(config, schedule_mode="optimized"))
     diffs = np.diff(result.fidelities)
     header = _base_header(config, "optimize")
     header["optimized_steps_us"] = " ".join(f"{t * 1e6:.6g}" for t in schedule.durations)
@@ -196,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", type=Path, help="JSON experiment config")
-    parser.add_argument("--preset", choices=("set1", "set2"),
+    parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named parameter set when no --config is given")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (created if missing)")
@@ -213,7 +209,7 @@ def main(argv=None) -> int:
         elif args.preset is not None:
             config = config_from_dict({"preset": args.preset})
         else:
-            raise ConfigError("provide --config PATH or --preset set1|set2")
+            raise ConfigError(f"provide --config PATH or --preset {'|'.join(sorted(PRESETS))}")
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")
         args.out.mkdir(parents=True, exist_ok=True)

@@ -61,8 +61,9 @@ class ExperimentConfig:
     """One experiment: parameter set, gate program, schedule and sweep axes.
 
     ``samples_per_step`` applies to monitored runs of a fixed schedule only;
-    ``optimize`` and optimized sweeps always replay at
-    ``optomech.SAMPLES_PER_STEP`` (120) samples per step.
+    an optimized schedule (``optimize``, or ``simulate`` and ``sweep`` on
+    such a config) always replays at ``optomech.SAMPLES_PER_STEP`` (120)
+    samples per step.
     """
 
     param_values: dict

@@ -318,12 +318,8 @@ class Trajectory:
     times: np.ndarray
     covs: np.ndarray
 
-    @property
-    def final_state(self) -> GaussianState:
-        return GaussianState(self.covs.shape[1] // 2, self.covs[-1])
-
     def state_at(self, index: int) -> GaussianState:
-        return GaussianState(self.covs.shape[1] // 2, self.covs[index])
+        return GaussianState(self.covs[index])
 
     def __len__(self) -> int:
         return len(self.times)
@@ -399,8 +395,8 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     Args:
         sigma0: initial covariance (or GaussianState).
         coeffs: combined ODE coefficients.
-        t_total: integration horizon (>= 0).
-        dt: grid step (> 0).
+        t_total: integration horizon (finite, >= 0).
+        dt: grid step (finite, > 0).
         n_samples: cap on the number of stored samples (endpoints included).
         t_offset: value the returned time axis starts at.
 
@@ -410,10 +406,11 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     if isinstance(sigma0, GaussianState):
         sigma0 = sigma0.cov
     sigma = np.array(sigma0, dtype=float)
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
-    if t_total < 0.0:
-        raise ValueError("integration horizon must be non-negative")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"time step dt must be positive and finite, got {dt!r}")
+    if not 0.0 <= t_total < np.inf:
+        raise ValueError("integration horizon t_total must be non-negative and "
+                         f"finite, got {t_total!r}")
 
     n_steps = max(1, int(np.ceil(t_total / dt))) if t_total > 0 else 0
     sample_every = max(1, int(np.ceil(n_steps / max(1, n_samples - 1)))) if n_steps else 1
@@ -460,13 +457,12 @@ def steady_state(coeffs: EvolutionCoefficients, tol: float = 1e-10) -> GaussianS
     ``A sigma + sigma A^T + D - sigma B B^T sigma = 0``, accepted only if
     its residual is below ``tol`` relative to the largest term.
     """
-    dim = coeffs.dim
     if not np.any(coeffs.backaction):
         evals = np.linalg.eigvals(coeffs.drift)
         if np.max(evals.real) >= 0.0:
             raise ValueError("drift is not Hurwitz; no unique Lyapunov steady state")
         solution = sla.solve_continuous_lyapunov(coeffs.drift, -coeffs.diffusion)
-        return GaussianState(dim // 2, 0.5 * (solution + solution.T))
+        return GaussianState(0.5 * (solution + solution.T))
 
     backaction = coeffs.backaction
     sigma = sla.solve_continuous_are(coeffs.drift.T, backaction, coeffs.diffusion,
@@ -479,4 +475,4 @@ def steady_state(coeffs: EvolutionCoefficients, tol: float = 1e-10) -> GaussianS
                 np.max(np.abs(g @ g.T)))
     if np.max(np.abs(residual)) > tol * scale:
         raise np.linalg.LinAlgError("Riccati steady state did not meet its residual tolerance")
-    return GaussianState(dim // 2, sigma)
+    return GaussianState(sigma)

@@ -132,7 +132,7 @@ class MeasurementPattern:
     def complete(self, state: GaussianState) -> GaussianState:
         """The single-state form of :meth:`complete_covs`: the reduced
         output state of ``state`` once the pattern is finished."""
-        return GaussianState(len(self.outputs), self.complete_covs(state.cov[None])[0])
+        return GaussianState(self.complete_covs(state.cov[None])[0])
 
     def after(self, steps: int) -> "MeasurementPattern":
         """What is left to do once the first ``steps`` measurements are done.

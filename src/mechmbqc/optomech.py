@@ -310,10 +310,6 @@ class _Protocol:
         idx = quadratures(self.pattern.outputs)
         return cov[..., idx, :][..., idx]
 
-    def output_state(self, cov: np.ndarray) -> GaussianState:
-        """Reduced state of the output nodes in a full-system covariance."""
-        return GaussianState(len(self.pattern.outputs), self.output_block(cov))
-
     def completed_fidelities(self, covs: np.ndarray, step: int) -> np.ndarray:
         """Fidelity of the output the protocol would deliver if monitoring
         stopped at each full-system covariance of a stack, during step
@@ -404,7 +400,7 @@ def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
         times=np.asarray(times),
         fidelities=np.asarray(fids),
         step_slices=tuple(slices),
-        output_state=protocol.output_state(cov),
+        output_state=GaussianState(protocol.output_block(cov)),
         reference_state=protocol.reference,
         schedule=schedule,
         trajectories=tuple(trajectories),
@@ -438,7 +434,13 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
 
     Returns:
         ProtocolResult with the fidelity-vs-time trace and final states.
+
+    Raises:
+        ValueError: if ``samples_per_step`` is not an integer of at least 2.
     """
+    if type(samples_per_step) is not int or samples_per_step < 2:
+        raise ValueError("samples_per_step must be an integer of at least 2, "
+                         f"got {samples_per_step!r}")
     return _monitor(_prepare(program, params), schedule, samples_per_step,
                     keep_trajectories)
 

@@ -143,49 +143,43 @@ def symmetrize(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Zero-mean Gaussian state of ``n_modes`` modes.
+    """Zero-mean Gaussian state, fully specified by its covariance.
 
     Attributes:
-        n_modes: number of bosonic modes.
         cov: 2n x 2n real symmetric covariance matrix in (q1, p1, ...)
-            ordering; stored symmetrized and read-only.
+            ordering, n >= 1; stored symmetrized and read-only.
+        n_modes: number of bosonic modes, n, read off ``cov``.
 
     Because ``cov`` cannot change, the symplectic spectrum is computed at
-    most once per state and shared by :meth:`symplectic_spectrum` and
-    every purity test; :meth:`is_physical` goes through
-    :func:`first_unphysical` like every other physicality test.
+    most once per state, as :attr:`symplectic_spectrum`, and shared by every
+    purity test; :meth:`is_physical` goes through :func:`first_unphysical`
+    like every other physicality test.
     """
 
-    n_modes: int
     cov: np.ndarray = field(repr=False)
+    n_modes: int = field(init=False)
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("a Gaussian state needs at least one mode")
         cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (2 * self.n_modes, 2 * self.n_modes):
-            raise ValueError(
-                f"covariance shape {cov.shape} does not match {self.n_modes} modes"
-            )
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 or not cov.size:
+            raise ValueError(f"covariance shape {cov.shape} is not 2n x 2n with n >= 1")
         cov = symmetrize(cov)
         cov.flags.writeable = False
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "n_modes", cov.shape[0] // 2)
 
     @cached_property
-    def _spectrum(self) -> np.ndarray:
+    def symplectic_spectrum(self) -> np.ndarray:
+        """Symplectic eigenvalues, ascending (a read-only array)."""
         spectrum = symplectic_eigenvalues(self.cov)
         spectrum.flags.writeable = False
         return spectrum
-
-    def symplectic_spectrum(self) -> np.ndarray:
-        """Symplectic eigenvalues, ascending (a read-only array)."""
-        return self._spectrum
 
     def is_physical(self) -> bool:
         return first_unphysical(self.cov[None], PHYSICALITY_ATOL) is None
 
     def is_pure(self, atol: float = PURITY_ATOL) -> bool:
-        return bool(is_pure_spectrum(self.symplectic_spectrum(), atol))
+        return bool(is_pure_spectrum(self.symplectic_spectrum, atol))
 
     def _check_mode(self, mode: int):
         if not 0 <= mode < self.n_modes:
@@ -194,9 +188,7 @@ class GaussianState:
 
 def vacuum(n_modes: int) -> GaussianState:
     """The n-mode vacuum state, covariance I/2."""
-    if n_modes < 1:
-        raise ValueError("mode count must be positive")
-    return GaussianState(n_modes, VACUUM_VAR * np.eye(2 * n_modes))
+    return GaussianState(VACUUM_VAR * np.eye(2 * n_modes))
 
 
 def thermal(n_modes: int, occupancy) -> GaussianState:
@@ -208,7 +200,7 @@ def thermal(n_modes: int, occupancy) -> GaussianState:
     if np.any(nbar < 0):
         raise ValueError("thermal occupancy must be non-negative")
     diag = np.repeat(nbar + VACUUM_VAR, 2)
-    return GaussianState(n_modes, np.diag(diag))
+    return GaussianState(np.diag(diag))
 
 
 def db_to_squeeze_parameter(r_db: float) -> float:
@@ -235,7 +227,7 @@ def apply_symplectic(state: GaussianState, matrix: np.ndarray) -> GaussianState:
         raise ValueError("symplectic matrix has the wrong dimension")
     if not is_symplectic(matrix):
         raise ValueError("matrix is not symplectic")
-    return GaussianState(state.n_modes, matrix @ state.cov @ matrix.T)
+    return GaussianState(matrix @ state.cov @ matrix.T)
 
 
 def squeeze_momentum(state: GaussianState, mode: int, r_db: float) -> GaussianState:
@@ -317,7 +309,7 @@ def build_cluster(graph: GraphSpec, r_cluster_db: float,
         if state.n_modes != 1 or not 0 <= node < graph.n_nodes:
             raise ValueError("cluster inputs must be single-mode states on graph nodes")
         cov[2 * node : 2 * node + 2, 2 * node : 2 * node + 2] = state.cov
-    state = GaussianState(graph.n_nodes, cov)
+    state = GaussianState(cov)
     for node in range(graph.n_nodes):
         if node not in inputs:
             state = squeeze_momentum(state, node, r_cluster_db)
@@ -344,8 +336,8 @@ def partial_trace(state: GaussianState, modes_to_keep) -> GaussianState:
     """Reduced state on the listed modes (order preserved): a
     :func:`condition_on_homodyne` that measures nothing, so the listed
     modes must be distinct modes of the state."""
-    keep = list(modes_to_keep)
-    return GaussianState(len(keep), condition_on_homodyne(state.cov[None], [], [], keep)[0])
+    return GaussianState(condition_on_homodyne(state.cov[None], [], [],
+                                               list(modes_to_keep))[0])
 
 
 def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
@@ -403,8 +395,7 @@ def homodyne_project(state: GaussianState, mode: int, phi: float) -> GaussianSta
     if state.n_modes < 2:
         raise ValueError("measuring the only mode leaves no state behind")
     keep = [m for m in range(state.n_modes) if m != mode]
-    cov = condition_on_homodyne(state.cov[None], [mode], [phi], keep)[0]
-    return GaussianState(state.n_modes - 1, cov)
+    return GaussianState(condition_on_homodyne(state.cov[None], [mode], [phi], keep)[0])
 
 
 def _overlap(cov_sum: np.ndarray):

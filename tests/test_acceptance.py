@@ -67,13 +67,13 @@ def test_criterion_2_projective_oracle_correctness():
     for program in GATE_SET:
         out = mbqc.run_projective(program, [inp], 20.0)
         reference = st.GaussianState(
-            1, mbqc.expected_output(program.target, inp.cov))
+            mbqc.expected_output(program.target, inp.cov))
         fids[program.name] = st.fidelity(out, reference)
 
     monotone = True
     for program in GATE_SET:
         reference = st.GaussianState(
-            1, mbqc.expected_output(program.target, inp.cov))
+            mbqc.expected_output(program.target, inp.cov))
         values = [
             st.fidelity(mbqc.run_projective(program, [inp], r_db), reference)
             for r_db in (3.0, 6.0, 10.0, 15.0, 20.0)

@@ -271,6 +271,47 @@ def test_simulate_without_config_uses_preset(tmp_path):
     assert (out / "nullifiers.csv").exists()
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_oracle_runs_on_every_preset(tmp_path, capsys, preset):
+    assert cli.main(["oracle", "--preset", preset, "--out", str(tmp_path)]) == 0
+    assert cli.main(["oracle"]) == 2
+    assert preset in capsys.readouterr().err
+
+
+def header_of(path):
+    """The '# key: value' metadata of an output file."""
+    return dict(line[2:].split(": ", 1) for line in path.read_text().splitlines()
+                if line.startswith("# "))
+
+
+def test_simulate_on_an_optimized_config_runs_the_optimizer(tmp_path):
+    path = str(EXAMPLES / "optimize_set1.json")
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == 0
+    assert cli.main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    simulated = header_of(tmp_path / "s" / "summary.csv")
+    optimized = header_of(tmp_path / "o" / "optimize.csv")
+    assert simulated["schedule_us"] == optimized["optimized_steps_us"]
+    assert simulated["final_fidelity"] == optimized["final_fidelity"]
+
+
+def test_optimized_sweep_point_matches_optimize(tmp_path):
+    payload = dict(BASE, schedule={"mode": "optimized", "resolution_us": 2.0,
+                                   "max_step_us": 6.0})
+    path = write_config(tmp_path, payload)
+    assert cli.main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    eta = PRESETS["set2"]["eta"]
+    payload["sweep"] = {"axes": [{"param": "eta", "values": [eta]}]}
+    path = write_config(tmp_path, payload, "sweep.json")
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    optimized = header_of(tmp_path / "o" / "optimize.csv")
+    lines = (tmp_path / "s" / "sweep.csv").read_text().strip().splitlines()
+    data = [line.split(",") for line in lines if not line.startswith("#")]
+    row = dict(zip(data[0], data[1]))
+    assert row["final_fidelity"] == optimized["final_fidelity"]
+    steps = [float(row[f"t_mon{k + 1}_us"]) for k in range(4)]
+    assert " ".join(f"{t:.6g}" for t in steps) == optimized["optimized_steps_us"]
+
+
 def test_missing_config_and_args_give_config_error(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert cli.main(["simulate"]) == 2

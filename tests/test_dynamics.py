@@ -206,7 +206,7 @@ def test_integrate_harmonic_rotation_preserves_purity():
     sigma0 = np.diag([1.0, 0.25])
     traj = dyn.integrate(sigma0, coeffs, 2.0, dt=1e-3, n_samples=50)
     for cov in traj.covs:
-        state = GaussianState(1, cov)
+        state = GaussianState(cov)
         assert state.is_pure(atol=1e-6)
     # Quarter period swaps the quadratures.
     quarter = dyn.integrate(sigma0, coeffs, np.pi / (2 * omega), dt=1e-5)
@@ -263,13 +263,22 @@ def test_integrate_symmetry_and_physicality_every_sample():
     traj = dyn.integrate(0.5 * np.eye(2), coeffs, 3.0, dt=1e-3, n_samples=60)
     for cov in traj.covs:
         assert_allclose(cov, cov.T, atol=1e-14)
-        assert GaussianState(1, cov).is_physical()
+        assert GaussianState(cov).is_physical()
 
 
 def test_integrate_rejects_bad_step():
     coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.0)
+
+
+@pytest.mark.parametrize("t_total, dt, name", [(np.nan, 0.1, "t_total"),
+                                               (np.inf, 0.1, "t_total"),
+                                               (1.0, np.nan, "dt")])
+def test_integrate_rejects_a_non_finite_horizon_or_step(t_total, dt, name):
+    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+        dyn.integrate(0.5 * np.eye(2), coeffs, t_total, dt=dt)
 
 
 def test_integrate_aborts_on_physicality_loss():
@@ -427,7 +436,7 @@ def test_exact_propagator_matches_rk4_on_random_physical_channels(
     oracle, t_prev = sigma0, 0.0
     for t, cov in zip(traj.times, traj.covs):
         assert_allclose(cov, cov.T, rtol=0, atol=1e-14 * np.max(np.abs(cov)))
-        assert GaussianState(n_modes, cov).is_physical()
+        assert GaussianState(cov).is_physical()
         n_steps = int(np.ceil(2000 * (t - t_prev) / t_total))
         if n_steps:
             oracle = rk4_reference(oracle, coeffs, t - t_prev, n_steps)
@@ -488,7 +497,8 @@ def test_steady_state_with_monitoring_matches_care():
 def test_trajectory_state_accessors():
     coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
     traj = dyn.integrate(vacuum(1), coeffs, 1.0, dt=0.01, n_samples=5)
-    assert isinstance(traj.final_state, GaussianState)
+    assert isinstance(traj.state_at(-1), GaussianState)
+    assert_allclose(traj.state_at(-1).cov, traj.covs[-1])
     assert len(traj) == len(traj.times)
     assert_allclose(traj.state_at(0).cov, 0.5 * np.eye(2))
 
@@ -508,5 +518,5 @@ def test_trajectory_export_spectrum_matches_per_sample_states():
     coeffs = random_physical_coefficients(3, 2)
     sigma0 = np.diag([2.0, 0.3, 1.0, 0.6])
     traj = dyn.integrate(sigma0, coeffs, 1.0, dt=0.01, n_samples=12)
-    per_sample = [traj.state_at(k).symplectic_spectrum()[0] for k in range(len(traj))]
+    per_sample = [traj.state_at(k).symplectic_spectrum[0] for k in range(len(traj))]
     assert np.array_equal(traj.as_records()["min_symplectic_eigenvalue"], per_sample)

@@ -169,18 +169,14 @@ def test_projective_mbqc_reaches_target_at_high_squeezing(program):
     # finite anti-squeezed mask, so the bound here is the 50 dB level.
     inp = st.squeeze_momentum(st.vacuum(1), 0, 3.0)
     out = mbqc.run_projective(program, [inp], 50.0)
-    reference = st.GaussianState(
-        1, mbqc.expected_output(program.target, inp.cov)
-    )
+    reference = st.GaussianState(mbqc.expected_output(program.target, inp.cov))
     assert st.fidelity(out, reference) > 0.999
 
 
 def test_projective_mbqc_fidelity_monotone_in_cluster_squeezing():
     inp = st.squeeze_momentum(st.vacuum(1), 0, 3.0)
     program = mbqc.shear_program(1.0)
-    reference = st.GaussianState(
-        1, mbqc.expected_output(program.target, inp.cov)
-    )
+    reference = st.GaussianState(mbqc.expected_output(program.target, inp.cov))
     fids = [
         st.fidelity(mbqc.run_projective(program, [inp], r_db), reference)
         for r_db in (3.0, 6.0, 10.0, 15.0, 20.0)
@@ -336,13 +332,13 @@ def test_stacked_completion_equals_per_state_completion(seed, n_nodes, n_stack):
     stacked = pattern.complete_covs(covs)
     assert stacked.shape == (n_stack, 2 * len(outputs), 2 * len(outputs))
     for cov, out in zip(covs, stacked):
-        assert np.array_equal(out, pattern.complete(st.GaussianState(n_nodes, cov)).cov)
+        assert np.array_equal(out, pattern.complete(st.GaussianState(cov)).cov)
 
 
 def sequential_completion(pattern, cov):
     """The pattern finished one projection at a time: each measured node is
     projected in turn, tracking where the surviving nodes sit."""
-    state = st.GaussianState(pattern.graph.n_nodes, cov)
+    state = st.GaussianState(cov)
     remaining = list(range(pattern.graph.n_nodes))
     for node, phi in zip(pattern.measured, pattern.phases):
         state = st.homodyne_project(state, remaining.index(node), phi)

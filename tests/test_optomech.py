@@ -198,6 +198,14 @@ def test_protocol_fidelities_in_range_and_rising_to_high_values():
     assert res.output_state.n_modes == 1
 
 
+@pytest.mark.parametrize("samples", [0, 1, -3, 2.5, True])
+def test_protocol_rejects_a_bad_sample_count(samples):
+    sched = om.MonitoringSchedule.equal(3e-6, 4)
+    with pytest.raises(ValueError, match="samples_per_step"):
+        om.run_monitoring_protocol(mbqc.identity_program(), om.params_set2(), sched,
+                                   samples_per_step=samples)
+
+
 def test_protocol_cz_runs_two_steps():
     p = om.params_set2()
     sched = om.MonitoringSchedule.equal(15e-6, 2)
@@ -441,7 +449,7 @@ def greedy_oracle(program, params, time_resolution, max_step_duration):
     n = 2 * protocol.params.n_mech
 
     def completed(cov, k):
-        mech = st.GaussianState(n // 2, cov[:n, :n])
+        mech = st.GaussianState(cov[:n, :n])
         return st.fidelity(protocol.pattern.after(k + 1).complete(mech),
                            protocol.reference)
 

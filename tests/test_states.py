@@ -2,6 +2,8 @@
 homodyne projection and fidelity (checked against a truncated Fock-basis
 density-matrix oracle)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,7 +73,7 @@ def gaussian_and_rho(nbar, r, theta, dim=60):
     """
     u = rotate_unitary(theta, dim) @ squeeze_unitary(r, dim)
     rho = u @ thermal_rho(nbar, dim) @ u.conj().T
-    return st.GaussianState(1, quadrature_cov(rho, dim)), rho
+    return st.GaussianState(quadrature_cov(rho, dim)), rho
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,7 @@ def test_symplectic_form_properties():
 def test_vacuum_covariance_and_spectrum():
     assert_allclose(st.vacuum(1).cov, 0.5 * np.eye(2))
     assert st.vacuum(3).cov.shape == (6, 6)
-    assert_allclose(st.vacuum(2).symplectic_spectrum(), [0.5, 0.5])
+    assert_allclose(st.vacuum(2).symplectic_spectrum, [0.5, 0.5])
 
 
 def test_vacuum_rejects_zero_modes():
@@ -103,10 +105,34 @@ def test_vacuum_rejects_zero_modes():
         st.vacuum(0)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 3), (2, 4), (2, 2, 2)])
+def test_state_rejects_a_covariance_that_is_not_2n_by_2n(shape):
+    with pytest.raises(ValueError, match="is not 2n x 2n"):
+        st.GaussianState(0.5 * np.ones(shape))
+
+
+def test_state_reads_its_mode_count_off_the_covariance():
+    state = st.GaussianState(0.5 * np.eye(6))
+    assert state.n_modes == 3
+    assert "n_modes=3" in repr(state)
+    with pytest.raises(TypeError):
+        st.GaussianState(0.5 * np.eye(6), n_modes=3)
+
+
+def test_symplectic_spectrum_is_cached_and_read_only():
+    state = st.thermal(2, [0.1, 0.7])
+    spectrum = state.symplectic_spectrum
+    assert state.symplectic_spectrum is spectrum
+    assert_allclose(spectrum, [0.6, 1.2])
+    assert not spectrum.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.symplectic_spectrum = np.zeros(2)
+
+
 def test_state_rejects_asymmetric_covariance():
     cov = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        st.GaussianState(1, cov)
+        st.GaussianState(cov)
 
 
 def test_squeeze_momentum_variances():
@@ -152,7 +178,7 @@ def test_apply_cz_against_explicit_matrix_product():
     w = 1.3
     s1 = st.squeeze_momentum(st.vacuum(1), 0, 8.0)
     s2 = st.squeeze_momentum(st.vacuum(1), 0, 12.0)
-    joint = st.GaussianState(2, block_diag(s1.cov, s2.cov))
+    joint = st.GaussianState(block_diag(s1.cov, s2.cov))
     out = st.apply_cz(joint, 0, 1, w)
     s_cz = np.eye(4)
     s_cz[1, 2] = w
@@ -215,7 +241,7 @@ def test_linear_cluster_nullifiers_shrink_with_squeezing():
 
 def test_cluster_outputs_are_pure():
     cluster = st.build_cluster(st.GraphSpec.linear(4), 6.0)
-    assert_allclose(cluster.symplectic_spectrum(), 0.5, atol=1e-9)
+    assert_allclose(cluster.symplectic_spectrum, 0.5, atol=1e-9)
 
 
 def test_random_symplectic_products_stay_symplectic():
@@ -264,7 +290,7 @@ def schur_homodyne_reference(cov, mode, phi):
 
 def test_homodyne_product_state_leaves_rest_unchanged():
     s1 = st.squeeze_momentum(st.vacuum(1), 0, 5.0)
-    joint = st.GaussianState(2, block_diag(s1.cov, st.thermal(1, 0.4).cov))
+    joint = st.GaussianState(block_diag(s1.cov, st.thermal(1, 0.4).cov))
     out = st.homodyne_project(joint, 1, 0.3)
     assert out.n_modes == 1
     assert_allclose(out.cov, s1.cov)
@@ -285,7 +311,7 @@ def test_homodyne_teleportation_two_node_cluster():
     # Fourier by-product; at high squeezing the output approaches f s f^T.
     r_in = 6.0
     inp = st.squeeze_momentum(st.vacuum(1), 0, r_in)
-    joint = st.GaussianState(2, block_diag(inp.cov, st.vacuum(1).cov))
+    joint = st.GaussianState(block_diag(inp.cov, st.vacuum(1).cov))
     joint = st.squeeze_momentum(joint, 1, 40.0)
     joint = st.apply_cz(joint, 0, 1)
     out = st.homodyne_project(joint, 0, np.pi / 2.0)
@@ -336,13 +362,13 @@ def test_wire_shortening_leaves_two_node_cluster():
         chain = st.build_cluster(st.GraphSpec.linear(3), r_db)
         short = st.homodyne_project(chain, 1, np.pi / 2.0)
         correction = block_diag(np.eye(2), FOURIER.T)
-        corrected = st.GaussianState(2, correction @ short.cov @ correction.T)
+        corrected = st.GaussianState(correction @ short.cov @ correction.T)
         variances = st.nullifier_variances(corrected, graph2)
         assert variances.max() < bound
 
 
 def test_homodyne_rejects_unphysical_input():
-    bad = st.GaussianState(2, 0.25 * np.eye(4))
+    bad = st.GaussianState(0.25 * np.eye(4))
     with pytest.raises(ValueError, match="unphysical"):
         st.homodyne_project(bad, 0, 0.0)
 
@@ -386,13 +412,13 @@ def test_partial_trace_rejects_a_repeated_mode():
 def test_is_physical_vacuum():
     state = st.vacuum(2)
     assert state.is_physical()
-    assert_allclose(state.symplectic_spectrum()[0], 0.5, atol=1e-12)
+    assert_allclose(state.symplectic_spectrum[0], 0.5, atol=1e-12)
 
 
 def test_is_physical_rejects_quarter_identity():
-    state = st.GaussianState(1, 0.25 * np.eye(2))
+    state = st.GaussianState(0.25 * np.eye(2))
     assert not state.is_physical()
-    assert_allclose(state.symplectic_spectrum()[0], 0.25, atol=1e-12)
+    assert_allclose(state.symplectic_spectrum[0], 0.25, atol=1e-12)
 
 
 def test_two_physicality_slacks():
@@ -403,7 +429,7 @@ def test_two_physicality_slacks():
     for shortfall, propagated_ok in ((1e-8, True), (1e-5, False)):
         nu = 0.5 - shortfall
         cov = np.diag([nu, nu, 0.5, 0.5])
-        state = st.GaussianState(2, cov)
+        state = st.GaussianState(cov)
         assert not state.is_physical()
         with pytest.raises(ValueError, match="input state is unphysical"):
             st.condition_on_homodyne(cov[None], [1], [0.3], [0])
@@ -471,8 +497,8 @@ def test_fidelity_two_mode_products_factorize():
     s1b, _ = gaussian_and_rho(0.2, 0.1, 0.5)
     s2a, _ = gaussian_and_rho(1.0, -0.2, 0.3)
     s2b, _ = gaussian_and_rho(0.8, 0.4, -0.1)
-    joint1 = st.GaussianState(2, block_diag(s1a.cov, s1b.cov))
-    joint2 = st.GaussianState(2, block_diag(s2a.cov, s2b.cov))
+    joint1 = st.GaussianState(block_diag(s1a.cov, s1b.cov))
+    joint2 = st.GaussianState(block_diag(s2a.cov, s2b.cov))
     product = st.fidelity(s1a, s2a) * st.fidelity(s1b, s2b)
     assert st.fidelity(joint1, joint2) == pytest.approx(product, rel=1e-9)
 
@@ -491,7 +517,7 @@ def test_fidelity_dimension_mismatch():
 
 def test_fidelity_rejects_unphysical():
     with pytest.raises(ValueError, match="unphysical"):
-        st.fidelity(st.vacuum(1), st.GaussianState(1, 0.25 * np.eye(2)))
+        st.fidelity(st.vacuum(1), st.GaussianState(0.25 * np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +652,10 @@ def test_fidelity_to_equals_per_entry_fidelity(seed, n_modes, n_stack, pure_refe
     # A mixed reference takes the per-entry fallback; entries are a mix of
     # pure and mixed states either way.
     rng = np.random.default_rng(seed)
-    reference = st.GaussianState(n_modes, random_physical_cov(rng, n_modes,
-                                                              pure=pure_reference))
+    reference = st.GaussianState(random_physical_cov(rng, n_modes, pure=pure_reference))
     covs = np.array([random_physical_cov(rng, n_modes, pure=rng.random() < 0.3)
                      for _ in range(n_stack)])
-    expected = [st.fidelity(st.GaussianState(n_modes, c), reference) for c in covs]
+    expected = [st.fidelity(st.GaussianState(c), reference) for c in covs]
     stacked = st.fidelity_to(covs, reference)
     assert stacked.shape == (n_stack,)
     assert_allclose(stacked, expected, rtol=0, atol=1e-14)
@@ -642,7 +667,7 @@ def test_fidelity_to_rejects_unphysical_and_asymmetric_entries():
     with pytest.raises(ValueError, match="unphysical"):
         st.fidelity_to(np.array([good, 0.25 * np.eye(2), good]), reference)
     with pytest.raises(ValueError, match="unphysical"):
-        st.fidelity_to(np.array([good]), st.GaussianState(1, 0.25 * np.eye(2)))
+        st.fidelity_to(np.array([good]), st.GaussianState(0.25 * np.eye(2)))
     skewed = np.array([[0.5, 0.1], [0.0, 0.5]])
     with pytest.raises(ValueError, match="not symmetric"):
         st.fidelity_to(np.array([good, skewed]), reference)
@@ -661,7 +686,7 @@ def test_mixed_reference_fidelity_to_checks_its_input_once(monkeypatch):
     rng = np.random.default_rng(7)
     covs = np.array([random_physical_cov(rng, 2, pure=k == 0) for k in range(5)])
     reference = st.thermal(2, [0.3, 1.2])
-    expected = [st.fidelity(st.GaussianState(2, c), reference) for c in covs]
+    expected = [st.fidelity(st.GaussianState(c), reference) for c in covs]
     monkeypatch.setattr(st, "first_unphysical", counting)
     assert np.array_equal(st.fidelity_to(covs, reference), expected)
     assert calls == [6]
@@ -679,7 +704,7 @@ def test_stacked_projection_equals_per_state_projection(seed, n_modes, n_stack, 
     stacked = st.condition_on_homodyne(covs, [mode], [phi], keep)
     assert stacked.shape == (n_stack, 2 * n_modes - 2, 2 * n_modes - 2)
     for cov, out in zip(covs, stacked):
-        single = st.homodyne_project(st.GaussianState(n_modes, cov), mode, phi)
+        single = st.homodyne_project(st.GaussianState(cov), mode, phi)
         assert np.array_equal(out, single.cov)
         assert_allclose(out, schur_homodyne_reference(cov, mode, phi),
                         rtol=1e-9, atol=1e-9 * np.max(np.abs(cov)))
@@ -699,7 +724,7 @@ def test_stacked_projection_rejects_one_unphysical_entry_as_a_single_call_does()
     good = 0.5 * np.eye(4)
     bad = 0.25 * np.eye(4)
     with pytest.raises(ValueError) as single:
-        st.homodyne_project(st.GaussianState(2, bad), 1, 0.3)
+        st.homodyne_project(st.GaussianState(bad), 1, 0.3)
     with pytest.raises(ValueError) as stacked:
         st.condition_on_homodyne(np.array([good, bad, good]), [1], [0.3], [0])
     assert str(stacked.value) == str(single.value)
