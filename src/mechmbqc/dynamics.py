@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dgesv
 
 from .states import (
     GaussianState,
@@ -257,7 +258,9 @@ class Propagator:
     An interval is split into ceil(h * lambda) equal substeps, lambda the
     largest real part in the spectrum of H, so X grows by at most about e
     per substep and stays well conditioned. Phi is computed once per
-    distinct interval length and shared by all its substeps.
+    distinct interval length and shared by all its substeps. A substep is
+    one product for [X; Y], one LAPACK ``dgesv`` for X^T sigma = Y^T and a
+    symmetrization; a singular X raises :class:`numpy.linalg.LinAlgError`.
     """
 
     def __init__(self, coeffs: EvolutionCoefficients):
@@ -285,8 +288,12 @@ class Propagator:
         for _ in range(n_sub):
             xy = offset + slope @ sigma
             # The new covariance Y X^-1 is symmetric, so it equals its
-            # transpose X^-T Y^T, which one solve gives.
-            sigma = np.linalg.solve(xy[:d].T, xy[d:].T)
+            # transpose X^-T Y^T, which one solve gives. X^T and Y^T are
+            # Fortran-ordered views of the fresh xy, solved in place.
+            _, _, sigma, info = dgesv(xy[:d].T, xy[d:].T,
+                                      overwrite_a=True, overwrite_b=True)
+            if info > 0:
+                raise np.linalg.LinAlgError("Singular matrix")
             sigma = 0.5 * (sigma + sigma.T)
         return sigma
 
@@ -366,7 +373,7 @@ def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
         d_diag = np.diag(coeffs.diffusion)
         window = np.minimum(horizon, 1.0 / np.maximum(-a_diag, 1.0 / horizon))
         growth = float(np.max(d_diag * window, initial=0.0))
-        v_est = max(np.linalg.norm(sigma[:, cols], 2) + growth, 1.0)
+        v_est = max(np.linalg.svd(sigma[:, cols], compute_uv=False).max() + growth, 1.0)
         rate += coeffs.bbt_norm * v_est
     if rate <= 0.0:
         return horizon
@@ -412,22 +419,33 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
         raise ValueError("integration horizon t_total must be non-negative and "
                          f"finite, got {t_total!r}")
 
-    n_steps = max(1, int(np.ceil(t_total / dt))) if t_total > 0 else 0
-    sample_every = max(1, int(np.ceil(n_steps / max(1, n_samples - 1)))) if n_steps else 1
+    return _sample_flow(sigma, coeffs, t_total, 1, lambda _: dt, n_samples, t_offset)
 
+
+def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
+                 n_chunks: int, dt_of, n_samples: int, t_offset: float) -> Trajectory:
+    """Sample the exact flow from ``sigma`` over ``n_chunks`` chunks of length
+    ``chunk``, each on :func:`integrate`'s grid for the step ``dt_of(cov)`` at
+    its start and at most ``n_samples`` samples (one ``advance`` per sample),
+    and guard all samples after the start with one :func:`_check_samples`."""
     propagator = coeffs.propagator
     times = [t_offset]
     covs = [sigma]
-    marks = range(sample_every, n_steps, sample_every)
     try:
-        for k in marks:
-            sigma = propagator.advance(sigma, sample_every * dt)
-            times.append(t_offset + k * dt)
-            covs.append(sigma)
-        if n_steps:
-            sigma = propagator.advance(sigma, t_total - (marks[-1] * dt if marks else 0.0))
-            times.append(t_offset + t_total)
-            covs.append(sigma)
+        for _ in range(n_chunks):
+            dt = dt_of(sigma)
+            n_steps = max(1, int(np.ceil(chunk / dt))) if chunk > 0 else 0
+            sample_every = max(1, int(np.ceil(n_steps / max(1, n_samples - 1)))) if n_steps else 1
+            marks = range(sample_every, n_steps, sample_every)
+            start = times[-1]
+            for k in marks:
+                sigma = propagator.advance(sigma, sample_every * dt)
+                times.append(start + k * dt)
+                covs.append(sigma)
+            if n_steps:
+                sigma = propagator.advance(sigma, chunk - (marks[-1] * dt if marks else 0.0))
+                times.append(start + chunk)
+                covs.append(sigma)
     except np.linalg.LinAlgError:
         # A sample before the failed solve may already be unphysical; that
         # is the first fault, so it is reported in preference.

@@ -26,9 +26,9 @@ from .dynamics import (
     PhysicalityError,
     Trajectory,
     _check_samples,
+    _sample_flow,
     build_coefficients,
     homodyne_post_meas_cov,
-    integrate,
     suggest_dt,
 )
 
@@ -347,26 +347,17 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
 # freshly suggested dt, so early transients are sampled more densely than
 # the rest of the step. The propagation itself is exact; the chunks only set
 # the sample times, which the reported fidelity trace (and its maximum) is
-# taken on.
+# taken on. The samples of all chunks are guarded together, once per step.
 CHUNKS_PER_STEP = 8
 
 
 def _integrate_step(cov: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
                     n_samples: int, t_offset: float) -> Trajectory:
-    """Propagate one monitoring step, sampled chunk by chunk."""
+    """Propagate one monitoring step, sampled chunk by chunk and guarded once."""
     chunk = t_mon / CHUNKS_PER_STEP
     per_chunk = max(2, int(np.ceil(n_samples / CHUNKS_PER_STEP)))
-    times = [t_offset]
-    covs = [np.array(cov)]
-    t = t_offset
-    for _ in range(CHUNKS_PER_STEP):
-        dt = suggest_dt(coeffs, covs[-1], chunk)
-        traj = integrate(covs[-1], coeffs, chunk, dt, n_samples=per_chunk,
-                         t_offset=t)
-        times.extend(traj.times[1:])
-        covs.extend(traj.covs[1:])
-        t = times[-1]
-    return Trajectory(np.asarray(times), np.asarray(covs))
+    return _sample_flow(np.array(cov), coeffs, chunk, CHUNKS_PER_STEP,
+                        lambda sigma: suggest_dt(coeffs, sigma, chunk), per_chunk, t_offset)
 
 
 def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,

@@ -141,7 +141,7 @@ def symmetrize(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + transposed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Zero-mean Gaussian state, fully specified by its covariance.
 
@@ -153,7 +153,8 @@ class GaussianState:
     Because ``cov`` cannot change, the symplectic spectrum is computed at
     most once per state, as :attr:`symplectic_spectrum`, and shared by every
     purity test; :meth:`is_physical` goes through :func:`first_unphysical`
-    like every other physicality test.
+    like every other physicality test. States compare by identity and are
+    hashable; compare ``cov`` to compare covariances.
     """
 
     cov: np.ndarray = field(repr=False)

@@ -13,6 +13,8 @@ from scipy import linalg as sla
 from mechmbqc import dynamics as dyn
 from mechmbqc.states import GaussianState, symplectic_form, vacuum
 
+from oracles import generic_solve_advance
+
 
 def mode_coupling(rate):
     """2x2 coupling block of sqrt(rate) (X X_out + P P_out)."""
@@ -442,6 +444,39 @@ def test_exact_propagator_matches_rk4_on_random_physical_channels(
             oracle = rk4_reference(oracle, coeffs, t - t_prev, n_steps)
         t_prev = t
         assert np.max(np.abs(cov - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 4),
+       substeps=hst.sampled_from([1, 2, 5]))
+def test_propagator_substep_is_a_generic_solve(seed, n_modes, substeps):
+    # numpy's solve and scipy's dgesv run the same LAPACK algorithm from two
+    # OpenBLAS builds. They agree bit for bit up to 4 x 4 (and on the
+    # monitored model's matrices, see test_optomech); on generic 6 x 6 and
+    # 8 x 8 flows a few last bits differ, up to about 2e-11 relative after
+    # four advances.
+    coeffs = random_physical_coefficients(seed, n_modes)
+    propagator = coeffs.propagator
+    h = (substeps - 0.5) / propagator.rate
+    assert propagator._flow(h)[0] == substeps
+    squeezing = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=n_modes)
+    sigma = reference = 0.5 * np.diag(np.exp(np.ravel([[r, -r] for r in squeezing])))
+    for _ in range(4):
+        sigma = propagator.advance(sigma, h)
+        reference = generic_solve_advance(propagator, reference, h)
+        if n_modes <= 2:
+            assert np.array_equal(sigma, reference)
+        else:
+            assert np.max(np.abs(sigma - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+
+def test_propagator_raises_on_an_exactly_singular_substep():
+    # Without drift or diffusion the flow over h = 1 is X = I + G sigma,
+    # Y = sigma, with G = diag(1, 0); sigma = diag(-1, 1) zeroes X's first row.
+    coeffs = dyn.EvolutionCoefficients(np.zeros((2, 2)), np.zeros((2, 2)),
+                                       np.array([[1.0], [0.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        coeffs.propagator.advance(np.diag([-1.0, 1.0]), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the cavity-resonator model and the stepped monitoring protocol."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +14,8 @@ from mechmbqc import optomech as om
 from mechmbqc import states as st
 
 from dataclasses import replace
+
+from oracles import generic_solve_advance
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +353,106 @@ def test_optimizer_guards_physicality_without_an_eigensolve(monkeypatch):
                          time_resolution=2e-6, max_step_duration=200e-6)
     assert counts["propagators"] == 4
     assert counts["eigvals"] == counts["propagators"] + 1
+
+
+# One monitored run whose steps each lay 8 chunks of about 3 samples.
+GUARD_CASE = (mbqc.identity_program(), om.params_set1(),
+              om.MonitoringSchedule.equal(20e-6, 4), 24)
+
+
+def run_guard_case():
+    program, p, schedule, samples = GUARD_CASE
+    return om.run_monitoring_protocol(program, p, schedule, samples,
+                                      keep_trajectories=True)
+
+
+def sample_in_chunk_3_of_step_2():
+    """The clean trajectory of GUARD_CASE's second step and the index of one
+    of its samples that falls in the step's third chunk."""
+    _, _, schedule, _ = GUARD_CASE
+    traj = run_guard_case().trajectories[1]
+    t0, chunk = traj.times[0], schedule.durations[1] / om.CHUNKS_PER_STEP
+    index = int(np.searchsorted(traj.times, t0 + 2.5 * chunk))
+    assert t0 + 2.0 * chunk < traj.times[index] <= t0 + 3.0 * chunk + 1e-15
+    return traj, index
+
+
+def faulty_advance_from(monkeypatch, trigger, faults):
+    """Make ``Propagator.advance`` misbehave from the call whose input
+    equals ``trigger`` on. ``faults`` maps a call number, counted from that
+    call (0), to a function of the correctly advanced covariance that
+    returns the sample to store or raises."""
+    real_advance = dyn.Propagator.advance
+    calls = []
+
+    def advance(self, sigma, h):
+        out = real_advance(self, sigma, h)
+        if calls or np.array_equal(sigma, trigger):
+            calls.append(h)
+            return faults.get(len(calls) - 1, lambda s: s)(out)
+        return out
+
+    monkeypatch.setattr(dyn.Propagator, "advance", advance)
+
+
+def test_protocol_guards_each_step_once(monkeypatch):
+    guarded = []
+    check = dyn._check_samples
+
+    def spy(times, covs):
+        guarded.append(len(times))
+        check(times, covs)
+
+    monkeypatch.setattr(dyn, "_check_samples", spy)
+    result = run_guard_case()
+    assert guarded == [s.stop - s.start - 1 for s in result.step_slices]
+
+
+def test_protocol_reports_a_non_finite_sample_at_its_time(monkeypatch):
+    # NaN from one sample of chunk 3 of step 2 on: the step's one guard
+    # reports that sample, and the NaN raises no warning on its way through
+    # the later solves and dt suggestions of the step.
+    traj, index = sample_in_chunk_3_of_step_2()
+    faulty_advance_from(monkeypatch, traj.covs[index - 1],
+                        {0: lambda s: np.full_like(s, np.nan)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dyn.PhysicalityError) as info:
+            run_guard_case()
+    assert info.value.t == traj.times[index]
+    assert info.value.nu_min == float("-inf")
+
+
+def test_protocol_reports_an_unphysical_sample_before_a_later_failed_solve(
+        monkeypatch):
+    traj, index = sample_in_chunk_3_of_step_2()
+
+    def singular(sigma):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # The solve fails five samples later, in a later chunk of the same step.
+    faulty_advance_from(monkeypatch, traj.covs[index - 1],
+                        {0: lambda s: 0.3 * np.eye(len(s)), 5: singular})
+    with pytest.raises(dyn.PhysicalityError) as info:
+        run_guard_case()
+    assert info.value.t == traj.times[index]
+    assert info.value.nu_min == pytest.approx(0.3)
+
+
+def test_monitored_model_propagates_as_a_generic_solve_bit_for_bit():
+    # On the QND-step flows of both presets, Propagator.advance equals the
+    # same substeps through np.linalg.solve exactly, which keeps monitored
+    # runs bit-identical to a generic solve.
+    for program, p in itertools.product((mbqc.identity_program(), mbqc.cz_program()),
+                                        (om.params_set1(), om.params_set2())):
+        protocol = om._prepare(program, p)
+        for coeffs in protocol.steps:
+            sigma = reference = protocol.initial_cov()
+            for h in (50e-6 / 119, 50e-6 / 7, 1e-5):
+                for _ in range(10):
+                    sigma = coeffs.propagator.advance(sigma, h)
+                    reference = generic_solve_advance(coeffs.propagator, reference, h)
+                    assert np.array_equal(sigma, reference)
 
 
 # ---------------------------------------------------------------------------

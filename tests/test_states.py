@@ -119,6 +119,17 @@ def test_state_reads_its_mode_count_off_the_covariance():
         st.GaussianState(0.5 * np.eye(6), n_modes=3)
 
 
+def test_states_compare_by_identity_and_are_hashable():
+    # Equality is identity: comparing two states with equal covariances
+    # answers False instead of raising on the array field.
+    state, twin = st.vacuum(1), st.vacuum(1)
+    assert state == state
+    assert not (state == twin)
+    assert state != twin
+    labels = {state: "a", twin: "b"}
+    assert labels[state] == "a" and labels[twin] == "b"
+
+
 def test_symplectic_spectrum_is_cached_and_read_only():
     state = st.thermal(2, [0.1, 0.7])
     spectrum = state.symplectic_spectrum
