@@ -212,7 +212,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"provide --config PATH or --preset {'|'.join(sorted(PRESETS))}")
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory "
+                              f"{args.out}: {exc.strerror}") from exc
         return _COMMANDS[args.command](config, args.out, args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ def _number(value, what: str) -> float:
                           "the float range") from None
 
 
-def params_from_dict(values: dict, n_mech: int) -> PhysicalParams:
+def params_from_dict(values: dict) -> PhysicalParams:
     """Convert a config-units parameter mapping to PhysicalParams."""
     unknown = set(values) - set(PARAM_KEYS)
     if unknown:
@@ -51,7 +51,7 @@ def params_from_dict(values: dict, n_mech: int) -> PhysicalParams:
     values = {key: _number(value, f"parameter '{key}'")
               for key, value in values.items()}
     try:
-        return PhysicalParams.from_values(values, n_mech)
+        return PhysicalParams.from_values(values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -115,11 +115,11 @@ class ExperimentConfig:
         return len(self.program().pattern.measured)
 
     def physical_params(self, overrides: dict = None) -> PhysicalParams:
-        """Parameters with one resonator per node of the program's cluster."""
+        """The configured parameters, with sweep ``overrides`` applied."""
         values = dict(self.param_values)
         if overrides:
             values.update(overrides)
-        return params_from_dict(values, self.program().pattern.graph.n_nodes)
+        return params_from_dict(values)
 
     def sweep_points(self) -> list:
         """Parameter overrides at each sweep grid point, last axis fastest."""

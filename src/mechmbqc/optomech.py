@@ -12,7 +12,7 @@ Mode layout everywhere: mechanical modes 0..N-1 first, cavity last.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import constants
@@ -51,16 +51,12 @@ def thermal_occupancy(omega: float, temperature_k: float) -> float:
 BASE_MECH_FREQUENCY = 2.0 * np.pi * 11e6
 
 
-def default_mech_frequencies(n_modes: int) -> tuple:
-    """Non-overlapping resonator frequencies 2 pi * j * 11 MHz, j = 1..N."""
-    return tuple(BASE_MECH_FREQUENCY * (j + 1) for j in range(n_modes))
-
-
 @dataclass(frozen=True)
 class PhysicalParams:
     """Physical rates and settings of the monitored optomechanical system.
 
-    All rates are angular frequencies in rad/s.
+    All rates are angular frequencies in rad/s. A program's pattern, not the
+    parameters, sets the resonator count: one per cluster node.
 
     Attributes:
         eta: homodyne detector efficiency in (0, 1].
@@ -71,8 +67,7 @@ class PhysicalParams:
         temperature_k: mechanical bath temperature in kelvin.
         r_post_meas_db: squeezing of the homodyned mode's post-measurement
             state, in dB.
-        r_cluster_db: squeezing of the cluster constituents, in dB.
-        mech_frequencies: resonator frequencies (rad/s), one per mode.
+        r_cluster_db: non-negative squeezing of the cluster nodes, in dB.
         reset_cavity: reinitialize the cavity to vacuum between monitoring
             steps (off by default; the dynamics simply carries over).
     """
@@ -85,44 +80,30 @@ class PhysicalParams:
     temperature_k: float
     r_post_meas_db: float
     r_cluster_db: float
-    mech_frequencies: tuple
     reset_cavity: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        for name in ("gamma", "kappa", "tau", "alpha_g", "temperature_k"):
+        for name in ("gamma", "kappa", "tau", "alpha_g", "temperature_k", "r_cluster_db"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
-        for name in ("r_post_meas_db", "r_cluster_db"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        freqs = tuple(float(w) for w in self.mech_frequencies)
-        if not freqs or not all(0 < w < np.inf for w in freqs):
-            raise ValueError("mech_frequencies must be positive and finite")
-        object.__setattr__(self, "mech_frequencies", freqs)
-        w_min = min(freqs)
-        if self.kappa >= w_min or self.alpha_g >= w_min:
+        if not np.isfinite(self.r_post_meas_db):
+            raise ValueError("r_post_meas_db must be finite")
+        if self.kappa >= BASE_MECH_FREQUENCY or self.alpha_g >= BASE_MECH_FREQUENCY:
             warnings.warn(
                 "kappa and alpha_g should sit well below the mechanical "
                 "frequencies for the sideband-resolved model to hold",
                 stacklevel=2,
             )
 
-    @property
-    def n_mech(self) -> int:
-        return len(self.mech_frequencies)
-
-    def occupancies(self) -> np.ndarray:
-        return np.array(
-            [thermal_occupancy(w, self.temperature_k) for w in self.mech_frequencies]
-        )
-
-    def with_mech_count(self, n_mech: int) -> "PhysicalParams":
-        return replace(self, mech_frequencies=default_mech_frequencies(n_mech))
+    def occupancies(self, n_resonators: int) -> np.ndarray:
+        """Bath occupancies of resonators 0 .. n_resonators - 1."""
+        return np.array([thermal_occupancy(BASE_MECH_FREQUENCY * (j + 1), self.temperature_k)
+                         for j in range(n_resonators)])
 
     @classmethod
-    def from_values(cls, values: dict, n_mech: int) -> "PhysicalParams":
+    def from_values(cls, values: dict) -> "PhysicalParams":
         """Parameters from a mapping in preset units (the keys of PRESETS).
 
         Rates quoted as ordinary frequencies (``_hz``) are multiplied by
@@ -138,7 +119,6 @@ class PhysicalParams:
             temperature_k=float(values["temperature_k"]),
             r_post_meas_db=float(values["r_post_meas_db"]),
             r_cluster_db=float(values["r_cluster_db"]),
-            mech_frequencies=default_mech_frequencies(n_mech),
         )
 
 
@@ -169,18 +149,20 @@ PRESETS = {
 }
 
 
-def params_set1(n_mech: int = 5) -> PhysicalParams:
+def params_set1() -> PhysicalParams:
     """Experimentally motivated parameter set (``PRESETS["set1"]``)."""
-    return PhysicalParams.from_values(PRESETS["set1"], n_mech)
+    return PhysicalParams.from_values(PRESETS["set1"])
 
 
-def params_set2(n_mech: int = 5) -> PhysicalParams:
+def params_set2() -> PhysicalParams:
     """Close-to-ideal parameter set (``PRESETS["set2"]``)."""
-    return PhysicalParams.from_values(PRESETS["set2"], n_mech)
+    return PhysicalParams.from_values(PRESETS["set2"])
 
 
-def build_qnd_step(params: PhysicalParams, addressed: int, phi: float):
-    """Coupling and bath specs while one resonator is being measured.
+def build_qnd_step(params: PhysicalParams, n_resonators: int, addressed: int,
+                   phi: float):
+    """Coupling and bath specs while one of ``n_resonators`` resonators is
+    measured.
 
     The system Hamiltonian couples the cavity position to
     X_phi = X_k cos(phi) + P_k sin(phi) of the addressed resonator at
@@ -189,14 +171,13 @@ def build_qnd_step(params: PhysicalParams, addressed: int, phi: float):
     and one thermal channel per resonator at rate gamma.
 
     Returns:
-        (CouplingSpec, BathSpec) for ``n_mech + 1`` system modes.
+        (CouplingSpec, BathSpec) for ``n_resonators + 1`` system modes.
     """
-    n_mech = params.n_mech
-    if not 0 <= addressed < n_mech:
+    if not 0 <= addressed < n_resonators:
         raise ValueError(f"resonator index {addressed} out of range")
-    n = n_mech + 1
+    n = n_resonators + 1
     dim = 2 * n
-    q_cav = 2 * n_mech
+    q_cav = 2 * n_resonators
 
     h_system = np.zeros((dim, dim))
     coupling = 2.0 * params.alpha_g
@@ -210,13 +191,14 @@ def build_qnd_step(params: PhysicalParams, addressed: int, phi: float):
 
     # Dissipative channels: cavity tau first (a vacuum bath), then one
     # thermal bath per resonator.
-    c_dissipative = np.zeros((dim, 2 * (n_mech + 1)))
+    c_dissipative = np.zeros((dim, 2 * (n_resonators + 1)))
     c_dissipative[q_cav:, :2] = np.sqrt(params.tau) * np.eye(2)
     c_dissipative[:q_cav, 2:] = np.sqrt(params.gamma) * np.eye(q_cav)
 
     baths = BathSpec(
         sigma_monitored=vacuum(1).cov,
-        sigma_dissipative=thermal(n, np.append(0.0, params.occupancies())).cov,
+        sigma_dissipative=thermal(
+            n, np.append(0.0, params.occupancies(n_resonators))).cov,
         sigma_post_meas=homodyne_post_meas_cov(params.r_post_meas_db),
         eta=params.eta,
     )
@@ -270,8 +252,8 @@ class _Protocol:
     """A gate program made ready to monitor, shared by every driver.
 
     Attributes:
-        params: physical parameters at the pattern's mechanical mode count.
-        pattern: the program's measurement pattern.
+        params: physical parameters, as the caller gave them.
+        pattern: the program's measurement pattern, one resonator per node.
         cluster: the mechanical cluster state the monitoring starts from.
         reference: the ideal projective output of the same cluster.
         steps: evolution coefficients of each measurement step.
@@ -320,7 +302,7 @@ class _Protocol:
         monitored so far (including the one in progress) is priced into the
         result.
         """
-        n = 2 * self.params.n_mech
+        n = 2 * self.pattern.graph.n_nodes
         outputs = self.pattern.after(step + 1).complete_covs(covs[:, :n, :n])
         return fidelity_to(outputs, self.reference)
 
@@ -333,11 +315,9 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
     plain cluster of the program's graph.
     """
     pattern = program.pattern
-    if params.n_mech != pattern.graph.n_nodes:
-        params = params.with_mech_count(pattern.graph.n_nodes)
     cluster = build_cluster(pattern.graph, params.r_cluster_db)
     steps = tuple(
-        build_coefficients(*build_qnd_step(params, node, phi))
+        build_coefficients(*build_qnd_step(params, pattern.graph.n_nodes, node, phi))
         for node, phi in zip(pattern.measured, pattern.phases)
     )
     return _Protocol(params, pattern, cluster, pattern.complete(cluster), steps)
@@ -417,8 +397,8 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
 
     Args:
         program: any gate program; its pattern sets the steps.
-        params: physical parameters; the mechanical mode count is adjusted
-            to the cluster size if needed.
+        params: physical parameters; the pattern sets the resonator count,
+            one per cluster node.
         schedule: one duration per measurement step.
         samples_per_step: fidelity samples stored per step.
         keep_trajectories: also return the sampled full-system trajectories.
@@ -481,15 +461,16 @@ def _step_increments(protocol: _Protocol, step: int, cov: np.ndarray,
     """Yield ``(elapsed, covariance, completed fidelity)`` after every
     increment of one step, computed ``SEARCH_BLOCK`` increments at a time.
 
-    A block that fails anywhere is redone one increment at a time, so the
-    error surfaces at the increment that causes it, and only if the caller
-    reads that far.
+    The first increment is taken even past ``max_step_duration``. A block
+    that fails anywhere is redone one increment at a time, so the error
+    surfaces at the increment that causes it, and only if the caller reads
+    that far.
     """
     elapsed = 0.0
     while True:
         times = []
-        while (len(times) < SEARCH_BLOCK
-               and elapsed + time_resolution <= max_step_duration + 1e-15):
+        while len(times) < SEARCH_BLOCK and (
+                not elapsed or elapsed + time_resolution <= max_step_duration + 1e-15):
             elapsed += time_resolution
             times.append(elapsed)
         if not times:
@@ -540,7 +521,7 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
 
     cov = protocol.initial_cov()
     durations = []
-    for k, coeffs in enumerate(protocol.steps):
+    for k in range(len(protocol.steps)):
         if k:
             cov = protocol.handover(cov)
         best_f = protocol.completed_fidelities(cov[None], k)[0]
@@ -557,11 +538,7 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
         if best_t == 0.0:
             # Monitoring never helped this step; keep it at the minimal
             # resolvable duration rather than emitting an empty step.
-            best_t = time_resolution
-            best_cov = first_cov
-            if best_cov is None:
-                best_cov = coeffs.propagator.advance(cov, time_resolution)
-                _check_samples([time_resolution], best_cov[None])
+            best_t, best_cov = time_resolution, first_cov
         cov = best_cov
         durations.append(best_t)
 

@@ -203,6 +203,23 @@ def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, key, field):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("payload", [
+    dict(BASE, params={"r_cluster_db": -3}),
+    dict(BASE, sweep={"axes": [{"param": "r_cluster_db", "values": [3, -3]}]}),
+], ids=["params", "sweep-point"])
+def test_negative_cluster_squeezing_is_a_config_error(tmp_path, capsys, payload):
+    # It used to load, then fail in the cluster builder with a traceback.
+    message = "r_cluster_db must be non-negative"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(payload)
+    path = write_config(tmp_path, payload)
+    for command in ("oracle", "simulate", "sweep"):
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("axis", [
     {"param": "eta", "values": [1.0, 0.9, -1]},
     {"param": "gamma_hz", "values": [0.0, 10.0, np.inf]},
@@ -320,6 +337,16 @@ def test_missing_config_and_args_give_config_error(tmp_path):
     assert cli.main(["simulate", "--config", str(bad)]) == 2
     assert cli.main(["simulate", "--config", str(write_config(tmp_path, BASE)),
                      "--workers", "0"]) == 2
+
+
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    for out in (taken, taken / "sub"):
+        assert cli.main(["oracle", "--preset", "set1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create the output directory {out}: ")
+    assert taken.read_text() == "a file"
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from mechmbqc import mbqc
 from mechmbqc import optomech as om
 from mechmbqc import states as st
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from oracles import generic_solve_advance
 
@@ -64,7 +64,6 @@ def test_preset_set1_values():
     assert p.temperature_k == 1e-3
     assert p.r_post_meas_db == 10.0
     assert p.r_cluster_db == 3.0
-    assert p.mech_frequencies == tuple(2 * np.pi * 11e6 * j for j in (1, 2, 3, 4, 5))
 
 
 def test_preset_set2_values():
@@ -84,6 +83,18 @@ def test_params_validation():
         replace(om.params_set1(), gamma=-1.0)
     with pytest.warns(UserWarning, match="sideband"):
         replace(om.params_set1(), kappa=1e9)
+    # A negative cluster squeezing used to pass here and fail only when the
+    # cluster was built.
+    with pytest.raises(ValueError, match="r_cluster_db must be non-negative"):
+        replace(om.params_set1(), r_cluster_db=-3.0)
+    assert replace(om.params_set1(), r_cluster_db=0.0).r_cluster_db == 0.0
+
+
+def test_params_have_no_resonator_count():
+    # Rates and settings only; the program's pattern sizes the system.
+    assert [f.name for f in fields(om.PhysicalParams)] == [
+        "eta", "gamma", "kappa", "tau", "alpha_g", "temperature_k",
+        "r_post_meas_db", "r_cluster_db", "reset_cavity"]
 
 
 # NaN first: an unchecked infinite search bound would never return. eta's
@@ -92,13 +103,12 @@ NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 @pytest.mark.parametrize("field", ["gamma", "kappa", "tau", "alpha_g", "temperature_k",
-                                   "r_post_meas_db", "r_cluster_db", "mech_frequencies"])
+                                   "r_post_meas_db", "r_cluster_db"])
 def test_params_reject_non_finite_values(field):
     p = om.params_set1()
     for value in NON_FINITE:
-        bad = (value,) * p.n_mech if field == "mech_frequencies" else value
         with pytest.raises(ValueError, match=f"{field} must be .*finite"):
-            replace(p, **{field: bad})
+            replace(p, **{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -106,27 +116,27 @@ def test_params_reject_non_finite_values(field):
 
 
 def test_qnd_step_hamiltonian_angle():
-    p = om.params_set2(n_mech=2)
-    coupling, _ = om.build_qnd_step(p, 0, np.pi / 2.0)
+    p = om.params_set2()
+    coupling, _ = om.build_qnd_step(p, 2, 0, np.pi / 2.0)
     h = coupling.h_system
     q_cav = 4
     # phi = pi/2 couples the cavity position to the resonator momentum only.
     assert h[q_cav, 1] == pytest.approx(2 * p.alpha_g)
     assert abs(h[q_cav, 0]) < 1e-9
-    coupling0, _ = om.build_qnd_step(p, 1, 0.0)
+    coupling0, _ = om.build_qnd_step(p, 2, 1, 0.0)
     assert coupling0.h_system[q_cav, 2] == pytest.approx(2 * p.alpha_g)
     assert abs(coupling0.h_system[q_cav, 3]) < 1e-9
 
 
 def test_qnd_step_zero_coupling():
-    p = replace(om.params_set2(n_mech=2), alpha_g=0.0)
-    coupling, _ = om.build_qnd_step(p, 0, 0.3)
+    p = replace(om.params_set2(), alpha_g=0.0)
+    coupling, _ = om.build_qnd_step(p, 2, 0, 0.3)
     assert np.max(np.abs(coupling.h_system)) == 0.0
 
 
 def test_qnd_step_channel_layout():
-    p = om.params_set1(n_mech=3)
-    coupling, baths = om.build_qnd_step(p, 1, 0.7)
+    p = om.params_set1()
+    coupling, baths = om.build_qnd_step(p, 3, 1, 0.7)
     q_cav = 6
     assert coupling.c_monitored.shape == (8, 2)
     assert_allclose(coupling.c_monitored[q_cav:, :], np.sqrt(p.kappa) * np.eye(2))
@@ -134,7 +144,7 @@ def test_qnd_step_channel_layout():
     # tau channel first, then one thermal channel per resonator.
     assert coupling.c_dissipative.shape == (8, 8)
     assert_allclose(coupling.c_dissipative[q_cav:, :2], np.sqrt(p.tau) * np.eye(2))
-    occ = p.occupancies()
+    occ = p.occupancies(3)
     expected_diag = np.concatenate([[0.5, 0.5], np.repeat(occ + 0.5, 2)])
     assert_allclose(np.diag(baths.sigma_dissipative), expected_diag)
     assert_allclose(baths.sigma_monitored, 0.5 * np.eye(2))
@@ -142,23 +152,23 @@ def test_qnd_step_channel_layout():
 
 
 def test_qnd_step_set2_has_no_dissipation():
-    p = om.params_set2(n_mech=2)
-    coupling, _ = om.build_qnd_step(p, 0, 0.0)
+    p = om.params_set2()
+    coupling, _ = om.build_qnd_step(p, 2, 0, 0.0)
     assert np.max(np.abs(coupling.c_dissipative)) == 0.0
 
 
 def test_qnd_step_invalid_resonator():
     with pytest.raises(ValueError):
-        om.build_qnd_step(om.params_set2(n_mech=2), 5, 0.0)
+        om.build_qnd_step(om.params_set2(), 2, 5, 0.0)
 
 
 def test_qnd_step_label_permutation_equivariance():
-    # Relabeling the resonators (frequencies and drive assignment together)
-    # conjugates every coefficient matrix by the same mode permutation, so
-    # all downstream fidelity traces are label-invariant.
-    p = om.params_set1(n_mech=3)
+    # At uniform bath occupancy (zero temperature) the resonators differ
+    # only in their labels, so relabeling the addressed one conjugates every
+    # coefficient matrix by the same mode permutation, and all downstream
+    # fidelity traces are label-invariant.
+    p = replace(om.params_set1(), temperature_k=0.0)
     perm = [2, 0, 1]  # new index -> old index
-    p_perm = replace(p, mech_frequencies=tuple(p.mech_frequencies[i] for i in perm))
     n = 4  # three resonators plus cavity; cavity stays last
     pmat = np.zeros((2 * n, 2 * n))
     for new, old in enumerate(perm):
@@ -167,13 +177,45 @@ def test_qnd_step_label_permutation_equivariance():
 
     addressed_old = 1
     addressed_new = perm.index(addressed_old)
-    coupling, baths = om.build_qnd_step(p, addressed_old, 0.4)
-    coupling_p, baths_p = om.build_qnd_step(p_perm, addressed_new, 0.4)
+    coupling, baths = om.build_qnd_step(p, 3, addressed_old, 0.4)
+    coupling_p, baths_p = om.build_qnd_step(p, 3, addressed_new, 0.4)
     coeffs = dyn.build_coefficients(coupling, baths)
     coeffs_p = dyn.build_coefficients(coupling_p, baths_p)
     assert_allclose(coeffs_p.drift, pmat @ coeffs.drift @ pmat.T, atol=1e-12)
     assert_allclose(coeffs_p.diffusion, pmat @ coeffs.diffusion @ pmat.T, atol=1e-12)
     assert_allclose(coeffs_p.bbt(), pmat @ coeffs.bbt() @ pmat.T, atol=1e-12)
+
+
+def test_one_params_serves_every_resonator_count():
+    # Resonator j runs at (j + 1) * 11 MHz whatever the count, so the baths
+    # of a four-resonator system are the leading block of a five's.
+    p = om.params_set1()
+    occupancies = {n: p.occupancies(n) for n in (4, 5)}
+    assert occupancies[4].tolist() == occupancies[5][:4].tolist()
+    assert occupancies[5].tolist() == [
+        om.thermal_occupancy(2 * np.pi * 11e6 * (j + 1), p.temperature_k) for j in range(5)]
+    assert occupancies[5][0] == pytest.approx(1.438, abs=1e-3)
+    baths = {n: om.build_qnd_step(p, n, 0, 0.3)[1].sigma_dissipative for n in (4, 5)}
+    assert np.array_equal(np.diag(baths[5])[2:], np.repeat(occupancies[5] + 0.5, 2))
+    assert np.array_equal(baths[5][:10, :10], baths[4])
+
+
+@pytest.mark.parametrize("program", [mbqc.cz_program(), mbqc.identity_program()],
+                         ids=["cz-4-nodes", "identity-5-nodes"])
+def test_prepare_passes_the_params_through(program):
+    p = om.params_set1()
+    protocol = om._prepare(program, p)
+    assert protocol.params is p
+    assert protocol.initial_cov().shape == (2 * program.pattern.graph.n_nodes + 2,) * 2
+
+
+def test_sideband_warning_is_raised_once_when_the_params_are_built():
+    with pytest.warns(UserWarning, match="sideband") as record:
+        p = replace(om.params_set1(), kappa=om.BASE_MECH_FREQUENCY)
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        om._prepare(mbqc.cz_program(), p)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +593,7 @@ def greedy_oracle(program, params, time_resolution, max_step_duration):
     covariance it started from, the increments scanned and how it ended.
     """
     protocol = om._prepare(program, params)
-    n = 2 * protocol.params.n_mech
+    n = 2 * protocol.pattern.graph.n_nodes
 
     def completed(cov, k):
         mech = st.GaussianState(cov[:n, :n])
