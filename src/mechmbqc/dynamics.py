@@ -349,9 +349,9 @@ class Trajectory:
 DT_SAFETY = 20.0
 
 
-def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
-               horizon: float) -> float:
-    """Grid step that decides where :func:`integrate` places its samples.
+def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
+    """The grid step that decides where :func:`integrate` places its
+    samples, as a function of the covariance at the start of the grid.
 
     The propagation between samples is exact, so this step sets no accuracy;
     it fixes the sample times, which are part of every run's output (the
@@ -360,24 +360,30 @@ def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
     The measurement nonlinearity enters through ``sigma B B^T``, which only
     reads the covariance columns of the monitored block, so the estimate uses
     the norm of those columns (plus diffusive growth over the horizon) rather
-    than the full covariance.
+    than the full covariance. All but that norm's SVD is computed here, once.
     """
-    sigma = np.asarray(sigma0, dtype=float)
-    rate = coeffs.drift_norm
-    bbt = coeffs.bbt()
-    if np.any(bbt):
-        cols = np.flatnonzero(np.abs(bbt).max(axis=0))
+    cols = np.flatnonzero(np.abs(coeffs.bbt()).max(axis=0))
+    if cols.size:
         # Diffusive growth per direction saturates once the local damping
         # balances it, so damped directions do not inflate long horizons.
-        a_diag = np.diag(coeffs.drift)
-        d_diag = np.diag(coeffs.diffusion)
-        window = np.minimum(horizon, 1.0 / np.maximum(-a_diag, 1.0 / horizon))
-        growth = float(np.max(d_diag * window, initial=0.0))
-        v_est = max(np.linalg.svd(sigma[:, cols], compute_uv=False).max() + growth, 1.0)
-        rate += coeffs.bbt_norm * v_est
-    if rate <= 0.0:
-        return horizon
-    return min(horizon, 1.0 / (DT_SAFETY * rate))
+        window = np.minimum(horizon, 1.0 / np.maximum(-np.diag(coeffs.drift), 1.0 / horizon))
+        growth = float(np.max(np.diag(coeffs.diffusion) * window, initial=0.0))
+
+    def dt_of(sigma) -> float:
+        rate = coeffs.drift_norm
+        if cols.size:
+            sigma = np.asarray(sigma, dtype=float)
+            v_est = max(np.linalg.svd(sigma[:, cols], compute_uv=False).max() + growth, 1.0)
+            rate += coeffs.bbt_norm * v_est
+        return horizon if rate <= 0.0 else min(horizon, 1.0 / (DT_SAFETY * rate))
+
+    return dt_of
+
+
+def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
+               horizon: float) -> float:
+    """The step of :func:`grid_step_rule` for one covariance ``sigma0``."""
+    return grid_step_rule(coeffs, horizon)(sigma0)
 
 
 # Slack on the minimum symplectic eigenvalue of a propagated sample.
@@ -424,10 +430,10 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
 
 def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
                  n_chunks: int, dt_of, n_samples: int, t_offset: float) -> Trajectory:
-    """Sample the exact flow from ``sigma`` over ``n_chunks`` chunks of length
-    ``chunk``, each on :func:`integrate`'s grid for the step ``dt_of(cov)`` at
-    its start and at most ``n_samples`` samples (one ``advance`` per sample),
-    and guard all samples after the start with one :func:`_check_samples`."""
+    """Sample the exact flow from ``sigma`` over ``n_chunks`` chunks of length ``chunk``,
+    each on :func:`integrate`'s grid for the step ``dt_of(cov)`` at its start and at most
+    ``n_samples`` samples (one ``advance`` each; two keep only the end point, whatever
+    the step), and guard all samples after the start with one :func:`_check_samples`."""
     propagator = coeffs.propagator
     times = [t_offset]
     covs = [sigma]

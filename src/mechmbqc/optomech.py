@@ -27,9 +27,10 @@ from .dynamics import (
     Trajectory,
     _check_samples,
     _sample_flow,
+    add_system_hamiltonian,
     build_coefficients,
+    grid_step_rule,
     homodyne_post_meas_cov,
-    suggest_dt,
 )
 
 
@@ -65,8 +66,8 @@ class PhysicalParams:
         tau: unmonitored cavity loss rate.
         alpha_g: effective linearized drive-enhanced coupling.
         temperature_k: mechanical bath temperature in kelvin.
-        r_post_meas_db: squeezing of the homodyned mode's post-measurement
-            state, in dB.
+        r_post_meas_db: non-negative squeezing of the homodyned mode's
+            post-measurement state, in dB.
         r_cluster_db: non-negative squeezing of the cluster nodes, in dB.
         reset_cavity: reinitialize the cavity to vacuum between monitoring
             steps (off by default; the dynamics simply carries over).
@@ -85,16 +86,15 @@ class PhysicalParams:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        for name in ("gamma", "kappa", "tau", "alpha_g", "temperature_k", "r_cluster_db"):
+        for name in ("gamma", "kappa", "tau", "alpha_g", "temperature_k", "r_post_meas_db",
+                     "r_cluster_db"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
-        if not np.isfinite(self.r_post_meas_db):
-            raise ValueError("r_post_meas_db must be finite")
         if self.kappa >= BASE_MECH_FREQUENCY or self.alpha_g >= BASE_MECH_FREQUENCY:
             warnings.warn(
                 "kappa and alpha_g should sit well below the mechanical "
                 "frequencies for the sideband-resolved model to hold",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def occupancies(self, n_resonators: int) -> np.ndarray:
@@ -159,10 +159,46 @@ def params_set2() -> PhysicalParams:
     return PhysicalParams.from_values(PRESETS["set2"])
 
 
+def qnd_hamiltonian(params: PhysicalParams, n_resonators: int, addressed: int,
+                    phi: float) -> np.ndarray:
+    """The system Hamiltonian matrix of :func:`build_qnd_step`."""
+    if not 0 <= addressed < n_resonators:
+        raise ValueError(f"resonator index {addressed} out of range")
+    h_system = np.zeros((2 * n_resonators + 2,) * 2)
+    x_phi = 2.0 * params.alpha_g * np.array([np.cos(phi), np.sin(phi)])
+    h_system[2 * n_resonators, 2 * addressed:2 * addressed + 2] = x_phi
+    h_system[2 * addressed:2 * addressed + 2, 2 * n_resonators] = x_phi
+    return h_system
+
+
+def qnd_channels(params: PhysicalParams, n_resonators: int):
+    """Coupling (zero Hamiltonian) and baths of :func:`build_qnd_step`; all steps share them."""
+    dim = 2 * n_resonators + 2
+    q_cav = 2 * n_resonators
+
+    c_monitored = np.zeros((dim, 2))
+    c_monitored[q_cav:, :] = np.sqrt(params.kappa) * np.eye(2)
+
+    # Dissipative channels: cavity tau first (a vacuum bath), then one
+    # thermal bath per resonator.
+    c_dissipative = np.zeros((dim, dim))
+    c_dissipative[q_cav:, :2] = np.sqrt(params.tau) * np.eye(2)
+    c_dissipative[:q_cav, 2:] = np.sqrt(params.gamma) * np.eye(q_cav)
+
+    baths = BathSpec(
+        sigma_monitored=vacuum(1).cov,
+        sigma_dissipative=thermal(
+            n_resonators + 1, np.append(0.0, params.occupancies(n_resonators))).cov,
+        sigma_post_meas=homodyne_post_meas_cov(params.r_post_meas_db),
+        eta=params.eta,
+    )
+    return CouplingSpec(np.zeros((dim, dim)), c_monitored, c_dissipative), baths
+
+
 def build_qnd_step(params: PhysicalParams, n_resonators: int, addressed: int,
                    phi: float):
     """Coupling and bath specs while one of ``n_resonators`` resonators is
-    measured.
+    measured: :func:`qnd_channels` with :func:`qnd_hamiltonian`.
 
     The system Hamiltonian couples the cavity position to
     X_phi = X_k cos(phi) + P_k sin(phi) of the addressed resonator at
@@ -173,36 +209,9 @@ def build_qnd_step(params: PhysicalParams, n_resonators: int, addressed: int,
     Returns:
         (CouplingSpec, BathSpec) for ``n_resonators + 1`` system modes.
     """
-    if not 0 <= addressed < n_resonators:
-        raise ValueError(f"resonator index {addressed} out of range")
-    n = n_resonators + 1
-    dim = 2 * n
-    q_cav = 2 * n_resonators
-
-    h_system = np.zeros((dim, dim))
-    coupling = 2.0 * params.alpha_g
-    h_system[q_cav, 2 * addressed] = coupling * np.cos(phi)
-    h_system[2 * addressed, q_cav] = coupling * np.cos(phi)
-    h_system[q_cav, 2 * addressed + 1] = coupling * np.sin(phi)
-    h_system[2 * addressed + 1, q_cav] = coupling * np.sin(phi)
-
-    c_monitored = np.zeros((dim, 2))
-    c_monitored[q_cav:, :] = np.sqrt(params.kappa) * np.eye(2)
-
-    # Dissipative channels: cavity tau first (a vacuum bath), then one
-    # thermal bath per resonator.
-    c_dissipative = np.zeros((dim, 2 * (n_resonators + 1)))
-    c_dissipative[q_cav:, :2] = np.sqrt(params.tau) * np.eye(2)
-    c_dissipative[:q_cav, 2:] = np.sqrt(params.gamma) * np.eye(q_cav)
-
-    baths = BathSpec(
-        sigma_monitored=vacuum(1).cov,
-        sigma_dissipative=thermal(
-            n, np.append(0.0, params.occupancies(n_resonators))).cov,
-        sigma_post_meas=homodyne_post_meas_cov(params.r_post_meas_db),
-        eta=params.eta,
-    )
-    return CouplingSpec(h_system, c_monitored, c_dissipative), baths
+    h_system = qnd_hamiltonian(params, n_resonators, addressed, phi)
+    shared, baths = qnd_channels(params, n_resonators)
+    return CouplingSpec(h_system, shared.c_monitored, shared.c_dissipative), baths
 
 
 @dataclass(frozen=True)
@@ -315,29 +324,34 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
     plain cluster of the program's graph.
     """
     pattern = program.pattern
+    n = pattern.graph.n_nodes
     cluster = build_cluster(pattern.graph, params.r_cluster_db)
+    shared = build_coefficients(*qnd_channels(params, n))
     steps = tuple(
-        build_coefficients(*build_qnd_step(params, pattern.graph.n_nodes, node, phi))
+        EvolutionCoefficients(
+            add_system_hamiltonian(shared.drift, qnd_hamiltonian(params, n, node, phi)),
+            shared.diffusion, shared.backaction)
         for node, phi in zip(pattern.measured, pattern.phases)
     )
     return _Protocol(params, pattern, cluster, pattern.complete(cluster), steps)
 
 
-# Chunks per monitoring step. Each chunk lays its own sample grid from a
-# freshly suggested dt, so early transients are sampled more densely than
-# the rest of the step. The propagation itself is exact; the chunks only set
-# the sample times, which the reported fidelity trace (and its maximum) is
+# Chunks per monitoring step. A chunk of over two samples lays its own grid
+# from a freshly suggested dt, so early transients are sampled more densely
+# than the rest of the step. The propagation itself is exact; the chunks only
+# set the sample times, which the reported fidelity trace (and its maximum) is
 # taken on. The samples of all chunks are guarded together, once per step.
 CHUNKS_PER_STEP = 8
 
 
 def _integrate_step(cov: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
                     n_samples: int, t_offset: float) -> Trajectory:
-    """Propagate one monitoring step, sampled chunk by chunk and guarded once."""
+    """Propagate one step in chunks, guarded once; a two-sample chunk needs no dt."""
     chunk = t_mon / CHUNKS_PER_STEP
     per_chunk = max(2, int(np.ceil(n_samples / CHUNKS_PER_STEP)))
-    return _sample_flow(np.array(cov), coeffs, chunk, CHUNKS_PER_STEP,
-                        lambda sigma: suggest_dt(coeffs, sigma, chunk), per_chunk, t_offset)
+    dt_of = grid_step_rule(coeffs, chunk) if per_chunk > 2 else lambda _: chunk
+    return _sample_flow(np.array(cov), coeffs, chunk, CHUNKS_PER_STEP, dt_of,
+                        per_chunk, t_offset)
 
 
 def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,

@@ -220,6 +220,23 @@ def test_negative_cluster_squeezing_is_a_config_error(tmp_path, capsys, payload)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("payload", [
+    dict(BASE, params={"r_post_meas_db": -10}),
+    dict(BASE, sweep={"axes": [{"param": "r_post_meas_db", "values": [10, -10]}]}),
+], ids=["params", "sweep-point"])
+def test_negative_post_measurement_squeezing_is_a_config_error(tmp_path, capsys, payload):
+    # It used to run, with the squeezed quadrature silently swapped.
+    message = "r_post_meas_db must be non-negative and finite"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(payload)
+    path = write_config(tmp_path, payload)
+    for command in ("oracle", "simulate", "sweep"):
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("axis", [
     {"param": "eta", "values": [1.0, 0.9, -1]},
     {"param": "gamma_hz", "values": [0.0, 10.0, np.inf]},

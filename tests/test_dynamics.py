@@ -350,6 +350,51 @@ def test_suggest_dt_resolves_fastest_scale():
     assert dt <= 1.0 / (20.0 * gamma / 2.0)
 
 
+def one_shot_suggest_dt(coeffs, sigma0, horizon):
+    """The grid step as it was computed in one pass per call, before the
+    coefficient-only part moved into ``grid_step_rule``."""
+    sigma = np.asarray(sigma0, dtype=float)
+    rate = float(np.linalg.norm(coeffs.drift, 2))
+    bbt = coeffs.bbt()
+    if np.any(bbt):
+        cols = np.flatnonzero(np.abs(bbt).max(axis=0))
+        a_diag = np.diag(coeffs.drift)
+        d_diag = np.diag(coeffs.diffusion)
+        window = np.minimum(horizon, 1.0 / np.maximum(-a_diag, 1.0 / horizon))
+        growth = float(np.max(d_diag * window, initial=0.0))
+        v_est = max(np.linalg.svd(sigma[:, cols], compute_uv=False).max() + growth, 1.0)
+        rate += float(np.linalg.norm(bbt, 2)) * v_est
+    if rate <= 0.0:
+        return horizon
+    return min(horizon, 1.0 / (dyn.DT_SAFETY * rate))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 3),
+       log_horizon=hst.floats(-7.0, 1.0), monitored=hst.booleans())
+def test_grid_step_rule_is_suggest_dt_for_every_covariance(seed, n_modes, log_horizon,
+                                                           monitored):
+    # One rule, built once, serves any number of covariances, and gives the
+    # one-shot step of each bit for bit.
+    coeffs = random_physical_coefficients(seed, n_modes)
+    if not monitored:
+        coeffs = dyn.EvolutionCoefficients(coeffs.drift, coeffs.diffusion)
+    horizon = 10.0 ** log_horizon
+    rule = dyn.grid_step_rule(coeffs, horizon)
+    rng = np.random.default_rng(seed + 1)
+    omega = symplectic_form(n_modes)
+    for _ in range(3):
+        # A random physical state: a symplectic map of a thermal state.
+        m = rng.normal(size=(2 * n_modes, 2 * n_modes))
+        s = sla.expm(omega @ (0.5 * (m + m.T)))
+        nu = np.repeat(rng.uniform(0.5, 3.0, size=n_modes), 2)
+        sigma = (s * nu) @ s.T
+        dt = rule(sigma)
+        assert dt == dyn.suggest_dt(coeffs, sigma, horizon)
+        assert dt == one_shot_suggest_dt(coeffs, sigma, horizon)
+        assert 0.0 < dt <= horizon
+
+
 def test_integrator_dt_refinement_converges():
     coeffs, b, _ = scalar_riccati_setup(3.0, 8.0, 0.95)
     t_end = 1.0 / b

@@ -88,6 +88,11 @@ def test_params_validation():
     with pytest.raises(ValueError, match="r_cluster_db must be non-negative"):
         replace(om.params_set1(), r_cluster_db=-3.0)
     assert replace(om.params_set1(), r_cluster_db=0.0).r_cluster_db == 0.0
+    # A negative post-measurement squeezing used to swap the squeezed
+    # quadrature silently.
+    with pytest.raises(ValueError, match="r_post_meas_db must be non-negative"):
+        replace(om.params_set2(), r_post_meas_db=-10.0)
+    assert replace(om.params_set2(), r_post_meas_db=0.0).r_post_meas_db == 0.0
 
 
 def test_params_have_no_resonator_count():
@@ -162,6 +167,46 @@ def test_qnd_step_invalid_resonator():
         om.build_qnd_step(om.params_set2(), 2, 5, 0.0)
 
 
+PREPARED_PROGRAMS = {
+    "identity": mbqc.identity_program(),
+    "fourier": mbqc.fourier_program(),
+    "shear2.5": mbqc.shear_program(2.5),
+    "cz": mbqc.cz_program(),
+}
+
+
+@pytest.mark.parametrize("preset", ["set1", "set2"])
+@pytest.mark.parametrize("gate", sorted(PREPARED_PROGRAMS))
+def test_prepared_steps_equal_the_per_step_qnd_coefficients(gate, preset):
+    # The run's steps share one build of the channels and add each node's
+    # Hamiltonian to its drift; that is the per-step build bit for bit.
+    program = PREPARED_PROGRAMS[gate]
+    p = {"set1": om.params_set1, "set2": om.params_set2}[preset]()
+    protocol = om._prepare(program, p)
+    n = program.pattern.graph.n_nodes
+    pairs = list(zip(program.pattern.measured, program.pattern.phases))
+    assert len(protocol.steps) == len(pairs)
+    for coeffs, (node, phi) in zip(protocol.steps, pairs):
+        want = dyn.build_coefficients(*om.build_qnd_step(p, n, node, phi))
+        assert np.array_equal(coeffs.drift, want.drift)
+        assert np.array_equal(coeffs.diffusion, want.diffusion)
+        assert np.array_equal(coeffs.backaction, want.backaction)
+        assert coeffs.propagator.rate == want.propagator.rate
+
+
+def test_qnd_step_is_the_shared_channels_with_the_node_hamiltonian():
+    p = om.params_set1()
+    coupling, baths = om.build_qnd_step(p, 3, 1, 0.7)
+    shared, shared_baths = om.qnd_channels(p, 3)
+    assert not np.any(shared.h_system)
+    assert np.array_equal(coupling.h_system, om.qnd_hamiltonian(p, 3, 1, 0.7))
+    assert np.array_equal(coupling.c_monitored, shared.c_monitored)
+    assert np.array_equal(coupling.c_dissipative, shared.c_dissipative)
+    for name in ("sigma_monitored", "sigma_dissipative", "sigma_post_meas"):
+        assert np.array_equal(getattr(baths, name), getattr(shared_baths, name))
+    assert baths.eta == shared_baths.eta
+
+
 def test_qnd_step_label_permutation_equivariance():
     # At uniform bath occupancy (zero temperature) the resonators differ
     # only in their labels, so relabeling the addressed one conjugates every
@@ -216,6 +261,16 @@ def test_sideband_warning_is_raised_once_when_the_params_are_built():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         om._prepare(mbqc.cz_program(), p)
+
+
+def test_sideband_warning_names_the_caller():
+    # It used to name the dataclass-generated __init__ ("<string>:12").
+    values = {f.name: getattr(om.params_set1(), f.name) for f in fields(om.PhysicalParams)}
+    values["kappa"] = 2 * np.pi * 20e6
+    with pytest.warns(UserWarning, match="sideband") as record:
+        om.PhysicalParams(**values)
+    assert len(record) == 1
+    assert record[0].filename == __file__
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +534,60 @@ def test_protocol_reports_an_unphysical_sample_before_a_later_failed_solve(
         run_guard_case()
     assert info.value.t == traj.times[index]
     assert info.value.nu_min == pytest.approx(0.3)
+
+
+def run_short_case(samples_per_step):
+    """GUARD_CASE at ``samples_per_step`` samples per step."""
+    program, p, schedule, _ = GUARD_CASE
+    return om.run_monitoring_protocol(program, p, schedule, samples_per_step,
+                                      keep_trajectories=True)
+
+
+@pytest.mark.parametrize("samples_per_step", [2, 9, 16, 17])
+def test_chunks_of_two_samples_evaluate_no_grid_step(monkeypatch, samples_per_step):
+    # At up to 16 samples per step a chunk keeps only its end point, so no
+    # grid step is suggested; at 17 each step builds its rule once.
+    built, svds = [], []
+    rule, svd = om.grid_step_rule, np.linalg.svd
+
+    def counting_rule(coeffs, horizon):
+        built.append(horizon)
+        return rule(coeffs, horizon)
+
+    def counting_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(om, "grid_step_rule", counting_rule)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    result = run_short_case(samples_per_step)
+    _, _, schedule, _ = GUARD_CASE
+    if samples_per_step > 16:
+        assert built == [t / om.CHUNKS_PER_STEP for t in schedule.durations]
+        assert len(svds) == om.CHUNKS_PER_STEP * len(schedule.durations)
+        return
+    assert built == [] and svds == []
+    for traj, t_mon in zip(result.trajectories, schedule.durations):
+        chunk = t_mon / om.CHUNKS_PER_STEP
+        assert np.array_equal(traj.times,
+                              np.cumsum([traj.times[0]] + [chunk] * om.CHUNKS_PER_STEP))
+
+
+@pytest.mark.parametrize("samples_per_step", [2, 9, 16])
+def test_chunks_of_two_samples_report_a_non_finite_sample_at_its_time(
+        monkeypatch, samples_per_step):
+    # NaN from the fourth sample of step 2 on: it is reported at that
+    # sample's time, with no warning from the later solves of the step.
+    traj = run_short_case(samples_per_step).trajectories[1]
+    assert len(traj) == om.CHUNKS_PER_STEP + 1
+    faulty_advance_from(monkeypatch, traj.covs[3],
+                        {0: lambda s: np.full_like(s, np.nan)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dyn.PhysicalityError) as info:
+            run_short_case(samples_per_step)
+    assert info.value.t == traj.times[4]
+    assert info.value.nu_min == float("-inf")
 
 
 def test_monitored_model_propagates_as_a_generic_solve_bit_for_bit():
