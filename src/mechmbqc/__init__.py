@@ -9,9 +9,7 @@ from .states import (
     build_cluster,
     fidelity,
     fidelity_to,
-    homodyne_project,
     nullifier_variances,
-    partial_trace,
     squeeze_momentum,
     symplectic_eigenvalues,
     symplectic_form,
@@ -45,8 +43,6 @@ from .dynamics import (
     build_lyapunov,
     build_riccati,
     integrate,
-    steady_state,
-    suggest_dt,
 )
 from .optomech import (
     MonitoringSchedule,

@@ -26,8 +26,6 @@ from .states import (
     GaussianState,
     db_to_squeeze_parameter,
     first_unphysical,
-    symmetrize,
-    symplectic_eigenvalues,
     symplectic_form,
 )
 
@@ -186,9 +184,9 @@ class EvolutionCoefficients:
 
     sigma' = drift sigma + sigma drift^T + diffusion - sigma (B B^T) sigma.
 
-    The matrices are stored read-only, so everything derived from them
-    alone (``B B^T``, the spectral norms, the exact flow :attr:`propagator`)
-    is computed once and stays valid for the object's lifetime.
+    The matrices are stored read-only, so what is derived from them alone
+    (:attr:`bbt` and the exact flow :attr:`propagator`) is computed once and
+    stays valid for the object's lifetime.
     """
 
     drift: np.ndarray
@@ -219,24 +217,11 @@ class EvolutionCoefficients:
         return self.drift.shape[0]
 
     @cached_property
-    def _bbt(self) -> np.ndarray:
+    def bbt(self) -> np.ndarray:
+        """The backaction matrix B B^T (a read-only array)."""
         bbt = self.backaction @ self.backaction.T
         bbt.flags.writeable = False
         return bbt
-
-    def bbt(self) -> np.ndarray:
-        """The backaction matrix B B^T (a read-only array)."""
-        return self._bbt
-
-    @cached_property
-    def drift_norm(self) -> float:
-        """Spectral norm of the drift matrix."""
-        return float(np.linalg.norm(self.drift, 2))
-
-    @cached_property
-    def bbt_norm(self) -> float:
-        """Spectral norm of B B^T."""
-        return float(np.linalg.norm(self._bbt, 2))
 
     @cached_property
     def propagator(self) -> "Propagator":
@@ -266,7 +251,7 @@ class Propagator:
     def __init__(self, coeffs: EvolutionCoefficients):
         a = coeffs.drift
         self.dim = coeffs.dim
-        self.hamiltonian = np.block([[-a.T, coeffs.bbt()], [coeffs.diffusion, a]])
+        self.hamiltonian = np.block([[-a.T, coeffs.bbt], [coeffs.diffusion, a]])
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
         self._flows = {}
 
@@ -325,27 +310,11 @@ class Trajectory:
     times: np.ndarray
     covs: np.ndarray
 
-    def state_at(self, index: int) -> GaussianState:
-        return GaussianState(self.covs[index])
-
     def __len__(self) -> int:
         return len(self.times)
 
-    def as_records(self) -> dict:
-        """Columnar export: time, flattened covariance entries (upper
-        triangle), and the minimum symplectic eigenvalue per sample."""
-        dim = self.covs.shape[1]
-        iu = np.triu_indices(dim)
-        columns = {"time_s": np.asarray(self.times)}
-        flat = self.covs[:, iu[0], iu[1]]
-        for col, (i, j) in enumerate(zip(*iu)):
-            columns[f"cov_{i}_{j}"] = flat[:, col]
-        columns["min_symplectic_eigenvalue"] = symplectic_eigenvalues(
-            symmetrize(self.covs))[:, 0]
-        return columns
 
-
-# Grid steps per inverse fastest rate in :func:`suggest_dt`.
+# Grid steps per inverse fastest rate in :func:`grid_step_rule`.
 DT_SAFETY = 20.0
 
 
@@ -356,34 +325,32 @@ def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
     The propagation between samples is exact, so this step sets no accuracy;
     it fixes the sample times, which are part of every run's output (the
     maximum fidelity of a run is taken over them). It is sized against the
-    fastest rate in the ODE. The linear part contributes its spectral norm.
-    The measurement nonlinearity enters through ``sigma B B^T``, which only
-    reads the covariance columns of the monitored block, so the estimate uses
-    the norm of those columns (plus diffusive growth over the horizon) rather
-    than the full covariance. All but that norm's SVD is computed here, once.
+    fastest rate in the ODE. The linear part contributes the drift's spectral
+    norm. The measurement nonlinearity enters through ``sigma B B^T``, which
+    only reads the covariance columns of the monitored block, so the estimate
+    is the spectral norm of ``B B^T`` times the norm of those columns (plus
+    diffusive growth over the horizon) rather than of the full covariance.
+    All but the columns' SVD is computed here, once per rule; the rule is
+    built once per monitored step.
     """
-    cols = np.flatnonzero(np.abs(coeffs.bbt()).max(axis=0))
+    drift_norm = float(np.linalg.norm(coeffs.drift, 2))
+    cols = np.flatnonzero(np.abs(coeffs.bbt).max(axis=0))
     if cols.size:
+        bbt_norm = float(np.linalg.norm(coeffs.bbt, 2))
         # Diffusive growth per direction saturates once the local damping
         # balances it, so damped directions do not inflate long horizons.
         window = np.minimum(horizon, 1.0 / np.maximum(-np.diag(coeffs.drift), 1.0 / horizon))
         growth = float(np.max(np.diag(coeffs.diffusion) * window, initial=0.0))
 
     def dt_of(sigma) -> float:
-        rate = coeffs.drift_norm
+        rate = drift_norm
         if cols.size:
             sigma = np.asarray(sigma, dtype=float)
             v_est = max(np.linalg.svd(sigma[:, cols], compute_uv=False).max() + growth, 1.0)
-            rate += coeffs.bbt_norm * v_est
+            rate += bbt_norm * v_est
         return horizon if rate <= 0.0 else min(horizon, 1.0 / (DT_SAFETY * rate))
 
     return dt_of
-
-
-def suggest_dt(coeffs: EvolutionCoefficients, sigma0: np.ndarray,
-               horizon: float) -> float:
-    """The step of :func:`grid_step_rule` for one covariance ``sigma0``."""
-    return grid_step_rule(coeffs, horizon)(sigma0)
 
 
 # Slack on the minimum symplectic eigenvalue of a propagated sample.
@@ -391,7 +358,7 @@ PROPAGATION_ATOL = 1e-6
 
 
 def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
-              n_samples: int = 200, t_offset: float = 0.0) -> Trajectory:
+              n_samples: int = 200) -> Trajectory:
     """Propagate the covariance exactly and sample it on a grid of step dt.
 
     The horizon is cut into ``ceil(t_total / dt)`` grid steps, the last one
@@ -410,11 +377,11 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
         coeffs: combined ODE coefficients.
         t_total: integration horizon (finite, >= 0).
         dt: grid step (finite, > 0).
-        n_samples: cap on the number of stored samples (endpoints included).
-        t_offset: value the returned time axis starts at.
+        n_samples: cap on the number of stored samples (endpoints
+            included), an integer of at least 2.
 
     Returns:
-        Trajectory of sampled times and covariances.
+        Trajectory of sampled times and covariances, starting at time 0.
     """
     if isinstance(sigma0, GaussianState):
         sigma0 = sigma0.cov
@@ -424,8 +391,11 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     if not 0.0 <= t_total < np.inf:
         raise ValueError("integration horizon t_total must be non-negative and "
                          f"finite, got {t_total!r}")
+    if type(n_samples) is not int or n_samples < 2:
+        raise ValueError("n_samples must be an integer of at least 2, "
+                         f"got {n_samples!r}")
 
-    return _sample_flow(sigma, coeffs, t_total, 1, lambda _: dt, n_samples, t_offset)
+    return _sample_flow(sigma, coeffs, t_total, 1, lambda _: dt, n_samples, 0.0)
 
 
 def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
@@ -470,33 +440,3 @@ def _check_samples(times: list, covs: np.ndarray):
     if unphysical is not None:
         first, nu_min = unphysical
         raise PhysicalityError(times[first], nu_min)
-
-
-def steady_state(coeffs: EvolutionCoefficients, tol: float = 1e-10) -> GaussianState:
-    """Stationary covariance of the evolution.
-
-    Without measurement backaction this solves the algebraic Lyapunov
-    equation (the drift must be Hurwitz). With backaction it is the
-    stabilizing solution of the continuous-time algebraic Riccati equation
-    ``A sigma + sigma A^T + D - sigma B B^T sigma = 0``, accepted only if
-    its residual is below ``tol`` relative to the largest term.
-    """
-    if not np.any(coeffs.backaction):
-        evals = np.linalg.eigvals(coeffs.drift)
-        if np.max(evals.real) >= 0.0:
-            raise ValueError("drift is not Hurwitz; no unique Lyapunov steady state")
-        solution = sla.solve_continuous_lyapunov(coeffs.drift, -coeffs.diffusion)
-        return GaussianState(0.5 * (solution + solution.T))
-
-    backaction = coeffs.backaction
-    sigma = sla.solve_continuous_are(coeffs.drift.T, backaction, coeffs.diffusion,
-                                     np.eye(backaction.shape[1]))
-    sigma = 0.5 * (sigma + sigma.T)
-    a_sigma = coeffs.drift @ sigma
-    g = sigma @ backaction
-    residual = a_sigma + a_sigma.T + coeffs.diffusion - g @ g.T
-    scale = max(np.max(np.abs(a_sigma)), np.max(np.abs(coeffs.diffusion)),
-                np.max(np.abs(g @ g.T)))
-    if np.max(np.abs(residual)) > tol * scale:
-        raise np.linalg.LinAlgError("Riccati steady state did not meet its residual tolerance")
-    return GaussianState(sigma)

@@ -245,12 +245,6 @@ def squeeze_momentum(state: GaussianState, mode: int, r_db: float) -> GaussianSt
     return apply_symplectic(state, embed_single_mode(local, state.n_modes, mode))
 
 
-def rotation_matrix(phi: float) -> np.ndarray:
-    """Single-mode phase-space rotation mapping q onto X_phi = q cos(phi) + p sin(phi)."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, s], [-s, c]])
-
-
 def cz_matrix(n_modes: int, j: int, k: int, weight: float = 1.0) -> np.ndarray:
     """Symplectic matrix of CZ between modes j and k: p_j += w q_k, p_k += w q_j."""
     if j == k:
@@ -333,14 +327,6 @@ def nullifier_variances(state: GaussianState, graph: GraphSpec) -> np.ndarray:
     return np.array([vec @ state.cov @ vec for vec in vecs])
 
 
-def partial_trace(state: GaussianState, modes_to_keep) -> GaussianState:
-    """Reduced state on the listed modes (order preserved): a
-    :func:`condition_on_homodyne` that measures nothing, so the listed
-    modes must be distinct modes of the state."""
-    return GaussianState(condition_on_homodyne(state.cov[None], [], [],
-                                               list(modes_to_keep))[0])
-
-
 def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
     """Measure several modes at once, for each covariance in a stack
     ``(N, 2n, 2n)``, and return the ``(N, 2k, 2k)`` stack of kept-mode
@@ -382,21 +368,6 @@ def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
     sigma_kr = covs[:, idx] @ rows.T
     gain = np.linalg.solve(rows @ covs @ rows.T, np.swapaxes(sigma_kr, -1, -2))
     return symmetrize(covs[:, idx][:, :, idx] - sigma_kr @ gain)
-
-
-def homodyne_project(state: GaussianState, mode: int, phi: float) -> GaussianState:
-    """Project one mode of a state onto the quadrature X_phi.
-
-    The one-mode, single-state case of :func:`condition_on_homodyne`: the
-    measured mode is removed and the others are kept in order. ``state``
-    must be physical and have another mode. Returns the GaussianState with
-    one fewer mode.
-    """
-    state._check_mode(mode)
-    if state.n_modes < 2:
-        raise ValueError("measuring the only mode leaves no state behind")
-    keep = [m for m in range(state.n_modes) if m != mode]
-    return GaussianState(condition_on_homodyne(state.cov[None], [mode], [phi], keep)[0])
 
 
 def _overlap(cov_sum: np.ndarray):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from mechmbqc.mbqc import FOURIER, shear_matrix
+from mechmbqc.states import GaussianState, condition_on_homodyne
 
 
 def compose_oracle(lambdas) -> np.ndarray:
@@ -29,3 +30,10 @@ def generic_solve_advance(propagator, sigma, h):
         sigma = np.linalg.solve(xy[:d].T, xy[d:].T)
         sigma = 0.5 * (sigma + sigma.T)
     return sigma
+
+
+def project_one(state, mode, phi):
+    """``mode`` of ``state`` measured in X_phi and the other modes kept in
+    order: ``condition_on_homodyne`` on a stack of one."""
+    keep = [m for m in range(state.n_modes) if m != mode]
+    return GaussianState(condition_on_homodyne(state.cov[None], [mode], [phi], keep)[0])

@@ -231,7 +231,7 @@ def test_criterion_9_structural_properties():
             nu = st.symplectic_eigenvalues(cov)[0]
             min_nu = min(min_nu, nu)
 
-    phases = program.measurement_phases()
+    phases = program.pattern.phases
     decay_ratios = []
     for k, traj in enumerate(result.trajectories):
         norms = om.measured_node_decorrelation(traj, k, phi=phases[k])

@@ -1,7 +1,6 @@
 """Tests for the conditional covariance dynamics: coefficient builders
 checked against hand computations, the exact propagator against closed-form
-solutions and an independent RK4 integrator, and steady states against
-scipy's algebraic solvers."""
+solutions and an independent RK4 integrator."""
 
 import numpy as np
 import pytest
@@ -149,17 +148,15 @@ def test_coefficients_without_monitored_channel_have_no_backaction():
     baths = dyn.BathSpec(np.zeros((0, 0)), 0.5 * np.eye(2), np.zeros((0, 0)))
     coeffs = dyn.build_coefficients(coupling, baths)
     assert coeffs.backaction.shape == (4, 0)
-    assert not np.any(coeffs.bbt())
+    assert not np.any(coeffs.bbt)
 
 
 def test_coefficient_only_quantities_are_cached_read_only():
     coeffs = random_physical_coefficients(7, 2)
-    bbt = coeffs.bbt()
-    assert coeffs.bbt() is bbt
+    bbt = coeffs.bbt
+    assert coeffs.bbt is bbt
     assert not bbt.flags.writeable
     assert np.array_equal(bbt, coeffs.backaction @ coeffs.backaction.T)
-    assert coeffs.drift_norm == np.linalg.norm(coeffs.drift, 2)
-    assert coeffs.bbt_norm == np.linalg.norm(bbt, 2)
 
 
 def test_coefficients_compose_additively():
@@ -283,6 +280,15 @@ def test_integrate_rejects_a_non_finite_horizon_or_step(t_total, dt, name):
         dyn.integrate(0.5 * np.eye(2), coeffs, t_total, dt=dt)
 
 
+@pytest.mark.parametrize("n_samples", [1, 0, -3, 2.5, 3.0, True])
+def test_integrate_sample_cap_must_be_an_integer_of_at_least_two(n_samples):
+    # The cap counts both endpoints, so no grid can honour a cap below 2.
+    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
+    with pytest.raises(ValueError,
+                       match=f"n_samples must be an integer of at least 2, got {n_samples!r}"):
+        dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.1, n_samples=n_samples)
+
+
 def test_integrate_aborts_on_physicality_loss():
     # Negative-definite diffusion drains a thermal state below vacuum:
     # sigma(t) = (2 - t) I becomes unphysical after t = 1.5. The guard must
@@ -346,7 +352,7 @@ def test_suggest_dt_resolves_fastest_scale():
     gamma = 50.0
     drift, diffusion = dyn.build_lyapunov(mode_coupling(gamma), 0.5 * np.eye(2))
     coeffs = dyn.EvolutionCoefficients(drift, diffusion)
-    dt = dyn.suggest_dt(coeffs, 0.5 * np.eye(2), horizon=1.0)
+    dt = dyn.grid_step_rule(coeffs, 1.0)(0.5 * np.eye(2))
     assert dt <= 1.0 / (20.0 * gamma / 2.0)
 
 
@@ -355,7 +361,7 @@ def one_shot_suggest_dt(coeffs, sigma0, horizon):
     coefficient-only part moved into ``grid_step_rule``."""
     sigma = np.asarray(sigma0, dtype=float)
     rate = float(np.linalg.norm(coeffs.drift, 2))
-    bbt = coeffs.bbt()
+    bbt = coeffs.bbt
     if np.any(bbt):
         cols = np.flatnonzero(np.abs(bbt).max(axis=0))
         a_diag = np.diag(coeffs.drift)
@@ -390,7 +396,6 @@ def test_grid_step_rule_is_suggest_dt_for_every_covariance(seed, n_modes, log_ho
         nu = np.repeat(rng.uniform(0.5, 3.0, size=n_modes), 2)
         sigma = (s * nu) @ s.T
         dt = rule(sigma)
-        assert dt == dyn.suggest_dt(coeffs, sigma, horizon)
         assert dt == one_shot_suggest_dt(coeffs, sigma, horizon)
         assert 0.0 < dt <= horizon
 
@@ -428,7 +433,7 @@ def test_propagator_reuses_one_flow_per_interval_length(monkeypatch):
 def rk4_reference(sigma0, coeffs, t_total, n_steps):
     """Classical fixed-step RK4 on the covariance ODE: the independent
     oracle the exact propagator is checked against."""
-    a, d, g = coeffs.drift, coeffs.diffusion, coeffs.bbt()
+    a, d, g = coeffs.drift, coeffs.diffusion, coeffs.bbt
 
     def rhs(s):
         return a @ s + s @ a.T + d - s @ g @ s
@@ -476,7 +481,7 @@ def test_exact_propagator_matches_rk4_on_random_physical_channels(
     sigma0 = 0.5 * np.diag(np.exp(np.ravel([[r, -r] for r in squeezing])))
     # A horizon of several rate times makes long sample intervals take
     # several substeps.
-    rate = np.linalg.norm(coeffs.drift, 2) + np.linalg.norm(coeffs.bbt(), 2)
+    rate = np.linalg.norm(coeffs.drift, 2) + np.linalg.norm(coeffs.bbt, 2)
     t_total = 4.0 / rate
     traj = dyn.integrate(sigma0, coeffs, t_total, dt=t_total / 64,
                          n_samples=n_samples)
@@ -524,79 +529,9 @@ def test_propagator_raises_on_an_exactly_singular_substep():
         coeffs.propagator.advance(np.diag([-1.0, 1.0]), 1.0)
 
 
-# ---------------------------------------------------------------------------
-# steady states
-
-
-def test_steady_state_thermal():
-    gamma, nbar = 0.7, 2.2
-    drift, diffusion = dyn.build_lyapunov(mode_coupling(gamma),
-                                          (nbar + 0.5) * np.eye(2))
-    out = dyn.steady_state(dyn.EvolutionCoefficients(drift, diffusion))
-    assert_allclose(out.cov, (nbar + 0.5) * np.eye(2), atol=1e-12)
-
-
-def test_steady_state_lyapunov_residual():
-    rng = np.random.default_rng(9)
-    m = rng.normal(size=(4, 4))
-    drift = -(m @ m.T) - 0.1 * np.eye(4)  # negative definite, hence Hurwitz
-    noise = rng.normal(size=(4, 4))
-    diffusion = noise @ noise.T
-    coeffs = dyn.EvolutionCoefficients(drift, diffusion)
-    out = dyn.steady_state(coeffs)
-    residual = drift @ out.cov + out.cov @ drift.T + diffusion
-    assert np.max(np.abs(residual)) < 1e-10
-
-
-def test_steady_state_rejects_non_hurwitz():
-    coeffs = dyn.EvolutionCoefficients(np.eye(2), np.eye(2))
-    with pytest.raises(ValueError, match="Hurwitz"):
-        dyn.steady_state(coeffs)
-
-
-def test_steady_state_with_monitoring_matches_care():
-    # Independent check: the Riccati fixed point solves the continuous-time
-    # algebraic Riccati equation, solvable directly by scipy.
-    gamma, nbar = 0.5, 1.0
-    drift_d, diffusion_d = dyn.build_lyapunov(mode_coupling(gamma),
-                                              (nbar + 0.5) * np.eye(2))
-    coeffs_m, _, _ = scalar_riccati_setup(2.0, 10.0, 0.9)
-    coeffs = dyn.EvolutionCoefficients(
-        drift_d + coeffs_m.drift,
-        diffusion_d + coeffs_m.diffusion,
-        coeffs_m.backaction,
-    )
-    iterated = dyn.steady_state(coeffs, tol=1e-12)
-    care = sla.solve_continuous_are(
-        coeffs.drift.T, coeffs.backaction, coeffs.diffusion,
-        np.eye(coeffs.backaction.shape[1]),
-    )
-    assert_allclose(iterated.cov, care, atol=1e-8)
-
-
 def test_trajectory_state_accessors():
     coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
     traj = dyn.integrate(vacuum(1), coeffs, 1.0, dt=0.01, n_samples=5)
-    assert isinstance(traj.state_at(-1), GaussianState)
-    assert_allclose(traj.state_at(-1).cov, traj.covs[-1])
-    assert len(traj) == len(traj.times)
-    assert_allclose(traj.state_at(0).cov, 0.5 * np.eye(2))
-
-
-def test_trajectory_columnar_export():
-    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
-    traj = dyn.integrate(vacuum(1), coeffs, 1.0, dt=0.01, n_samples=5)
-    columns = traj.as_records()
-    assert set(columns) == {"time_s", "cov_0_0", "cov_0_1", "cov_1_1",
-                            "min_symplectic_eigenvalue"}
-    assert_allclose(columns["time_s"], traj.times)
-    assert_allclose(columns["cov_0_1"], traj.covs[:, 0, 1])
-    assert np.all(columns["min_symplectic_eigenvalue"] >= 0.5 - 1e-9)
-
-
-def test_trajectory_export_spectrum_matches_per_sample_states():
-    coeffs = random_physical_coefficients(3, 2)
-    sigma0 = np.diag([2.0, 0.3, 1.0, 0.6])
-    traj = dyn.integrate(sigma0, coeffs, 1.0, dt=0.01, n_samples=12)
-    per_sample = [traj.state_at(k).symplectic_spectrum[0] for k in range(len(traj))]
-    assert np.array_equal(traj.as_records()["min_symplectic_eigenvalue"], per_sample)
+    assert len(traj) == len(traj.times) == len(traj.covs) == 5
+    assert_allclose(traj.covs[0], 0.5 * np.eye(2))
+    assert GaussianState(traj.covs[-1]).is_physical()

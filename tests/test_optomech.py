@@ -228,7 +228,7 @@ def test_qnd_step_label_permutation_equivariance():
     coeffs_p = dyn.build_coefficients(coupling_p, baths_p)
     assert_allclose(coeffs_p.drift, pmat @ coeffs.drift @ pmat.T, atol=1e-12)
     assert_allclose(coeffs_p.diffusion, pmat @ coeffs.diffusion @ pmat.T, atol=1e-12)
-    assert_allclose(coeffs_p.bbt(), pmat @ coeffs.bbt() @ pmat.T, atol=1e-12)
+    assert_allclose(coeffs_p.bbt, pmat @ coeffs.bbt @ pmat.T, atol=1e-12)
 
 
 def test_one_params_serves_every_resonator_count():
@@ -353,7 +353,7 @@ def test_protocol_measured_quadrature_variance_non_increasing_set2():
     sched = om.MonitoringSchedule.equal(10e-6, 4)
     res = om.run_monitoring_protocol(prog, p, sched, samples_per_step=30,
                                      keep_trajectories=True)
-    phases = prog.measurement_phases()
+    phases = prog.pattern.phases
     for k, traj in enumerate(res.trajectories):
         d = np.array([np.cos(phases[k]), np.sin(phases[k])])
         variances = [d @ cov[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] @ d
@@ -378,7 +378,7 @@ def test_cavity_reset_option_changes_later_steps():
 def test_protocol_starts_from_the_pattern_cluster_and_scores_against_projective_run(program):
     p = om.params_set1()
     r_db = p.r_cluster_db
-    n_steps = len(program.measurement_phases())
+    n_steps = len(program.pattern.phases)
     res = om.run_monitoring_protocol(program, p,
                                      om.MonitoringSchedule.equal(2e-6, n_steps),
                                      samples_per_step=4, keep_trajectories=True)
@@ -409,7 +409,7 @@ PINNED_RUNS = {
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_protocol_pinned_fidelities(name):
     program, params, t_mon, final, best = PINNED_RUNS[name]
-    sched = om.MonitoringSchedule.equal(t_mon, len(program.measurement_phases()))
+    sched = om.MonitoringSchedule.equal(t_mon, len(program.pattern.phases))
     res = om.run_monitoring_protocol(program, params, sched, samples_per_step=10)
     assert res.final_fidelity == pytest.approx(final, rel=0, abs=1e-12)
     assert res.max_fidelity == pytest.approx(best, rel=0, abs=1e-12)
@@ -639,7 +639,7 @@ def test_decorrelation_decays_under_set2():
     sched = om.MonitoringSchedule.equal(40e-6, 4)
     res = om.run_monitoring_protocol(prog, p, sched, samples_per_step=24,
                                      keep_trajectories=True)
-    phi = prog.measurement_phases()[0]
+    phi = prog.pattern.phases[0]
     norms = om.measured_node_decorrelation(res.trajectories[0], 0, phi=phi)
     assert norms[-1] < 1e-2 * norms[0]
 
@@ -652,7 +652,7 @@ def test_decorrelation_frozen_at_negligible_efficiency():
     sched = om.MonitoringSchedule.equal(10e-6, 4)
     res = om.run_monitoring_protocol(prog, p, sched, samples_per_step=10,
                                      keep_trajectories=True)
-    phi = prog.measurement_phases()[0]
+    phi = prog.pattern.phases[0]
     norms = om.measured_node_decorrelation(res.trajectories[0], 0, phi=phi)
     assert norms[-1] > 0.9 * norms[0]
 
