@@ -99,14 +99,16 @@ class ExperimentConfig:
                 if not 0 < _number(value, f"schedule '{key}'") < np.inf:
                     raise ConfigError(f"schedule '{key}' must be positive and "
                                       f"finite, got {value!r}")
-        axis_names = [name for name, _ in self.sweep_axes]
-        if len(set(axis_names)) < len(axis_names):
-            raise ConfigError(f"sweep axes repeat a parameter: {axis_names}")
         for axis_name, values in self.sweep_axes:
+            if not isinstance(axis_name, str):
+                raise ConfigError(f"sweep axis 'param' must be a string, got {axis_name!r}")
             if axis_name not in PARAM_KEYS:
                 raise ConfigError(f"sweep axis '{axis_name}' is not a parameter")
             if len(values) < 1:
                 raise ConfigError(f"sweep axis '{axis_name}' has no points")
+        axis_names = [name for name, _ in self.sweep_axes]
+        if len(set(axis_names)) < len(axis_names):
+            raise ConfigError(f"sweep axes repeat a parameter: {axis_names}")
 
     def program(self) -> GateProgram:
         return named_program(self.gate)
@@ -196,9 +198,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if sched_unknown:
         raise ConfigError(f"unknown schedule keys: {sorted(sched_unknown)}")
 
-    sweep = raw.get("sweep", {})
+    sweep = raw.get("sweep")
     axes = []
-    if sweep:
+    if "sweep" in raw:
         if not isinstance(sweep, dict) or "axes" not in sweep:
             raise ConfigError("'sweep' must be an object with an 'axes' list")
         for axis in _convert(list, sweep["axes"], "sweep 'axes'"):

@@ -15,6 +15,7 @@ coupling Hamiltonian (1/2) r^T [[0, C], [C^T, 0]] r with ``n`` system and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +41,10 @@ class PhysicalityError(RuntimeError):
         )
         self.t = t
         self.nu_min = nu_min
+
+    def __reduce__(self):
+        # Rebuild from (t, nu_min), so the error crosses a process boundary.
+        return type(self), (self.t, self.nu_min)
 
 
 @dataclass(frozen=True)
@@ -236,16 +241,33 @@ class Propagator:
     sigma = Y X^-1, where [X; Y] obeys the linear ODE
     d/dt [X; Y] = H [X; Y] with H = [[-A^T, G], [D, A]] and G = B B^T
     (Davison & Maki, IEEE TAC 18, 1973; for G = 0 this is the Lyapunov flow
-    of Van Loan, IEEE TAC 23, 1978). Over an interval h one step is
-    sigma <- (Phi21 + Phi22 sigma)(Phi11 + Phi12 sigma)^-1 with
-    Phi = expm(h H), i.e. [X; Y] = Phi[:, :n] + Phi[:, n:] sigma.
+    of Van Loan, IEEE TAC 23, 1978). With Phi = expm(h H) the flow over an
+    interval h is sigma <- (Phi21 + Phi22 sigma)(Phi11 + Phi12 sigma)^-1.
 
-    An interval is split into ceil(h * lambda) equal substeps, lambda the
-    largest real part in the spectrum of H, so X grows by at most about e
-    per substep and stays well conditioned. Phi is computed once per
-    distinct interval length and shared by all its substeps. A substep is
-    one product for [X; Y], one LAPACK ``dgesv`` for X^T sigma = Y^T and a
-    symmetrization; a singular X raises :class:`numpy.linalg.LinAlgError`.
+    Every :meth:`advance` is one product and one LAPACK ``dgesv``, whatever
+    h; the map it applies is built once per distinct interval length. Let
+    lambda be the largest real part in the spectrum of H, by which X grows.
+
+    * If h lambda <= 1, the interval is one Davison-Maki step: [X; Y] =
+      Phi[:, :n] + Phi[:, n:] sigma, then X^T sigma' = Y^T. X grows by at
+      most about e, so this solve stays well conditioned.
+    * A longer interval takes the interval form of the same map (Anderson &
+      Moore, *Optimal Filtering*, 1979, ch. 6),
+
+          sigma <- W_c + Psi sigma (I + W_o sigma)^-1 Psi^T,
+
+      with W_c and W_o symmetric positive semidefinite for a physical flow.
+      The advance solves (I + sigma W_o) Z = sigma Psi^T and returns
+      W_c + Psi Z. For physical sigma the eigenvalues of I + sigma W_o are
+      at least 1, so the solve does not degrade as h grows, whereas
+      Phi11 + Phi12 sigma grows as e^(h lambda). The map is built by
+      doubling: Phi = expm(2^-k h H), with k the fewest halvings that bring
+      2^-k h lambda to at most 1, gives the piece W_c = Phi21 Phi11^-1,
+      Psi = Phi11^-T and W_o = Phi11^-1 Phi12, and each of k doublings,
+      with M = I + W_c W_o, sets Psi <- Psi M^-1 Psi,
+      W_c <- W_c + Psi M^-1 W_c Psi^T and W_o <- W_o + Psi^T W_o M^-1 Psi.
+
+    A singular matrix in any solve raises :class:`numpy.linalg.LinAlgError`.
     """
 
     def __init__(self, coeffs: EvolutionCoefficients):
@@ -256,31 +278,64 @@ class Propagator:
         self._flows = {}
 
     def _flow(self, h: float):
+        """``(offset, slope, post)`` of the interval ``h``: [X; Y] =
+        offset + slope sigma, and ``post`` is ``None`` for a Davison-Maki
+        step or ``(W_c, Psi)`` for the interval form."""
         flow = self._flows.get(h)
         if flow is None:
-            n_sub = max(1, int(np.ceil(h * self.rate)))
-            phi = sla.expm((h / n_sub) * self.hamiltonian)
+            mantissa, halvings = math.frexp(h * self.rate)
+            halvings = max(0, halvings - (mantissa == 0.5))
+            phi = sla.expm(math.ldexp(h, -halvings) * self.hamiltonian)
             d = self.dim
-            flow = (n_sub, np.ascontiguousarray(phi[:, :d]),
-                    np.ascontiguousarray(phi[:, d:]))
+            if halvings:
+                w_c, psi, w_o = _doubled_map(phi, d, halvings)
+                flow = (np.eye(2 * d, d), np.vstack([w_o, psi]), (w_c, psi))
+            else:
+                flow = (np.ascontiguousarray(phi[:, :d]),
+                        np.ascontiguousarray(phi[:, d:]), None)
             self._flows[h] = flow
         return flow
 
     def advance(self, sigma: np.ndarray, h: float) -> np.ndarray:
         """Covariance after an interval ``h``, starting from ``sigma``."""
-        n_sub, offset, slope = self._flow(h)
+        offset, slope, post = self._flow(h)
         d = self.dim
-        for _ in range(n_sub):
-            xy = offset + slope @ sigma
-            # The new covariance Y X^-1 is symmetric, so it equals its
-            # transpose X^-T Y^T, which one solve gives. X^T and Y^T are
-            # Fortran-ordered views of the fresh xy, solved in place.
-            _, _, sigma, info = dgesv(xy[:d].T, xy[d:].T,
-                                      overwrite_a=True, overwrite_b=True)
-            if info > 0:
-                raise np.linalg.LinAlgError("Singular matrix")
-            sigma = 0.5 * (sigma + sigma.T)
-        return sigma
+        xy = offset + slope @ sigma
+        # Y X^-1 is symmetric, so it equals X^-T Y^T, which one solve gives;
+        # in the interval form, (I + sigma W_o) Z = sigma Psi^T. X^T and Y^T
+        # are Fortran-ordered views of the fresh xy, solved in place.
+        sigma = _solve(xy[:d].T, xy[d:].T)
+        if post is not None:
+            w_c, psi = post
+            sigma = w_c + psi @ sigma
+        return 0.5 * (sigma + sigma.T)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b by one LAPACK ``dgesv``, overwriting ``a`` and ``b``; a
+    singular ``a`` raises :class:`numpy.linalg.LinAlgError`."""
+    _, _, x, info = dgesv(a, b, overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
+
+
+def _doubled_map(phi: np.ndarray, d: int, doublings: int):
+    """``(W_c, Psi, W_o)`` of the interval form of the flow ``phi`` composed
+    with itself ``doublings`` times, one solve per doubling (see
+    :class:`Propagator`)."""
+    # Phi11^T [Psi, W_c] = [I, Phi21^T], and W_o = Psi^T Phi12.
+    psi_wc = _solve(phi[:d, :d].T.copy(order="F"), np.hstack([np.eye(d), phi[d:, :d].T]))
+    psi, w_c = psi_wc[:, :d], psi_wc[:, d:]
+    w_o = psi.T @ phi[:d, d:]
+    w_c, w_o = 0.5 * (w_c + w_c.T), 0.5 * (w_o + w_o.T)
+    for _ in range(doublings):
+        solved = _solve(np.eye(d) + w_c @ w_o, np.hstack([psi, w_c @ psi.T]))
+        m_psi, m_wc_psi = solved[:, :d], solved[:, d:]
+        w_c, w_o, psi = (w_c + psi @ m_wc_psi, w_o + psi.T @ w_o @ m_psi,
+                         psi @ m_psi)
+        w_c, w_o = 0.5 * (w_c + w_c.T), 0.5 * (w_o + w_o.T)
+    return w_c, psi, w_o
 
 
 def build_coefficients(coupling: CouplingSpec, baths: BathSpec) -> EvolutionCoefficients:

@@ -1,6 +1,7 @@
 """Reference constructions that the tests compare the package against."""
 
 import numpy as np
+from scipy import linalg as sla
 
 from mechmbqc.mbqc import FOURIER, shear_matrix
 from mechmbqc.states import GaussianState, condition_on_homodyne
@@ -21,12 +22,28 @@ def compose_oracle(lambdas) -> np.ndarray:
 
 def generic_solve_advance(propagator, sigma, h):
     """``Propagator.advance`` written with the generic ``np.linalg.solve``:
-    each substep forms [X; Y] from the propagator's own flow, solves
-    X^T s = Y^T and symmetrizes s."""
-    n_sub, offset, slope = propagator._flow(h)
+    it forms [X; Y] from the propagator's own flow, solves X^T s = Y^T,
+    applies the interval form's post-map W_c + Psi s if the flow has one,
+    and symmetrizes."""
+    offset, slope, post = propagator._flow(h)
+    d = propagator.dim
+    xy = offset + slope @ sigma
+    sigma = np.linalg.solve(xy[:d].T, xy[d:].T)
+    if post is not None:
+        w_c, psi = post
+        sigma = w_c + psi @ sigma
+    return 0.5 * (sigma + sigma.T)
+
+
+def substep_chain_advance(propagator, sigma, h):
+    """The exact flow over ``h`` as a chain of ceil(h lambda) equal
+    Davison-Maki substeps, each sigma <- Y X^-1 with [X; Y] = Phi [I; sigma],
+    so that X grows by at most about e per substep."""
+    n_sub = max(1, int(np.ceil(h * propagator.rate)))
+    phi = sla.expm((h / n_sub) * propagator.hamiltonian)
     d = propagator.dim
     for _ in range(n_sub):
-        xy = offset + slope @ sigma
+        xy = phi[:, :d] + phi[:, d:] @ sigma
         sigma = np.linalg.solve(xy[:d].T, xy[d:].T)
         sigma = 0.5 * (sigma + sigma.T)
     return sigma

@@ -2,6 +2,7 @@
 and deterministic reproduction."""
 
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -130,11 +131,22 @@ SWEEP_AXIS = {"param": "eta", "values": [0.9, 1.0]}
     dict(BASE, schedule=dict(BASE["schedule"], t_mon_us=10**400)),
     dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
                                 "count": 10**400}]}),
+    # An axis names its parameter by a string, and a present sweep is an
+    # object with axes, whatever its value.
+    dict(BASE, sweep={"axes": [{"param": ["gamma_hz"], "values": [1]}]}),
+    dict(BASE, sweep=[]),
+    dict(BASE, sweep={}),
+    dict(BASE, sweep=0),
+    dict(BASE, sweep=False),
+    dict(BASE, sweep=""),
+    dict(BASE, sweep=None),
 ], ids=["samples_per_step", "t_mon_us", "t_mon_us_null", "sweep_values",
         "sweep_axis", "gate", "sweep_count", "gamma_hz_bool", "temperature_k_bool",
         "eta_string", "t_mon_us_bool", "durations_us_bool", "sweep_value_bool",
         "sweep_count_bool", "sweep_count_fraction", "sweep_count_inf",
-        "gamma_hz_huge_int", "t_mon_us_huge_int", "sweep_count_huge_int"])
+        "gamma_hz_huge_int", "t_mon_us_huge_int", "sweep_count_huge_int",
+        "sweep_param_list", "sweep_empty_list", "sweep_empty_object", "sweep_zero",
+        "sweep_false", "sweep_empty_string", "sweep_null"])
 def test_wrongly_typed_config_value_exits_with_config_error(tmp_path, capsys, payload):
     with pytest.raises(ConfigError):
         config_from_dict(payload)
@@ -366,8 +378,13 @@ def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
     assert taken.read_text() == "a file"
 
 
-def test_numerical_failure_exit_code(tmp_path, monkeypatch):
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     from mechmbqc.dynamics import PhysicalityError
+
+    error = PhysicalityError(1.5e-6, 0.3)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is PhysicalityError
+    assert (copy.t, copy.nu_min, str(copy)) == (1.5e-6, 0.3, str(error))
 
     def boom(*args, **kwargs):
         raise PhysicalityError(0.0, -1.0)
@@ -376,6 +393,17 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     path = write_config(tmp_path, BASE)
     assert cli.main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 3
+    # A failure in a sweep worker reaches the parent process intact, so the
+    # exit code and the message do not depend on the worker count.
+    path = write_config(tmp_path, dict(BASE, sweep={"axes": [SWEEP_AXIS]}), "sweep.json")
+    capsys.readouterr()
+    errors = []
+    for workers in ("1", "2"):
+        assert cli.main(["sweep", "--config", str(path), "--out",
+                         str(tmp_path / f"w{workers}"), "--workers", workers]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("numerical failure: covariance lost physicality")
 
 
 @pytest.mark.parametrize("error, exit_code", [

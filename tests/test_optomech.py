@@ -592,8 +592,9 @@ def test_chunks_of_two_samples_report_a_non_finite_sample_at_its_time(
 
 def test_monitored_model_propagates_as_a_generic_solve_bit_for_bit():
     # On the QND-step flows of both presets, Propagator.advance equals the
-    # same substeps through np.linalg.solve exactly, which keeps monitored
-    # runs bit-identical to a generic solve.
+    # same update through np.linalg.solve exactly, in both the Davison-Maki
+    # and the interval form, which keeps monitored runs bit-identical to a
+    # generic solve.
     for program, p in itertools.product((mbqc.identity_program(), mbqc.cz_program()),
                                         (om.params_set1(), om.params_set2())):
         protocol = om._prepare(program, p)
