@@ -464,7 +464,8 @@ def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
     covs = [sigma]
     try:
         for _ in range(n_chunks):
-            dt = dt_of(sigma)
+            # The floor binds only where chunk / dt would overflow to inf.
+            dt = max(dt_of(sigma), chunk / np.finfo(float).max)
             n_steps = max(1, int(np.ceil(chunk / dt))) if chunk > 0 else 0
             sample_every = max(1, int(np.ceil(n_steps / max(1, n_samples - 1)))) if n_steps else 1
             marks = range(sample_every, n_steps, sample_every)

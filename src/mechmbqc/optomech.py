@@ -11,6 +11,7 @@ Mode layout everywhere: mechanical modes 0..N-1 first, cavity last.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -316,16 +317,24 @@ class _Protocol:
         return fidelity_to(outputs, self.reference)
 
 
-def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
-    """Cluster, projective reference and per-step coefficients of a program.
+@functools.lru_cache(maxsize=1)
+def _cluster_and_reference(pattern: mbqc.MeasurementPattern, r_cluster_db: float):
+    """The cluster of a pattern's graph and its projective output.
 
     The monitored cluster carries the default input, a momentum-squeezed
     vacuum at the cluster squeezing, on every input node, so it is the
-    plain cluster of the program's graph.
+    plain cluster of the program's graph. Both states are immutable, so
+    consecutive runs of one program share them (and the reference's purity
+    spectrum) through a one-entry cache.
     """
+    cluster = build_cluster(pattern.graph, r_cluster_db)
+    return cluster, pattern.complete(cluster)
+
+
+def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
+    """Cluster, projective reference and per-step coefficients of a program."""
     pattern = program.pattern
     n = pattern.graph.n_nodes
-    cluster = build_cluster(pattern.graph, params.r_cluster_db)
     shared = build_coefficients(*qnd_channels(params, n))
     steps = tuple(
         EvolutionCoefficients(
@@ -333,7 +342,8 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
             shared.diffusion, shared.backaction)
         for node, phi in zip(pattern.measured, pattern.phases)
     )
-    return _Protocol(params, pattern, cluster, pattern.complete(cluster), steps)
+    cluster, reference = _cluster_and_reference(pattern, params.r_cluster_db)
+    return _Protocol(params, pattern, cluster, reference, steps)
 
 
 # Chunks per monitoring step. A chunk of over two samples lays its own grid
@@ -356,7 +366,9 @@ def _integrate_step(cov: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float
 
 def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
              samples_per_step: int, keep_trajectories: bool) -> ProtocolResult:
-    """Run a prepared protocol on a schedule and score every sample."""
+    """Run a prepared protocol on a schedule and score every sample in one
+    :func:`fidelity_to` call. If a step fails, the steps before it are scored
+    first: an unphysical output among them is the earlier fault."""
     if len(schedule.durations) != len(protocol.steps):
         raise ValueError(
             f"schedule has {len(schedule.durations)} steps, "
@@ -364,26 +376,34 @@ def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
         )
     cov = protocol.initial_cov()
     times = []
-    fids = []
+    blocks = []
     slices = []
     trajectories = []
     t_start = 0.0
-    for k, (coeffs, t_mon) in enumerate(zip(protocol.steps, schedule.durations)):
-        if k:
-            cov = protocol.handover(cov)
-        traj = _integrate_step(cov, coeffs, t_mon, samples_per_step, t_start)
-        cov = traj.covs[-1]
-        t_start += t_mon
-        if keep_trajectories:
-            trajectories.append(traj)
-        start = len(times)
-        times.extend(traj.times)
-        fids.extend(fidelity_to(protocol.output_block(traj.covs), protocol.reference))
-        slices.append(slice(start, len(times)))
+
+    def score():
+        return fidelity_to(np.concatenate(blocks), protocol.reference) if blocks else np.empty(0)
+
+    try:
+        for k, (coeffs, t_mon) in enumerate(zip(protocol.steps, schedule.durations)):
+            if k:
+                cov = protocol.handover(cov)
+            traj = _integrate_step(cov, coeffs, t_mon, samples_per_step, t_start)
+            cov = traj.covs[-1]
+            t_start += t_mon
+            if keep_trajectories:
+                trajectories.append(traj)
+            start = len(times)
+            times.extend(traj.times)
+            blocks.append(protocol.output_block(traj.covs))
+            slices.append(slice(start, len(times)))
+    except (np.linalg.LinAlgError, PhysicalityError):
+        score()
+        raise
 
     return ProtocolResult(
         times=np.asarray(times),
-        fidelities=np.asarray(fids),
+        fidelities=score(),
         step_slices=tuple(slices),
         output_state=GaussianState(protocol.output_block(cov)),
         reference_state=protocol.reference,

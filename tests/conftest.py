@@ -5,7 +5,17 @@ run of the suite checks the same examples and two runs compare like for
 like. Per-test ``max_examples`` and deadlines are set where the tests are.
 """
 
+import pytest
 from hypothesis import settings
+
+from mechmbqc import optomech
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+@pytest.fixture(autouse=True)
+def fresh_cluster_cache():
+    """Start every test with an empty cluster-and-reference cache, so what a
+    test counts does not depend on which tests ran before it."""
+    optomech._cluster_and_reference.cache_clear()

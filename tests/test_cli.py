@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mechmbqc import cli
+from mechmbqc import cli, optomech
 from mechmbqc.config import ConfigError, PRESETS, config_from_dict, load_config
 from mechmbqc.optomech import run_monitoring_protocol
 
@@ -358,6 +358,18 @@ def test_optimized_sweep_point_matches_optimize(tmp_path):
     assert " ".join(f"{t:.6g}" for t in steps) == optimized["optimized_steps_us"]
 
 
+def test_simulate_runs_an_astronomically_long_step(tmp_path):
+    # At 60 samples per step the chunk over its grid step exceeds the
+    # largest float; the grid step is floored so that the count stays finite.
+    payload = {"preset": "set2", "gate": "identity",
+               "schedule": {"mode": "equal", "t_mon_us": 1e300}}
+    path = write_config(tmp_path, payload)
+    assert config_from_dict(payload).samples_per_step == 60
+    out = tmp_path / "long"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert float(header_of(out / "summary.csv")["final_fidelity"]) == pytest.approx(1.0)
+
+
 def test_missing_config_and_args_give_config_error(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert cli.main(["simulate"]) == 2
@@ -448,6 +460,33 @@ def test_sweep_points_use_config_samples_per_step(tmp_path):
         config.schedule(), samples_per_step=40)
     assert row["max_fidelity"] == f"{direct.max_fidelity:.12g}"
     assert row["final_fidelity"] == f"{direct.final_fidelity:.12g}"
+
+
+def test_sweep_over_the_cluster_squeezing_matches_separate_simulate_runs(
+        tmp_path, monkeypatch):
+    # With r_cluster_db the last (fastest) axis, consecutive points never
+    # share a cluster: every point builds its own.
+    built = []
+    build_cluster = optomech.build_cluster
+    monkeypatch.setattr(optomech, "build_cluster",
+                        lambda *args: built.append(args) or build_cluster(*args))
+    axes = [{"param": "eta", "values": [1.0, 0.9]},
+            {"param": "r_cluster_db", "values": [3.0, 6.0]}]
+    path = write_config(tmp_path, dict(BASE, sweep={"axes": axes}))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert len(built) == 4
+    lines = (tmp_path / "s" / "sweep.csv").read_text().strip().splitlines()
+    data = [line.split(",") for line in lines if not line.startswith("#")]
+    rows = [dict(zip(data[0], row)) for row in data[1:]]
+    assert len(rows) == 4
+    for k, row in enumerate(rows):
+        point = {"eta": float(row["eta"]), "r_cluster_db": float(row["r_cluster_db"])}
+        path = write_config(tmp_path, dict(BASE, params=point), f"point{k}.json")
+        out = tmp_path / f"point{k}"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        summary = header_of(out / "summary.csv")
+        assert row["final_fidelity"] == summary["final_fidelity"]
+        assert row["max_fidelity"] == summary["max_fidelity"]
 
 
 def test_sweep_outputs_are_worker_count_independent(tmp_path):

@@ -391,6 +391,26 @@ def test_protocol_starts_from_the_pattern_cluster_and_scores_against_projective_
     assert np.array_equal(res.reference_state.cov, projective.cov)
 
 
+def test_consecutive_runs_of_one_program_share_the_cluster_and_reference():
+    # Two constructions of one program: the pattern is the cache key, by value.
+    runs = [(mbqc.shear_program(1.0), replace(om.params_set1(), gamma=gamma,
+                                               temperature_k=temperature_k))
+            for gamma, temperature_k in ((2 * np.pi * 8.0, 1e-3), (2 * np.pi * 40.0, 5e-3))]
+    sched = om.MonitoringSchedule.equal(3e-6, 4)
+    shared = [om.run_monitoring_protocol(program, p, sched, samples_per_step=10)
+              for program, p in runs]
+    assert shared[0].reference_state is shared[1].reference_state
+    assert not np.array_equal(shared[0].fidelities, shared[1].fidelities)
+    for (program, p), res in zip(runs, shared):
+        om._cluster_and_reference.cache_clear()
+        fresh = om.run_monitoring_protocol(program, p, sched, samples_per_step=10)
+        assert fresh.reference_state is not res.reference_state
+        assert np.array_equal(fresh.reference_state.cov, res.reference_state.cov)
+        assert np.array_equal(fresh.times, res.times)
+        assert np.array_equal(fresh.fidelities, res.fidelities)
+        assert np.array_equal(fresh.output_state.cov, res.output_state.cov)
+
+
 # Final and maximum fidelities of short runs, recorded before the protocol
 # engine was shared between the protocol runner and the optimizer; the
 # refactoring kept every output bit-identical.
@@ -534,6 +554,65 @@ def test_protocol_reports_an_unphysical_sample_before_a_later_failed_solve(
         run_guard_case()
     assert info.value.t == traj.times[index]
     assert info.value.nu_min == pytest.approx(0.3)
+
+
+def counting_fidelity_to(monkeypatch):
+    """Record the stack size of every ``fidelity_to`` call the protocol makes."""
+    calls = []
+
+    def counting(covs, reference):
+        calls.append(len(covs))
+        return st.fidelity_to(covs, reference)
+
+    monkeypatch.setattr(om, "fidelity_to", counting)
+    return calls
+
+
+def test_a_monitored_run_is_scored_in_one_call(monkeypatch):
+    calls = counting_fidelity_to(monkeypatch)
+    result = run_guard_case()
+    assert calls == [len(result.times)]
+
+
+def test_the_optimizer_replay_is_scored_in_one_call(monkeypatch):
+    calls = counting_fidelity_to(monkeypatch)
+    monitor, replays = om._monitor, []
+
+    def spy(*args):
+        start = len(calls)
+        result = monitor(*args)
+        replays.append(calls[start:])
+        return result
+
+    monkeypatch.setattr(om, "_monitor", spy)
+    _, result = om.optimize_schedule(mbqc.identity_program(), om.params_set1(),
+                                     time_resolution=2e-6, max_step_duration=20e-6)
+    assert replays == [[len(result.times)]]
+
+
+@pytest.mark.parametrize("error", [dyn.PhysicalityError(1e-6, 0.3),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=["physicality", "linalg"])
+def test_an_unphysical_output_is_reported_before_a_later_step_fails(monkeypatch, error):
+    # Step 2 leaves an unphysical output block in one of its samples (not the
+    # one handed to step 3), then step 3 fails: the earlier fault is the
+    # scoring error, as when each step was scored before the next ran.
+    integrate_step, steps = om._integrate_step, []
+
+    def faulty(*args):
+        steps.append(args)
+        if len(steps) == 3:
+            raise error
+        traj = integrate_step(*args)
+        if len(steps) == 2:
+            covs = traj.covs.copy()
+            covs[1] = 0.3 * np.eye(covs.shape[1])
+            traj = dyn.Trajectory(traj.times, covs)
+        return traj
+
+    monkeypatch.setattr(om, "_integrate_step", faulty)
+    with pytest.raises(ValueError, match="fidelity input is unphysical"):
+        run_guard_case()
 
 
 def run_short_case(samples_per_step):
