@@ -33,13 +33,10 @@ from .mbqc import (
     single_mode_program,
 )
 from .dynamics import (
-    BathSpec,
-    CouplingSpec,
     EvolutionCoefficients,
     PhysicalityError,
     Trajectory,
     add_system_hamiltonian,
-    build_coefficients,
     build_lyapunov,
     build_riccati,
     integrate,
@@ -48,7 +45,6 @@ from .optomech import (
     MonitoringSchedule,
     PhysicalParams,
     ProtocolResult,
-    build_qnd_step,
     gate_comparison,
     measured_node_decorrelation,
     optimize_schedule,

@@ -11,6 +11,7 @@ identical configurations reproduce identical files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -110,7 +111,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     jobs = [(config, point) for point in points]
 
     # A fork pool starts all of its workers on the first submit.
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))

@@ -169,7 +169,11 @@ def _axis_values(spec: dict) -> list:
     count = _number(count, "sweep axis count")
     if not (count >= 1 and count.is_integer()):
         raise ConfigError(f"sweep axis count must be a positive integer, got {count!r}")
-    return [float(v) for v in np.linspace(start, stop, int(count))]
+    try:
+        values = np.linspace(start, stop, int(count))
+    except (ValueError, MemoryError) as exc:  # numpy cannot hold that many points
+        raise ConfigError(f"sweep axis count {count:g} is too large: {exc}") from None
+    return [float(v) for v in values]
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -47,67 +47,6 @@ class PhysicalityError(RuntimeError):
         return type(self), (self.t, self.nu_min)
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
-    """System Hamiltonian matrix plus monitored/dissipative coupling blocks.
-
-    Attributes:
-        h_system: 2n x 2n symmetric Hamiltonian matrix.
-        c_monitored: 2n x 2m_m coupling to the monitored input modes.
-        c_dissipative: 2n x 2m_d coupling to the lost input modes.
-    """
-
-    h_system: np.ndarray
-    c_monitored: np.ndarray
-    c_dissipative: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h_system, dtype=float)
-        cm = np.asarray(self.c_monitored, dtype=float)
-        cd = np.asarray(self.c_dissipative, dtype=float)
-        dim = h.shape[0]
-        if h.shape != (dim, dim) or dim % 2:
-            raise ValueError("system Hamiltonian matrix must be 2n x 2n")
-        if np.max(np.abs(h - h.T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
-            raise ValueError("system Hamiltonian matrix must be symmetric")
-        for name, c in (("monitored", cm), ("dissipative", cd)):
-            if c.shape[0] != dim or c.shape[1] % 2:
-                raise ValueError(f"{name} coupling must be 2n x 2m")
-        object.__setattr__(self, "h_system", h)
-        object.__setattr__(self, "c_monitored", cm)
-        object.__setattr__(self, "c_dissipative", cd)
-
-    @property
-    def n_modes(self) -> int:
-        return self.h_system.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class BathSpec:
-    """Input-mode covariances and detection parameters.
-
-    Attributes:
-        sigma_monitored: 2m_m x 2m_m covariance of the monitored inputs
-            (vacuum I/2 for an optical channel).
-        sigma_dissipative: 2m_d x 2m_d covariance of the lost inputs
-            (block-diagonal thermal (n + 1/2) I per mechanical channel).
-        sigma_post_meas: 2m_m x 2m_m post-measurement covariance of the
-            homodyned modes, (1/2) diag(e^-2r, e^2r) per channel.
-        eta: detector efficiency in (0, 1].
-    """
-
-    sigma_monitored: np.ndarray
-    sigma_dissipative: np.ndarray
-    sigma_post_meas: np.ndarray
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("detector efficiency must lie in (0, 1]")
-        for name in ("sigma_monitored", "sigma_dissipative", "sigma_post_meas"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-
 def homodyne_post_meas_cov(r_post_meas_db: float) -> np.ndarray:
     """Position-squeezed post-measurement covariance (1/2) diag(e^-2r, e^2r)."""
     r = db_to_squeeze_parameter(r_post_meas_db)
@@ -284,6 +223,11 @@ class Propagator:
         flow = self._flows.get(h)
         if flow is None:
             mantissa, halvings = math.frexp(h * self.rate)
+            if math.isinf(mantissa):
+                # h lambda overflows: add the exponents of h and lambda.
+                (m_h, e_h), (m_rate, e_rate) = math.frexp(h), math.frexp(self.rate)
+                mantissa, halvings = math.frexp(m_h * m_rate)
+                halvings += e_h + e_rate
             halvings = max(0, halvings - (mantissa == 0.5))
             phi = sla.expm(math.ldexp(h, -halvings) * self.hamiltonian)
             d = self.dim
@@ -336,26 +280,6 @@ def _doubled_map(phi: np.ndarray, d: int, doublings: int):
                          psi @ m_psi)
         w_c, w_o = 0.5 * (w_c + w_c.T), 0.5 * (w_o + w_o.T)
     return w_c, psi, w_o
-
-
-def build_coefficients(coupling: CouplingSpec, baths: BathSpec) -> EvolutionCoefficients:
-    """Assemble the full ODE coefficients from a coupling and bath spec.
-
-    The Lyapunov part (dissipative channels), the Riccati part (monitored
-    channels) and the Hamiltonian drift compose by matrix addition.
-    """
-    a_lyap, d_lyap = build_lyapunov(coupling.c_dissipative, baths.sigma_dissipative)
-    if coupling.c_monitored.shape[1]:
-        a_ricc, d_ricc, backaction = build_riccati(
-            coupling.c_monitored, baths.sigma_monitored, baths.sigma_post_meas, baths.eta
-        )
-    else:
-        dim = 2 * coupling.n_modes
-        a_ricc = np.zeros((dim, dim))
-        d_ricc = np.zeros((dim, dim))
-        backaction = np.zeros((dim, 0))
-    drift = add_system_hamiltonian(a_lyap + a_ricc, coupling.h_system)
-    return EvolutionCoefficients(drift, d_lyap + d_ricc, backaction)
 
 
 @dataclass(frozen=True)

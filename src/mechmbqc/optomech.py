@@ -21,15 +21,14 @@ from scipy import constants
 from . import mbqc
 from .states import GaussianState, build_cluster, fidelity_to, quadratures, thermal, vacuum
 from .dynamics import (
-    BathSpec,
-    CouplingSpec,
     EvolutionCoefficients,
     PhysicalityError,
     Trajectory,
     _check_samples,
     _sample_flow,
     add_system_hamiltonian,
-    build_coefficients,
+    build_lyapunov,
+    build_riccati,
     grid_step_rule,
     homodyne_post_meas_cov,
 )
@@ -162,7 +161,8 @@ def params_set2() -> PhysicalParams:
 
 def qnd_hamiltonian(params: PhysicalParams, n_resonators: int, addressed: int,
                     phi: float) -> np.ndarray:
-    """The system Hamiltonian matrix of :func:`build_qnd_step`."""
+    """The system Hamiltonian matrix while resonator ``addressed`` is measured: the cavity
+    position couples to X_phi = X cos(phi) + P sin(phi) at strength 2 alpha_g."""
     if not 0 <= addressed < n_resonators:
         raise ValueError(f"resonator index {addressed} out of range")
     h_system = np.zeros((2 * n_resonators + 2,) * 2)
@@ -172,8 +172,10 @@ def qnd_hamiltonian(params: PhysicalParams, n_resonators: int, addressed: int,
     return h_system
 
 
-def qnd_channels(params: PhysicalParams, n_resonators: int):
-    """Coupling (zero Hamiltonian) and baths of :func:`build_qnd_step`; all steps share them."""
+def qnd_coefficients(params: PhysicalParams, n_resonators: int) -> EvolutionCoefficients:
+    """The coefficients every QND step on ``n_resonators`` resonators shares: the cavity
+    decays at kappa into a homodyne of efficiency eta and loses photons at tau, and each
+    resonator has a thermal bath at gamma. A step adds its :func:`qnd_hamiltonian`."""
     dim = 2 * n_resonators + 2
     q_cav = 2 * n_resonators
 
@@ -186,33 +188,11 @@ def qnd_channels(params: PhysicalParams, n_resonators: int):
     c_dissipative[q_cav:, :2] = np.sqrt(params.tau) * np.eye(2)
     c_dissipative[:q_cav, 2:] = np.sqrt(params.gamma) * np.eye(q_cav)
 
-    baths = BathSpec(
-        sigma_monitored=vacuum(1).cov,
-        sigma_dissipative=thermal(
-            n_resonators + 1, np.append(0.0, params.occupancies(n_resonators))).cov,
-        sigma_post_meas=homodyne_post_meas_cov(params.r_post_meas_db),
-        eta=params.eta,
-    )
-    return CouplingSpec(np.zeros((dim, dim)), c_monitored, c_dissipative), baths
-
-
-def build_qnd_step(params: PhysicalParams, n_resonators: int, addressed: int,
-                   phi: float):
-    """Coupling and bath specs while one of ``n_resonators`` resonators is
-    measured: :func:`qnd_channels` with :func:`qnd_hamiltonian`.
-
-    The system Hamiltonian couples the cavity position to
-    X_phi = X_k cos(phi) + P_k sin(phi) of the addressed resonator at
-    strength 2 alpha_g. The monitored channel is the cavity decay kappa;
-    the dissipative channels are the unmonitored cavity loss tau (vacuum)
-    and one thermal channel per resonator at rate gamma.
-
-    Returns:
-        (CouplingSpec, BathSpec) for ``n_resonators + 1`` system modes.
-    """
-    h_system = qnd_hamiltonian(params, n_resonators, addressed, phi)
-    shared, baths = qnd_channels(params, n_resonators)
-    return CouplingSpec(h_system, shared.c_monitored, shared.c_dissipative), baths
+    occupancies = np.append(0.0, params.occupancies(n_resonators))
+    a_lyap, d_lyap = build_lyapunov(c_dissipative, thermal(n_resonators + 1, occupancies).cov)
+    a_ricc, d_ricc, backaction = build_riccati(
+        c_monitored, vacuum(1).cov, homodyne_post_meas_cov(params.r_post_meas_db), params.eta)
+    return EvolutionCoefficients(a_lyap + a_ricc, d_lyap + d_ricc, backaction)
 
 
 @dataclass(frozen=True)
@@ -335,7 +315,7 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
     """Cluster, projective reference and per-step coefficients of a program."""
     pattern = program.pattern
     n = pattern.graph.n_nodes
-    shared = build_coefficients(*qnd_channels(params, n))
+    shared = qnd_coefficients(params, n)
     steps = tuple(
         EvolutionCoefficients(
             add_system_hamiltonian(shared.drift, qnd_hamiltonian(params, n, node, phi)),

@@ -131,6 +131,11 @@ SWEEP_AXIS = {"param": "eta", "values": [0.9, 1.0]}
     dict(BASE, schedule=dict(BASE["schedule"], t_mon_us=10**400)),
     dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
                                 "count": 10**400}]}),
+    # A count numpy cannot allocate: beyond its size limit, and beyond memory.
+    dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
+                                "count": 1e300}]}),
+    dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
+                                "count": 1e12}]}),
     # An axis names its parameter by a string, and a present sweep is an
     # object with axes, whatever its value.
     dict(BASE, sweep={"axes": [{"param": ["gamma_hz"], "values": [1]}]}),
@@ -145,6 +150,7 @@ SWEEP_AXIS = {"param": "eta", "values": [0.9, 1.0]}
         "eta_string", "t_mon_us_bool", "durations_us_bool", "sweep_value_bool",
         "sweep_count_bool", "sweep_count_fraction", "sweep_count_inf",
         "gamma_hz_huge_int", "t_mon_us_huge_int", "sweep_count_huge_int",
+        "sweep_count_beyond_numpy", "sweep_count_beyond_memory",
         "sweep_param_list", "sweep_empty_list", "sweep_empty_object", "sweep_zero",
         "sweep_false", "sweep_empty_string", "sweep_null"])
 def test_wrongly_typed_config_value_exits_with_config_error(tmp_path, capsys, payload):
@@ -370,6 +376,23 @@ def test_simulate_runs_an_astronomically_long_step(tmp_path):
     assert float(header_of(out / "summary.csv")["final_fidelity"]) == pytest.approx(1.0)
 
 
+def test_simulate_runs_a_step_whose_h_lambda_overflows(tmp_path):
+    # Each 1e302-s chunk times the step's rate (about 3.2e7 / s at
+    # kappa / 2 pi = 10 MHz) overflows. The run ends where 1e4-s steps end:
+    # measured 5.7e-11 apart, and 1e4-s and 1e6-s steps 1.2e-10 apart.
+    payload = {"preset": "set1", "params": {"kappa_hz": 1e7}, "gate": "identity",
+               "schedule": {"mode": "equal", "t_mon_us": 1e308}, "samples_per_step": 16}
+    finals = []
+    for t_mon_us in (1e308, 1e10):
+        payload["schedule"]["t_mon_us"] = t_mon_us
+        path = write_config(tmp_path, payload, f"long{t_mon_us:g}.json")
+        out = tmp_path / f"long{t_mon_us:g}"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        finals.append(float(header_of(out / "summary.csv")["final_fidelity"]))
+    assert finals[0] == pytest.approx(0.927075, abs=1e-6)
+    assert abs(finals[0] - finals[1]) <= 5e-10
+
+
 def test_missing_config_and_args_give_config_error(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert cli.main(["simulate"]) == 2
@@ -511,6 +534,8 @@ def test_sweep_outputs_are_worker_count_independent(tmp_path):
 
 
 def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
+    # A fork pool starts every worker it is asked for, so the pool is
+    # bounded by the grid and by the CPU count, with the same output.
     pools = []
 
     class InProcessPool:
@@ -526,12 +551,14 @@ def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     payload = dict(BASE)
-    for values, expected_pools in (([1.0, 0.9], [2]), ([0.9], [])):
+    for values, expected_pools in (([1.0, 0.9], [2]), ([0.9], []),
+                                   (list(np.linspace(0.5, 1.0, 8)), [3])):
         payload["sweep"] = {"axes": [{"param": "eta", "values": values}]}
         path = write_config(tmp_path, payload)
         outputs = []
-        for workers in ("1000", "1"):
+        for workers in ("4096", "1"):
             out = tmp_path / f"w{workers}-{len(values)}"
             assert cli.main(["sweep", "--config", str(path), "--out", str(out),
                              "--workers", workers]) == 0

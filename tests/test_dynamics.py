@@ -143,11 +143,14 @@ def test_riccati_rejects_bad_efficiency():
 
 
 def test_coefficients_without_monitored_channel_have_no_backaction():
-    coupling = dyn.CouplingSpec(np.zeros((4, 4)), np.zeros((4, 0)),
-                                np.zeros((4, 2)))
-    baths = dyn.BathSpec(np.zeros((0, 0)), 0.5 * np.eye(2), np.zeros((0, 0)))
-    coeffs = dyn.build_coefficients(coupling, baths)
+    # Unmonitored channels alone give drift and diffusion; the backaction
+    # defaults to an empty block, so the flow has no Riccati term.
+    drift, diffusion = dyn.build_lyapunov(np.vstack([mode_coupling(2.0), np.zeros((2, 2))]),
+                                          0.5 * np.eye(2))
+    coeffs = dyn.EvolutionCoefficients(drift, diffusion)
     assert coeffs.backaction.shape == (4, 0)
+    assert not coeffs.backaction.flags.writeable
+    assert coeffs.bbt.shape == (4, 4)
     assert not np.any(coeffs.bbt)
 
 
@@ -159,8 +162,16 @@ def test_coefficient_only_quantities_are_cached_read_only():
     assert np.array_equal(bbt, coeffs.backaction @ coeffs.backaction.T)
 
 
+def riccati_rhs(coeffs, sigma):
+    """d sigma / dt of the covariance ODE with these coefficients."""
+    a = coeffs.drift
+    return a @ sigma + sigma @ a.T + coeffs.diffusion - sigma @ coeffs.bbt @ sigma
+
+
 def test_coefficients_compose_additively():
-    # build_coefficients must equal the manual sum of its three parts.
+    # The channels' coefficients summed into one ODE give the sum of their
+    # separate right-hand sides: the Lyapunov part, the Riccati part and the
+    # Hamiltonian's Omega H sigma + sigma (Omega H)^T.
     rng = np.random.default_rng(2)
     h = rng.normal(size=(4, 4))
     h = 0.5 * (h + h.T)
@@ -168,17 +179,24 @@ def test_coefficients_compose_additively():
     c_d = rng.normal(size=(4, 4))
     sigma_d = np.diag(rng.uniform(0.5, 3.0, size=4))
     sigma_m = dyn.homodyne_post_meas_cov(8.0)
-    coupling = dyn.CouplingSpec(h, c_m, c_d)
-    baths = dyn.BathSpec(0.5 * np.eye(2), sigma_d, sigma_m, eta=0.9)
-    coeffs = dyn.build_coefficients(coupling, baths)
-
     a_lyap, d_lyap = dyn.build_lyapunov(c_d, sigma_d)
     a_ricc, d_ricc, backaction = dyn.build_riccati(c_m, 0.5 * np.eye(2),
                                                    sigma_m, eta=0.9)
-    assert_allclose(coeffs.drift,
-                    dyn.add_system_hamiltonian(a_lyap + a_ricc, h), atol=1e-12)
-    assert_allclose(coeffs.diffusion, d_lyap + d_ricc, atol=1e-12)
-    assert_allclose(coeffs.backaction, backaction, atol=1e-12)
+    coeffs = dyn.EvolutionCoefficients(dyn.add_system_hamiltonian(a_lyap + a_ricc, h),
+                                       d_lyap + d_ricc, backaction)
+    parts = [dyn.EvolutionCoefficients(a_lyap, d_lyap),
+             dyn.EvolutionCoefficients(a_ricc, d_ricc, backaction),
+             dyn.EvolutionCoefficients(dyn.add_system_hamiltonian(np.zeros((4, 4)), h),
+                                       np.zeros((4, 4)))]
+    s = rng.normal(size=(4, 4))
+    sigma = s @ s.T + 0.5 * np.eye(4)
+    assert_allclose(riccati_rhs(coeffs, sigma),
+                    sum(riccati_rhs(part, sigma) for part in parts), atol=1e-12)
+    # Dissipative channels add too: two pairs of inputs with independent
+    # baths give the sum of each pair's coefficients.
+    pairs = [dyn.build_lyapunov(c_d[:, k:k + 2], sigma_d[k:k + 2, k:k + 2]) for k in (0, 2)]
+    assert_allclose(a_lyap, pairs[0][0] + pairs[1][0], atol=1e-12)
+    assert_allclose(d_lyap, pairs[0][1] + pairs[1][1], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +451,8 @@ def test_propagator_reuses_one_flow_per_interval_length(monkeypatch):
 def rk4_reference(sigma0, coeffs, t_total, n_steps):
     """Classical fixed-step RK4 on the covariance ODE: the independent
     oracle the exact propagator is checked against."""
-    a, d, g = coeffs.drift, coeffs.diffusion, coeffs.bbt
-
     def rhs(s):
-        return a @ s + s @ a.T + d - s @ g @ s
+        return riccati_rhs(coeffs, s)
 
     h = t_total / n_steps
     sigma = np.array(sigma0, dtype=float)
@@ -450,8 +466,8 @@ def rk4_reference(sigma0, coeffs, t_total, n_steps):
 
 
 def random_physical_coefficients(seed, n_modes):
-    """Coefficients of random physical channels, built through the public
-    spec objects: a random Hamiltonian, one monitored channel read out by
+    """Coefficients of random physical channels, composed from the public
+    builders: a random Hamiltonian, one monitored channel read out by
     squeezed homodyne at efficiency eta, and thermal dissipative channels."""
     rng = np.random.default_rng(seed)
     dim = 2 * n_modes
@@ -459,14 +475,12 @@ def random_physical_coefficients(seed, n_modes):
     c_m = rng.normal(size=(dim, 2))
     c_d = 0.5 * rng.normal(size=(dim, dim))
     occupancies = rng.uniform(0.0, 2.0, size=n_modes)
-    coupling = dyn.CouplingSpec(0.5 * (h + h.T), c_m, c_d)
-    baths = dyn.BathSpec(
-        sigma_monitored=0.5 * np.eye(2),
-        sigma_dissipative=np.diag(np.repeat(occupancies + 0.5, 2)),
-        sigma_post_meas=dyn.homodyne_post_meas_cov(rng.uniform(0.0, 15.0)),
-        eta=rng.uniform(0.3, 1.0),
-    )
-    return dyn.build_coefficients(coupling, baths)
+    sigma_post_meas = dyn.homodyne_post_meas_cov(rng.uniform(0.0, 15.0))
+    a_lyap, d_lyap = dyn.build_lyapunov(c_d, np.diag(np.repeat(occupancies + 0.5, 2)))
+    a_ricc, d_ricc, backaction = dyn.build_riccati(c_m, 0.5 * np.eye(2), sigma_post_meas,
+                                                   eta=rng.uniform(0.3, 1.0))
+    drift = dyn.add_system_hamiltonian(a_lyap + a_ricc, 0.5 * (h + h.T))
+    return dyn.EvolutionCoefficients(drift, d_lyap + d_ricc, backaction)
 
 
 @settings(max_examples=20, deadline=None)

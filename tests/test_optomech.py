@@ -120,51 +120,108 @@ def test_params_reject_non_finite_values(field):
 # QND step construction
 
 
+def qnd_step(p, n, node, phi):
+    """One QND step's coefficients: the shared ones plus the node's Hamiltonian."""
+    shared = om.qnd_coefficients(p, n)
+    drift = dyn.add_system_hamiltonian(shared.drift, om.qnd_hamiltonian(p, n, node, phi))
+    return dyn.EvolutionCoefficients(drift, shared.diffusion, shared.backaction)
+
+
 def test_qnd_step_hamiltonian_angle():
     p = om.params_set2()
-    coupling, _ = om.build_qnd_step(p, 2, 0, np.pi / 2.0)
-    h = coupling.h_system
+    h = om.qnd_hamiltonian(p, 2, 0, np.pi / 2.0)
     q_cav = 4
     # phi = pi/2 couples the cavity position to the resonator momentum only.
     assert h[q_cav, 1] == pytest.approx(2 * p.alpha_g)
     assert abs(h[q_cav, 0]) < 1e-9
-    coupling0, _ = om.build_qnd_step(p, 2, 1, 0.0)
-    assert coupling0.h_system[q_cav, 2] == pytest.approx(2 * p.alpha_g)
-    assert abs(coupling0.h_system[q_cav, 3]) < 1e-9
+    h0 = om.qnd_hamiltonian(p, 2, 1, 0.0)
+    assert h0[q_cav, 2] == pytest.approx(2 * p.alpha_g)
+    assert abs(h0[q_cav, 3]) < 1e-9
 
 
 def test_qnd_step_zero_coupling():
     p = replace(om.params_set2(), alpha_g=0.0)
-    coupling, _ = om.build_qnd_step(p, 2, 0, 0.3)
-    assert np.max(np.abs(coupling.h_system)) == 0.0
+    assert np.max(np.abs(om.qnd_hamiltonian(p, 2, 0, 0.3))) == 0.0
+    assert np.array_equal(qnd_step(p, 2, 0, 0.3).drift, om.qnd_coefficients(p, 2).drift)
 
 
 def test_qnd_step_channel_layout():
+    # The channels, read off the coefficients they build: every resonator
+    # only decays at gamma / 2 into its own thermal bath (occupancy at
+    # (j + 1) * 11 MHz and 1 mK), and only the cavity is monitored.
     p = om.params_set1()
-    coupling, baths = om.build_qnd_step(p, 3, 1, 0.7)
+    assert p.temperature_k > 0.0
+    coeffs = om.qnd_coefficients(p, 3)
+    occupancies = p.occupancies(3)
+    assert np.all(occupancies > 0.0)
     q_cav = 6
-    assert coupling.c_monitored.shape == (8, 2)
-    assert_allclose(coupling.c_monitored[q_cav:, :], np.sqrt(p.kappa) * np.eye(2))
-    assert np.max(np.abs(coupling.c_monitored[:q_cav, :])) == 0.0
-    # tau channel first, then one thermal channel per resonator.
-    assert coupling.c_dissipative.shape == (8, 8)
-    assert_allclose(coupling.c_dissipative[q_cav:, :2], np.sqrt(p.tau) * np.eye(2))
-    occ = p.occupancies(3)
-    expected_diag = np.concatenate([[0.5, 0.5], np.repeat(occ + 0.5, 2)])
-    assert_allclose(np.diag(baths.sigma_dissipative), expected_diag)
-    assert_allclose(baths.sigma_monitored, 0.5 * np.eye(2))
-    assert baths.eta == p.eta
+    for j in range(3):
+        block = slice(2 * j, 2 * j + 2)
+        assert_allclose(coeffs.drift[block, block], -0.5 * p.gamma * np.eye(2), rtol=1e-14)
+        assert_allclose(coeffs.diffusion[block, block],
+                        p.gamma * (occupancies[j] + 0.5) * np.eye(2), rtol=1e-14)
+        # No entry couples a resonator to another resonator or to the cavity.
+        others = np.ones(8, dtype=bool)
+        others[block] = False
+        for matrix in (coeffs.drift, coeffs.diffusion):
+            assert not np.any(matrix[block, others])
+            assert not np.any(matrix[others, block])
+    assert coeffs.backaction.shape == (8, 2)
+    assert not np.any(coeffs.backaction[:q_cav])
+    assert np.any(coeffs.backaction[q_cav:])
+
+
+def test_qnd_hamiltonian_touches_only_the_cavity_and_the_addressed_node():
+    p = om.params_set1()
+    shared = om.qnd_coefficients(p, 3)
+    q_cav = 6
+    for node, phi in itertools.product(range(3), (0.0, 0.7, np.pi / 2.0)):
+        changed = qnd_step(p, 3, node, phi).drift != shared.drift
+        touched = np.zeros((8, 8), dtype=bool)
+        touched[q_cav:, 2 * node:2 * node + 2] = True
+        touched[2 * node:2 * node + 2, q_cav:] = True
+        assert np.any(changed)
+        assert not np.any(changed & ~touched)
 
 
 def test_qnd_step_set2_has_no_dissipation():
+    # Without damping or cavity loss the resonators keep no drift and no
+    # diffusion, and the cavity's coefficients are the monitored channel's.
     p = om.params_set2()
-    coupling, _ = om.build_qnd_step(p, 2, 0, 0.0)
-    assert np.max(np.abs(coupling.c_dissipative)) == 0.0
+    coeffs = om.qnd_coefficients(p, 2)
+    for matrix in (coeffs.drift, coeffs.diffusion):
+        assert not np.any(matrix[:4])
+        assert not np.any(matrix[:, :4])
+    c_monitored = np.sqrt(p.kappa) * np.eye(2)
+    drift, diffusion, backaction = dyn.build_riccati(
+        c_monitored, 0.5 * np.eye(2), dyn.homodyne_post_meas_cov(p.r_post_meas_db), p.eta)
+    assert_allclose(coeffs.drift[4:, 4:], drift, rtol=1e-14, atol=0.0)
+    assert_allclose(coeffs.diffusion[4:, 4:], diffusion, rtol=1e-14, atol=0.0)
+    assert_allclose(coeffs.backaction[4:], backaction, rtol=1e-14, atol=0.0)
 
 
 def test_qnd_step_invalid_resonator():
     with pytest.raises(ValueError):
-        om.build_qnd_step(om.params_set2(), 2, 5, 0.0)
+        om.qnd_hamiltonian(om.params_set2(), 2, 5, 0.0)
+
+
+def composed_qnd_step(p, n, node, phi):
+    """A QND step's coefficients composed from the dynamics builders, with the
+    channels laid out here: the cavity (last mode) decays at kappa into a
+    vacuum input homodyned at efficiency eta and loses photons at tau into
+    vacuum, and every resonator decays at gamma into its thermal bath."""
+    dim = 2 * n + 2
+    c_monitored = np.zeros((dim, 2))
+    c_monitored[-2:] = np.sqrt(p.kappa) * np.eye(2)
+    c_dissipative = np.zeros((dim, dim))
+    c_dissipative[-2:, :2] = np.sqrt(p.tau) * np.eye(2)
+    c_dissipative[:-2, 2:] = np.sqrt(p.gamma) * np.eye(2 * n)
+    baths = st.thermal(n + 1, np.append(0.0, p.occupancies(n))).cov
+    a_lyap, d_lyap = dyn.build_lyapunov(c_dissipative, baths)
+    a_ricc, d_ricc, backaction = dyn.build_riccati(
+        c_monitored, st.vacuum(1).cov, dyn.homodyne_post_meas_cov(p.r_post_meas_db), p.eta)
+    drift = dyn.add_system_hamiltonian(a_lyap + a_ricc, om.qnd_hamiltonian(p, n, node, phi))
+    return dyn.EvolutionCoefficients(drift, d_lyap + d_ricc, backaction)
 
 
 PREPARED_PROGRAMS = {
@@ -179,7 +236,8 @@ PREPARED_PROGRAMS = {
 @pytest.mark.parametrize("gate", sorted(PREPARED_PROGRAMS))
 def test_prepared_steps_equal_the_per_step_qnd_coefficients(gate, preset):
     # The run's steps share one build of the channels and add each node's
-    # Hamiltonian to its drift; that is the per-step build bit for bit.
+    # Hamiltonian to its drift; that is the per-step composition of the
+    # dynamics builders bit for bit.
     program = PREPARED_PROGRAMS[gate]
     p = {"set1": om.params_set1, "set2": om.params_set2}[preset]()
     protocol = om._prepare(program, p)
@@ -187,24 +245,11 @@ def test_prepared_steps_equal_the_per_step_qnd_coefficients(gate, preset):
     pairs = list(zip(program.pattern.measured, program.pattern.phases))
     assert len(protocol.steps) == len(pairs)
     for coeffs, (node, phi) in zip(protocol.steps, pairs):
-        want = dyn.build_coefficients(*om.build_qnd_step(p, n, node, phi))
+        want = composed_qnd_step(p, n, node, phi)
         assert np.array_equal(coeffs.drift, want.drift)
         assert np.array_equal(coeffs.diffusion, want.diffusion)
         assert np.array_equal(coeffs.backaction, want.backaction)
         assert coeffs.propagator.rate == want.propagator.rate
-
-
-def test_qnd_step_is_the_shared_channels_with_the_node_hamiltonian():
-    p = om.params_set1()
-    coupling, baths = om.build_qnd_step(p, 3, 1, 0.7)
-    shared, shared_baths = om.qnd_channels(p, 3)
-    assert not np.any(shared.h_system)
-    assert np.array_equal(coupling.h_system, om.qnd_hamiltonian(p, 3, 1, 0.7))
-    assert np.array_equal(coupling.c_monitored, shared.c_monitored)
-    assert np.array_equal(coupling.c_dissipative, shared.c_dissipative)
-    for name in ("sigma_monitored", "sigma_dissipative", "sigma_post_meas"):
-        assert np.array_equal(getattr(baths, name), getattr(shared_baths, name))
-    assert baths.eta == shared_baths.eta
 
 
 def test_qnd_step_label_permutation_equivariance():
@@ -222,27 +267,31 @@ def test_qnd_step_label_permutation_equivariance():
 
     addressed_old = 1
     addressed_new = perm.index(addressed_old)
-    coupling, baths = om.build_qnd_step(p, 3, addressed_old, 0.4)
-    coupling_p, baths_p = om.build_qnd_step(p, 3, addressed_new, 0.4)
-    coeffs = dyn.build_coefficients(coupling, baths)
-    coeffs_p = dyn.build_coefficients(coupling_p, baths_p)
+    coeffs = qnd_step(p, 3, addressed_old, 0.4)
+    coeffs_p = qnd_step(p, 3, addressed_new, 0.4)
     assert_allclose(coeffs_p.drift, pmat @ coeffs.drift @ pmat.T, atol=1e-12)
     assert_allclose(coeffs_p.diffusion, pmat @ coeffs.diffusion @ pmat.T, atol=1e-12)
     assert_allclose(coeffs_p.bbt, pmat @ coeffs.bbt @ pmat.T, atol=1e-12)
 
 
 def test_one_params_serves_every_resonator_count():
-    # Resonator j runs at (j + 1) * 11 MHz whatever the count, so the baths
-    # of a four-resonator system are the leading block of a five's.
+    # Resonator j runs at (j + 1) * 11 MHz whatever the count, so the
+    # coefficients of a four-resonator system are a five's without its last
+    # resonator.
     p = om.params_set1()
     occupancies = {n: p.occupancies(n) for n in (4, 5)}
     assert occupancies[4].tolist() == occupancies[5][:4].tolist()
     assert occupancies[5].tolist() == [
         om.thermal_occupancy(2 * np.pi * 11e6 * (j + 1), p.temperature_k) for j in range(5)]
     assert occupancies[5][0] == pytest.approx(1.438, abs=1e-3)
-    baths = {n: om.build_qnd_step(p, n, 0, 0.3)[1].sigma_dissipative for n in (4, 5)}
-    assert np.array_equal(np.diag(baths[5])[2:], np.repeat(occupancies[5] + 0.5, 2))
-    assert np.array_equal(baths[5][:10, :10], baths[4])
+    coeffs = {n: om.qnd_coefficients(p, n) for n in (4, 5)}
+    assert_allclose(np.diag(coeffs[5].diffusion)[:10],
+                    p.gamma * np.repeat(occupancies[5] + 0.5, 2), rtol=1e-14)
+    keep = np.r_[0:8, 10:12]  # five resonators and the cavity, without resonator 4
+    for name in ("drift", "diffusion"):
+        assert np.array_equal(getattr(coeffs[5], name)[np.ix_(keep, keep)],
+                              getattr(coeffs[4], name))
+    assert np.array_equal(coeffs[5].backaction[keep], coeffs[4].backaction)
 
 
 @pytest.mark.parametrize("program", [mbqc.cz_program(), mbqc.identity_program()],
@@ -684,6 +733,36 @@ def test_monitored_model_propagates_as_a_generic_solve_bit_for_bit():
                     sigma = coeffs.propagator.advance(sigma, h)
                     reference = generic_solve_advance(coeffs.propagator, reference, h)
                     assert np.array_equal(sigma, reference)
+
+
+@pytest.mark.parametrize("h", [1e302, 1.7e308])
+def test_propagator_advances_an_interval_whose_h_lambda_overflows(monkeypatch, h):
+    # At kappa / 2 pi = 10 MHz the rate lambda is about 3.2e7 / s, so
+    # h lambda is inf. The halvings then come from the exponents of h and
+    # lambda: the exponentiated piece still has 2^-k h lambda in (1/2, 1].
+    # The step has long settled, so the result is that of h = 1e4 s. Measured:
+    # 1.1e-10 and 5.7e-11 relative apart, while h = 1e4 s and 1e6 s, both
+    # finite products, differ by 2.3e-10 (rounding over some 40 doublings).
+    p = om.PhysicalParams.from_values(dict(om.PRESETS["set1"], kappa_hz=1e7))
+    protocol = om._prepare(mbqc.identity_program(), p)
+    propagator = protocol.steps[0].propagator
+    assert h * propagator.rate == np.inf
+    exponents = []
+    expm = dyn.sla.expm
+
+    def recording_expm(matrix):
+        exponents.append(matrix)
+        return expm(matrix)
+
+    monkeypatch.setattr(dyn.sla, "expm", recording_expm)
+    sigma = protocol.initial_cov()
+    long = propagator.advance(sigma, h)
+    (piece,) = exponents
+    scale = np.linalg.norm(piece) / np.linalg.norm(propagator.hamiltonian)
+    assert 0.5 < scale * propagator.rate <= 1.0
+    settled = propagator.advance(sigma, 1e4)
+    assert np.all(np.isfinite(long))
+    assert np.max(np.abs(long - settled)) <= 5e-10 * np.max(np.abs(settled))
 
 
 # ---------------------------------------------------------------------------
