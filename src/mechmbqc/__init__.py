@@ -4,6 +4,7 @@ by continuous monitoring of a QND-coupled cavity."""
 from .states import (
     GaussianState,
     GraphSpec,
+    UnphysicalStateError,
     apply_cz,
     apply_symplectic,
     build_cluster,

@@ -23,7 +23,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .dynamics import PhysicalityError
 from .optomech import PRESETS, optimize_schedule, run_monitoring_protocol
-from .states import build_cluster, nullifier_variances
+from .states import UnphysicalStateError, build_cluster, nullifier_variances
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PhysicalityError, np.linalg.LinAlgError) as exc:
+    except (PhysicalityError, UnphysicalStateError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

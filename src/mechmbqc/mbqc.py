@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .states import (
     GaussianState,
@@ -199,7 +198,8 @@ def cz_program() -> GateProgram:
     """
     pattern = MeasurementPattern(GraphSpec.linear(4), (1, 2), (1, 2),
                                  (np.pi / 2.0, np.pi / 2.0), (0, 3))
-    target = block_diag(FOURIER, FOURIER) @ cz_matrix(2, 0, 1)
+    zero = np.zeros((2, 2))
+    target = np.block([[FOURIER, zero], [zero, FOURIER]]) @ cz_matrix(2, 0, 1)
     return GateProgram(pattern, target, "cz")
 
 

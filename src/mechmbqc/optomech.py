@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import constants
 
 from . import mbqc
 from .states import GaussianState, build_cluster, fidelity_to, quadratures, thermal, vacuum
@@ -34,6 +33,10 @@ from .dynamics import (
 )
 
 
+# Exact SI values of h / 2 pi (J s) and of the Boltzmann constant (J / K).
+HBAR, K_B = 6.62607015e-34 / (2.0 * np.pi), 1.380649e-23
+
+
 def thermal_occupancy(omega: float, temperature_k: float) -> float:
     """Bose occupation n = 1 / (exp(hbar omega / k_B T) - 1)."""
     if omega <= 0.0:
@@ -42,7 +45,7 @@ def thermal_occupancy(omega: float, temperature_k: float) -> float:
         raise ValueError("temperature must be non-negative")
     if temperature_k == 0.0:
         return 0.0
-    x = constants.hbar * omega / (constants.k * temperature_k)
+    x = HBAR * omega / (K_B * temperature_k)
     if x > 700.0:
         return 0.0
     return float(1.0 / np.expm1(x))
@@ -414,7 +417,9 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
         params: physical parameters; the pattern sets the resonator count,
             one per cluster node.
         schedule: one duration per measurement step.
-        samples_per_step: fidelity samples stored per step.
+        samples_per_step: caps the fidelity samples stored per step at
+            ``1 + 8 * (max(2, ceil(n / 8)) - 1)``, its start included (9 up
+            to n = 16, 113 for 120); fewer where a chunk's grid is coarser.
         keep_trajectories: also return the sampled full-system trajectories.
 
     Returns:

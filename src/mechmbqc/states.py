@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy import linalg as sla
 
 # Vacuum variance per quadrature.
 VACUUM_VAR = 0.5
@@ -28,6 +27,10 @@ PHYSICALITY_ATOL = 1e-9
 
 # Largest distance from vacuum of any symplectic eigenvalue of a pure state.
 PURITY_ATOL = 1e-7
+
+
+class UnphysicalStateError(ValueError):
+    """A state the exact operations cannot use: a numerical failure."""
 
 
 @cache
@@ -108,13 +111,6 @@ def first_unphysical(covs: np.ndarray, atol: float):
     return None
 
 
-def is_pure_spectrum(spectra: np.ndarray, atol: float) -> np.ndarray:
-    """Whether each symplectic spectrum (along the last axis) is that of a
-    pure state: every eigenvalue within ``atol`` of vacuum. The one purity
-    test of the package."""
-    return np.all(np.abs(spectra - VACUUM_VAR) < atol, axis=-1)
-
-
 def quadratures(modes) -> np.ndarray:
     """Row indices ``2m, 2m + 1`` of each listed mode ``m``, in order."""
     modes = np.asarray(modes, dtype=int)
@@ -180,7 +176,7 @@ class GaussianState:
         return first_unphysical(self.cov[None], PHYSICALITY_ATOL) is None
 
     def is_pure(self, atol: float = PURITY_ATOL) -> bool:
-        return bool(is_pure_spectrum(self.symplectic_spectrum, atol))
+        return bool(np.all(np.abs(self.symplectic_spectrum - VACUUM_VAR) < atol))
 
     def _check_mode(self, mode: int):
         if not 0 <= mode < self.n_modes:
@@ -358,8 +354,8 @@ def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
     if len(modes):
         unphysical = first_unphysical(covs, PHYSICALITY_ATOL)
         if unphysical is not None:
-            raise ValueError("input state is unphysical (min symplectic eigenvalue "
-                             f"{unphysical[1]:.3e})")
+            raise UnphysicalStateError("input state is unphysical (min symplectic "
+                                       f"eigenvalue {unphysical[1]:.3e})")
     rows = np.zeros((len(modes), 2 * n_modes))
     j = np.arange(len(modes))
     rows[j, 2 * modes] = np.cos(phases)
@@ -375,30 +371,14 @@ def _overlap(cov_sum: np.ndarray):
     for one covariance sum or each of a stack."""
     sign, logdet = np.linalg.slogdet(cov_sum)
     if np.any(sign <= 0):
-        raise ValueError("covariance sum is not positive definite")
+        raise UnphysicalStateError("covariance sum is not positive definite")
     return np.exp(-0.5 * logdet)
 
 
-def _mixed_fidelity(covs: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Unclipped fidelity of each mixed covariance ``s1`` in a stack to the
-    mixed ``ref = s2``: the closed form of Banchi, Braunstein & Pirandola,
-    PRL 115, 260501 (2015), via W.T (s1+s2)^-1 (W/4 + s2 W s1), W = Omega."""
-    dim = ref.shape[-1]
-    omega = symplectic_form(dim // 2)
-    sum_inv = np.linalg.inv(covs + ref)
-    v_aux = omega.T @ sum_inv @ (0.25 * omega + ref @ omega @ covs)
-    w = v_aux @ omega
-    inner = np.eye(dim) + 0.25 * np.linalg.inv(w @ w)
-    # scipy>=1.10 does not promise a batched sqrtm, so take one at a time.
-    core = np.array([sla.sqrtm(m).real for m in inner]).reshape(inner.shape)
-    total = 2.0 * (core + np.eye(dim)) @ v_aux
-    return np.sqrt(np.linalg.det(total) * np.linalg.det(sum_inv))
-
-
 def fidelity(state1: GaussianState, state2: GaussianState) -> float:
-    """Uhlmann fidelity F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 of two
-    zero-mean states: the one-entry case of :func:`fidelity_to`, under its
-    contract (both physical, equal mode counts; ``state2`` is checked last).
+    """Uhlmann fidelity F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 of a
+    zero-mean state to a pure zero-mean reference ``state2``: the one-entry
+    case of :func:`fidelity_to`, under its contract.
 
     Returns:
         Fidelity in [0, 1]; 1 iff the covariances coincide.
@@ -408,13 +388,12 @@ def fidelity(state1: GaussianState, state2: GaussianState) -> float:
 
 def fidelity_to(covs: np.ndarray, reference: GaussianState) -> np.ndarray:
     """Uhlmann fidelity of each covariance in a stack ``(N, 2n, 2n)`` to one
-    zero-mean state, clipped to 1; the package's only fidelity kernel.
+    pure zero-mean reference, the exact overlap ``1/sqrt(det(sigma_i +
+    sigma_ref))`` clipped to 1; the package's only fidelity kernel.
 
-    Every matrix must be symmetric with the reference's shape, and all of
-    them and then the reference physical (one :func:`first_unphysical`
-    call). A pair with a pure state gets the exact overlap
-    ``1/sqrt(det(sigma_i + sigma_ref))``; only pairs of two mixed states take
-    the general closed form. Each entry is the one a stack of one gives.
+    Every matrix must be symmetric with the reference's shape, all of them
+    and then the reference physical (one :func:`first_unphysical` call), and
+    the reference pure. Each entry is the one a stack of one gives.
     """
     covs = np.asarray(covs, dtype=float)
     if covs.ndim != 3 or covs.shape[1:] != reference.cov.shape:
@@ -423,10 +402,10 @@ def fidelity_to(covs: np.ndarray, reference: GaussianState) -> np.ndarray:
     unphysical = first_unphysical(np.concatenate([covs, reference.cov[None]]),
                                   PHYSICALITY_ATOL)
     if unphysical is not None:
-        raise ValueError("fidelity input is unphysical "
-                         f"(min symplectic eigenvalue {unphysical[1]:.3e})")
-    fids = _overlap(covs + reference.cov)
+        raise UnphysicalStateError("fidelity input is unphysical "
+                                   f"(min symplectic eigenvalue {unphysical[1]:.3e})")
     if not reference.is_pure():
-        mixed = ~is_pure_spectrum(symplectic_eigenvalues(covs), PURITY_ATOL)
-        fids[mixed] = _mixed_fidelity(covs[mixed], reference.cov)
-    return np.minimum(1.0, fids)
+        nu = reference.symplectic_spectrum
+        raise UnphysicalStateError("fidelity reference is not pure (symplectic "
+                                   f"eigenvalues {nu[0]:.9g} to {nu[-1]:.9g})")
+    return np.minimum(1.0, _overlap(covs + reference.cov))

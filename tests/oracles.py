@@ -4,7 +4,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from mechmbqc.mbqc import FOURIER, shear_matrix
-from mechmbqc.states import GaussianState, condition_on_homodyne
+from mechmbqc.states import GaussianState, condition_on_homodyne, symplectic_form
 
 
 def compose_oracle(lambdas) -> np.ndarray:
@@ -18,6 +18,24 @@ def compose_oracle(lambdas) -> np.ndarray:
     for lam in (l1, l2, l3, l4):
         out = FOURIER @ shear_matrix(lam) @ out
     return out
+
+
+def bbp_fidelity(s1, s2) -> float:
+    """Uhlmann fidelity of two zero-mean Gaussian states, either or both
+    mixed: the closed form of Banchi, Braunstein & Pirandola, PRL 115,
+    260501 (2015), via V = W^T (s1 + s2)^-1 (W/4 + s2 W s1) with W = Omega.
+
+    The package scores against a pure reference only, where the overlap
+    1/sqrt(det(s1 + s2)) is exact; this is the general case it reduces from.
+    """
+    dim = s1.shape[0]
+    omega = symplectic_form(dim // 2)
+    sum_inv = np.linalg.inv(s1 + s2)
+    v_aux = omega.T @ sum_inv @ (0.25 * omega + s2 @ omega @ s1)
+    w = v_aux @ omega
+    core = sla.sqrtm(np.eye(dim) + 0.25 * np.linalg.inv(w @ w)).real
+    total = 2.0 * (core + np.eye(dim)) @ v_aux
+    return float(np.sqrt(np.linalg.det(total) * np.linalg.det(sum_inv)))
 
 
 def generic_solve_advance(propagator, sigma, h):

@@ -460,6 +460,67 @@ def test_only_numerical_errors_map_to_exit_3(tmp_path, monkeypatch, error,
         assert cli.main(argv) == exit_code
 
 
+def test_unphysical_state_error_survives_pickle():
+    # Sweep workers re-raise it in the parent process.
+    from mechmbqc.states import UnphysicalStateError
+
+    error = UnphysicalStateError("fidelity reference is not pure")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is UnphysicalStateError
+    assert str(copy) == str(error)
+
+
+# Runs whose numerics fail inside ``states``, on equal steps.
+STATE_FAILURES = {
+    # Long steps at a measured quadrature of neither q nor p: the scored
+    # output block is unphysical.
+    "set2-shear1-long-steps": ("set2", "shear:1", {}, 1e9, 16,
+                               "fidelity input is unphysical"),
+    # Scoring rejects an output.
+    "set1-fourier-60db": ("set1", "fourier", {"r_cluster_db": 60.0}, 40.0, 8,
+                          "fidelity input is unphysical"),
+    # Completing the projective reference fails.
+    "set1-identity-80db": ("set1", "identity", {"r_cluster_db": 80.0}, 40.0, 8,
+                           "input state is unphysical"),
+    # Rounding makes the reference, pure in exact arithmetic, look mixed.
+    # These runs used to score it by the mixed-state closed form, which
+    # wrote NaN at 100 dB and fidelities near 0.01 at 60 dB.
+    "set1-shear3-100db": ("set1", "shear:3", {"r_cluster_db": 100.0}, 40.0, 8,
+                          "fidelity reference is not pure"),
+    "set1-shear3-60db": ("set1", "shear:3", {"r_cluster_db": 60.0}, 40.0, 8,
+                         "fidelity reference is not pure"),
+    "set1-identity-60db": ("set1", "identity", {"r_cluster_db": 60.0}, 40.0, 8,
+                           "fidelity reference is not pure"),
+}
+
+
+@pytest.mark.parametrize("case", list(STATE_FAILURES))
+def test_numerical_failures_in_states_exit_3(tmp_path, capsys, case):
+    preset, gate, params, t_mon_us, samples, message = STATE_FAILURES[case]
+    payload = {"preset": preset, "gate": gate, "params": params,
+               "schedule": {"mode": "equal", "t_mon_us": t_mon_us},
+               "samples_per_step": samples}
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path, payload)),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+    assert not (out / "trace.csv").exists()  # no run writes a NaN fidelity
+
+
+def test_numerical_failure_in_a_sweep_worker_exits_3(tmp_path, capsys):
+    payload = {"preset": "set1", "gate": "identity",
+               "schedule": {"mode": "equal", "t_mon_us": 40.0}, "samples_per_step": 8,
+               "sweep": {"axes": [{"param": "r_cluster_db", "values": [3.0, 80.0]}]}}
+    path = write_config(tmp_path, payload)
+    errors = []
+    for workers in ("1", "2"):
+        assert cli.main(["sweep", "--config", str(path), "--out",
+                         str(tmp_path / f"w{workers}"), "--workers", workers]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("numerical failure: input state is unphysical")
+
+
 def test_sweep_points_use_config_samples_per_step(tmp_path):
     # With a CZ step of 50 us on set1 the fidelity peaks between samples,
     # so the maximum over the trace depends on the sample count.
