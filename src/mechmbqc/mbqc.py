@@ -18,7 +18,8 @@ the product of the four teleportations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,29 +117,38 @@ class MeasurementPattern:
     phases: tuple
     outputs: tuple
 
+    def __post_init__(self):
+        if len(self.phases) != len(self.measured):
+            raise ValueError(f"{len(self.phases)} phases for {len(self.measured)} measured modes")
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The measurement frame, a read-only rotation of each measured node
+        taking its X_phi = q cos(phi) + p sin(phi) to p, where the angle acts
+        once, like a by-product (Gu et al., PRA 79, 062318 (2009))."""
+        frame = np.eye(2 * self.graph.n_nodes)
+        for node, phi in zip(self.measured, self.phases):
+            c, s = np.cos(phi), np.sin(phi)
+            frame[2 * node:2 * node + 2, 2 * node:2 * node + 2] = [[s, -c], [c, s]]
+        frame.flags.writeable = False
+        return frame
+
     def complete_covs(self, covs: np.ndarray) -> np.ndarray:
         """Finish the pattern by ideal homodyne measurements, for each
         covariance in a stack ``(N, 2n, 2n)`` with one mode per graph node.
 
-        One Gaussian conditioning on all measured quadratures (see
-        :func:`condition_on_homodyne`) gives the ``(N, 2m, 2m)`` stack of
+        One Gaussian conditioning on all measured momenta in the :attr:`frame`
+        (see :func:`condition_on_homodyne`) gives the ``(N, 2m, 2m)`` stack of
         output-node covariances in output order; every other node is traced
         out. Each matrix must be symmetric and, if anything is left to
         measure, physical.
         """
-        return condition_on_homodyne(covs, self.measured, self.phases, self.outputs)
+        return condition_on_homodyne(self.frame @ covs @ self.frame.T, self.measured, self.outputs)
 
     def complete(self, state: GaussianState) -> GaussianState:
         """The single-state form of :meth:`complete_covs`: the reduced
         output state of ``state`` once the pattern is finished."""
         return GaussianState(self.complete_covs(state.cov[None])[0])
-
-    def after(self, steps: int) -> "MeasurementPattern":
-        """What is left to do once the first ``steps`` measurements are done.
-
-        Their nodes stay in the graph; completion traces them out.
-        """
-        return replace(self, measured=self.measured[steps:], phases=self.phases[steps:])
 
 
 # Compared and hashed by identity: the target is an array.

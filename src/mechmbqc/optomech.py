@@ -1,10 +1,9 @@
 """Cavity-plus-resonators model for measurement by continuous monitoring.
 
-A single cavity mode is QND-coupled to one mechanical resonator at a time
-(coupling ``2 alpha_g * X_cavity * X_phi``), while its output is homodyned.
-Stepping through the cluster nodes with the right quadrature angles emulates
-the projective measurement sequence of a gate program; the result is scored
-against the ideal projective run on the same cluster.
+A single cavity mode is QND-coupled to the momentum of one resonator at a
+time, in the measurement frame where that is the node's X_phi, while its
+output is homodyned. Stepping through the nodes emulates a gate program's
+projective measurements, scored against the ideal run on the same cluster.
 
 Mode layout everywhere: mechanical modes 0..N-1 first, cavity last.
 """
@@ -18,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mbqc
-from .states import GaussianState, build_cluster, fidelity_to, quadratures, thermal, vacuum
+from .states import (GaussianState, build_cluster, condition_on_homodyne, fidelity_to,
+                     quadratures, thermal, vacuum)
 from .dynamics import (
     EvolutionCoefficients,
     PhysicalityError,
@@ -162,16 +162,14 @@ def params_set2() -> PhysicalParams:
     return PhysicalParams.from_values(PRESETS["set2"])
 
 
-def qnd_hamiltonian(params: PhysicalParams, n_resonators: int, addressed: int,
-                    phi: float) -> np.ndarray:
+def qnd_hamiltonian(params: PhysicalParams, n_resonators: int, addressed: int) -> np.ndarray:
     """The system Hamiltonian matrix while resonator ``addressed`` is measured: the cavity
-    position couples to X_phi = X cos(phi) + P sin(phi) at strength 2 alpha_g."""
+    position couples to the resonator's momentum at strength 2 alpha_g."""
     if not 0 <= addressed < n_resonators:
         raise ValueError(f"resonator index {addressed} out of range")
     h_system = np.zeros((2 * n_resonators + 2,) * 2)
-    x_phi = 2.0 * params.alpha_g * np.array([np.cos(phi), np.sin(phi)])
-    h_system[2 * n_resonators, 2 * addressed:2 * addressed + 2] = x_phi
-    h_system[2 * addressed:2 * addressed + 2, 2 * n_resonators] = x_phi
+    h_system[2 * n_resonators, 2 * addressed + 1] = 2.0 * params.alpha_g
+    h_system[2 * addressed + 1, 2 * n_resonators] = 2.0 * params.alpha_g
     return h_system
 
 
@@ -247,7 +245,7 @@ class _Protocol:
     Attributes:
         params: physical parameters, as the caller gave them.
         pattern: the program's measurement pattern, one resonator per node.
-        cluster: the mechanical cluster state the monitoring starts from.
+        cluster: the cluster the monitoring starts from, in the measurement frame.
         reference: the ideal projective output of the same cluster.
         steps: evolution coefficients of each measurement step.
     """
@@ -291,18 +289,19 @@ class _Protocol:
         ``step``.
 
         The cavity is dropped and the measurements of all later steps are
-        completed as ideal projections, so the quality of the steps
-        monitored so far (including the one in progress) is priced into the
-        result.
+        completed as ideal projections of momentum in the measurement frame,
+        so the quality of the steps monitored so far (including the one in
+        progress) is priced into the result.
         """
         n = 2 * self.pattern.graph.n_nodes
-        outputs = self.pattern.after(step + 1).complete_covs(covs[:, :n, :n])
+        outputs = condition_on_homodyne(covs[:, :n, :n], self.pattern.measured[step + 1:],
+                                        self.pattern.outputs)
         return fidelity_to(outputs, self.reference)
 
 
 @functools.lru_cache(maxsize=1)
 def _cluster_and_reference(pattern: mbqc.MeasurementPattern, r_cluster_db: float):
-    """The cluster of a pattern's graph and its projective output.
+    """A pattern's cluster, in its measurement frame, and its projective output.
 
     The monitored cluster carries the default input, a momentum-squeezed
     vacuum at the cluster squeezing, on every input node, so it is the
@@ -311,7 +310,8 @@ def _cluster_and_reference(pattern: mbqc.MeasurementPattern, r_cluster_db: float
     spectrum) through a one-entry cache.
     """
     cluster = build_cluster(pattern.graph, r_cluster_db)
-    return cluster, pattern.complete(cluster)
+    frame = pattern.frame
+    return GaussianState(frame @ cluster.cov @ frame.T), pattern.complete(cluster)
 
 
 def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
@@ -321,9 +321,9 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
     shared = qnd_coefficients(params, n)
     steps = tuple(
         EvolutionCoefficients(
-            add_system_hamiltonian(shared.drift, qnd_hamiltonian(params, n, node, phi)),
+            add_system_hamiltonian(shared.drift, qnd_hamiltonian(params, n, node)),
             shared.diffusion, shared.backaction)
-        for node, phi in zip(pattern.measured, pattern.phases)
+        for node in pattern.measured
     )
     cluster, reference = _cluster_and_reference(pattern, params.r_cluster_db)
     return _Protocol(params, pattern, cluster, reference, steps)
@@ -358,6 +358,8 @@ def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
             f"program needs {len(protocol.steps)}"
         )
     cov = protocol.initial_cov()
+    lab = np.eye(len(cov))  # rotates a full-system covariance back to the lab frame
+    lab[:-2, :-2] = protocol.pattern.frame
     times = []
     blocks = []
     slices = []
@@ -375,7 +377,7 @@ def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
             cov = traj.covs[-1]
             t_start += t_mon
             if keep_trajectories:
-                trajectories.append(traj)
+                trajectories.append(Trajectory(traj.times, lab.T @ traj.covs @ lab))
             start = len(times)
             times.extend(traj.times)
             blocks.append(protocol.output_block(traj.covs))
@@ -405,8 +407,8 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
                             keep_trajectories: bool = False) -> ProtocolResult:
     """Emulate a gate program by continuous monitoring and score it.
 
-    Each step QND-couples the cavity to the next measured node of the
-    program's pattern at its quadrature angle and propagates the monitored
+    Each step QND-couples the cavity to the momentum of the next measured
+    node, in the pattern's measurement frame, and propagates the monitored
     dynamics for the scheduled duration. The cluster carries the default
     input (momentum-squeezed vacuum at the cluster squeezing). The fidelity
     trace compares the reduced state of the output node(s) with the
@@ -420,7 +422,7 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
         samples_per_step: caps the fidelity samples stored per step at
             ``1 + 8 * (max(2, ceil(n / 8)) - 1)``, its start included (9 up
             to n = 16, 113 for 120); fewer where a chunk's grid is coarser.
-        keep_trajectories: also return the sampled full-system trajectories.
+        keep_trajectories: also return the full-system trajectories, in the lab frame.
 
     Returns:
         ProtocolResult with the fidelity-vs-time trace and final states.

@@ -323,22 +323,19 @@ def nullifier_variances(state: GaussianState, graph: GraphSpec) -> np.ndarray:
     return np.array([vec @ state.cov @ vec for vec in vecs])
 
 
-def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
-    """Measure several modes at once, for each covariance in a stack
-    ``(N, 2n, 2n)``, and return the ``(N, 2k, 2k)`` stack of kept-mode
-    covariances, symmetrized.
+def condition_on_homodyne(covs: np.ndarray, modes, keep) -> np.ndarray:
+    """Measure the momentum of several modes at once, for each covariance in
+    a stack ``(N, 2n, 2n)``, and return the ``(N, 2k, 2k)`` stack of
+    kept-mode covariances, symmetrized.
 
-    Mode ``modes[i]`` is measured in X_phi = q cos(phi) + p sin(phi) at
-    ``phi = phases[i]``. With R the rows of these quadratures, the kept
-    modes K (in the order given) are left with the Gaussian conditional
-    covariance ``sigma_KK - sigma_KR (R sigma R^T)^-1 sigma_RK``, whatever
-    the outcomes and the measurement order. Modes neither measured nor kept
-    are traced out. Measured and kept modes must all be distinct, at least
-    one mode must be kept, and there must be one phase per measured mode.
-    Every matrix must be symmetric and, if anything is measured, physical;
-    symmetry is checked first, then physicality, both before any
-    arithmetic. Each entry of the result is the one a stack holding only
-    its matrix gives.
+    With R the momentum rows ``2m + 1`` of the measured modes, the kept modes
+    K (in the order given) are left with ``sigma_KK - sigma_KR sigma_RR^-1
+    sigma_RK``, whatever the outcomes and the measurement order; modes
+    neither measured nor kept are traced out. Measured and kept modes must
+    all be distinct, and at least one kept. Every matrix must be symmetric
+    and, if anything is measured, physical; symmetry is checked first, then
+    physicality, both before any arithmetic. Each entry of the result is the
+    one a stack holding only its matrix gives.
     """
     covs = np.asarray(covs, dtype=float)
     modes = np.asarray(modes, dtype=int)
@@ -348,21 +345,16 @@ def condition_on_homodyne(covs: np.ndarray, modes, phases, keep) -> np.ndarray:
         raise ValueError("measured and kept modes must be distinct modes of the state")
     if not len(keep):
         raise ValueError("must keep at least one mode")
-    if len(phases) != len(modes):
-        raise ValueError(f"{len(phases)} phases for {len(modes)} measured modes")
     covs = symmetrize(covs)
     if len(modes):
         unphysical = first_unphysical(covs, PHYSICALITY_ATOL)
         if unphysical is not None:
             raise UnphysicalStateError("input state is unphysical (min symplectic "
-                                       f"eigenvalue {unphysical[1]:.3e})")
-    rows = np.zeros((len(modes), 2 * n_modes))
-    j = np.arange(len(modes))
-    rows[j, 2 * modes] = np.cos(phases)
-    rows[j, 2 * modes + 1] = np.sin(phases)
+                                       f"eigenvalue {unphysical[1]:.9g})")
     idx = quadratures(keep)
-    sigma_kr = covs[:, idx] @ rows.T
-    gain = np.linalg.solve(rows @ covs @ rows.T, np.swapaxes(sigma_kr, -1, -2))
+    rows = 2 * modes + 1
+    sigma_kr = covs[:, idx][:, :, rows]
+    gain = np.linalg.solve(covs[:, rows][:, :, rows], np.swapaxes(sigma_kr, -1, -2))
     return symmetrize(covs[:, idx][:, :, idx] - sigma_kr @ gain)
 
 
@@ -393,7 +385,8 @@ def fidelity_to(covs: np.ndarray, reference: GaussianState) -> np.ndarray:
 
     Every matrix must be symmetric with the reference's shape, all of them
     and then the reference physical (one :func:`first_unphysical` call), and
-    the reference pure. Each entry is the one a stack of one gives.
+    the reference pure; the error names an unphysical matrix. Each entry is
+    the one a stack of one gives.
     """
     covs = np.asarray(covs, dtype=float)
     if covs.ndim != 3 or covs.shape[1:] != reference.cov.shape:
@@ -402,8 +395,10 @@ def fidelity_to(covs: np.ndarray, reference: GaussianState) -> np.ndarray:
     unphysical = first_unphysical(np.concatenate([covs, reference.cov[None]]),
                                   PHYSICALITY_ATOL)
     if unphysical is not None:
-        raise UnphysicalStateError("fidelity input is unphysical "
-                                   f"(min symplectic eigenvalue {unphysical[1]:.3e})")
+        index, nu_min = unphysical
+        where = f"output entry {index + 1} of {len(covs)}" if index < len(covs) else "the reference"
+        raise UnphysicalStateError(f"fidelity input is unphysical ({where}, min "
+                                   f"symplectic eigenvalue {nu_min:.9g})")
     if not reference.is_pure():
         nu = reference.symplectic_spectrum
         raise UnphysicalStateError("fidelity reference is not pure (symplectic "

@@ -4,7 +4,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from mechmbqc.mbqc import FOURIER, shear_matrix
-from mechmbqc.states import GaussianState, condition_on_homodyne, symplectic_form
+from mechmbqc.states import GaussianState, symplectic_form
 
 
 def compose_oracle(lambdas) -> np.ndarray:
@@ -67,8 +67,31 @@ def substep_chain_advance(propagator, sigma, h):
     return sigma
 
 
+def homodyne_conditioning(covs, modes, phases, keep):
+    """Measure mode ``modes[i]`` in X_phi = q cos(phi) + p sin(phi) at
+    ``phi = phases[i]``, for each covariance in a stack, and keep the modes
+    ``keep`` in order: with R the rows of these quadratures, the Schur
+    complement ``sigma_KK - sigma_KR (R sigma R^T)^-1 sigma_RK``, symmetrized.
+
+    The package measures only momentum and turns each angle into a rotation
+    of its node first (``MeasurementPattern.frame``); this measures every
+    angle directly, with no frame and no input checks.
+    """
+    covs = np.asarray(covs, dtype=float)
+    modes = np.asarray(modes, dtype=int)
+    rows = np.zeros((len(modes), covs.shape[-1]))
+    j = np.arange(len(modes))
+    rows[j, 2 * modes] = np.cos(phases)
+    rows[j, 2 * modes + 1] = np.sin(phases)
+    idx = np.ravel([[2 * m, 2 * m + 1] for m in keep]).astype(int)
+    sigma_kr = covs[:, idx] @ rows.T
+    gain = np.linalg.solve(rows @ covs @ rows.T, np.swapaxes(sigma_kr, -1, -2))
+    out = covs[:, idx][:, :, idx] - sigma_kr @ gain
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
 def project_one(state, mode, phi):
     """``mode`` of ``state`` measured in X_phi and the other modes kept in
-    order: ``condition_on_homodyne`` on a stack of one."""
+    order: :func:`homodyne_conditioning` on a stack of one."""
     keep = [m for m in range(state.n_modes) if m != mode]
-    return GaussianState(condition_on_homodyne(state.cov[None], [mode], [phi], keep)[0])
+    return GaussianState(homodyne_conditioning(state.cov[None], [mode], [phi], keep)[0])

@@ -472,23 +472,22 @@ def test_unphysical_state_error_survives_pickle():
 
 # Runs whose numerics fail inside ``states``, on equal steps.
 STATE_FAILURES = {
-    # Long steps at a measured quadrature of neither q nor p: the scored
-    # output block is unphysical.
-    "set2-shear1-long-steps": ("set2", "shear:1", {}, 1e9, 16,
-                               "fidelity input is unphysical"),
-    # Scoring rejects an output.
+    # Scoring rejects the reference, which the message names. Its shortfall
+    # (nu = 0.4999728) must show, so nu is printed to 9 digits, not 4.
     "set1-fourier-60db": ("set1", "fourier", {"r_cluster_db": 60.0}, 40.0, 8,
-                          "fidelity input is unphysical"),
-    # Completing the projective reference fails.
-    "set1-identity-80db": ("set1", "identity", {"r_cluster_db": 80.0}, 40.0, 8,
-                           "input state is unphysical"),
+                          "fidelity input is unphysical (the reference, min "
+                          "symplectic eigenvalue 0.49997"),
+    # Completing the projective reference fails: the cluster rotated into
+    # the measurement frame is unphysical by rounding.
+    "set1-shear3-60db": ("set1", "shear:3", {"r_cluster_db": 60.0}, 40.0, 8,
+                         "input state is unphysical"),
     # Rounding makes the reference, pure in exact arithmetic, look mixed.
     # These runs used to score it by the mixed-state closed form, which
     # wrote NaN at 100 dB and fidelities near 0.01 at 60 dB.
+    "set1-identity-80db": ("set1", "identity", {"r_cluster_db": 80.0}, 40.0, 8,
+                           "fidelity reference is not pure"),
     "set1-shear3-100db": ("set1", "shear:3", {"r_cluster_db": 100.0}, 40.0, 8,
                           "fidelity reference is not pure"),
-    "set1-shear3-60db": ("set1", "shear:3", {"r_cluster_db": 60.0}, 40.0, 8,
-                         "fidelity reference is not pure"),
     "set1-identity-60db": ("set1", "identity", {"r_cluster_db": 60.0}, 40.0, 8,
                            "fidelity reference is not pure"),
 }
@@ -518,7 +517,28 @@ def test_numerical_failure_in_a_sweep_worker_exits_3(tmp_path, capsys):
                          str(tmp_path / f"w{workers}"), "--workers", workers]) == 3
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
-    assert errors[0].startswith("numerical failure: input state is unphysical")
+    assert errors[0].startswith("numerical failure: fidelity reference is not pure")
+
+
+@pytest.mark.parametrize("t_mon_us", [1e5, 1e6, 1e9])
+@pytest.mark.parametrize("gate", ["shear:1", "fourier", "shear:2.5"])
+def test_long_steps_at_any_measured_quadrature_stay_physical(tmp_path, gate, t_mon_us):
+    # Set2 steps of 0.1 s to 1000 s on nodes measured in neither q nor p.
+    # Each node is measured in its own frame, so the squeezed variance is a
+    # diagonal entry. Coupled to X_phi, it would be a small difference of
+    # large q and p entries, and 8 of these 9 runs would lose physicality.
+    payload = {"preset": "set2", "gate": gate,
+               "schedule": {"mode": "equal", "t_mon_us": t_mon_us}, "samples_per_step": 16}
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path, payload)),
+                     "--out", str(out)]) == 0
+    lines = (out / "trace.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    fidelities = np.array([float(row[2]) for row in rows[1:]])
+    assert rows[0] == ["time_s", "step", "fidelity"] and len(fidelities) == 4 * 9
+    # Every sample passed the propagation guard and the scoring check.
+    assert np.all((fidelities >= 0.0) & (fidelities <= 1.0))
+    assert fidelities[-1] > 1.0 - 1e-5
 
 
 def test_sweep_points_use_config_samples_per_step(tmp_path):

@@ -120,29 +120,28 @@ def test_params_reject_non_finite_values(field):
 # QND step construction
 
 
-def qnd_step(p, n, node, phi):
+def qnd_step(p, n, node):
     """One QND step's coefficients: the shared ones plus the node's Hamiltonian."""
     shared = om.qnd_coefficients(p, n)
-    drift = dyn.add_system_hamiltonian(shared.drift, om.qnd_hamiltonian(p, n, node, phi))
+    drift = dyn.add_system_hamiltonian(shared.drift, om.qnd_hamiltonian(p, n, node))
     return dyn.EvolutionCoefficients(drift, shared.diffusion, shared.backaction)
 
 
 def test_qnd_step_hamiltonian_angle():
+    # Every step measures in its node's frame, so the angle is always pi/2:
+    # the cavity position couples to the resonator momentum only.
     p = om.params_set2()
-    h = om.qnd_hamiltonian(p, 2, 0, np.pi / 2.0)
     q_cav = 4
-    # phi = pi/2 couples the cavity position to the resonator momentum only.
-    assert h[q_cav, 1] == pytest.approx(2 * p.alpha_g)
-    assert abs(h[q_cav, 0]) < 1e-9
-    h0 = om.qnd_hamiltonian(p, 2, 1, 0.0)
-    assert h0[q_cav, 2] == pytest.approx(2 * p.alpha_g)
-    assert abs(h0[q_cav, 3]) < 1e-9
+    for node in (0, 1):
+        h = om.qnd_hamiltonian(p, 2, node)
+        assert h[q_cav, 2 * node + 1] == h[2 * node + 1, q_cav] == 2 * p.alpha_g
+        assert np.count_nonzero(h) == 2
 
 
 def test_qnd_step_zero_coupling():
     p = replace(om.params_set2(), alpha_g=0.0)
-    assert np.max(np.abs(om.qnd_hamiltonian(p, 2, 0, 0.3))) == 0.0
-    assert np.array_equal(qnd_step(p, 2, 0, 0.3).drift, om.qnd_coefficients(p, 2).drift)
+    assert np.max(np.abs(om.qnd_hamiltonian(p, 2, 0))) == 0.0
+    assert np.array_equal(qnd_step(p, 2, 0).drift, om.qnd_coefficients(p, 2).drift)
 
 
 def test_qnd_step_channel_layout():
@@ -175,8 +174,8 @@ def test_qnd_hamiltonian_touches_only_the_cavity_and_the_addressed_node():
     p = om.params_set1()
     shared = om.qnd_coefficients(p, 3)
     q_cav = 6
-    for node, phi in itertools.product(range(3), (0.0, 0.7, np.pi / 2.0)):
-        changed = qnd_step(p, 3, node, phi).drift != shared.drift
+    for node in range(3):
+        changed = qnd_step(p, 3, node).drift != shared.drift
         touched = np.zeros((8, 8), dtype=bool)
         touched[q_cav:, 2 * node:2 * node + 2] = True
         touched[2 * node:2 * node + 2, q_cav:] = True
@@ -202,10 +201,10 @@ def test_qnd_step_set2_has_no_dissipation():
 
 def test_qnd_step_invalid_resonator():
     with pytest.raises(ValueError):
-        om.qnd_hamiltonian(om.params_set2(), 2, 5, 0.0)
+        om.qnd_hamiltonian(om.params_set2(), 2, 5)
 
 
-def composed_qnd_step(p, n, node, phi):
+def composed_qnd_step(p, n, node):
     """A QND step's coefficients composed from the dynamics builders, with the
     channels laid out here: the cavity (last mode) decays at kappa into a
     vacuum input homodyned at efficiency eta and loses photons at tau into
@@ -220,7 +219,7 @@ def composed_qnd_step(p, n, node, phi):
     a_lyap, d_lyap = dyn.build_lyapunov(c_dissipative, baths)
     a_ricc, d_ricc, backaction = dyn.build_riccati(
         c_monitored, st.vacuum(1).cov, dyn.homodyne_post_meas_cov(p.r_post_meas_db), p.eta)
-    drift = dyn.add_system_hamiltonian(a_lyap + a_ricc, om.qnd_hamiltonian(p, n, node, phi))
+    drift = dyn.add_system_hamiltonian(a_lyap + a_ricc, om.qnd_hamiltonian(p, n, node))
     return dyn.EvolutionCoefficients(drift, d_lyap + d_ricc, backaction)
 
 
@@ -242,10 +241,10 @@ def test_prepared_steps_equal_the_per_step_qnd_coefficients(gate, preset):
     p = {"set1": om.params_set1, "set2": om.params_set2}[preset]()
     protocol = om._prepare(program, p)
     n = program.pattern.graph.n_nodes
-    pairs = list(zip(program.pattern.measured, program.pattern.phases))
-    assert len(protocol.steps) == len(pairs)
-    for coeffs, (node, phi) in zip(protocol.steps, pairs):
-        want = composed_qnd_step(p, n, node, phi)
+    measured = program.pattern.measured
+    assert len(protocol.steps) == len(measured)
+    for coeffs, node in zip(protocol.steps, measured):
+        want = composed_qnd_step(p, n, node)
         assert np.array_equal(coeffs.drift, want.drift)
         assert np.array_equal(coeffs.diffusion, want.diffusion)
         assert np.array_equal(coeffs.backaction, want.backaction)
@@ -267,8 +266,8 @@ def test_qnd_step_label_permutation_equivariance():
 
     addressed_old = 1
     addressed_new = perm.index(addressed_old)
-    coeffs = qnd_step(p, 3, addressed_old, 0.4)
-    coeffs_p = qnd_step(p, 3, addressed_new, 0.4)
+    coeffs = qnd_step(p, 3, addressed_old)
+    coeffs_p = qnd_step(p, 3, addressed_new)
     assert_allclose(coeffs_p.drift, pmat @ coeffs.drift @ pmat.T, atol=1e-12)
     assert_allclose(coeffs_p.diffusion, pmat @ coeffs.diffusion @ pmat.T, atol=1e-12)
     assert_allclose(coeffs_p.bbt, pmat @ coeffs.bbt @ pmat.T, atol=1e-12)
@@ -375,14 +374,11 @@ def test_protocol_schedule_length_must_match():
 
 
 def test_protocol_rejects_a_pattern_with_fewer_phases_than_measurements():
-    # One angle for four measured nodes would be broadcast to all four by
-    # completion while the monitor ran a single step.
-    pattern = mbqc.MeasurementPattern(st.GraphSpec.linear(5), (0,), (0, 1, 2, 3),
-                                      (np.pi / 2.0,), (4,))
-    program = mbqc.GateProgram(pattern, np.eye(2), "short")
+    # One angle for four measured nodes would leave three of them unrotated
+    # in the pattern's frame, so no such pattern, and no protocol, is built.
     with pytest.raises(ValueError, match="1 phases for 4 measured modes"):
-        om.run_monitoring_protocol(program, om.params_set1(),
-                                   om.MonitoringSchedule.equal(40e-6, 1))
+        mbqc.MeasurementPattern(st.GraphSpec.linear(5), (0,), (0, 1, 2, 3),
+                                (np.pi / 2.0,), (4,))
 
 
 def test_protocol_frozen_cluster_without_drive_or_loss():
@@ -431,10 +427,14 @@ def test_protocol_starts_from_the_pattern_cluster_and_scores_against_projective_
     res = om.run_monitoring_protocol(program, p,
                                      om.MonitoringSchedule.equal(2e-6, n_steps),
                                      samples_per_step=4, keep_trajectories=True)
-    graph = program.pattern.graph
-    start = res.trajectories[0].covs[0]
+    graph, frame = program.pattern.graph, program.pattern.frame
+    n = 2 * graph.n_nodes
     cluster = st.build_cluster(graph, r_db)
-    assert np.array_equal(start[: 2 * graph.n_nodes, : 2 * graph.n_nodes], cluster.cov)
+    # The run starts from the cluster rotated into the measurement frame, and
+    # its trajectories come back in the lab frame.
+    start = om._prepare(program, p).initial_cov()
+    assert np.array_equal(start[:n, :n], st.GaussianState(frame @ cluster.cov @ frame.T).cov)
+    assert_allclose(res.trajectories[0].covs[0][:n, :n], cluster.cov, rtol=0, atol=1e-15)
     inp = st.squeeze_momentum(st.vacuum(1), 0, r_db)
     projective = mbqc.run_projective(program, [inp] * len(program.pattern.inputs), r_db)
     assert np.array_equal(res.reference_state.cov, projective.cov)
@@ -482,6 +482,26 @@ def test_protocol_pinned_fidelities(name):
     res = om.run_monitoring_protocol(program, params, sched, samples_per_step=10)
     assert res.final_fidelity == pytest.approx(final, rel=0, abs=1e-12)
     assert res.max_fidelity == pytest.approx(best, rel=0, abs=1e-12)
+
+
+# t (1 - F) on set2 at a step length t of 10 s, one value per program.
+LONG_STEP_LIMITS = {"identity": 8.93783e-8, "shear:1": 1.11233e-7, "fourier": 1.57915e-7,
+                    "shear:2.5": 1.36966e-7, "cz": 1.43484e-7}
+
+
+@pytest.mark.parametrize("gate", sorted(LONG_STEP_LIMITS))
+def test_long_steps_lose_fidelity_as_one_over_the_step_length(gate):
+    # Lossless and cold, a long step leaves 1 - F falling as 1/t: t (1 - F)
+    # varies by under 0.05% from 10 ms to 10 s. Steps coupled to X_phi, not
+    # to p in the node's frame, would lose physicality beyond about 0.05 s.
+    program = mbqc.named_program(gate)
+    products = []
+    for t_mon in (1e-2, 1e-1, 1.0, 10.0):
+        sched = om.MonitoringSchedule.equal(t_mon, len(program.pattern.measured))
+        res = om.run_monitoring_protocol(program, om.params_set2(), sched, samples_per_step=2)
+        products.append(t_mon * (1.0 - res.final_fidelity))
+    assert max(products) / min(products) - 1.0 < 1e-3
+    assert products[-1] == pytest.approx(LONG_STEP_LIMITS[gate], rel=1e-4)
 
 
 @pytest.mark.parametrize("temperature_k, durations, final", [
@@ -532,11 +552,28 @@ def run_guard_case():
                                       keep_trajectories=True)
 
 
+def frame_trajectories(run):
+    """The trajectories ``run()`` propagates, in the measurement frame in
+    which it propagates them: they come back rotated to the lab frame, and
+    a fault matched on a covariance inside the run must match this one."""
+    recorded, integrate_step = [], om._integrate_step
+
+    def spy(*args):
+        recorded.append(integrate_step(*args))
+        return recorded[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(om, "_integrate_step", spy)
+        run()
+    return recorded
+
+
 def sample_in_chunk_3_of_step_2():
-    """The clean trajectory of GUARD_CASE's second step and the index of one
-    of its samples that falls in the step's third chunk."""
+    """The clean trajectory of GUARD_CASE's second step, in the measurement
+    frame, and the index of one of its samples that falls in the step's
+    third chunk."""
     _, _, schedule, _ = GUARD_CASE
-    traj = run_guard_case().trajectories[1]
+    traj = frame_trajectories(run_guard_case)[1]
     t0, chunk = traj.times[0], schedule.durations[1] / om.CHUNKS_PER_STEP
     index = int(np.searchsorted(traj.times, t0 + 2.5 * chunk))
     assert t0 + 2.0 * chunk < traj.times[index] <= t0 + 3.0 * chunk + 1e-15
@@ -706,7 +743,7 @@ def test_chunks_of_two_samples_report_a_non_finite_sample_at_its_time(
         monkeypatch, samples_per_step):
     # NaN from the fourth sample of step 2 on: it is reported at that
     # sample's time, with no warning from the later solves of the step.
-    traj = run_short_case(samples_per_step).trajectories[1]
+    traj = frame_trajectories(lambda: run_short_case(samples_per_step))[1]
     assert len(traj) == om.CHUNKS_PER_STEP + 1
     faulty_advance_from(monkeypatch, traj.covs[3],
                         {0: lambda s: np.full_like(s, np.nan)})
@@ -864,9 +901,11 @@ def greedy_oracle(program, params, time_resolution, max_step_duration):
     n = 2 * protocol.pattern.graph.n_nodes
 
     def completed(cov, k):
-        mech = st.GaussianState(cov[:n, :n])
-        return st.fidelity(protocol.pattern.after(k + 1).complete(mech),
-                           protocol.reference)
+        # The run is in the measurement frame: later steps measure p.
+        pattern = protocol.pattern
+        output = st.condition_on_homodyne(cov[None, :n, :n], pattern.measured[k + 1:],
+                                          pattern.outputs)[0]
+        return st.fidelity(st.GaussianState(output), protocol.reference)
 
     cov = protocol.initial_cov()
     durations, steps = [], []

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, expm
 
 from mechmbqc import states as st
+from mechmbqc.mbqc import MeasurementPattern
 
 from oracles import bbp_fidelity, project_one
 
@@ -307,10 +308,19 @@ def schur_homodyne_reference(cov, mode, phi):
     return sigma_a - sigma_ab @ pi @ pinv @ pi @ sigma_ab.T
 
 
+def measure(state, mode, phi):
+    """``mode`` of ``state`` measured in X_phi and the other modes kept in
+    order, by the package: the completion of a one-measurement pattern,
+    which rotates the mode into its frame and measures p."""
+    keep = tuple(m for m in range(state.n_modes) if m != mode)
+    return MeasurementPattern(st.GraphSpec(state.n_modes), (), (mode,), (phi,),
+                              keep).complete(state)
+
+
 def test_homodyne_product_state_leaves_rest_unchanged():
     s1 = st.squeeze_momentum(st.vacuum(1), 0, 5.0)
     joint = st.GaussianState(block_diag(s1.cov, st.thermal(1, 0.4).cov))
-    out = project_one(joint, 1, 0.3)
+    out = measure(joint, 1, 0.3)
     assert out.n_modes == 1
     assert_allclose(out.cov, s1.cov)
 
@@ -320,9 +330,9 @@ def test_homodyne_matches_brute_force_schur():
     state = st.build_cluster(st.GraphSpec.linear(3), 6.0)
     for mode in range(3):
         for phi in rng.uniform(-np.pi, np.pi, size=3):
-            out = project_one(state, mode, phi)
             ref = schur_homodyne_reference(state.cov, mode, phi)
-            assert_allclose(out.cov, ref, atol=1e-10)
+            for out in (measure(state, mode, phi), project_one(state, mode, phi)):
+                assert_allclose(out.cov, ref, atol=1e-10)
 
 
 def test_homodyne_teleportation_two_node_cluster():
@@ -333,7 +343,7 @@ def test_homodyne_teleportation_two_node_cluster():
     joint = st.GaussianState(block_diag(inp.cov, st.vacuum(1).cov))
     joint = st.squeeze_momentum(joint, 1, 40.0)
     joint = st.apply_cz(joint, 0, 1)
-    out = project_one(joint, 0, np.pi / 2.0)
+    out = st.GaussianState(st.condition_on_homodyne(joint.cov[None], [0], [1])[0])
     expected = FOURIER @ inp.cov @ FOURIER.T
     assert_allclose(out.cov, expected, atol=1e-3)
     assert out.is_pure()
@@ -341,14 +351,14 @@ def test_homodyne_teleportation_two_node_cluster():
 
 def test_homodyne_preserves_purity():
     cluster = st.build_cluster(st.GraphSpec.linear(4), 5.0)
-    out = project_one(cluster, 2, 0.7)
+    out = measure(cluster, 2, 0.7)
     assert out.is_pure(atol=1e-8)
 
 
 def test_homodyne_angle_pi_shift_equivalent():
     cluster = st.build_cluster(st.GraphSpec.linear(3), 4.0)
-    a = project_one(cluster, 1, 0.4)
-    b = project_one(cluster, 1, 0.4 + np.pi)
+    a = measure(cluster, 1, 0.4)
+    b = measure(cluster, 1, 0.4 + np.pi)
     assert_allclose(a.cov, b.cov, atol=1e-12)
 
 
@@ -360,7 +370,7 @@ def test_homodyne_direction_is_normalized_by_construction():
     lam = 0.8
     phi = np.arctan2(1.0, lam)
     cluster = st.build_cluster(st.GraphSpec.linear(3), 4.0)
-    out = project_one(cluster, 0, phi)
+    out = measure(cluster, 0, phi)
     # Unnormalized direction (lam q + p): condition on it directly.
     direction = np.zeros(6)
     direction[0] = lam
@@ -379,7 +389,7 @@ def test_wire_shortening_leaves_two_node_cluster():
     graph2 = st.GraphSpec.linear(2)
     for r_db, bound in ((10.0, 0.11), (25.0, 3.4e-3)):
         chain = st.build_cluster(st.GraphSpec.linear(3), r_db)
-        short = project_one(chain, 1, np.pi / 2.0)
+        short = st.GaussianState(st.condition_on_homodyne(chain.cov[None], [1], [0, 2])[0])
         correction = block_diag(np.eye(2), FOURIER.T)
         corrected = st.GaussianState(correction @ short.cov @ correction.T)
         variances = st.nullifier_variances(corrected, graph2)
@@ -389,7 +399,7 @@ def test_wire_shortening_leaves_two_node_cluster():
 def test_homodyne_rejects_unphysical_input():
     bad = st.GaussianState(0.25 * np.eye(4))
     with pytest.raises(ValueError, match="unphysical"):
-        project_one(bad, 0, 0.0)
+        measure(bad, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +408,24 @@ def test_homodyne_rejects_unphysical_input():
 
 def test_partial_trace_keep_all():
     cluster = st.build_cluster(st.GraphSpec.linear(3), 3.0)
-    assert_allclose(st.condition_on_homodyne(cluster.cov[None], [], [], [0, 1, 2])[0],
+    assert_allclose(st.condition_on_homodyne(cluster.cov[None], [], [0, 1, 2])[0],
                     cluster.cov)
 
 
 def test_partial_trace_of_vacuum():
-    assert_allclose(st.condition_on_homodyne(st.vacuum(2).cov[None], [], [], [1])[0],
+    assert_allclose(st.condition_on_homodyne(st.vacuum(2).cov[None], [], [1])[0],
                     0.5 * np.eye(2))
 
 
 def test_partial_trace_principal_submatrix():
     cluster = st.build_cluster(st.GraphSpec.linear(3), 3.0)
-    out = st.condition_on_homodyne(cluster.cov[None], [], [], [2])[0]
+    out = st.condition_on_homodyne(cluster.cov[None], [], [2])[0]
     assert_allclose(out, cluster.cov[4:6, 4:6])
 
 
 def test_partial_trace_empty_keep_set():
     with pytest.raises(ValueError):
-        st.condition_on_homodyne(st.vacuum(2).cov[None], [], [], [])
+        st.condition_on_homodyne(st.vacuum(2).cov[None], [], [])
 
 
 def test_partial_trace_rejects_a_repeated_mode():
@@ -423,7 +433,7 @@ def test_partial_trace_rejects_a_repeated_mode():
     # unphysical "state".
     cluster = st.build_cluster(st.GraphSpec.linear(3), 3.0)
     with pytest.raises(ValueError, match="distinct modes of the state"):
-        st.condition_on_homodyne(cluster.cov[None], [], [], [0, 0])
+        st.condition_on_homodyne(cluster.cov[None], [], [0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +463,7 @@ def test_two_physicality_slacks():
         state = st.GaussianState(cov)
         assert not state.is_physical()
         with pytest.raises(ValueError, match="input state is unphysical"):
-            st.condition_on_homodyne(cov[None], [1], [0.3], [0])
+            st.condition_on_homodyne(cov[None], [1], [0])
         for pair in ((state, st.vacuum(2)), (st.vacuum(2), state)):
             with pytest.raises(ValueError, match="fidelity input is unphysical"):
                 st.fidelity(*pair)
@@ -554,11 +564,25 @@ def test_numerical_failures_raise_one_error_type():
     assert issubclass(st.UnphysicalStateError, ValueError)
     bad = 0.25 * np.eye(4)
     with pytest.raises(st.UnphysicalStateError, match="input state is unphysical"):
-        st.condition_on_homodyne(bad[None], [0], [0.0], [1])
+        st.condition_on_homodyne(bad[None], [0], [1])
     with pytest.raises(st.UnphysicalStateError, match="fidelity input is unphysical"):
         st.fidelity_to(bad[None], st.vacuum(2))
     with pytest.raises(st.UnphysicalStateError, match="not positive definite"):
         st._overlap(np.diag([1.0, -1.0]))
+
+
+def test_an_unphysical_fidelity_input_is_named_with_its_shortfall():
+    # Printed to 4 digits, nu = 0.4999728 would read 5.000e-01; the message
+    # also says whether an output or the reference failed.
+    good, bad = 0.5 * np.eye(2), 0.4999728 * np.eye(2)
+    with pytest.raises(st.UnphysicalStateError) as output:
+        st.fidelity_to(np.array([good, bad, good]), st.vacuum(1))
+    assert str(output.value) == ("fidelity input is unphysical (output entry 2 of 3, "
+                                 "min symplectic eigenvalue 0.4999728)")
+    with pytest.raises(st.UnphysicalStateError) as reference:
+        st.fidelity_to(np.array([good, good]), st.GaussianState(bad))
+    assert str(reference.value) == ("fidelity input is unphysical (the reference, "
+                                    "min symplectic eigenvalue 0.4999728)")
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +701,7 @@ def test_first_unphysical_reports_nan_as_minus_infinity():
     stack = np.array([good, np.full((2, 2), np.nan), 0.25 * np.eye(2)])
     assert st.first_unphysical(stack, 1e-9) == (1, -np.inf)
     with pytest.raises(ValueError) as err:
-        st.condition_on_homodyne(np.array([np.full((4, 4), np.inf)]), [0], [0.0], [1])
+        st.condition_on_homodyne(np.array([np.full((4, 4), np.inf)]), [0], [1])
     assert str(err.value) == "input state is unphysical (min symplectic eigenvalue -inf)"
 
 
@@ -761,11 +785,12 @@ def test_stacked_projection_equals_per_state_projection(seed, n_modes, n_stack, 
     covs = np.array([random_physical_cov(rng, n_modes, pure=rng.random() < 0.3)
                      for _ in range(n_stack)])
     mode = int(rng.integers(n_modes))
-    keep = [m for m in range(n_modes) if m != mode]
-    stacked = st.condition_on_homodyne(covs, [mode], [phi], keep)
+    keep = tuple(m for m in range(n_modes) if m != mode)
+    pattern = MeasurementPattern(st.GraphSpec(n_modes), (), (mode,), (phi,), keep)
+    stacked = pattern.complete_covs(covs)
     assert stacked.shape == (n_stack, 2 * n_modes - 2, 2 * n_modes - 2)
     for cov, out in zip(covs, stacked):
-        single = project_one(st.GaussianState(cov), mode, phi)
+        single = measure(st.GaussianState(cov), mode, phi)
         assert np.array_equal(out, single.cov)
         assert_allclose(out, schur_homodyne_reference(cov, mode, phi),
                         rtol=1e-9, atol=1e-9 * np.max(np.abs(cov)))
@@ -778,15 +803,15 @@ def test_conditioning_checks_symmetry_before_physicality(row, col):
     cov = 0.5 * np.eye(4)
     cov[row, col] += 3.0
     with pytest.raises(ValueError, match="not symmetric"):
-        st.condition_on_homodyne(cov[None], [0], [0.0], [1])
+        st.condition_on_homodyne(cov[None], [0], [1])
 
 
 def test_stacked_projection_rejects_one_unphysical_entry_as_a_single_call_does():
     good = 0.5 * np.eye(4)
     bad = 0.25 * np.eye(4)
     with pytest.raises(ValueError) as single:
-        project_one(st.GaussianState(bad), 1, 0.3)
+        st.condition_on_homodyne(bad[None], [1], [0])
     with pytest.raises(ValueError) as stacked:
-        st.condition_on_homodyne(np.array([good, bad, good]), [1], [0.3], [0])
+        st.condition_on_homodyne(np.array([good, bad, good]), [1], [0])
     assert str(stacked.value) == str(single.value)
-    assert str(single.value) == "input state is unphysical (min symplectic eigenvalue 2.500e-01)"
+    assert str(single.value) == "input state is unphysical (min symplectic eigenvalue 0.25)"
