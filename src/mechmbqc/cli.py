@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
-from .dynamics import PhysicalityError
 from .optomech import PRESETS, optimize_schedule, run_monitoring_protocol
 from .states import UnphysicalStateError, build_cluster, nullifier_variances
 
@@ -222,7 +221,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PhysicalityError, UnphysicalStateError, np.linalg.LinAlgError) as exc:
+    except (UnphysicalStateError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -99,6 +99,10 @@ class ExperimentConfig:
                 if not 0 < _number(value, f"schedule '{key}'") < np.inf:
                     raise ConfigError(f"schedule '{key}' must be positive and "
                                       f"finite, got {value!r}")
+        if (self.schedule_mode == "explicit"
+                and len(self.explicit_durations_us) != self.n_steps()):
+            raise ConfigError(f"explicit schedule needs {self.n_steps()} durations, "
+                              f"got {len(self.explicit_durations_us)}")
         for axis_name, values in self.sweep_axes:
             if not isinstance(axis_name, str):
                 raise ConfigError(f"sweep axis 'param' must be a string, got {axis_name!r}")
@@ -133,13 +137,7 @@ class ExperimentConfig:
         if self.schedule_mode == "equal":
             return MonitoringSchedule.equal(self.t_mon_us * 1e-6, self.n_steps())
         if self.schedule_mode == "explicit":
-            if len(self.explicit_durations_us) != self.n_steps():
-                raise ConfigError(
-                    f"explicit schedule needs {self.n_steps()} durations"
-                )
-            return MonitoringSchedule(
-                tuple(t * 1e-6 for t in self.explicit_durations_us)
-            )
+            return MonitoringSchedule(tuple(t * 1e-6 for t in self.explicit_durations_us))
         raise ConfigError("an optimized schedule is produced by the optimizer")
 
     def digest(self) -> str:

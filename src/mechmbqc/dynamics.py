@@ -25,19 +25,20 @@ from scipy.linalg.lapack import dgesv
 
 from .states import (
     GaussianState,
+    UnphysicalStateError,
     db_to_squeeze_parameter,
     first_unphysical,
     symplectic_form,
 )
 
 
-class PhysicalityError(RuntimeError):
+class PhysicalityError(UnphysicalStateError):
     """Raised when a propagated covariance stops being a physical state."""
 
     def __init__(self, t: float, nu_min: float):
         super().__init__(
             f"covariance lost physicality at t = {t:.6e} "
-            f"(min symplectic eigenvalue {nu_min:.6e})"
+            f"(min symplectic eigenvalue {nu_min:.9g})"
         )
         self.t = t
         self.nu_min = nu_min
@@ -332,10 +333,6 @@ def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
     return dt_of
 
 
-# Slack on the minimum symplectic eigenvalue of a propagated sample.
-PROPAGATION_ATOL = 1e-6
-
-
 def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
               n_samples: int = 200) -> Trajectory:
     """Propagate the covariance exactly and sample it on a grid of step dt.
@@ -346,9 +343,8 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     keeps the count within ``n_samples``, and at ``t_total``. Between
     samples the covariance follows the exact flow of ``coeffs.propagator``,
     so ``dt`` only decides where samples fall. Every propagated sample is
-    checked for physicality, all of them at once after the propagation; a
-    violation beyond ``PROPAGATION_ATOL`` (judged by
-    :func:`~mechmbqc.states.first_unphysical`) raises
+    checked for physicality, all of them at once after the propagation, by
+    :func:`~mechmbqc.states.first_unphysical`; a violation raises
     :class:`PhysicalityError` at the first offending sample.
 
     Args:
@@ -413,10 +409,9 @@ def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
 
 
 def _check_samples(times: list, covs: np.ndarray):
-    """Raise :class:`PhysicalityError` at the first sample that is not
-    finite or whose minimum symplectic eigenvalue falls below vacuum by more
-    than the scaled ``PROPAGATION_ATOL``."""
-    unphysical = first_unphysical(covs, PROPAGATION_ATOL)
+    """Raise :class:`PhysicalityError` at the first sample that
+    :func:`~mechmbqc.states.first_unphysical` rejects."""
+    unphysical = first_unphysical(covs)
     if unphysical is not None:
         first, nu_min = unphysical
         raise PhysicalityError(times[first], nu_min)

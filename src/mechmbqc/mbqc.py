@@ -29,6 +29,7 @@ from .states import (
     build_cluster,
     condition_on_homodyne,
     cz_matrix,
+    is_index,
     is_symplectic,
 )
 
@@ -120,6 +121,16 @@ class MeasurementPattern:
     def __post_init__(self):
         if len(self.phases) != len(self.measured):
             raise ValueError(f"{len(self.phases)} phases for {len(self.measured)} measured modes")
+        n_nodes = self.graph.n_nodes
+        missing = [node for node in (*self.inputs, *self.measured, *self.outputs)
+                   if not is_index(node, n_nodes)]
+        if missing:
+            raise ValueError(f"pattern nodes {missing} are not integer nodes "
+                             f"of a {n_nodes}-node graph")
+        held = (*self.measured, *self.outputs)
+        if len(set(held)) < len(held) or len(set(self.inputs)) < len(self.inputs):
+            raise ValueError("measured and output nodes must all be distinct, "
+                             "and so must input nodes")
 
     @cached_property
     def frame(self) -> np.ndarray:

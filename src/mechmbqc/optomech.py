@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mbqc
 from .states import (GaussianState, build_cluster, condition_on_homodyne, fidelity_to,
-                     quadratures, thermal, vacuum)
+                     is_index, quadratures, thermal, vacuum)
 from .dynamics import (
     EvolutionCoefficients,
     PhysicalityError,
@@ -448,6 +448,9 @@ def measured_node_decorrelation(trajectory: Trajectory, node: int,
     Without ``phi`` the full 2-row block is used.
     """
     covs = trajectory.covs
+    if not is_index(node, covs.shape[1] // 2):
+        raise ValueError(f"node {node!r} is not a mode of the "
+                         f"{covs.shape[1] // 2}-mode trajectory")
     keep = np.ones(covs.shape[1], dtype=bool)
     keep[2 * node : 2 * node + 2] = False
     blocks = covs[:, 2 * node : 2 * node + 2, keep]
@@ -498,7 +501,7 @@ def _step_increments(protocol: _Protocol, step: int, cov: np.ndarray,
             return
         try:
             covs, fids = _score_increments(protocol, step, cov, times, time_resolution)
-        except (np.linalg.LinAlgError, PhysicalityError, ValueError):
+        except (np.linalg.LinAlgError, ValueError):
             for t in times:
                 (cov,), (f_now,) = _score_increments(protocol, step, cov, [t],
                                                      time_resolution)

@@ -71,14 +71,14 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (evals[..., 0::2] + evals[..., 1::2])
 
 
-def first_unphysical(covs: np.ndarray, atol: float):
+def first_unphysical(covs: np.ndarray):
     """The first matrix of a stack ``(N, 2n, 2n)`` that is not a physical
     state, as ``(index, min symplectic eigenvalue)``, or ``None``.
 
     A matrix fails if it is not finite (reported as ``-inf``; no later
     matrix is examined) or if its minimum symplectic eigenvalue is below
-    vacuum by more than the slack ``max(atol, 1e-10 * max|cov|)``, which
-    scales with the matrix because highly squeezed covariances stress the
+    vacuum by more than the one slack ``max(PHYSICALITY_ATOL, 1e-10 *
+    max|cov|)``, scaled because highly squeezed covariances stress the
     eigensolver. This is the one physicality test of the package.
 
     A verdict is reached in two stages. A finite, non-empty stack is first
@@ -93,7 +93,7 @@ def first_unphysical(covs: np.ndarray, atol: float):
     finite = np.isfinite(covs).all(axis=(-2, -1))
     n_finite = len(covs) if finite.all() else int(np.argmin(finite))
     checked = covs[:n_finite]
-    slack = np.maximum(atol, 1e-10 * np.max(np.abs(checked), axis=(-2, -1)))
+    slack = np.maximum(PHYSICALITY_ATOL, 1e-10 * np.max(np.abs(checked), axis=(-2, -1)))
     if n_finite and n_finite == len(covs):
         omega = symplectic_form(covs.shape[-1] // 2)
         try:
@@ -109,6 +109,12 @@ def first_unphysical(covs: np.ndarray, atol: float):
     if n_finite < len(covs):
         return n_finite, float("-inf")
     return None
+
+
+def is_index(value, size: int) -> bool:
+    """Whether ``value`` is an integer (not a bool) in ``range(size)``."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and 0 <= value < size)
 
 
 def quadratures(modes) -> np.ndarray:
@@ -173,7 +179,7 @@ class GaussianState:
         return spectrum
 
     def is_physical(self) -> bool:
-        return first_unphysical(self.cov[None], PHYSICALITY_ATOL) is None
+        return first_unphysical(self.cov[None]) is None
 
     def is_pure(self, atol: float = PURITY_ATOL) -> bool:
         return bool(np.all(np.abs(self.symplectic_spectrum - VACUUM_VAR) < atol))
@@ -275,8 +281,11 @@ class GraphSpec:
                 j, k, weight = edge
             if j == k:
                 raise ValueError("graph may not contain self-loops")
-            if not (0 <= j < self.n_nodes and 0 <= k < self.n_nodes):
-                raise ValueError(f"edge ({j}, {k}) references a missing node")
+            if not (is_index(j, self.n_nodes) and is_index(k, self.n_nodes)):
+                raise ValueError(f"edge ({j!r}, {k!r}) does not join two integer "
+                                 f"nodes of a {self.n_nodes}-node graph")
+            if not np.isfinite(float(weight)):
+                raise ValueError(f"edge ({j}, {k}) has a non-finite weight {weight!r}")
             normalized.append((int(j), int(k), float(weight)))
         object.__setattr__(self, "edges", tuple(normalized))
 
@@ -347,7 +356,7 @@ def condition_on_homodyne(covs: np.ndarray, modes, keep) -> np.ndarray:
         raise ValueError("must keep at least one mode")
     covs = symmetrize(covs)
     if len(modes):
-        unphysical = first_unphysical(covs, PHYSICALITY_ATOL)
+        unphysical = first_unphysical(covs)
         if unphysical is not None:
             raise UnphysicalStateError("input state is unphysical (min symplectic "
                                        f"eigenvalue {unphysical[1]:.9g})")
@@ -392,8 +401,7 @@ def fidelity_to(covs: np.ndarray, reference: GaussianState) -> np.ndarray:
     if covs.ndim != 3 or covs.shape[1:] != reference.cov.shape:
         raise ValueError("fidelity needs equal mode counts")
     covs = symmetrize(covs)
-    unphysical = first_unphysical(np.concatenate([covs, reference.cov[None]]),
-                                  PHYSICALITY_ATOL)
+    unphysical = first_unphysical(np.concatenate([covs, reference.cov[None]]))
     if unphysical is not None:
         index, nu_min = unphysical
         where = f"output entry {index + 1} of {len(covs)}" if index < len(covs) else "the reference"

@@ -104,6 +104,26 @@ def test_non_positive_schedule_values_are_config_errors(tmp_path, capsys, key, v
 SWEEP_AXIS = {"param": "eta", "values": [0.9, 1.0]}
 
 
+@pytest.mark.parametrize("durations", [[10.0, 20.0], [], [3.0] * 5])
+def test_explicit_schedule_length_is_checked_at_load(tmp_path, capsys, durations):
+    # shear:1 measures 4 nodes. The check runs before any command starts,
+    # so no output directory is made, a sweep reports it once, and optimize
+    # rejects the file as well.
+    explicit = {"mode": "explicit", "durations_us": durations}
+    with pytest.raises(ConfigError, match=f"needs 4 durations, got {len(durations)}"):
+        config_from_dict(dict(BASE, schedule=explicit))
+    payload = dict(BASE, schedule=explicit, sweep={"axes": [SWEEP_AXIS]})
+    path = write_config(tmp_path, payload)
+    capsys.readouterr()
+    for command in ("simulate", "optimize", "sweep"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == ("config error: explicit schedule needs 4 durations, "
+                       f"got {len(durations)}\n")
+
+
 @pytest.mark.parametrize("payload", [
     dict(BASE, samples_per_step="abc"),
     dict(BASE, schedule=dict(BASE["schedule"], t_mon_us="x")),
@@ -415,10 +435,13 @@ def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     from mechmbqc.dynamics import PhysicalityError
+    from mechmbqc.states import UnphysicalStateError
 
+    # One error family: the CLI maps UnphysicalStateError alone to exit 3.
     error = PhysicalityError(1.5e-6, 0.3)
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is PhysicalityError
+    assert isinstance(error, UnphysicalStateError) and isinstance(copy, UnphysicalStateError)
     assert (copy.t, copy.nu_min, str(copy)) == (1.5e-6, 0.3, str(error))
 
     def boom(*args, **kwargs):

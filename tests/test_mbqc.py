@@ -279,9 +279,9 @@ def test_completion_checks_its_input_once(monkeypatch):
     calls = []
     first_unphysical = st.first_unphysical
 
-    def counting(covs, atol):
+    def counting(covs):
         calls.append(len(covs))
-        return first_unphysical(covs, atol)
+        return first_unphysical(covs)
 
     monkeypatch.setattr(st, "first_unphysical", counting)
     pattern = mbqc.cz_program().pattern
@@ -305,6 +305,29 @@ def test_completion_needs_one_phase_per_measured_mode():
     for phases in ((np.pi / 2.0,), (0.1, 0.2, 0.3, 0.4, 0.5)):
         with pytest.raises(ValueError, match=f"{len(phases)} phases for 4 measured modes"):
             mbqc.MeasurementPattern(st.GraphSpec.linear(5), (0,), (0, 1, 2, 3), phases, (4,))
+
+
+def test_pattern_checks_its_nodes_at_construction():
+    # Unchecked, such a pattern failed later in its frame with a numpy
+    # broadcast error, or measured a node it also kept.
+    graph = st.GraphSpec.linear(3)
+    for inputs, measured, outputs, match in (
+            ((0,), (0, 7), (2,), "integer nodes"),
+            ((0,), (0, -1), (2,), "integer nodes"),
+            ((0,), (0, 1.0), (2,), "integer nodes"),
+            ((3,), (0, 1), (2,), "integer nodes"),
+            ((0,), (0, 1), (-3,), "integer nodes"),
+            ((0,), (1, 1), (2,), "distinct"),
+            ((0,), (0, 1), (1,), "distinct"),
+            ((0,), (0, 1), (2, 2), "distinct"),
+            ((0, 0), (0, 1), (2,), "distinct")):
+        with pytest.raises(ValueError, match=match):
+            mbqc.MeasurementPattern(graph, inputs, measured, (1.0,) * len(measured),
+                                    outputs)
+    # Inputs may be measured, as in the CZ pattern, and integer numpy
+    # scalars are nodes.
+    pattern = mbqc.MeasurementPattern(graph, (np.int64(1),), (1,), (1.0,), (0, 2))
+    assert pattern.frame.shape == (6, 6)
 
 
 def random_physical_cov(rng, n_modes):

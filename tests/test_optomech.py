@@ -813,6 +813,14 @@ def test_decorrelation_of_product_state_is_zero():
     assert_allclose(om.measured_node_decorrelation(traj, 1), 0.0)
 
 
+@pytest.mark.parametrize("node", [6, 17, -1, 1.0])
+def test_decorrelation_rejects_a_node_outside_the_trajectory(node):
+    # Slicing past the last mode would give an empty block, that is zeros.
+    traj = dyn.Trajectory(np.array([0.0, 1.0]), np.stack([0.5 * np.eye(12)] * 2))
+    with pytest.raises(ValueError, match="is not a mode of the 6-mode trajectory"):
+        om.measured_node_decorrelation(traj, node)
+
+
 @pytest.mark.parametrize("node, phi", [(0, None), (0, 0.4), (2, -1.3), (5, None)])
 def test_decorrelation_matches_per_sample_norms(node, phi):
     rng = np.random.default_rng(node)

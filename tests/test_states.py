@@ -212,6 +212,12 @@ def test_graph_rejects_self_loops_and_bad_nodes():
         st.GraphSpec(3, ((0, 0),))
     with pytest.raises(ValueError):
         st.GraphSpec(3, ((0, 5),))
+    # int() would truncate node 0.5 to 0, and a NaN weight would fill the
+    # cluster with NaN.
+    for edge in ((0.5, 1), (0, 1.0), (True, 2), (-1, 1), (0, 1, np.nan), (0, 1, np.inf)):
+        with pytest.raises(ValueError, match="integer nodes|non-finite weight"):
+            st.GraphSpec(3, (edge,))
+    assert st.GraphSpec(3, ((np.int64(0), 2, -1.5),)).edges == ((0, 2, -1.5),)
 
 
 def test_cluster_empty_edges_is_product():
@@ -452,12 +458,13 @@ def test_is_physical_rejects_quarter_identity():
     assert_allclose(state.symplectic_spectrum[0], 0.25, atol=1e-12)
 
 
-def test_two_physicality_slacks():
-    # Propagated samples carry integration error and get PROPAGATION_ATOL =
-    # 1e-6; every other check gets PHYSICALITY_ATOL = 1e-9.
+def test_one_physicality_slack():
+    # Every check, the propagation guard included, allows the one slack
+    # PHYSICALITY_ATOL = 1e-9, so a shortfall of 1e-8 fails everywhere, and
+    # the guard's message prints nu_min to 9 digits, which shows it.
     from mechmbqc import dynamics as dyn
 
-    for shortfall, propagated_ok in ((1e-8, True), (1e-5, False)):
+    for shortfall, printed in ((1e-8, "0.49999999"), (1e-5, "0.49999")):
         nu = 0.5 - shortfall
         cov = np.diag([nu, nu, 0.5, 0.5])
         state = st.GaussianState(cov)
@@ -469,13 +476,14 @@ def test_two_physicality_slacks():
                 st.fidelity(*pair)
         with pytest.raises(ValueError, match="fidelity input is unphysical"):
             st.fidelity_to(cov[None], st.vacuum(2))
-        if propagated_ok:
+        with pytest.raises(dyn.PhysicalityError) as err:
             dyn._check_samples([1.0], cov[None])
-        else:
-            with pytest.raises(dyn.PhysicalityError) as err:
-                dyn._check_samples([1.0], cov[None])
-            assert err.value.t == 1.0
-            assert_allclose(err.value.nu_min, nu, rtol=0, atol=1e-12)
+        assert err.value.t == 1.0
+        assert_allclose(err.value.nu_min, nu, rtol=0, atol=1e-12)
+        assert str(err.value) == ("covariance lost physicality at t = 1.000000e+00 "
+                                  f"(min symplectic eigenvalue {printed})")
+    # Just inside the slack, the guard passes the sample.
+    dyn._check_samples([1.0], np.diag([0.5 - 5e-10] * 2 + [0.5, 0.5])[None])
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +621,14 @@ def test_stacked_symplectic_eigenvalues_equal_per_matrix_calls(seed, n_modes, n_
     assert np.array_equal(st.symplectic_eigenvalues(covs[None])[0], stacked)
 
 
-def first_unphysical_oracle(covs, atol):
-    """The physicality test spelled out one matrix at a time."""
+def first_unphysical_oracle(covs):
+    """The physicality test spelled out one matrix at a time, with the one
+    slack max(1e-9, 1e-10 max|cov|)."""
     for index, cov in enumerate(covs):
         if not np.all(np.isfinite(cov)):
             return index, -np.inf
         nu_min = st.symplectic_eigenvalues(cov)[0]
-        if not nu_min >= 0.5 - max(atol, 1e-10 * np.max(np.abs(cov))):
+        if not nu_min >= 0.5 - max(1e-9, 1e-10 * np.max(np.abs(cov))):
             return index, nu_min
     return None
 
@@ -627,9 +636,8 @@ def first_unphysical_oracle(covs, atol):
 @settings(max_examples=60, deadline=None)
 @given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 4),
        kinds=hst.lists(hst.sampled_from(["physical", "scaled", "nan"]),
-                       min_size=0, max_size=6),
-       atol=hst.sampled_from([1e-9, 1e-6]))
-def test_first_unphysical_equals_per_matrix_check(seed, n_modes, kinds, atol):
+                       min_size=0, max_size=6))
+def test_first_unphysical_equals_per_matrix_check(seed, n_modes, kinds):
     rng = np.random.default_rng(seed)
     covs = []
     for kind in kinds:
@@ -640,7 +648,7 @@ def test_first_unphysical_equals_per_matrix_check(seed, n_modes, kinds, atol):
             cov[tuple(rng.integers(2 * n_modes, size=2))] = np.nan
         covs.append(cov)
     covs = np.array(covs).reshape(len(kinds), 2 * n_modes, 2 * n_modes)
-    assert st.first_unphysical(covs, atol) == first_unphysical_oracle(covs, atol)
+    assert st.first_unphysical(covs) == first_unphysical_oracle(covs)
 
 
 def random_symplectic(rng, n_modes, squeeze_db):
@@ -656,25 +664,25 @@ def random_symplectic(rng, n_modes, squeeze_db):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 6),
-       squeeze_db=hst.floats(0.0, 20.0), atol=hst.sampled_from([1e-9, 1e-6]),
-       side=hst.sampled_from([1.0, -1.0]), n_stack=hst.integers(1, 3))
+       squeeze_db=hst.floats(0.0, 20.0), side=hst.sampled_from([1.0, -1.0]),
+       n_stack=hst.integers(1, 3))
 def test_certificate_agrees_with_spectral_check_at_the_boundary(
-        seed, n_modes, squeeze_db, atol, side, n_stack):
+        seed, n_modes, squeeze_db, side, n_stack):
     # sigma = S diag(nu) S^T with nu_min placed a relative 1e-6 above or
     # below the threshold 1/2 - slack, where the Cholesky certificate of
     # sigma + i(1/2 - slack)Omega is closest to the wrong verdict.
     rng = np.random.default_rng(seed)
     s = random_symplectic(rng, n_modes, squeeze_db)
     nu = np.concatenate([[0.5], rng.uniform(1.0, 3.0, size=n_modes - 1)])
-    slack = max(atol, 1e-10 * np.max(np.abs(s @ np.diag(np.repeat(nu, 2)) @ s.T)))
+    slack = max(1e-9, 1e-10 * np.max(np.abs(s @ np.diag(np.repeat(nu, 2)) @ s.T)))
     nu[0] = (0.5 - slack) * (1.0 + side * 1e-6)
     cov = s @ np.diag(np.repeat(nu, 2)) @ s.T
     covs = [random_physical_cov(rng, n_modes) for _ in range(n_stack - 1)]
     covs.insert(int(rng.integers(n_stack)), 0.5 * (cov + cov.T))
     covs = np.array(covs)
-    expected = first_unphysical_oracle(covs, atol)
+    expected = first_unphysical_oracle(covs)
     assert (expected is None) == (side > 0)
-    assert st.first_unphysical(covs, atol) == expected
+    assert st.first_unphysical(covs) == expected
 
 
 def test_first_unphysical_eigensolves_only_a_stack_it_cannot_certify(monkeypatch):
@@ -688,18 +696,18 @@ def test_first_unphysical_eigensolves_only_a_stack_it_cannot_certify(monkeypatch
     monkeypatch.setattr(st.np.linalg, "eigvals", counting)
     rng = np.random.default_rng(3)
     covs = np.array([random_physical_cov(rng, 3, pure=k < 2) for k in range(4)])
-    assert st.first_unphysical(covs, 1e-9) is None
+    assert st.first_unphysical(covs) is None
     assert calls == []
     covs[2] = 0.25 * np.eye(6)
-    assert st.first_unphysical(covs, 1e-9) == (2, 0.25)
+    assert st.first_unphysical(covs) == (2, 0.25)
     assert calls == [(4, 6, 6)]
 
 
 def test_first_unphysical_reports_nan_as_minus_infinity():
     good = 0.5 * np.eye(2)
-    assert st.first_unphysical(np.array([good, good]), 1e-9) is None
+    assert st.first_unphysical(np.array([good, good])) is None
     stack = np.array([good, np.full((2, 2), np.nan), 0.25 * np.eye(2)])
-    assert st.first_unphysical(stack, 1e-9) == (1, -np.inf)
+    assert st.first_unphysical(stack) == (1, -np.inf)
     with pytest.raises(ValueError) as err:
         st.condition_on_homodyne(np.array([np.full((4, 4), np.inf)]), [0], [1])
     assert str(err.value) == "input state is unphysical (min symplectic eigenvalue -inf)"
@@ -759,9 +767,9 @@ def test_fidelity_to_rejects_a_mixed_reference(monkeypatch):
     calls = []
     first_unphysical = st.first_unphysical
 
-    def counting(covs, atol):
+    def counting(covs):
         calls.append(len(covs))
-        return first_unphysical(covs, atol)
+        return first_unphysical(covs)
 
     rng = np.random.default_rng(7)
     covs = np.array([random_physical_cov(rng, 2, pure=k == 0) for k in range(5)])
