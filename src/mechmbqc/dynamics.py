@@ -24,6 +24,7 @@ from scipy import linalg as sla
 from scipy.linalg.lapack import dgesv
 
 from .states import (
+    SYMMETRY_RTOL,
     GaussianState,
     UnphysicalStateError,
     db_to_squeeze_parameter,
@@ -148,7 +149,8 @@ class EvolutionCoefficients:
         backaction = np.array(backaction, dtype=float)
         if diffusion.shape != (dim, dim):
             raise ValueError("diffusion matrix dimension mismatch")
-        if np.max(np.abs(diffusion - diffusion.T)) > 1e-9 * max(1.0, np.max(np.abs(diffusion))):
+        scale = max(1.0, np.max(np.abs(diffusion)))
+        if np.max(np.abs(diffusion - diffusion.T)) > SYMMETRY_RTOL * scale:
             raise ValueError("diffusion matrix must be symmetric")
         if backaction.shape[0] != dim:
             raise ValueError("backaction matrix dimension mismatch")

@@ -164,9 +164,11 @@ def params_set2() -> PhysicalParams:
 
 def qnd_hamiltonian(params: PhysicalParams, n_resonators: int, addressed: int) -> np.ndarray:
     """The system Hamiltonian matrix while resonator ``addressed`` is measured: the cavity
-    position couples to the resonator's momentum at strength 2 alpha_g."""
-    if not 0 <= addressed < n_resonators:
-        raise ValueError(f"resonator index {addressed} out of range")
+    position couples to the resonator's momentum at strength 2 alpha_g. An ``addressed``
+    that is not an index (:func:`is_index`) of the resonators is a ``ValueError``."""
+    if not is_index(addressed, n_resonators):
+        raise ValueError(f"resonator {addressed!r} is not an integer resonator "
+                         f"of {n_resonators}")
     h_system = np.zeros((2 * n_resonators + 2,) * 2)
     h_system[2 * n_resonators, 2 * addressed + 1] = 2.0 * params.alpha_g
     h_system[2 * addressed + 1, 2 * n_resonators] = 2.0 * params.alpha_g

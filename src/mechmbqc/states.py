@@ -19,8 +19,11 @@ import numpy as np
 # Vacuum variance per quadrature.
 VACUUM_VAR = 0.5
 
-# Relative tolerance for symmetry of covariance matrices.
+# Relative tolerance for symmetry of covariance and diffusion matrices.
 SYMMETRY_RTOL = 1e-10
+
+# Largest max-norm error of M Omega M^T against Omega for a symplectic M.
+SYMPLECTIC_ATOL = 1e-10
 
 # Slack allowed on the minimum symplectic eigenvalue of a physical state.
 PHYSICALITY_ATOL = 1e-9
@@ -47,13 +50,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def is_symplectic(matrix: np.ndarray, atol: float = 1e-10) -> bool:
-    """Check M Omega M^T = Omega to within ``atol`` in max norm."""
+def is_symplectic(matrix: np.ndarray) -> bool:
+    """Check M Omega M^T = Omega to within ``SYMPLECTIC_ATOL`` in max norm."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
         return False
     omega = symplectic_form(matrix.shape[0] // 2)
-    return bool(np.max(np.abs(matrix @ omega @ matrix.T - omega)) < atol)
+    return bool(np.max(np.abs(matrix @ omega @ matrix.T - omega)) < SYMPLECTIC_ATOL)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -112,7 +115,8 @@ def first_unphysical(covs: np.ndarray):
 
 
 def is_index(value, size: int) -> bool:
-    """Whether ``value`` is an integer (not a bool) in ``range(size)``."""
+    """Whether ``value`` is an integer (not a bool, not a float) in
+    ``range(size)``: the package's one test of a mode or node index."""
     return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and 0 <= value < size)
 
@@ -184,10 +188,6 @@ class GaussianState:
     def is_pure(self, atol: float = PURITY_ATOL) -> bool:
         return bool(np.all(np.abs(self.symplectic_spectrum - VACUUM_VAR) < atol))
 
-    def _check_mode(self, mode: int):
-        if not 0 <= mode < self.n_modes:
-            raise ValueError(f"mode index {mode} out of range for {self.n_modes} modes")
-
 
 def vacuum(n_modes: int) -> GaussianState:
     """The n-mode vacuum state, covariance I/2."""
@@ -216,7 +216,10 @@ def db_to_squeeze_parameter(r_db: float) -> float:
 
 
 def embed_single_mode(matrix2: np.ndarray, n_modes: int, mode: int) -> np.ndarray:
-    """Embed a 2x2 matrix acting on ``mode`` into a 2n x 2n identity."""
+    """Embed a 2x2 matrix acting on ``mode`` into a 2n x 2n identity; a
+    ``mode`` that is not an :func:`is_index` of n modes is a ``ValueError``."""
+    if not is_index(mode, n_modes):
+        raise ValueError(f"mode {mode!r} is not an integer mode of a {n_modes}-mode state")
     full = np.eye(2 * n_modes)
     s = slice(2 * mode, 2 * mode + 2)
     full[s, s] = matrix2
@@ -238,8 +241,9 @@ def squeeze_momentum(state: GaussianState, mode: int, r_db: float) -> GaussianSt
 
     Acts with the symplectic ``diag(e^r, e^-r)`` so an initially vacuum mode
     ends with ``Var(p) = e^(-2r)/2`` and ``Var(q) = e^(2r)/2``.
+    A negative ``r_db`` or a bad ``mode`` (:func:`embed_single_mode`) is a
+    ``ValueError``.
     """
-    state._check_mode(mode)
     if r_db < 0:
         raise ValueError("squeezing in dB must be non-negative")
     r = db_to_squeeze_parameter(r_db)
@@ -248,9 +252,10 @@ def squeeze_momentum(state: GaussianState, mode: int, r_db: float) -> GaussianSt
 
 
 def cz_matrix(n_modes: int, j: int, k: int, weight: float = 1.0) -> np.ndarray:
-    """Symplectic matrix of CZ between modes j and k: p_j += w q_k, p_k += w q_j."""
-    if j == k:
-        raise ValueError("CZ needs two distinct modes")
+    """Symplectic matrix of CZ between modes j and k: p_j += w q_k, p_k += w q_j.
+    Unless j and k are distinct :func:`is_index` of n modes, a ``ValueError``."""
+    if not (is_index(j, n_modes) and is_index(k, n_modes)) or j == k:
+        raise ValueError(f"CZ needs two distinct modes of {n_modes}, got ({j!r}, {k!r})")
     full = np.eye(2 * n_modes)
     full[2 * j + 1, 2 * k] = weight
     full[2 * k + 1, 2 * j] = weight
@@ -258,9 +263,8 @@ def cz_matrix(n_modes: int, j: int, k: int, weight: float = 1.0) -> np.ndarray:
 
 
 def apply_cz(state: GaussianState, j: int, k: int, weight: float = 1.0) -> GaussianState:
-    """Apply the controlled-phase gate of given weight between two modes."""
-    state._check_mode(j)
-    state._check_mode(k)
+    """Apply the controlled-phase gate of given weight between two modes;
+    bad modes are a ``ValueError`` (:func:`cz_matrix`)."""
     return apply_symplectic(state, cz_matrix(state.n_modes, j, k, weight))
 
 
@@ -301,12 +305,14 @@ def build_cluster(graph: GraphSpec, r_cluster_db: float,
 
     ``inputs`` maps nodes to single-mode states that are placed there
     unchanged. Every other node starts as a momentum-squeezed vacuum at
-    ``r_cluster_db``. Each weighted edge is then applied as a CZ gate.
+    ``r_cluster_db``. Each weighted edge is then applied as a CZ gate. An
+    input key that is not an :func:`is_index` of the graph's nodes, or a
+    state that is not single-mode, is a ``ValueError``.
     """
     inputs = dict(inputs or {})
     cov = VACUUM_VAR * np.eye(2 * graph.n_nodes)
     for node, state in inputs.items():
-        if state.n_modes != 1 or not 0 <= node < graph.n_nodes:
+        if not is_index(node, graph.n_nodes) or state.n_modes != 1:
             raise ValueError("cluster inputs must be single-mode states on graph nodes")
         cov[2 * node : 2 * node + 2, 2 * node : 2 * node + 2] = state.cov
     state = GaussianState(cov)
@@ -341,17 +347,18 @@ def condition_on_homodyne(covs: np.ndarray, modes, keep) -> np.ndarray:
     K (in the order given) are left with ``sigma_KK - sigma_KR sigma_RR^-1
     sigma_RK``, whatever the outcomes and the measurement order; modes
     neither measured nor kept are traced out. Measured and kept modes must
-    all be distinct, and at least one kept. Every matrix must be symmetric
-    and, if anything is measured, physical; symmetry is checked first, then
-    physicality, both before any arithmetic. Each entry of the result is the
-    one a stack holding only its matrix gives.
+    all be distinct :func:`is_index` of the state's modes, and at least one
+    kept, or the call raises ``ValueError``. Every matrix must be symmetric
+    and, if anything is measured, physical. Modes, then symmetry, then
+    physicality are checked, all before any arithmetic. Each entry of the
+    result is the one a stack holding only its matrix gives.
     """
     covs = np.asarray(covs, dtype=float)
-    modes = np.asarray(modes, dtype=int)
     n_modes = covs.shape[-1] // 2
-    nodes = [*modes.tolist(), *keep]
-    if len(set(nodes)) < len(nodes) or not set(nodes) <= set(range(n_modes)):
+    nodes = [*modes, *keep]
+    if not all(is_index(node, n_modes) for node in nodes) or len(set(nodes)) < len(nodes):
         raise ValueError("measured and kept modes must be distinct modes of the state")
+    modes = np.asarray(modes, dtype=int)
     if not len(keep):
         raise ValueError("must keep at least one mode")
     covs = symmetrize(covs)

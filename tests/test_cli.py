@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mechmbqc import cli, optomech
+from mechmbqc import config as config_module
 from mechmbqc.config import ConfigError, PRESETS, config_from_dict, load_config
 from mechmbqc.optomech import run_monitoring_protocol
 
@@ -151,11 +152,14 @@ def test_explicit_schedule_length_is_checked_at_load(tmp_path, capsys, durations
     dict(BASE, schedule=dict(BASE["schedule"], t_mon_us=10**400)),
     dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
                                 "count": 10**400}]}),
-    # A count numpy cannot allocate: beyond its size limit, and beyond memory.
+    # A count numpy cannot allocate: beyond its size limit, and beyond memory;
+    # and one it could, beyond the grid bound, refused before numpy runs.
     dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
                                 "count": 1e300}]}),
     dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
                                 "count": 1e12}]}),
+    dict(BASE, sweep={"axes": [{"param": "eta", "start": 0.8, "stop": 1.0,
+                                "count": 1e8}]}),
     # An axis names its parameter by a string, and a present sweep is an
     # object with axes, whatever its value.
     dict(BASE, sweep={"axes": [{"param": ["gamma_hz"], "values": [1]}]}),
@@ -171,6 +175,7 @@ def test_explicit_schedule_length_is_checked_at_load(tmp_path, capsys, durations
         "sweep_count_bool", "sweep_count_fraction", "sweep_count_inf",
         "gamma_hz_huge_int", "t_mon_us_huge_int", "sweep_count_huge_int",
         "sweep_count_beyond_numpy", "sweep_count_beyond_memory",
+        "sweep_count_beyond_grid_bound",
         "sweep_param_list", "sweep_empty_list", "sweep_empty_object", "sweep_zero",
         "sweep_false", "sweep_empty_string", "sweep_null"])
 def test_wrongly_typed_config_value_exits_with_config_error(tmp_path, capsys, payload):
@@ -293,6 +298,25 @@ def test_sweep_values_are_validated_before_any_point_runs(tmp_path, monkeypatch,
     path = write_config(tmp_path, payload)
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert calls == []
+
+
+def test_a_sweep_grid_is_bounded_before_any_point_is_built(tmp_path, capsys, monkeypatch):
+    # Each axis is within the bound and the grid is not: 1,001 x 1,000 points
+    # are refused before any point's parameters are validated.
+    built = []
+    monkeypatch.setattr(config_module, "params_from_dict", built.append)
+    axes = [{"param": "eta", "start": 0.5, "stop": 1.0, "count": 1001},
+            {"param": "gamma_hz", "start": 0.0, "stop": 10.0, "count": 1000}]
+    assert config_module.MAX_SWEEP_POINTS == 10**6
+    with pytest.raises(ConfigError, match="sweep grid has 1001000 points, more than 1000000"):
+        config_from_dict(dict(BASE, sweep={"axes": axes}))
+    with pytest.raises(ConfigError, match="sweep axis count 1000001 is more than 1000000"):
+        config_from_dict(dict(BASE, sweep={"axes": [dict(axes[0], count=10**6 + 1)]}))
+    assert built == []
+    path = write_config(tmp_path, dict(BASE, sweep={"axes": axes}))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: sweep grid has")
+    assert built == []
 
 
 def test_config_requires_complete_params_without_preset():

@@ -1,6 +1,7 @@
 """Module-level facts of the package source: only the propagator imports
-scipy, for ``expm`` and ``dgesv``, and only ``states`` defines a tolerance
-constant (``*_ATOL``), so physicality has one slack."""
+scipy, for ``expm`` and ``dgesv``, only ``states`` defines a tolerance
+constant (``*_ATOL``), so physicality has one slack, and only
+``states.is_index`` checks that an index is in range."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,34 @@ def test_only_states_defines_a_tolerance_constant():
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {name for name, found in owners.items() if found} == {"states.py"}
     assert "PHYSICALITY_ATOL" in owners["states.py"]
+
+
+def hand_written_index_checks(tree: ast.AST):
+    """Line numbers of each ``0 <= x < n`` chained comparison on the int
+    literal 0 and each ``set(range(...))`` in ``tree``, outside a function
+    named ``is_index``."""
+    skipped = {id(node) for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and func.name == "is_index"
+               for node in ast.walk(func)}
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if (isinstance(node, ast.Compare) and len(node.ops) > 1
+                and isinstance(node.ops[0], ast.LtE) and isinstance(node.left, ast.Constant)
+                and type(node.left.value) is int and node.left.value == 0):
+            yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "set" and node.args
+              and isinstance(node.args[0], ast.Call) and isinstance(node.args[0].func, ast.Name)
+              and node.args[0].func.id == "range"):
+            yield node.lineno
+
+
+def test_only_is_index_checks_an_index_range():
+    source = ("a = 0 <= i < n\nb = not 0 <= j < len(x)\nc = set(range(n))\n"
+              "d = 0.0 <= t < inf\ne = 1 <= k <= 2\nf = 0 <= i\ng = set(x)\n"
+              "def is_index(v, n):\n    return 0 <= v < n\n")
+    assert sorted(hand_written_index_checks(ast.parse(source))) == [1, 2, 3]
+    found = {path.name: sorted(hand_written_index_checks(ast.parse(path.read_text())))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -11,7 +11,9 @@ from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, expm
 
+from mechmbqc import optomech as om
 from mechmbqc import states as st
+from mechmbqc.dynamics import Trajectory
 from mechmbqc.mbqc import MeasurementPattern
 
 from oracles import bbp_fidelity, project_one
@@ -201,6 +203,68 @@ def test_apply_cz_against_explicit_matrix_product():
     assert_allclose(out.cov, expected, rtol=1e-12)
     # Large squeezing: Cov(p1, q2) approaches w * Var(q2).
     assert_allclose(out.cov[1, 2], w * out.cov[2, 2], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the index policy: every mode or node index is an ``is_index`` of its state
+
+
+N_INDEXED = 3
+LINE = st.GraphSpec.linear(N_INDEXED)
+# Each function that takes a mode or node index, called with ``i`` in one
+# index slot of a 3-mode state, graph or trajectory, and the message its
+# ValueError carries. Index 1 is free in every slot.
+INDEX_CALLS = {
+    "embed_single_mode": (lambda i: st.embed_single_mode(np.eye(2), N_INDEXED, i),
+                          "is not an integer mode"),
+    "squeeze_momentum": (lambda i: st.squeeze_momentum(st.vacuum(N_INDEXED), i, 3.0),
+                         "is not an integer mode"),
+    "cz_matrix_j": (lambda i: st.cz_matrix(N_INDEXED, i, 0), "two distinct modes"),
+    "cz_matrix_k": (lambda i: st.cz_matrix(N_INDEXED, 2, i), "two distinct modes"),
+    "apply_cz_j": (lambda i: st.apply_cz(st.vacuum(N_INDEXED), i, 0), "two distinct modes"),
+    "apply_cz_k": (lambda i: st.apply_cz(st.vacuum(N_INDEXED), 2, i), "two distinct modes"),
+    "condition_measured": (
+        lambda i: st.condition_on_homodyne(st.build_cluster(LINE, 3.0).cov[None], [i], [2]),
+        "distinct modes of the state"),
+    "condition_kept": (
+        lambda i: st.condition_on_homodyne(st.build_cluster(LINE, 3.0).cov[None], [0], [i]),
+        "distinct modes of the state"),
+    "build_cluster": (lambda i: st.build_cluster(LINE, 3.0, {i: st.vacuum(1)}),
+                      "single-mode states on graph nodes"),
+    "qnd_hamiltonian": (lambda i: om.qnd_hamiltonian(om.params_set2(), N_INDEXED, i),
+                        "is not an integer resonator"),
+    "GraphSpec": (lambda i: st.GraphSpec(N_INDEXED, ((0, i),)), "integer nodes"),
+    "MeasurementPattern": (lambda i: MeasurementPattern(LINE, (0,), (i,), (0.0,), (2,)),
+                           "not integer nodes"),
+    "measured_node_decorrelation": (
+        lambda i: om.measured_node_decorrelation(
+            Trajectory(np.zeros(2), np.stack([0.5 * np.eye(2 * N_INDEXED)] * 2)), i),
+        "is not a mode of the"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 0.5, -1, N_INDEXED],
+                         ids=["True", "np.True_", "0.5", "-1", "n"])
+@pytest.mark.parametrize("name", INDEX_CALLS)
+def test_a_bad_index_is_a_value_error_at_the_call(name, bad):
+    # A bool is no index (True would address mode 1), a float would be
+    # truncated, -1 would wrap to the last mode and n would leak numpy's
+    # broadcast or index error.
+    call, message = INDEX_CALLS[name]
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", INDEX_CALLS)
+def test_a_numpy_integer_index_acts_as_the_int(name):
+    call, _ = INDEX_CALLS[name]
+    by_numpy, by_int = call(np.int64(1)), call(1)
+    if isinstance(by_int, st.GaussianState):
+        by_numpy, by_int = by_numpy.cov, by_int.cov
+    if isinstance(by_int, np.ndarray):
+        assert np.array_equal(by_numpy, by_int)
+    else:
+        assert by_numpy == by_int
 
 
 # ---------------------------------------------------------------------------
