@@ -186,9 +186,12 @@ class Propagator:
     of Van Loan, IEEE TAC 23, 1978). With Phi = expm(h H) the flow over an
     interval h is sigma <- (Phi21 + Phi22 sigma)(Phi11 + Phi12 sigma)^-1.
 
-    Every :meth:`advance` is one product and one LAPACK ``dgesv``, whatever
-    h; the map it applies is built once per distinct interval length. Let
-    lambda be the largest real part in the spectrum of H, by which X grows.
+    :meth:`sample` applies the flow of one interval length repeatedly and
+    writes each sample into a preallocated stack; :meth:`advance` is its
+    one-sample case. Every sample is one product and one LAPACK ``dgesv``,
+    whatever h; the map it applies is built once per distinct interval
+    length. Let lambda be the largest real part in the spectrum of H, by
+    which X grows.
 
     * If h lambda <= 1, the interval is one Davison-Maki step: [X; Y] =
       Phi[:, :n] + Phi[:, n:] sigma, then X^T sigma' = Y^T. X grows by at
@@ -199,7 +202,7 @@ class Propagator:
           sigma <- W_c + Psi sigma (I + W_o sigma)^-1 Psi^T,
 
       with W_c and W_o symmetric positive semidefinite for a physical flow.
-      The advance solves (I + sigma W_o) Z = sigma Psi^T and returns
+      The sample solves (I + sigma W_o) Z = sigma Psi^T and returns
       W_c + Psi Z. For physical sigma the eigenvalues of I + sigma W_o are
       at least 1, so the solve does not degrade as h grows, whereas
       Phi11 + Phi12 sigma grows as e^(h lambda). The map is built by
@@ -209,7 +212,15 @@ class Propagator:
       with M = I + W_c W_o, sets Psi <- Psi M^-1 Psi,
       W_c <- W_c + Psi M^-1 W_c Psi^T and W_o <- W_o + Psi^T W_o M^-1 Psi.
 
-    A singular matrix in any solve raises :class:`numpy.linalg.LinAlgError`.
+    A cached flow stores its Y rows halved (in the interval form, W_c and
+    the Psi rows of the slope), so the solve yields half the new covariance
+    and its symmetric part is S + S^T, one addition. Halving is exact in
+    binary floating point away from underflow, so the samples carry the
+    bits of the unhalved update symmetrized as (S + S^T) / 2.
+
+    Every sample reuses one scratch buffer of the propagator, so a
+    propagator must not be used by two threads at once. A singular matrix in
+    any solve raises :class:`numpy.linalg.LinAlgError`.
     """
 
     def __init__(self, coeffs: EvolutionCoefficients):
@@ -218,11 +229,16 @@ class Propagator:
         self.hamiltonian = np.block([[-a.T, coeffs.bbt], [coeffs.diffusion, a]])
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
         self._flows = {}
+        # Scratch of every sample: [X; Y / 2], and the interval form's Psi Z.
+        # X^T and Y^T / 2 are Fortran-ordered views that dgesv solves in place.
+        d = self.dim
+        work = np.empty((3 * d, d))
+        self._work = (work[:2 * d], work[:d].T, work[d:2 * d].T, work[2 * d:])
 
     def _flow(self, h: float):
-        """``(offset, slope, post)`` of the interval ``h``: [X; Y] =
+        """``(offset, slope, post)`` of the interval ``h``: [X; Y / 2] =
         offset + slope sigma, and ``post`` is ``None`` for a Davison-Maki
-        step or ``(W_c, Psi)`` for the interval form."""
+        step or ``(W_c / 2, Psi)`` for the interval form."""
         flow = self._flows.get(h)
         if flow is None:
             mantissa, halvings = math.frexp(h * self.rate)
@@ -236,32 +252,56 @@ class Propagator:
             d = self.dim
             if halvings:
                 w_c, psi, w_o = _doubled_map(phi, d, halvings)
-                flow = (np.eye(2 * d, d), np.vstack([w_o, psi]), (w_c, psi))
+                flow = (np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), (0.5 * w_c, psi))
             else:
+                phi[d:] *= 0.5
                 flow = (np.ascontiguousarray(phi[:, :d]),
                         np.ascontiguousarray(phi[:, d:]), None)
             self._flows[h] = flow
         return flow
 
-    def advance(self, sigma: np.ndarray, h: float) -> np.ndarray:
-        """Covariance after an interval ``h``, starting from ``sigma``."""
-        offset, slope, post = self._flow(h)
-        d = self.dim
-        xy = offset + slope @ sigma
+    def sample(self, sigma: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+        """Write the covariances after 1, 2, ..., ``len(out)`` intervals ``h``
+        from ``sigma`` into the stack ``out``, and return it.
+
+        If the solve of entry k fails, the ``LinAlgError`` raised carries
+        ``samples_written = k``: the entries before it hold their samples.
+        """
+        flow, step, work = self._flow(h), self._step, self._work
+        try:
+            for k in range(len(out)):
+                sigma = step(sigma, flow, work, out[k])
+        except np.linalg.LinAlgError as error:
+            error.samples_written = k
+            raise
+        return out
+
+    def _step(self, sigma, flow, work, out) -> np.ndarray:
+        """One sample: ``flow`` applied to ``sigma``, written to ``out``,
+        with the views ``work`` of the propagator's scratch."""
+        offset, slope, post = flow
+        xy, x_t, y_t, psi_z = work
+        np.matmul(slope, sigma, xy)
+        xy += offset
         # Y X^-1 is symmetric, so it equals X^-T Y^T, which one solve gives;
-        # in the interval form, (I + sigma W_o) Z = sigma Psi^T. X^T and Y^T
-        # are Fortran-ordered views of the fresh xy, solved in place.
-        sigma = _solve(xy[:d].T, xy[d:].T)
+        # in the interval form, (I + sigma W_o) Z = sigma Psi^T.
+        half = _solve(x_t, y_t)
         if post is not None:
             w_c, psi = post
-            sigma = w_c + psi @ sigma
-        return 0.5 * (sigma + sigma.T)
+            half = np.matmul(psi, half, psi_z)
+            half += w_c
+        return np.add(half, half.T, out)
+
+    def advance(self, sigma: np.ndarray, h: float) -> np.ndarray:
+        """Covariance after an interval ``h``, starting from ``sigma``: the
+        one-sample case of :meth:`sample`."""
+        return self._step(sigma, self._flow(h), self._work, np.empty((self.dim, self.dim)))
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^-1 b by one LAPACK ``dgesv``, overwriting ``a`` and ``b``; a
     singular ``a`` raises :class:`numpy.linalg.LinAlgError`."""
-    _, _, x, info = dgesv(a, b, overwrite_a=True, overwrite_b=True)
+    _, _, x, info = dgesv(a, b, 1, 1)  # overwrite_a, overwrite_b
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
     return x
@@ -379,33 +419,46 @@ def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
                  n_chunks: int, dt_of, n_samples: int, t_offset: float) -> Trajectory:
     """Sample the exact flow from ``sigma`` over ``n_chunks`` chunks of length ``chunk``,
     each on :func:`integrate`'s grid for the step ``dt_of(cov)`` at its start and at most
-    ``n_samples`` samples (one ``advance`` each; two keep only the end point, whatever
-    the step), and guard all samples after the start with one :func:`_check_samples`."""
-    propagator = coeffs.propagator
+    ``n_samples`` samples (two keep only the end point, whatever the step), and guard all
+    samples after the start with one :func:`_check_samples`.
+
+    A chunk is at most two :meth:`Propagator.sample` calls, one per interval length,
+    each writing straight into the step's one stack of samples.
+    """
+    sample = coeffs.propagator.sample
     times = [t_offset]
-    covs = [sigma]
+    covs = np.empty((1 + n_chunks, *sigma.shape))
+    covs[0] = sigma
+    filled = 1
     try:
-        for _ in range(n_chunks):
+        for left in range(n_chunks, 0, -1):
             # The floor binds only where chunk / dt would overflow to inf.
-            dt = max(dt_of(sigma), chunk / np.finfo(float).max)
+            dt = max(dt_of(covs[filled - 1]), chunk / np.finfo(float).max)
             n_steps = max(1, int(np.ceil(chunk / dt))) if chunk > 0 else 0
-            sample_every = max(1, int(np.ceil(n_steps / max(1, n_samples - 1)))) if n_steps else 1
+            if not n_steps:
+                continue
+            sample_every = max(1, int(np.ceil(n_steps / max(1, n_samples - 1))))
             marks = range(sample_every, n_steps, sample_every)
+            if filled + len(marks) + 1 > len(covs):
+                # Room for the rest of the step at this chunk's count.
+                grown = np.empty((filled + left * (len(marks) + 1), *sigma.shape))
+                grown[:filled] = covs[:filled]
+                covs = grown
             start = times[-1]
-            for k in marks:
-                sigma = propagator.advance(sigma, sample_every * dt)
-                times.append(start + k * dt)
-                covs.append(sigma)
-            if n_steps:
-                sigma = propagator.advance(sigma, chunk - (marks[-1] * dt if marks else 0.0))
-                times.append(start + chunk)
-                covs.append(sigma)
-    except np.linalg.LinAlgError:
+            times.extend(start + k * dt for k in marks)
+            times.append(start + chunk)
+            for h, count in ((sample_every * dt, len(marks)),
+                             (chunk - (marks[-1] * dt if marks else 0.0), 1)):
+                if count:
+                    sample(covs[filled - 1], h, covs[filled:filled + count])
+                    filled += count
+    except np.linalg.LinAlgError as error:
         # A sample before the failed solve may already be unphysical; that
         # is the first fault, so it is reported in preference.
-        _check_samples(times[1:], np.asarray(covs)[1:])
+        filled += getattr(error, "samples_written", 0)
+        _check_samples(times[1:filled], covs[1:filled])
         raise
-    covs = np.asarray(covs)
+    covs = covs[:filled]
     _check_samples(times[1:], covs[1:])
     return Trajectory(np.asarray(times), covs)
 

@@ -282,7 +282,7 @@ class _Protocol:
     def output_block(self, cov: np.ndarray) -> np.ndarray:
         """The output nodes' block of a full-system covariance, or of each
         covariance in a stack."""
-        idx = quadratures(self.pattern.outputs)
+        idx = quadratures(self.pattern.outputs, self.pattern.graph.n_nodes)
         return cov[..., idx, :][..., idx]
 
     def completed_fidelities(self, covs: np.ndarray, step: int) -> np.ndarray:
@@ -345,7 +345,7 @@ def _integrate_step(cov: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float
     chunk = t_mon / CHUNKS_PER_STEP
     per_chunk = max(2, int(np.ceil(n_samples / CHUNKS_PER_STEP)))
     dt_of = grid_step_rule(coeffs, chunk) if per_chunk > 2 else lambda _: chunk
-    return _sample_flow(np.array(cov), coeffs, chunk, CHUNKS_PER_STEP, dt_of,
+    return _sample_flow(cov, coeffs, chunk, CHUNKS_PER_STEP, dt_of,
                         per_chunk, t_offset)
 
 
@@ -464,20 +464,21 @@ def measured_node_decorrelation(trajectory: Trajectory, node: int,
 # A step ends once its would-be fidelity falls this far below its best.
 DECREASE_TOL = 2e-4
 
-# Increments the search propagates, guards and scores in one pass.
-SEARCH_BLOCK = 8
+# Increments the search propagates, guards and scores in one pass. A block's
+# fixed cost (guard, completion and fidelity calls) is about 12-15 times an
+# increment's, and the benchmark's optimizer steps scan a median of 21
+# increments (quartiles 16 and 35, none under 8). A fixed block of 20-24
+# then minimizes blocks x fixed cost + increments computed; 24 covers the
+# median step in one block. Any size gives the same results.
+SEARCH_BLOCK = 24
 
 
 def _score_increments(protocol: _Protocol, step: int, cov: np.ndarray,
                       times: list, time_resolution: float):
     """Covariances and completed fidelities after each of ``len(times)``
     increments from ``cov``, guarded as samples at the step times ``times``."""
-    advance = protocol.steps[step].propagator.advance
-    covs = []
-    for _ in times:
-        cov = advance(cov, time_resolution)
-        covs.append(cov)
-    covs = np.asarray(covs)
+    covs = protocol.steps[step].propagator.sample(cov, time_resolution,
+                                                  np.empty((len(times), *cov.shape)))
     _check_samples(times, covs)
     return covs, protocol.completed_fidelities(covs, step)
 

@@ -93,14 +93,19 @@ def first_unphysical(covs: np.ndarray):
     failing index and reports its ``nu_min``.
     """
     covs = np.asarray(covs, dtype=float)
-    finite = np.isfinite(covs).all(axis=(-2, -1))
+    # NaN and inf propagate through the max, so it also tells finiteness.
+    scale = np.max(np.abs(covs), axis=(-2, -1))
+    finite = np.isfinite(scale)
     n_finite = len(covs) if finite.all() else int(np.argmin(finite))
     checked = covs[:n_finite]
-    slack = np.maximum(PHYSICALITY_ATOL, 1e-10 * np.max(np.abs(checked), axis=(-2, -1)))
+    slack = np.maximum(PHYSICALITY_ATOL, 1e-10 * scale[:n_finite])
     if n_finite and n_finite == len(covs):
-        omega = symplectic_form(covs.shape[-1] // 2)
+        hermitian = np.empty(covs.shape, dtype=complex)
+        hermitian.real = covs
+        np.multiply((VACUUM_VAR - slack)[:, None, None],
+                    symplectic_form(covs.shape[-1] // 2), out=hermitian.imag)
         try:
-            np.linalg.cholesky(covs + 1j * (VACUUM_VAR - slack)[:, None, None] * omega)
+            np.linalg.cholesky(hermitian)
             return None
         except np.linalg.LinAlgError:
             pass
@@ -121,8 +126,13 @@ def is_index(value, size: int) -> bool:
             and 0 <= value < size)
 
 
-def quadratures(modes) -> np.ndarray:
-    """Row indices ``2m, 2m + 1`` of each listed mode ``m``, in order."""
+def quadratures(modes, n_modes: int) -> np.ndarray:
+    """Row indices ``2m, 2m + 1`` of each listed mode ``m`` of an
+    ``n_modes``-mode state, in order; a mode that is not an :func:`is_index`
+    of the state is a ``ValueError``."""
+    for mode in modes:
+        if not is_index(mode, n_modes):
+            raise ValueError(f"mode {mode!r} is not an integer mode of a {n_modes}-mode state")
     modes = np.asarray(modes, dtype=int)
     return np.stack([2 * modes, 2 * modes + 1], axis=-1).ravel()
 
@@ -270,12 +280,23 @@ def apply_cz(state: GaussianState, j: int, k: int, weight: float = 1.0) -> Gauss
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Weighted graph describing a cluster state's nodes and CZ edges."""
+    """Weighted graph describing a cluster state's nodes and CZ edges.
+
+    ``n_nodes`` must be an integer (not a bool) of at least 1, and every
+    edge must join two distinct :func:`is_index` nodes with a finite weight,
+    or the graph raises ``ValueError``.
+    """
 
     n_nodes: int
     edges: tuple = ()
 
     def __post_init__(self):
+        n_nodes = self.n_nodes
+        if not (isinstance(n_nodes, (int, np.integer)) and not isinstance(n_nodes, bool)
+                and n_nodes >= 1):
+            raise ValueError(f"a graph needs an integer node count of at least 1, "
+                             f"got {n_nodes!r}")
+        object.__setattr__(self, "n_nodes", int(n_nodes))
         normalized = []
         for edge in self.edges:
             if len(edge) == 2:
@@ -296,6 +317,7 @@ class GraphSpec:
     @staticmethod
     def linear(n_nodes: int, weight: float = 1.0) -> "GraphSpec":
         """Chain graph 0-1-...-(n-1)."""
+        n_nodes = GraphSpec(n_nodes).n_nodes  # checks the count before range() sees it
         return GraphSpec(n_nodes, tuple((j, j + 1, weight) for j in range(n_nodes - 1)))
 
 
@@ -367,7 +389,7 @@ def condition_on_homodyne(covs: np.ndarray, modes, keep) -> np.ndarray:
         if unphysical is not None:
             raise UnphysicalStateError("input state is unphysical (min symplectic "
                                        f"eigenvalue {unphysical[1]:.9g})")
-    idx = quadratures(keep)
+    idx = quadratures(keep, n_modes)
     rows = 2 * modes + 1
     sigma_kr = covs[:, idx][:, :, rows]
     gain = np.linalg.solve(covs[:, rows][:, :, rows], np.swapaxes(sigma_kr, -1, -2))

@@ -40,9 +40,10 @@ def bbp_fidelity(s1, s2) -> float:
 
 def generic_solve_advance(propagator, sigma, h):
     """``Propagator.advance`` written with the generic ``np.linalg.solve``:
-    it forms [X; Y] from the propagator's own flow, solves X^T s = Y^T,
-    applies the interval form's post-map W_c + Psi s if the flow has one,
-    and symmetrizes."""
+    it forms [X; Y / 2] from the propagator's own flow, whose Y rows are
+    stored halved, solves X^T s = Y^T / 2, applies the interval form's
+    post-map W_c / 2 + Psi s if the flow has one, and symmetrizes the half
+    covariance s as s + s^T."""
     offset, slope, post = propagator._flow(h)
     d = propagator.dim
     xy = offset + slope @ sigma
@@ -50,7 +51,7 @@ def generic_solve_advance(propagator, sigma, h):
     if post is not None:
         w_c, psi = post
         sigma = w_c + psi @ sigma
-    return 0.5 * (sigma + sigma.T)
+    return sigma + sigma.T
 
 
 def substep_chain_advance(propagator, sigma, h):

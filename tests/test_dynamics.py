@@ -319,21 +319,21 @@ def test_integrate_aborts_on_physicality_loss():
 
 
 def failing_propagator(monkeypatch, coeffs, failures):
-    """Make the n-th call of ``coeffs.propagator.advance`` misbehave.
+    """Make the n-th sample of ``coeffs.propagator`` misbehave.
 
-    ``failures`` maps a call number (1-based) to a function of the correctly
-    advanced covariance that returns the sample to store or raises.
+    ``failures`` maps a sample number (1-based) to a function of the
+    correctly advanced covariance that returns the sample to store or raises.
     """
     propagator = coeffs.propagator
-    advance = propagator.advance
+    step = propagator._step
     calls = []
 
-    def faulty(sigma, h):
-        calls.append(h)
-        result = advance(sigma, h)
-        return failures.get(len(calls), lambda s: s)(result)
+    def faulty(sigma, flow, work, out):
+        calls.append(flow)
+        out[...] = failures.get(len(calls), lambda s: s)(step(sigma, flow, work, out))
+        return out
 
-    monkeypatch.setattr(propagator, "advance", faulty)
+    monkeypatch.setattr(propagator, "_step", faulty)
 
 
 def test_integrate_reports_non_finite_sample_at_its_time(monkeypatch):
@@ -589,6 +589,24 @@ def test_propagator_advances_with_one_solve_and_one_expm_per_length(monkeypatch)
     assert len(exponentials) == 3
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 4),
+       h_rate=hst.sampled_from([0.5, 8.0, 700.0]))
+def test_sample_is_chained_one_sample_calls_bit_for_bit(seed, n_modes, h_rate):
+    # h lambda = 0.5 is one Davison-Maki step, 8 and 700 the interval form.
+    propagator = random_physical_coefficients(seed, n_modes).propagator
+    h = h_rate / propagator.rate
+    squeezing = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=n_modes)
+    sigma = 0.5 * np.diag(np.exp(np.ravel([[r, -r] for r in squeezing])))
+    out = np.empty((6, 2 * n_modes, 2 * n_modes))
+    assert propagator.sample(sigma, h, out) is out
+    chained = []
+    for _ in range(6):
+        sigma = propagator.advance(sigma, h)
+        chained.append(sigma)
+    assert np.array_equal(out, chained)
+
+
 def test_propagator_raises_on_an_exactly_singular_substep():
     # Without drift or diffusion the flow over h = 1 is X = I + G sigma,
     # Y = sigma, with G = diag(1, 0); sigma = diag(-1, 1) zeroes X's first row.
@@ -596,6 +614,10 @@ def test_propagator_raises_on_an_exactly_singular_substep():
                                        np.array([[1.0], [0.0]]))
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         coeffs.propagator.advance(np.diag([-1.0, 1.0]), 1.0)
+    # A stack reports how many of its samples were written before the failure.
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix") as info:
+        coeffs.propagator.sample(np.diag([-1.0, 1.0]), 1.0, np.empty((3, 2, 2)))
+    assert info.value.samples_written == 0
 
 
 def test_trajectory_state_accessors():

@@ -581,21 +581,21 @@ def sample_in_chunk_3_of_step_2():
 
 
 def faulty_advance_from(monkeypatch, trigger, faults):
-    """Make ``Propagator.advance`` misbehave from the call whose input
-    equals ``trigger`` on. ``faults`` maps a call number, counted from that
-    call (0), to a function of the correctly advanced covariance that
+    """Make the propagators' samples misbehave from the one whose input
+    equals ``trigger`` on. ``faults`` maps a sample number, counted from
+    that sample (0), to a function of the correctly advanced covariance that
     returns the sample to store or raises."""
-    real_advance = dyn.Propagator.advance
+    real_step = dyn.Propagator._step
     calls = []
 
-    def advance(self, sigma, h):
-        out = real_advance(self, sigma, h)
+    def step(self, sigma, flow, work, out):
+        real_step(self, sigma, flow, work, out)
         if calls or np.array_equal(sigma, trigger):
-            calls.append(h)
-            return faults.get(len(calls) - 1, lambda s: s)(out)
+            calls.append(flow)
+            out[...] = faults.get(len(calls) - 1, lambda s: s)(out)
         return out
 
-    monkeypatch.setattr(dyn.Propagator, "advance", advance)
+    monkeypatch.setattr(dyn.Propagator, "_step", step)
 
 
 def test_protocol_guards_each_step_once(monkeypatch):
@@ -770,6 +770,21 @@ def test_monitored_model_propagates_as_a_generic_solve_bit_for_bit():
                     sigma = coeffs.propagator.advance(sigma, h)
                     reference = generic_solve_advance(coeffs.propagator, reference, h)
                     assert np.array_equal(sigma, reference)
+
+
+def test_monitored_model_samples_as_chained_one_sample_calls_bit_for_bit():
+    # On the QND-step flows of both presets, one Propagator.sample call
+    # writes the bits of the same samples taken one call at a time.
+    for program, p in itertools.product((mbqc.identity_program(), mbqc.cz_program()),
+                                        (om.params_set1(), om.params_set2())):
+        protocol = om._prepare(program, p)
+        for coeffs in protocol.steps:
+            for h in (50e-6 / 119, 50e-6 / 7, 1e-5):
+                sigma = protocol.initial_cov()
+                stack = coeffs.propagator.sample(sigma, h, np.empty((10, *sigma.shape)))
+                for cov in stack:
+                    sigma = coeffs.propagator.sample(sigma, h, np.empty((1, *sigma.shape)))[0]
+                    assert np.array_equal(cov, sigma)
 
 
 @pytest.mark.parametrize("h", [1e302, 1.7e308])
@@ -956,8 +971,9 @@ ORACLE_PROGRAMS = {
 @pytest.mark.parametrize("temperature_k", [1e-3, 3e-3, 10e-3], ids=["1mK", "3mK", "10mK"])
 @pytest.mark.parametrize("gate", sorted(ORACLE_PROGRAMS))
 def test_block_search_matches_per_increment_oracle(gate, temperature_k):
-    # 15 increments fit a step, so the search crosses a block boundary; at
-    # 1 mK some steps run to the maximum.
+    # 15 increments fit a step; at 1 mK some steps run to the maximum.
+    # Block boundaries within a step are covered by
+    # test_search_block_size_changes_no_result.
     program = ORACLE_PROGRAMS[gate]
     p = replace(om.params_set1(), temperature_k=temperature_k)
     sched, result = om.optimize_schedule(program, p, time_resolution=4e-6,
@@ -986,22 +1002,44 @@ def test_block_search_matches_oracle_at_the_edges(program, temperature_k, resolu
     assert np.array_equal(result.fidelities, replay.fidelities)
 
 
+@pytest.mark.parametrize("program, temperature_k, max_step", [
+    *[(ORACLE_PROGRAMS[gate], t, 120e-6)
+      for gate in sorted(ORACLE_PROGRAMS) for t in (1e-3, 3e-3, 10e-3)],
+    (mbqc.identity_program(), 10.0, 20e-6),
+], ids=[*[f"{gate}-{t}" for gate in sorted(ORACLE_PROGRAMS) for t in ("1mK", "3mK", "10mK")],
+        "never-improves"])
+def test_search_block_size_changes_no_result(monkeypatch, program, temperature_k, max_step):
+    # Completion and fidelity are per entry, and a failing block is redone
+    # one increment at a time, so the block size moves no bit. At 2 us
+    # resolution a step scans up to 60 increments, across the boundaries of
+    # blocks of 1, 8 and 24.
+    p = replace(om.params_set1(), temperature_k=temperature_k)
+    runs = []
+    for block in (1, 8, 24, 64):
+        monkeypatch.setattr(om, "SEARCH_BLOCK", block)
+        runs.append(om.optimize_schedule(program, p, 2e-6, max_step))
+    (sched, result), *others = runs
+    for other_sched, other_result in others:
+        assert other_sched.durations == sched.durations
+        assert np.array_equal(other_result.fidelities, result.fidelities)
+
+
 def poison_increment(monkeypatch, start_cov, propagator, increment, resolution):
-    """Make ``Propagator.advance`` return NaN for one increment of a step:
-    the one that starts from the covariance ``increment - 1`` clean
-    increments after ``start_cov``."""
+    """Make the propagators' samples NaN for one increment of a step: the
+    one that starts from the covariance ``increment - 1`` clean increments
+    after ``start_cov``."""
     poisoned_input = start_cov
     for _ in range(increment - 1):
         poisoned_input = propagator.advance(poisoned_input, resolution)
-    real_advance = dyn.Propagator.advance
+    real_step = dyn.Propagator._step
 
-    def advance(self, sigma, h):
-        out = real_advance(self, sigma, h)
-        if h == resolution and np.array_equal(sigma, poisoned_input):
-            return np.full_like(out, np.nan)
+    def step(self, sigma, flow, work, out):
+        real_step(self, sigma, flow, work, out)
+        if flow is self._flows.get(resolution) and np.array_equal(sigma, poisoned_input):
+            out[...] = np.nan
         return out
 
-    monkeypatch.setattr(dyn.Propagator, "advance", advance)
+    monkeypatch.setattr(dyn.Propagator, "_step", step)
 
 
 SEARCH_CASE = (mbqc.identity_program(), replace(om.params_set1(), temperature_k=10e-3),
@@ -1009,14 +1047,16 @@ SEARCH_CASE = (mbqc.identity_program(), replace(om.params_set1(), temperature_k=
 
 
 def test_optimizer_search_error_surfaces_at_its_increment(monkeypatch):
-    # Step 0 of this search peaks at 8 increments and stops at the 10th, in
-    # the block of increments 9-16; increment 17 starts a block never built.
+    # Step 0 of this search peaks at 8 increments and stops at the 10th,
+    # inside the first block of increments 1-24: increments 11 and 17 are
+    # computed there but never read, and increment 25 starts a block never
+    # built.
     program, p, resolution, max_step = SEARCH_CASE
     clean, steps = greedy_oracle(program, p, resolution, max_step)
     stop = steps[0]["scanned"]
     assert steps[0]["stop"] == "decrease_tol" and stop == 10
     propagator = om._prepare(program, p).steps[0].propagator
-    for increment in (1, 9, stop, stop + 1, 17):
+    for increment in (1, 9, stop, stop + 1, 17, 25):
         with monkeypatch.context() as patch:
             poison_increment(patch, steps[0]["start"], propagator, increment, resolution)
             if increment > stop:

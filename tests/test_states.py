@@ -234,6 +234,7 @@ INDEX_CALLS = {
     "qnd_hamiltonian": (lambda i: om.qnd_hamiltonian(om.params_set2(), N_INDEXED, i),
                         "is not an integer resonator"),
     "GraphSpec": (lambda i: st.GraphSpec(N_INDEXED, ((0, i),)), "integer nodes"),
+    "quadratures": (lambda i: st.quadratures([0, i], N_INDEXED), "is not an integer mode"),
     "MeasurementPattern": (lambda i: MeasurementPattern(LINE, (0,), (i,), (0.0,), (2,)),
                            "not integer nodes"),
     "measured_node_decorrelation": (
@@ -282,6 +283,23 @@ def test_graph_rejects_self_loops_and_bad_nodes():
         with pytest.raises(ValueError, match="integer nodes|non-finite weight"):
             st.GraphSpec(3, (edge,))
     assert st.GraphSpec(3, ((np.int64(0), 2, -1.5),)).edges == ((0, 2, -1.5),)
+
+
+@pytest.mark.parametrize("n_nodes", [True, np.True_, 2.5, 3.0, -1, 0],
+                         ids=["True", "np.True_", "2.5", "3.0", "-1", "0"])
+@pytest.mark.parametrize("build", [st.GraphSpec, st.GraphSpec.linear], ids=["graph", "linear"])
+def test_a_bad_node_count_is_a_value_error_of_the_graph(build, n_nodes):
+    # True would build a 1-node graph; build_cluster would leak Python's
+    # TypeError for 2.5 and numpy's "negative dimensions" error for -1.
+    with pytest.raises(ValueError, match="integer node count of at least 1"):
+        build(n_nodes)
+
+
+def test_a_numpy_integer_node_count_acts_as_the_int():
+    graph = st.GraphSpec(np.int64(3), ((0, 1),))
+    assert type(graph.n_nodes) is int and graph == st.GraphSpec(3, ((0, 1),))
+    assert np.array_equal(st.build_cluster(graph, 3.0).cov,
+                          st.build_cluster(st.GraphSpec(3, ((0, 1),)), 3.0).cov)
 
 
 def test_cluster_empty_edges_is_product():
@@ -778,8 +796,8 @@ def test_first_unphysical_reports_nan_as_minus_infinity():
 
 
 def test_quadratures_lists_row_pairs_in_order():
-    assert st.quadratures([2, 0]).tolist() == [4, 5, 0, 1]
-    assert st.quadratures([]).tolist() == []
+    assert st.quadratures([2, 0], 3).tolist() == [4, 5, 0, 1]
+    assert st.quadratures([], 3).tolist() == []
 
 
 @settings(max_examples=40, deadline=None)
