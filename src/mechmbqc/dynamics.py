@@ -131,8 +131,9 @@ class EvolutionCoefficients:
     sigma' = drift sigma + sigma drift^T + diffusion - sigma (B B^T) sigma.
 
     The matrices are stored read-only, so what is derived from them alone
-    (:attr:`bbt` and the exact flow :attr:`propagator`) is computed once and
-    stays valid for the object's lifetime.
+    (:attr:`bbt`, the grid rule's :attr:`rate_norms` and the exact flow
+    :attr:`propagator`) is computed once and stays valid for the object's
+    lifetime.
     """
 
     drift: np.ndarray
@@ -171,6 +172,16 @@ class EvolutionCoefficients:
         return bbt
 
     @cached_property
+    def rate_norms(self) -> tuple:
+        """``(drift_norm, cols, bbt_norm)`` for :func:`grid_step_rule`: the
+        spectral norms of the drift and of B B^T (0 if B is empty), and the
+        read-only indices of the columns where B B^T is non-zero."""
+        cols = np.flatnonzero(np.abs(self.bbt).max(axis=0))
+        cols.flags.writeable = False
+        bbt_norm = float(np.linalg.norm(self.bbt, 2)) if cols.size else 0.0
+        return float(np.linalg.norm(self.drift, 2)), cols, bbt_norm
+
+    @cached_property
     def propagator(self) -> "Propagator":
         """The exact flow of these coefficients, built on first use."""
         return Propagator(self)
@@ -189,9 +200,9 @@ class Propagator:
     :meth:`sample` applies the flow of one interval length repeatedly and
     writes each sample into a preallocated stack; :meth:`advance` is its
     one-sample case. Every sample is one product and one LAPACK ``dgesv``,
-    whatever h; the map it applies is built once per distinct interval
-    length. Let lambda be the largest real part in the spectrum of H, by
-    which X grows.
+    whatever h; the map it applies is built when its interval length is
+    first used and kept while it is one of the last two lengths built. Let
+    lambda be the largest real part in the spectrum of H, by which X grows.
 
     * If h lambda <= 1, the interval is one Davison-Maki step: [X; Y] =
       Phi[:, :n] + Phi[:, n:] sigma, then X^T sigma' = Y^T. X grows by at
@@ -218,9 +229,11 @@ class Propagator:
     binary floating point away from underflow, so the samples carry the
     bits of the unhalved update symmetrized as (S + S^T) / 2.
 
-    Every sample reuses one scratch buffer of the propagator, so a
-    propagator must not be used by two threads at once. A singular matrix in
-    any solve raises :class:`numpy.linalg.LinAlgError`.
+    A propagator may serve several threads at once: each :meth:`sample` and
+    :meth:`advance` call works in scratch of its own, and the cached flows
+    are one tuple of ``(h, flow)`` slots that a call reads and replaces
+    whole. A singular matrix in any solve raises
+    :class:`numpy.linalg.LinAlgError`.
     """
 
     def __init__(self, coeffs: EvolutionCoefficients):
@@ -228,37 +241,45 @@ class Propagator:
         self.dim = coeffs.dim
         self.hamiltonian = np.block([[-a.T, coeffs.bbt], [coeffs.diffusion, a]])
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
-        self._flows = {}
-        # Scratch of every sample: [X; Y / 2], and the interval form's Psi Z.
-        # X^T and Y^T / 2 are Fortran-ordered views that dgesv solves in place.
-        d = self.dim
-        work = np.empty((3 * d, d))
-        self._work = (work[:2 * d], work[:d].T, work[d:2 * d].T, work[2 * d:])
+        # The flows of the last two lengths built, newest first. A chunk of a
+        # monitored step samples two lengths, its grid's and its remainder's,
+        # and where a step has settled the next chunk repeats both; a
+        # propagator shared by many runs keeps no more.
+        self._flow_slots = ()
 
     def _flow(self, h: float):
         """``(offset, slope, post)`` of the interval ``h``: [X; Y / 2] =
         offset + slope sigma, and ``post`` is ``None`` for a Davison-Maki
         step or ``(W_c / 2, Psi)`` for the interval form."""
-        flow = self._flows.get(h)
-        if flow is None:
-            mantissa, halvings = math.frexp(h * self.rate)
-            if math.isinf(mantissa):
-                # h lambda overflows: add the exponents of h and lambda.
-                (m_h, e_h), (m_rate, e_rate) = math.frexp(h), math.frexp(self.rate)
-                mantissa, halvings = math.frexp(m_h * m_rate)
-                halvings += e_h + e_rate
-            halvings = max(0, halvings - (mantissa == 0.5))
-            phi = sla.expm(math.ldexp(h, -halvings) * self.hamiltonian)
-            d = self.dim
-            if halvings:
-                w_c, psi, w_o = _doubled_map(phi, d, halvings)
-                flow = (np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), (0.5 * w_c, psi))
-            else:
-                phi[d:] *= 0.5
-                flow = (np.ascontiguousarray(phi[:, :d]),
-                        np.ascontiguousarray(phi[:, d:]), None)
-            self._flows[h] = flow
+        slots = self._flow_slots
+        for cached_h, flow in slots:
+            if cached_h == h:
+                return flow
+        mantissa, halvings = math.frexp(h * self.rate)
+        if math.isinf(mantissa):
+            # h lambda overflows: add the exponents of h and lambda.
+            (m_h, e_h), (m_rate, e_rate) = math.frexp(h), math.frexp(self.rate)
+            mantissa, halvings = math.frexp(m_h * m_rate)
+            halvings += e_h + e_rate
+        halvings = max(0, halvings - (mantissa == 0.5))
+        phi = sla.expm(math.ldexp(h, -halvings) * self.hamiltonian)
+        d = self.dim
+        if halvings:
+            w_c, psi, w_o = _doubled_map(phi, d, halvings)
+            flow = (np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), (0.5 * w_c, psi))
+        else:
+            phi[d:] *= 0.5
+            flow = (np.ascontiguousarray(phi[:, :d]),
+                    np.ascontiguousarray(phi[:, d:]), None)
+        self._flow_slots = ((h, flow), *slots[:1])
         return flow
+
+    def _scratch(self) -> tuple:
+        """Scratch of one call: [X; Y / 2], its Fortran-ordered views X^T and
+        Y^T / 2 that dgesv solves in place, and the interval form's Psi Z."""
+        d = self.dim
+        work = np.empty((3 * d, d))
+        return work[:2 * d], work[:d].T, work[d:2 * d].T, work[2 * d:]
 
     def sample(self, sigma: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
         """Write the covariances after 1, 2, ..., ``len(out)`` intervals ``h``
@@ -267,7 +288,7 @@ class Propagator:
         If the solve of entry k fails, the ``LinAlgError`` raised carries
         ``samples_written = k``: the entries before it hold their samples.
         """
-        flow, step, work = self._flow(h), self._step, self._work
+        flow, step, work = self._flow(h), self._step, self._scratch()
         try:
             for k in range(len(out)):
                 sigma = step(sigma, flow, work, out[k])
@@ -278,7 +299,7 @@ class Propagator:
 
     def _step(self, sigma, flow, work, out) -> np.ndarray:
         """One sample: ``flow`` applied to ``sigma``, written to ``out``,
-        with the views ``work`` of the propagator's scratch."""
+        with the views ``work`` of the call's scratch."""
         offset, slope, post = flow
         xy, x_t, y_t, psi_z = work
         np.matmul(slope, sigma, xy)
@@ -295,7 +316,8 @@ class Propagator:
     def advance(self, sigma: np.ndarray, h: float) -> np.ndarray:
         """Covariance after an interval ``h``, starting from ``sigma``: the
         one-sample case of :meth:`sample`."""
-        return self._step(sigma, self._flow(h), self._work, np.empty((self.dim, self.dim)))
+        return self._step(sigma, self._flow(h), self._scratch(),
+                          np.empty((self.dim, self.dim)))
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -352,13 +374,12 @@ def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
     only reads the covariance columns of the monitored block, so the estimate
     is the spectral norm of ``B B^T`` times the norm of those columns (plus
     diffusive growth over the horizon) rather than of the full covariance.
-    All but the columns' SVD is computed here, once per rule; the rule is
-    built once per monitored step.
+    The two norms are computed once per coefficients
+    (:attr:`EvolutionCoefficients.rate_norms`) and the horizon's growth once
+    per rule; a call computes only the columns' SVD.
     """
-    drift_norm = float(np.linalg.norm(coeffs.drift, 2))
-    cols = np.flatnonzero(np.abs(coeffs.bbt).max(axis=0))
+    drift_norm, cols, bbt_norm = coeffs.rate_norms
     if cols.size:
-        bbt_norm = float(np.linalg.norm(coeffs.bbt, 2))
         # Diffusive growth per direction saturates once the local damping
         # balances it, so damped directions do not inflate long horizons.
         window = np.minimum(horizon, 1.0 / np.maximum(-np.diag(coeffs.drift), 1.0 / horizon))
@@ -419,11 +440,14 @@ def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
                  n_chunks: int, dt_of, n_samples: int, t_offset: float) -> Trajectory:
     """Sample the exact flow from ``sigma`` over ``n_chunks`` chunks of length ``chunk``,
     each on :func:`integrate`'s grid for the step ``dt_of(cov)`` at its start and at most
-    ``n_samples`` samples (two keep only the end point, whatever the step), and guard all
-    samples after the start with one :func:`_check_samples`.
+    ``n_samples`` samples, and guard all samples after the start with one
+    :func:`_check_samples`.
 
-    A chunk is at most two :meth:`Propagator.sample` calls, one per interval length,
-    each writing straight into the step's one stack of samples.
+    Every sample is written straight into the step's one stack. Two samples per chunk
+    keep only each chunk's end point, whatever the step, so ``dt_of`` is not called and
+    all chunks are one :meth:`Propagator.sample` call of ``n_chunks`` intervals ``chunk``,
+    their times summed chunk by chunk. Otherwise a chunk is at most two calls, one per
+    interval length.
     """
     sample = coeffs.propagator.sample
     times = [t_offset]
@@ -431,27 +455,34 @@ def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
     covs[0] = sigma
     filled = 1
     try:
-        for left in range(n_chunks, 0, -1):
-            # The floor binds only where chunk / dt would overflow to inf.
-            dt = max(dt_of(covs[filled - 1]), chunk / np.finfo(float).max)
-            n_steps = max(1, int(np.ceil(chunk / dt))) if chunk > 0 else 0
-            if not n_steps:
-                continue
-            sample_every = max(1, int(np.ceil(n_steps / max(1, n_samples - 1))))
-            marks = range(sample_every, n_steps, sample_every)
-            if filled + len(marks) + 1 > len(covs):
-                # Room for the rest of the step at this chunk's count.
-                grown = np.empty((filled + left * (len(marks) + 1), *sigma.shape))
-                grown[:filled] = covs[:filled]
-                covs = grown
-            start = times[-1]
-            times.extend(start + k * dt for k in marks)
-            times.append(start + chunk)
-            for h, count in ((sample_every * dt, len(marks)),
-                             (chunk - (marks[-1] * dt if marks else 0.0), 1)):
-                if count:
-                    sample(covs[filled - 1], h, covs[filled:filled + count])
-                    filled += count
+        if n_samples == 2:
+            if chunk > 0:
+                for _ in range(n_chunks):
+                    times.append(times[-1] + chunk)
+                sample(sigma, chunk, covs[1:])
+                filled = len(covs)
+        else:
+            for left in range(n_chunks, 0, -1):
+                # The floor binds only where chunk / dt would overflow to inf.
+                dt = max(dt_of(covs[filled - 1]), chunk / np.finfo(float).max)
+                n_steps = max(1, int(np.ceil(chunk / dt))) if chunk > 0 else 0
+                if not n_steps:
+                    continue
+                sample_every = max(1, int(np.ceil(n_steps / max(1, n_samples - 1))))
+                marks = range(sample_every, n_steps, sample_every)
+                if filled + len(marks) + 1 > len(covs):
+                    # Room for the rest of the step at this chunk's count.
+                    grown = np.empty((filled + left * (len(marks) + 1), *sigma.shape))
+                    grown[:filled] = covs[:filled]
+                    covs = grown
+                start = times[-1]
+                times.extend(start + k * dt for k in marks)
+                times.append(start + chunk)
+                for h, count in ((sample_every * dt, len(marks)),
+                                 (chunk - (marks[-1] * dt if marks else 0.0), 1)):
+                    if count:
+                        sample(covs[filled - 1], h, covs[filled:filled + count])
+                        filled += count
     except np.linalg.LinAlgError as error:
         # A sample before the failed solve may already be unphysical; that
         # is the first fault, so it is reported in preference.

@@ -104,6 +104,9 @@ def gate_to_lambdas(matrix) -> tuple:
 class MeasurementPattern:
     """Where a gate program runs: its cluster graph and node roles.
 
+    The node roles are stored as tuples of int and the phases as a tuple of
+    float, from any sequence, so a pattern hashes and compares by value.
+
     Attributes:
         graph: the cluster graph.
         inputs: nodes that carry the program's input modes.
@@ -127,6 +130,9 @@ class MeasurementPattern:
         if missing:
             raise ValueError(f"pattern nodes {missing} are not integer nodes "
                              f"of a {n_nodes}-node graph")
+        for name in ("inputs", "measured", "outputs"):
+            object.__setattr__(self, name, tuple(int(node) for node in getattr(self, name)))
+        object.__setattr__(self, "phases", tuple(float(phi) for phi in self.phases))
         held = (*self.measured, *self.outputs)
         if len(set(held)) < len(held) or len(set(self.inputs)) < len(self.inputs):
             raise ValueError("measured and output nodes must all be distinct, "

@@ -15,7 +15,9 @@ settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True)
-def fresh_cluster_cache():
-    """Start every test with an empty cluster-and-reference cache, so what a
-    test counts does not depend on which tests ran before it."""
+def fresh_run_caches():
+    """Start every test with empty run caches (cluster and reference, step
+    coefficients), so what a test counts does not depend on which tests ran
+    before it."""
     optomech._cluster_and_reference.cache_clear()
+    optomech._step_coefficients.cache_clear()

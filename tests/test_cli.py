@@ -616,7 +616,8 @@ def test_sweep_points_use_config_samples_per_step(tmp_path):
 def test_sweep_over_the_cluster_squeezing_matches_separate_simulate_runs(
         tmp_path, monkeypatch):
     # With r_cluster_db the last (fastest) axis, consecutive points never
-    # share a cluster: every point builds its own.
+    # share a cluster, but the run cache holds both: one build per distinct
+    # (pattern, r_cluster_db).
     built = []
     build_cluster = optomech.build_cluster
     monkeypatch.setattr(optomech, "build_cluster",
@@ -625,7 +626,7 @@ def test_sweep_over_the_cluster_squeezing_matches_separate_simulate_runs(
             {"param": "r_cluster_db", "values": [3.0, 6.0]}]
     path = write_config(tmp_path, dict(BASE, sweep={"axes": axes}))
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
-    assert len(built) == 4
+    assert len(built) == 2
     lines = (tmp_path / "s" / "sweep.csv").read_text().strip().splitlines()
     data = [line.split(",") for line in lines if not line.startswith("#")]
     rows = [dict(zip(data[0], row)) for row in data[1:]]

@@ -1,7 +1,9 @@
 """Tests for the cavity-resonator model and the stepped monitoring protocol."""
 
 import itertools
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -105,6 +107,30 @@ def test_params_have_no_resonator_count():
 # NaN first: an unchecked infinite search bound would never return. eta's
 # range check already excludes all three.
 NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+def test_params_store_plain_floats_and_a_bool():
+    # A 0-d array, a numpy scalar or an int in a field used to be stored as
+    # given, so the params could not be hashed and the run cache, which keys
+    # on them, failed the run.
+    p = om.params_set1()
+    sched = om.MonitoringSchedule.equal(3e-6, 4)
+    want = om.run_monitoring_protocol(mbqc.identity_program(), p, sched, samples_per_step=10)
+    for changes in ({"temperature_k": np.array(1e-3)}, {"temperature_k": np.float64(1e-3)},
+                    {"r_cluster_db": 3}, {"eta": np.float64(0.99)},
+                    {"gamma": np.array(p.gamma), "reset_cavity": np.bool_(False)},
+                    {"reset_cavity": 0}):
+        q = replace(p, **changes)
+        assert all(type(getattr(q, f.name)) is float for f in fields(q)[:-1])
+        assert type(q.reset_cavity) is bool
+        assert q == p and hash(q) == hash(p)
+        om._step_coefficients.cache_clear()
+        om._cluster_and_reference.cache_clear()
+        got = om.run_monitoring_protocol(mbqc.identity_program(), q, sched,
+                                         samples_per_step=10)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.fidelities, want.fidelities)
+        assert np.array_equal(got.output_state.cov, want.output_state.cov)
 
 
 @pytest.mark.parametrize("field", ["gamma", "kappa", "tau", "alpha_g", "temperature_k",
@@ -458,6 +484,104 @@ def test_consecutive_runs_of_one_program_share_the_cluster_and_reference():
         assert np.array_equal(fresh.times, res.times)
         assert np.array_equal(fresh.fidelities, res.fidelities)
         assert np.array_equal(fresh.output_state.cov, res.output_state.cov)
+
+
+def test_runs_on_one_params_share_the_step_coefficients(monkeypatch):
+    # The key is (params, node count, measured nodes), by value: identity and
+    # Fourier measure the same chain, CZ other nodes of another graph.
+    p = om.params_set1()
+    built = []
+    qnd_coefficients = om.qnd_coefficients
+    monkeypatch.setattr(om, "qnd_coefficients",
+                        lambda *args: built.append(args) or qnd_coefficients(*args))
+    steps = [om._prepare(program, params).steps for program, params in (
+        (mbqc.identity_program(), p), (mbqc.fourier_program(), om.params_set1()),
+        (mbqc.cz_program(), p), (mbqc.identity_program(), replace(p, gamma=0.0)))]
+    assert steps[0] is steps[1]
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("program", [mbqc.shear_program(2.5), mbqc.cz_program()],
+                         ids=["shear2.5", "cz"])
+def test_a_pattern_built_from_lists_is_the_tuple_pattern(program):
+    # Node roles given as lists used to be stored as lists, and every run of
+    # such a pattern raised "unhashable type: 'list'" from the run cache.
+    tuples = program.pattern
+    pattern = mbqc.MeasurementPattern(tuples.graph, [np.int64(n) for n in tuples.inputs],
+                                      list(tuples.measured), list(tuples.phases),
+                                      list(tuples.outputs))
+    assert pattern == program.pattern and hash(pattern) == hash(program.pattern)
+    for name in ("inputs", "measured", "outputs"):
+        assert type(getattr(pattern, name)) is tuple
+        assert all(type(node) is int for node in getattr(pattern, name))
+    assert all(type(phi) is float for phi in pattern.phases)
+    p = om.params_set2()
+    sched = om.MonitoringSchedule.equal(3e-6, len(pattern.measured))
+    want = om.run_monitoring_protocol(program, p, sched, samples_per_step=10)
+    om._step_coefficients.cache_clear()
+    om._cluster_and_reference.cache_clear()
+    got = om.run_monitoring_protocol(mbqc.GateProgram(pattern, program.target, "lists"),
+                                     p, sched, samples_per_step=10)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.fidelities, want.fidelities)
+    assert np.array_equal(got.output_state.cov, want.output_state.cov)
+
+
+def test_threads_sharing_the_run_caches_get_the_serial_results():
+    # Four threads run three programs on one preset, each on the same cached
+    # propagators, while the interpreter switches threads every microsecond.
+    # Scratch shared by the propagator's samples got most such runs wrong.
+    p = om.params_set1()
+    runs = [(program, om.MonitoringSchedule.equal(t_mon, len(program.pattern.measured)))
+            for program, t_mon in ((mbqc.identity_program(), 8e-6),
+                                   (mbqc.shear_program(2.5), 11e-6),
+                                   (mbqc.cz_program(), 14e-6))]
+    serial = [om.run_monitoring_protocol(program, p, sched, samples_per_step=24)
+              for program, sched in runs]
+    om._step_coefficients.cache_clear()
+    om._cluster_and_reference.cache_clear()
+
+    def worker(k):
+        order = runs[k % 3:] + runs[:k % 3]
+        return [[om.run_monitoring_protocol(program, p, sched, samples_per_step=24)
+                 for program, sched in order] for _ in range(3)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(worker, range(4), timeout=300))
+    finally:
+        sys.setswitchinterval(switch)
+    for k, rounds in enumerate(threaded):
+        want = serial[k % 3:] + serial[:k % 3]
+        for results in rounds:
+            for got, res in zip(results, want):
+                assert np.array_equal(got.times, res.times)
+                assert np.array_equal(got.fidelities, res.fidelities)
+                assert np.array_equal(got.output_state.cov, res.output_state.cov)
+
+
+def test_run_caches_stay_within_their_bound():
+    # More distinct params and cluster squeezings than the bound: each cache
+    # keeps the most recent RUN_CACHE_SIZE keys, and every propagator keeps
+    # the flows of at most two interval lengths, the last two it built.
+    sched = om.MonitoringSchedule.equal(3e-6, 4)
+    program = mbqc.identity_program()
+    protocols = []
+    for k in range(om.RUN_CACHE_SIZE + 3):
+        p = replace(om.params_set2(), gamma=2 * np.pi * k, r_cluster_db=3.0 + k)
+        om.run_monitoring_protocol(program, p, sched, samples_per_step=20)
+        protocols.append(om._prepare(program, p))
+    for cache in (om._step_coefficients, om._cluster_and_reference):
+        assert cache.cache_info().currsize == om.RUN_CACHE_SIZE
+    assert om._prepare(program, p).steps is protocols[-1].steps
+    for protocol in protocols:
+        for coeffs in protocol.steps:
+            lengths = [h for h, _ in coeffs.propagator._flow_slots]
+            assert 1 <= len(lengths) <= 2
+            coeffs.propagator.advance(protocol.initial_cov(), 1e-6)
+            assert [h for h, _ in coeffs.propagator._flow_slots] == [1e-6, lengths[0]]
 
 
 # Final and maximum fidelities of short runs, recorded before the protocol
@@ -1035,7 +1159,9 @@ def poison_increment(monkeypatch, start_cov, propagator, increment, resolution):
 
     def step(self, sigma, flow, work, out):
         real_step(self, sigma, flow, work, out)
-        if flow is self._flows.get(resolution) and np.array_equal(sigma, poisoned_input):
+        is_resolution = any(h == resolution and cached is flow
+                            for h, cached in self._flow_slots)
+        if is_resolution and np.array_equal(sigma, poisoned_input):
             out[...] = np.nan
         return out
 

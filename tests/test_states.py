@@ -151,6 +151,24 @@ def test_state_rejects_asymmetric_covariance():
         st.GaussianState(cov)
 
 
+def test_symmetrize_rejects_a_relative_skew_of_1e_9():
+    # The skew is measured relative to the largest entry: 1e-8 against 10 is
+    # 1e-9, ten times SYMMETRY_RTOL; 1e-11 passes.
+    cov = 10.0 * np.eye(2)
+    cov[0, 1] = 1e-8
+    with pytest.raises(ValueError, match="not symmetric"):
+        st.symmetrize(cov)
+    cov[0, 1] = 1e-10
+    assert_allclose(st.symmetrize(cov), [[10.0, 5e-11], [5e-11, 10.0]], rtol=0, atol=0)
+
+
+def test_is_symplectic_rejects_an_error_of_1e_9():
+    # diag(1 + 1e-9, 1, 1, 1) Omega M^T misses Omega by 1.0e-9 in max norm,
+    # ten times SYMPLECTIC_ATOL; 1e-11 passes.
+    assert not st.is_symplectic(np.diag([1.0 + 1e-9, 1.0, 1.0, 1.0]))
+    assert st.is_symplectic(np.diag([1.0 + 1e-11, 1.0, 1.0, 1.0]))
+
+
 def test_squeeze_momentum_variances():
     state = st.squeeze_momentum(st.vacuum(1), 0, 3.0)
     assert_allclose(state.cov[1, 1], 0.5 * 10 ** -0.3, rtol=1e-12)
