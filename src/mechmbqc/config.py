@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -124,8 +125,13 @@ class ExperimentConfig:
             raise ConfigError(f"sweep grid has {n_points} points, more than "
                               f"{MAX_SWEEP_POINTS}")
 
-    def program(self) -> GateProgram:
+    @cached_property
+    def _program(self) -> GateProgram:
         return named_program(self.gate)
+
+    def program(self) -> GateProgram:
+        """The configured gate program, built once per config."""
+        return self._program
 
     def n_steps(self) -> int:
         return len(self.program().pattern.measured)

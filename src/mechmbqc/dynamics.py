@@ -237,9 +237,15 @@ class Propagator:
     """
 
     def __init__(self, coeffs: EvolutionCoefficients):
-        a = coeffs.drift
-        self.dim = coeffs.dim
-        self.hamiltonian = np.block([[-a.T, coeffs.bbt], [coeffs.diffusion, a]])
+        a, d = coeffs.drift, coeffs.dim
+        self.dim = d
+        # H = [[-A^T, G], [D, A]], filled block by block into one read-only array.
+        self.hamiltonian = np.empty((2 * d, 2 * d))
+        np.negative(a.T, out=self.hamiltonian[:d, :d])
+        self.hamiltonian[:d, d:] = coeffs.bbt
+        self.hamiltonian[d:, :d] = coeffs.diffusion
+        self.hamiltonian[d:, d:] = a
+        self.hamiltonian.flags.writeable = False
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
         # The flows of the last two lengths built, newest first. A chunk of a
         # monitored step samples two lengths, its grid's and its remainder's,
@@ -332,14 +338,29 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _doubled_map(phi: np.ndarray, d: int, doublings: int):
     """``(W_c, Psi, W_o)`` of the interval form of the flow ``phi`` composed
     with itself ``doublings`` times, one solve per doubling (see
-    :class:`Propagator`)."""
+    :class:`Propagator`).
+
+    Every solve works in place on Fortran-ordered buffers allocated once per
+    call: the first right-hand side [I, Phi21^T], then per doubling
+    M = I + W_c W_o and [Psi, W_c Psi^T]. The products and sums are those of
+    the plain formulas, in the same order, so the bits are too.
+    """
+    buffers = np.empty((d, 5 * d), order="F")
+    first, rhs, lhs = buffers[:, :2 * d], buffers[:, 2 * d:4 * d], buffers[:, 4 * d:]
+    eye = np.eye(d)
     # Phi11^T [Psi, W_c] = [I, Phi21^T], and W_o = Psi^T Phi12.
-    psi_wc = _solve(phi[:d, :d].T.copy(order="F"), np.hstack([np.eye(d), phi[d:, :d].T]))
+    lhs[...] = phi[:d, :d].T
+    first[:, :d] = eye
+    first[:, d:] = phi[d:, :d].T
+    psi_wc = _solve(lhs, first)
     psi, w_c = psi_wc[:, :d], psi_wc[:, d:]
     w_o = psi.T @ phi[:d, d:]
     w_c, w_o = 0.5 * (w_c + w_c.T), 0.5 * (w_o + w_o.T)
     for _ in range(doublings):
-        solved = _solve(np.eye(d) + w_c @ w_o, np.hstack([psi, w_c @ psi.T]))
+        np.add(eye, w_c @ w_o, out=lhs)
+        rhs[:, :d] = psi
+        rhs[:, d:] = w_c @ psi.T
+        solved = _solve(lhs, rhs)
         m_psi, m_wc_psi = solved[:, :d], solved[:, d:]
         w_c, w_o, psi = (w_c + psi @ m_wc_psi, w_o + psi.T @ w_o @ m_psi,
                          psi @ m_psi)

@@ -181,15 +181,26 @@ def qnd_hamiltonian(params: PhysicalParams, n_resonators: int, addressed: int) -
     return h_system
 
 
+# Entries of each run cache below, least recently used evicted first. The
+# benchmark's protocol stream cycles through 4 coefficient keys and 4
+# monitored channels (set1 and set2 on the five-node chain and on CZ's four
+# nodes) and, between two runs of one program, through at most 5 clusters
+# (identity, Fourier, CZ and two fresh shears); gate_comparison's default set
+# is 5 programs on one chain. 8 holds all three, and a key never repeated
+# costs only its entry. Threads may share the caches: two that miss one key at
+# once both build it, with equal results.
+RUN_CACHE_SIZE = 8
+
+
 def qnd_coefficients(params: PhysicalParams, n_resonators: int) -> EvolutionCoefficients:
     """The coefficients every QND step on ``n_resonators`` resonators shares: the cavity
     decays at kappa into a homodyne of efficiency eta and loses photons at tau, and each
-    resonator has a thermal bath at gamma. A step adds its :func:`qnd_hamiltonian`."""
+    resonator has a thermal bath at gamma. A step adds its :func:`qnd_hamiltonian`.
+
+    The baths (gamma, temperature, tau) are laid out on each call; the monitored channel
+    comes from its run cache (:func:`_monitored_channel`)."""
     dim = 2 * n_resonators + 2
     q_cav = 2 * n_resonators
-
-    c_monitored = np.zeros((dim, 2))
-    c_monitored[q_cav:, :] = np.sqrt(params.kappa) * np.eye(2)
 
     # Dissipative channels: cavity tau first (a vacuum bath), then one
     # thermal bath per resonator.
@@ -199,9 +210,25 @@ def qnd_coefficients(params: PhysicalParams, n_resonators: int) -> EvolutionCoef
 
     occupancies = np.append(0.0, params.occupancies(n_resonators))
     a_lyap, d_lyap = build_lyapunov(c_dissipative, thermal(n_resonators + 1, occupancies).cov)
-    a_ricc, d_ricc, backaction = build_riccati(
-        c_monitored, vacuum(1).cov, homodyne_post_meas_cov(params.r_post_meas_db), params.eta)
+    a_ricc, d_ricc, backaction = _monitored_channel(params.kappa, params.eta,
+                                                    params.r_post_meas_db, n_resonators)
     return EvolutionCoefficients(a_lyap + a_ricc, d_lyap + d_ricc, backaction)
+
+
+@functools.lru_cache(maxsize=RUN_CACHE_SIZE)
+def _monitored_channel(kappa: float, eta: float, r_post_meas_db: float,
+                       n_resonators: int) -> tuple:
+    """Read-only ``(A, D, B)`` of the cavity's monitored decay at ``kappa`` into a
+    homodyne of efficiency ``eta`` (:func:`build_riccati`), on ``n_resonators``
+    resonators plus the cavity. It reads no bath, so a sweep over gamma or the
+    temperature builds it once."""
+    c_monitored = np.zeros((2 * n_resonators + 2, 2))
+    c_monitored[2 * n_resonators:, :] = np.sqrt(kappa) * np.eye(2)
+    parts = build_riccati(c_monitored, vacuum(1).cov, homodyne_post_meas_cov(r_post_meas_db),
+                          eta)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 @dataclass(frozen=True)
@@ -307,16 +334,6 @@ class _Protocol:
         return fidelity_to(outputs, self.reference)
 
 
-# Entries of each run cache below, least recently used evicted first. The
-# benchmark's protocol stream cycles through 4 coefficient keys (set1 and set2
-# on the five-node chain and on CZ's four nodes) and, between two runs of one
-# program, through at most 5 clusters (identity, Fourier, CZ and two fresh
-# shears); gate_comparison's default set is 5 programs on one chain. 8 holds
-# both, and a key never repeated costs only its entry. Threads may share the
-# caches: two that miss one key at once both build it, with equal results.
-RUN_CACHE_SIZE = 8
-
-
 @functools.lru_cache(maxsize=RUN_CACHE_SIZE)
 def _cluster_and_reference(pattern: mbqc.MeasurementPattern, r_cluster_db: float):
     """A pattern's cluster, in its measurement frame, and its projective output.
@@ -331,15 +348,36 @@ def _cluster_and_reference(pattern: mbqc.MeasurementPattern, r_cluster_db: float
     return GaussianState(frame @ cluster.cov @ frame.T), pattern.complete(cluster)
 
 
+class _CoefficientKey:
+    """A run cache key of parameters: equal and hashed by the fields that
+    :func:`qnd_coefficients` and :func:`qnd_hamiltonian` read, so parameters that
+    differ only in the cluster squeezing or the cavity reset share an entry."""
+
+    __slots__ = ("params", "fields")
+
+    def __init__(self, params: PhysicalParams):
+        self.params = params
+        self.fields = (params.eta, params.gamma, params.kappa, params.tau, params.alpha_g,
+                       params.temperature_k, params.r_post_meas_db)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _CoefficientKey) and self.fields == other.fields
+
+    def __hash__(self) -> int:
+        return hash(self.fields)
+
+
 @functools.lru_cache(maxsize=RUN_CACHE_SIZE)
-def _step_coefficients(params: PhysicalParams, n_nodes: int, measured: tuple) -> tuple:
-    """The coefficients of each step that measures ``measured`` on ``n_nodes`` resonators.
+def _step_coefficients(key: _CoefficientKey, n_nodes: int, measured: tuple) -> tuple:
+    """The coefficients of each step that measures ``measured`` on ``n_nodes`` resonators,
+    for the parameters of ``key``.
 
     The steps share one build of the channels and differ only in the drift's
     Hamiltonian term. The coefficients are immutable, so runs on the same
-    parameters and measured nodes share them and all they derive once: the
+    coefficient fields and measured nodes share them and all they derive once: the
     propagators, with their last two flows, and the grid rule's norms.
     """
+    params = key.params
     shared = qnd_coefficients(params, n_nodes)
     return tuple(
         EvolutionCoefficients(
@@ -353,7 +391,8 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
     """Cluster, projective reference and per-step coefficients of a program,
     each from its run cache."""
     pattern = program.pattern
-    steps = _step_coefficients(params, pattern.graph.n_nodes, pattern.measured)
+    steps = _step_coefficients(_CoefficientKey(params), pattern.graph.n_nodes,
+                               pattern.measured)
     cluster, reference = _cluster_and_reference(pattern, params.r_cluster_db)
     return _Protocol(params, pattern, cluster, reference, steps)
 

@@ -3,6 +3,7 @@
 import numpy as np
 from scipy import linalg as sla
 
+from mechmbqc.dynamics import _solve as solve
 from mechmbqc.mbqc import FOURIER, shear_matrix
 from mechmbqc.states import GaussianState, symplectic_form
 
@@ -52,6 +53,30 @@ def generic_solve_advance(propagator, sigma, h):
         w_c, psi = post
         sigma = w_c + psi @ sigma
     return sigma + sigma.T
+
+
+def doubled_map(phi, d, doublings):
+    """``(W_c, Psi, W_o)`` of the interval form of the flow ``phi`` composed
+    with itself ``doublings`` times, written with a fresh right-hand side and
+    identity per solve: with M = I + W_c W_o, each doubling sets
+    Psi <- Psi M^-1 Psi, W_c <- W_c + Psi M^-1 W_c Psi^T and
+    W_o <- W_o + Psi^T W_o M^-1 Psi, symmetrizing W_c and W_o.
+
+    ``dynamics._doubled_map`` fills preallocated buffers with the same
+    arithmetic in the same order, so the two agree bit for bit.
+    """
+    # Phi11^T [Psi, W_c] = [I, Phi21^T], and W_o = Psi^T Phi12.
+    psi_wc = solve(phi[:d, :d].T.copy(order="F"), np.hstack([np.eye(d), phi[d:, :d].T]))
+    psi, w_c = psi_wc[:, :d], psi_wc[:, d:]
+    w_o = psi.T @ phi[:d, d:]
+    w_c, w_o = 0.5 * (w_c + w_c.T), 0.5 * (w_o + w_o.T)
+    for _ in range(doublings):
+        solved = solve(np.eye(d) + w_c @ w_o, np.hstack([psi, w_c @ psi.T]))
+        m_psi, m_wc_psi = solved[:, :d], solved[:, d:]
+        w_c, w_o, psi = (w_c + psi @ m_wc_psi, w_o + psi.T @ w_o @ m_psi,
+                         psi @ m_psi)
+        w_c, w_o = 0.5 * (w_c + w_c.T), 0.5 * (w_o + w_o.T)
+    return w_c, psi, w_o
 
 
 def substep_chain_advance(propagator, sigma, h):

@@ -662,6 +662,33 @@ def test_sweep_outputs_are_worker_count_independent(tmp_path):
     assert len(data) == 5  # header plus four grid points
 
 
+def test_a_gamma_temperature_sweep_builds_one_program_and_one_monitored_channel(
+        tmp_path, monkeypatch):
+    # The config builds its program once; the four points differ only in
+    # their baths, so they share one monitored channel.
+    built = []
+    named_program = config_module.named_program
+    monkeypatch.setattr(config_module, "named_program",
+                        lambda name: built.append(name) or named_program(name))
+    optomech._step_coefficients.cache_clear()
+    optomech._monitored_channel.cache_clear()
+    path = write_config(tmp_path, {
+        "preset": "set1", "gate": "shear:1",
+        "schedule": {"mode": "equal", "t_mon_us": 5.0}, "samples_per_step": 6,
+        "sweep": {"axes": [{"param": "gamma_hz", "values": [8.0, 40.0]},
+                           {"param": "temperature_k", "values": [1e-3, 5e-3]}]},
+    })
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "w1"),
+                     "--workers", "1"]) == 0
+    assert built == ["shear:1"]
+    info = optomech._monitored_channel.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "w2"),
+                     "--workers", "2"]) == 0
+    assert (tmp_path / "w1" / "sweep.csv").read_bytes() == \
+        (tmp_path / "w2" / "sweep.csv").read_bytes()
+
+
 def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
     # A fork pool starts every worker it is asked for, so the pool is
     # bounded by the grid and by the CPU count, with the same output.

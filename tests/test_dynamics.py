@@ -12,7 +12,7 @@ from scipy import linalg as sla
 from mechmbqc import dynamics as dyn
 from mechmbqc.states import GaussianState, symplectic_form, vacuum
 
-from oracles import generic_solve_advance, substep_chain_advance
+from oracles import doubled_map, generic_solve_advance, substep_chain_advance
 
 
 def mode_coupling(rate):
@@ -559,6 +559,33 @@ def test_propagator_matches_the_substep_chain_at_any_interval_length(
         for w in (post[0], slope[:2 * n_modes]):
             assert np.array_equal(w, w.T)
             assert np.linalg.eigvalsh(w).min() >= -1e-14 * np.max(np.abs(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 5),
+       h_rate=hst.floats(0.05, 1.0), doublings=hst.sampled_from([1, 2, 3, 40]))
+def test_doubled_map_is_the_plain_formulas_bit_for_bit(seed, n_modes, h_rate, doublings):
+    # The kernel solves in preallocated Fortran-ordered buffers; the oracle
+    # builds a fresh right-hand side and identity for every solve.
+    propagator = random_physical_coefficients(seed, n_modes).propagator
+    phi = sla.expm((h_rate / propagator.rate) * propagator.hamiltonian)
+    got = dyn._doubled_map(phi.copy(), 2 * n_modes, doublings)
+    want = doubled_map(phi.copy(), 2 * n_modes, doublings)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()  # every bit, the sign of zeros too
+
+
+@pytest.mark.parametrize("n_modes", [1, 3, 6])
+def test_propagator_hamiltonian_is_the_block_matrix_and_read_only(n_modes):
+    coeffs = random_physical_coefficients(n_modes, n_modes)
+    a = coeffs.drift
+    hamiltonian = coeffs.propagator.hamiltonian
+    want = np.block([[-a.T, coeffs.bbt], [coeffs.diffusion, a]])
+    assert hamiltonian.shape == want.shape and hamiltonian.tobytes() == want.tobytes()
+    assert not hamiltonian.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        hamiltonian[0, 0] = 1.0
 
 
 def test_propagator_advances_with_one_solve_and_one_expm_per_length(monkeypatch):

@@ -501,6 +501,59 @@ def test_runs_on_one_params_share_the_step_coefficients(monkeypatch):
     assert len(built) == 3
 
 
+def test_step_coefficients_key_on_the_fields_they_read():
+    # Neither the cluster squeezing nor the cavity reset enters a step's
+    # coefficients, so params that differ only there share one entry; every
+    # field the coefficients read is part of the key.
+    om._step_coefficients.cache_clear()
+    p = om.params_set1()
+    program = mbqc.identity_program()
+    variants = (p, replace(p, r_cluster_db=6.0), replace(p, reset_cavity=True))
+    protocols = [om._prepare(program, q) for q in variants]
+    info = om._step_coefficients.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert all(protocol.steps is protocols[0].steps for protocol in protocols)
+    assert all(protocol.params is q for protocol, q in zip(protocols, variants))
+    for name, value in (("eta", 0.9), ("gamma", 1.0), ("kappa", 2e6), ("tau", 1e4),
+                        ("alpha_g", 1e5), ("temperature_k", 2e-3), ("r_post_meas_db", 5.0)):
+        assert om._prepare(program, replace(p, **{name: value})).steps is not protocols[0].steps
+    assert om._step_coefficients.cache_info().misses == 8
+    # A run that hits another run's entry gives the bits of a fresh build.
+    sched = om.MonitoringSchedule.equal(3e-6, 4)
+    for q in variants[1:]:
+        om._prepare(program, p)
+        shared = om.run_monitoring_protocol(program, q, sched, samples_per_step=10)
+        om._step_coefficients.cache_clear()
+        fresh = om.run_monitoring_protocol(program, q, sched, samples_per_step=10)
+        assert np.array_equal(shared.times, fresh.times)
+        assert np.array_equal(shared.fidelities, fresh.fidelities)
+        assert np.array_equal(shared.output_state.cov, fresh.output_state.cov)
+
+
+def test_the_monitored_channel_is_built_once_per_kappa_eta_and_squeezing():
+    # The baths (gamma, temperature, tau) are laid out per call; the monitored
+    # channel, which reads none of them, comes from its run cache, read-only.
+    om._monitored_channel.cache_clear()
+    p = om.params_set1()
+    for q in (p, replace(p, gamma=0.0), replace(p, temperature_k=5e-3), replace(p, tau=0.0)):
+        om.qnd_coefficients(q, 5)
+    info = om._monitored_channel.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    for q in (replace(p, kappa=2 * p.kappa), replace(p, eta=0.5),
+              replace(p, r_post_meas_db=3.0)):
+        om.qnd_coefficients(q, 5)
+    om.qnd_coefficients(p, 4)
+    assert om._monitored_channel.cache_info().misses == 5
+    parts = om._monitored_channel(p.kappa, p.eta, p.r_post_meas_db, 5)
+    c_monitored = np.zeros((12, 2))
+    c_monitored[10:] = np.sqrt(p.kappa) * np.eye(2)
+    want = dyn.build_riccati(c_monitored, st.vacuum(1).cov,
+                             dyn.homodyne_post_meas_cov(p.r_post_meas_db), p.eta)
+    for part, w in zip(parts, want, strict=True):
+        assert not part.flags.writeable
+        assert part.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("program", [mbqc.shear_program(2.5), mbqc.cz_program()],
                          ids=["shear2.5", "cz"])
 def test_a_pattern_built_from_lists_is_the_tuple_pattern(program):
@@ -1082,6 +1135,27 @@ def greedy_oracle(program, params, time_resolution, max_step_duration):
         durations.append(best_t)
         steps.append(step)
     return om.MonitoringSchedule(tuple(durations)), steps
+
+
+def test_a_dip_within_the_decrease_tolerance_does_not_end_a_step(monkeypatch):
+    # Each step's completed fidelity dips 1.5e-4 below its best, reaches a new
+    # best, then drops 3e-4: with DECREASE_TOL = 2e-4 the search passes the
+    # dip, stops at the drop and keeps the new best, at the fourth increment.
+    # A tolerance of 1e-4 (or 0) would stop at the dip, one of 4e-4 would run
+    # on to the last increment.
+    trace = (0.90, 0.95, 0.95 - 1.5e-4, 0.96, 0.96 - 3e-4, 0.99)
+
+    def scripted(protocol, step, cov, time_resolution, max_step_duration):
+        for k, fidelity in enumerate(trace, start=1):
+            yield k * time_resolution, cov, fidelity
+
+    monkeypatch.setattr(om, "_step_increments", scripted)
+    monkeypatch.setattr(om._Protocol, "completed_fidelities",
+                        lambda self, covs, step: np.full(len(covs), 0.5))
+    schedule, result = om.optimize_schedule(mbqc.identity_program(), om.params_set2(),
+                                            time_resolution=1e-6, max_step_duration=1e-5)
+    assert schedule.durations == (4 * 1e-6,) * 4
+    assert result.schedule == schedule
 
 
 ORACLE_PROGRAMS = {

@@ -1,0 +1,153 @@
+"""Check that two checkouts give bit-identical benchmark outputs.
+
+Usage (from anywhere):
+
+    python3 tools/same_outputs.py --base ../parent --change . --seed 3 --ops 32
+
+``--base`` and ``--change`` are two checkouts of this repository, for
+example the parent commit unpacked with ``git archive`` and the working
+tree. For each benchmark workload (``protocol``, ``optimize`` and
+``sweep``), one subprocess per checkout runs the first ``--ops`` ops of the
+seed's stream on that checkout's ``src``, with one BLAS thread. The op
+streams come from this repository's ``perfbench/workloads.py``, which is
+only read, so both sides get the same inputs.
+
+Each side reports one sha256 per output field over all ops, in order:
+
+* ``protocol``: times, fidelities and the output covariance of each run;
+* ``optimize``: the step durations, then the same three fields of the
+  replayed run;
+* ``sweep``: the bytes of each op's ``sweep.csv``.
+
+Arrays are hashed as float64 bytes, so a difference in the last bit, or in
+the sign of a zero, is a mismatch. The report lists every field; the exit
+status is 0 if all are equal and 1 otherwise. Standard library and numpy
+only.
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread on both sides, fixed before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+WORKLOADS = ("protocol", "optimize", "sweep")
+FIELDS = {
+    "protocol": ("times", "fidelities", "output_cov"),
+    "optimize": ("durations", "times", "fidelities", "output_cov"),
+    "sweep": ("sweep_csv",),
+}
+
+
+def _array_bytes(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+def _result_bytes(result) -> dict:
+    """The hashed fields of a ``ProtocolResult``."""
+    return {"times": _array_bytes(result.times),
+            "fidelities": _array_bytes(result.fidelities),
+            "output_cov": _array_bytes(result.output_state.cov)}
+
+
+def run_workload(workloads, name: str, seed: int, n_ops: int) -> dict:
+    """``{field: sha256}`` of the first ``n_ops`` ops of one workload."""
+    hashes = {field: hashlib.sha256() for field in FIELDS[name]}
+    with tempfile.TemporaryDirectory() as work_dir:
+        workload = workloads.setup(name, seed, Path(work_dir))
+        try:
+            for index in range(n_ops):
+                raw = workload.run(workload.op(index))
+                if name == "protocol":
+                    parts = _result_bytes(raw)
+                elif name == "optimize":
+                    schedule, result = raw
+                    parts = dict(_result_bytes(result),
+                                 durations=_array_bytes(schedule.durations))
+                else:
+                    if raw != 0:
+                        raise RuntimeError(f"sweep op {index} exited {raw}")
+                    csv_path = workload._out_dir() / "sweep.csv"
+                    parts = {"sweep_csv": csv_path.read_bytes()}
+                    csv_path.unlink()
+                for field, blob in parts.items():
+                    hashes[field].update(blob)
+        finally:
+            workload.cleanup()
+    return {field: h.hexdigest() for field, h in hashes.items()}
+
+
+def child(checkout: Path, seed: int, n_ops: int):
+    """Print the JSON digest of every workload run on ``checkout``'s source."""
+    sys.path[:0] = [str(checkout / "src")]
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS_PY)
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    import mechmbqc
+
+    source = Path(mechmbqc.__file__).resolve()
+    if not source.is_relative_to((checkout / "src").resolve()):
+        sys.exit(f"same_outputs: imported {source}, not {checkout}'s source")
+    digest = {name: run_workload(workloads, name, seed, n_ops) for name in WORKLOADS}
+    print(json.dumps(digest))
+
+
+def digest_of(checkout: Path, seed: int, n_ops: int) -> dict:
+    """One checkout's digest, computed in a subprocess of its own."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout),
+            "--seed", str(seed), "--ops", str(n_ops)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        sys.exit(f"same_outputs: {checkout} exited {proc.returncode}:\n"
+                 f"{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--ops", type=int, default=32,
+                        help="ops per workload, from the start of the stream")
+    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.ops < 1:
+        parser.error("--ops must be at least 1")
+    if args.child is not None:
+        child(args.child.resolve(), args.seed, args.ops)
+        return
+    if args.base is None or args.change is None:
+        parser.error("--base and --change are required")
+
+    digests = {side: digest_of(path.resolve(), args.seed, args.ops)
+               for side, path in (("base", args.base), ("change", args.change))}
+    print(f"# seed {args.seed}, first {args.ops} ops of each workload")
+    mismatches = 0
+    for name in WORKLOADS:
+        for field in FIELDS[name]:
+            base, change = digests["base"][name][field], digests["change"][name][field]
+            mismatches += base != change
+            verdict = "equal" if base == change else "DIFFERENT"
+            print(f"{name:9s} {field:11s} base {base[:16]}  change {change[:16]}  {verdict}")
+    if mismatches:
+        sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()
