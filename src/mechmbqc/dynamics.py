@@ -16,12 +16,18 @@ coupling Hamiltonian (1/2) r^T [[0, C], [C^T, 0]] r with ``n`` system and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import linalg as sla
 from scipy.linalg.lapack import dgesv
+
+try:  # scipy's private Pade kernels behind expm; their signature has changed before
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+except ImportError:
+    pade_UV_calc = pick_pade_structure = None
 
 from .states import (
     SYMMETRY_RTOL,
@@ -229,11 +235,16 @@ class Propagator:
     binary floating point away from underflow, so the samples carry the
     bits of the unhalved update symmetrized as (S + S^T) / 2.
 
+    Each Phi comes from :func:`_expm`: scipy's Pade kernels called directly,
+    with the bits of ``scipy.linalg.expm``, which it falls back to for a
+    triangular or diagonal h H.
+
     A propagator may serve several threads at once: each :meth:`sample` and
     :meth:`advance` call works in scratch of its own, and the cached flows
     are one tuple of ``(h, flow)`` slots that a call reads and replaces
     whole. A singular matrix in any solve raises
-    :class:`numpy.linalg.LinAlgError`.
+    :class:`numpy.linalg.LinAlgError`; an interval h that is not finite and
+    >= 0 raises ``ValueError``.
     """
 
     def __init__(self, coeffs: EvolutionCoefficients):
@@ -247,6 +258,7 @@ class Propagator:
         self.hamiltonian[d:, d:] = a
         self.hamiltonian.flags.writeable = False
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
+        self._witnesses = _off_diagonal_witnesses(self.hamiltonian)
         # The flows of the last two lengths built, newest first. A chunk of a
         # monitored step samples two lengths, its grid's and its remainder's,
         # and where a step has settled the next chunk repeats both; a
@@ -261,6 +273,11 @@ class Propagator:
         for cached_h, flow in slots:
             if cached_h == h:
                 return flow
+        # Checked only here, so a cached length costs nothing; NaN never hits
+        # the cache. h = 0 is the identity flow, and a grid's remainder
+        # interval can round to it.
+        if not 0.0 <= h < math.inf:
+            raise ValueError(f"interval h must be finite and non-negative, got {h!r}")
         mantissa, halvings = math.frexp(h * self.rate)
         if math.isinf(mantissa):
             # h lambda overflows: add the exponents of h and lambda.
@@ -268,7 +285,7 @@ class Propagator:
             mantissa, halvings = math.frexp(m_h * m_rate)
             halvings += e_h + e_rate
         halvings = max(0, halvings - (mantissa == 0.5))
-        phi = sla.expm(math.ldexp(h, -halvings) * self.hamiltonian)
+        phi = _expm(math.ldexp(h, -halvings), self.hamiltonian, self._witnesses)
         d = self.dim
         if halvings:
             w_c, psi, w_o = _doubled_map(phi, d, halvings)
@@ -335,6 +352,76 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=None)
+def _strict_triangles(n: int) -> tuple:
+    """Read-only masks of the entries strictly below and strictly above the
+    diagonal of an n x n matrix."""
+    below = np.tri(n, n, -1, dtype=bool)
+    below.flags.writeable = False
+    return below, below.T
+
+
+def _off_diagonal_witnesses(a: np.ndarray) -> tuple:
+    """The largest |a_ij| strictly below and strictly above the diagonal
+    (0 for none, NaN if one is NaN): :func:`_expm`'s exact test of whether a
+    scaled ``a`` is triangular or diagonal."""
+    below, above = _strict_triangles(len(a))
+    return (float(np.abs(a[below]).max(initial=0.0)),
+            float(np.abs(a[above]).max(initial=0.0)))
+
+
+def _scipy_expm(scale: float, a: np.ndarray, witnesses: tuple) -> np.ndarray:
+    """expm(scale a) by ``scipy.linalg.expm``."""
+    return sla.expm(scale * a)
+
+
+def _pade_expm(scale: float, a: np.ndarray, witnesses: tuple) -> np.ndarray:
+    """expm(scale a) by the two compiled kernels that ``scipy.linalg.expm``
+    runs (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009),
+    called directly: the generic branch of ``expm`` replayed step for step,
+    so the result has its bits, without its per-call bandwidth scan, checks
+    and copies.
+
+    ``witnesses`` are :func:`_off_diagonal_witnesses` of ``a``. Rounding is
+    monotone, so scale a has a non-zero entry below (above) the diagonal iff
+    the largest one scaled is non-zero. A triangular or diagonal scale a,
+    which ``expm`` treats in branches of its own, and a kernel failure go to
+    ``expm``, which then raises its own error.
+    """
+    below, above = witnesses
+    if scale * below == 0.0 or scale * above == 0.0:
+        return sla.expm(scale * a)
+    work = np.empty((5, *a.shape))
+    np.multiply(scale, a, out=work[0])
+    order, squarings = pick_pade_structure(work)
+    if order < 0 or pade_UV_calc(work, order) != 0:
+        return sla.expm(scale * a)
+    phi = work[0]
+    for _ in range(squarings):
+        phi = phi @ phi
+    return phi
+
+
+def _kernels_reproduce_expm() -> bool:
+    """Whether the Pade kernels import and :func:`_pade_expm` gives the bits
+    of ``scipy.linalg.expm`` on a fixed generic probe, large enough for
+    squarings."""
+    if pick_pade_structure is None:
+        return False
+    probe = np.array([[4.0, 8.0, 0.0, -4.0], [2.0, -4.0, 12.0, 0.0],
+                      [8.0, 0.0, 4.0, 4.0], [-4.0, 4.0, 2.0, 8.0]])
+    try:
+        got = _pade_expm(1.0, probe, _off_diagonal_witnesses(probe))
+    except Exception:  # any failure, e.g. another call convention: not used
+        return False
+    want = sla.expm(probe)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# The flow builder of every Propagator, decided once at import.
+_expm = _pade_expm if _kernels_reproduce_expm() else _scipy_expm
+
+
 def _doubled_map(phi: np.ndarray, d: int, doublings: int):
     """``(W_c, Psi, W_o)`` of the interval form of the flow ``phi`` composed
     with itself ``doublings`` times, one solve per doubling (see
@@ -382,6 +469,8 @@ class Trajectory:
 # Grid steps per inverse fastest rate in :func:`grid_step_rule`.
 DT_SAFETY = 20.0
 
+_FLOAT_MAX = sys.float_info.max
+
 
 def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
     """The grid step that decides where :func:`integrate` places its
@@ -397,7 +486,8 @@ def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
     diffusive growth over the horizon) rather than of the full covariance.
     The two norms are computed once per coefficients
     (:attr:`EvolutionCoefficients.rate_norms`) and the horizon's growth once
-    per rule; a call computes only the columns' SVD.
+    per rule; a call, on a float64 covariance, computes only the columns'
+    SVD.
     """
     drift_norm, cols, bbt_norm = coeffs.rate_norms
     if cols.size:
@@ -409,7 +499,6 @@ def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
     def dt_of(sigma) -> float:
         rate = drift_norm
         if cols.size:
-            sigma = np.asarray(sigma, dtype=float)
             v_est = max(np.linalg.svd(sigma[:, cols], compute_uv=False).max() + growth, 1.0)
             rate += bbt_norm * v_est
         return horizon if rate <= 0.0 else min(horizon, 1.0 / (DT_SAFETY * rate))
@@ -485,11 +574,13 @@ def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
         else:
             for left in range(n_chunks, 0, -1):
                 # The floor binds only where chunk / dt would overflow to inf.
-                dt = max(dt_of(covs[filled - 1]), chunk / np.finfo(float).max)
-                n_steps = max(1, int(np.ceil(chunk / dt))) if chunk > 0 else 0
+                dt = max(dt_of(covs[filled - 1]), chunk / _FLOAT_MAX)
+                n_steps = max(1, math.ceil(chunk / dt)) if chunk > 0 else 0
                 if not n_steps:
                     continue
-                sample_every = max(1, int(np.ceil(n_steps / max(1, n_samples - 1))))
+                # The quotient is rounded to a float first, as it always was;
+                # past 2^53 steps its ceiling can differ from the exact one.
+                sample_every = max(1, math.ceil(n_steps / max(1, n_samples - 1)))
                 marks = range(sample_every, n_steps, sample_every)
                 if filled + len(marks) + 1 > len(covs):
                     # Room for the rest of the step at this chunk's count.

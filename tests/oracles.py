@@ -1,5 +1,7 @@
 """Reference constructions that the tests compare the package against."""
 
+import math
+
 import numpy as np
 from scipy import linalg as sla
 
@@ -77,6 +79,39 @@ def doubled_map(phi, d, doublings):
                          psi @ m_psi)
         w_c, w_o = 0.5 * (w_c + w_c.T), 0.5 * (w_o + w_o.T)
     return w_c, psi, w_o
+
+
+def expm_flow(propagator, h):
+    """``Propagator._flow(h)`` built with no cache and with
+    ``scipy.linalg.expm``, as before the flows called scipy's Pade kernels
+    directly: ``(offset, slope, post)`` with [X; Y / 2] = offset + slope
+    sigma, and ``post`` ``None`` for a Davison-Maki step or ``(W_c / 2,
+    Psi)`` for the interval form, doubled by :func:`doubled_map`."""
+    mantissa, halvings = math.frexp(h * propagator.rate)
+    if math.isinf(mantissa):
+        # h lambda overflows: add the exponents of h and lambda.
+        (m_h, e_h), (m_rate, e_rate) = math.frexp(h), math.frexp(propagator.rate)
+        mantissa, halvings = math.frexp(m_h * m_rate)
+        halvings += e_h + e_rate
+    halvings = max(0, halvings - (mantissa == 0.5))
+    phi = sla.expm(math.ldexp(h, -halvings) * propagator.hamiltonian)
+    d = propagator.dim
+    if halvings:
+        w_c, psi, w_o = doubled_map(phi, d, halvings)
+        return np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), (0.5 * w_c, psi)
+    phi[d:] *= 0.5
+    return np.ascontiguousarray(phi[:, :d]), np.ascontiguousarray(phi[:, d:]), None
+
+
+def same_flow(got, want) -> bool:
+    """Whether two ``(offset, slope, post)`` flows agree in every bit, the
+    sign of zeros too."""
+    (g_offset, g_slope, g_post), (w_offset, w_slope, w_post) = got, want
+    if (g_post is None) != (w_post is None):
+        return False
+    pairs = [(g_offset, w_offset), (g_slope, w_slope), *zip(g_post or (), w_post or ())]
+    return all(g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+               for g, w in pairs)
 
 
 def substep_chain_advance(propagator, sigma, h):

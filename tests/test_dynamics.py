@@ -2,8 +2,14 @@
 checked against hand computations, the exact propagator against closed-form
 solutions and an independent RK4 integrator."""
 
+import importlib.util
+import math
+import sys
+import types
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
@@ -12,7 +18,13 @@ from scipy import linalg as sla
 from mechmbqc import dynamics as dyn
 from mechmbqc.states import GaussianState, symplectic_form, vacuum
 
-from oracles import doubled_map, generic_solve_advance, substep_chain_advance
+from oracles import (
+    doubled_map,
+    expm_flow,
+    generic_solve_advance,
+    same_flow,
+    substep_chain_advance,
+)
 
 
 def mode_coupling(rate):
@@ -431,13 +443,13 @@ def test_propagator_reuses_one_flow_per_interval_length(monkeypatch):
     # exact flow composes: ten increments equal one interval ten times longer.
     coeffs, b, _ = scalar_riccati_setup(3.0, 8.0, 0.95)
     calls = []
-    expm = dyn.sla.expm
+    expm = dyn._expm
 
-    def counting_expm(matrix):
-        calls.append(matrix)
-        return expm(matrix)
+    def counting_expm(scale, matrix, witnesses):
+        calls.append(scale * matrix)
+        return expm(scale, matrix, witnesses)
 
-    monkeypatch.setattr(dyn.sla, "expm", counting_expm)
+    monkeypatch.setattr(dyn, "_expm", counting_expm)
     h = 0.1 / b
     sigma = np.diag([4.0, 1.0])
     for _ in range(10):
@@ -593,18 +605,18 @@ def test_propagator_advances_with_one_solve_and_one_expm_per_length(monkeypatch)
     # once per length, with one expm, when the length is first used.
     propagator = random_physical_coefficients(0, 3).propagator
     solves, exponentials = [], []
-    dgesv, expm = dyn.dgesv, dyn.sla.expm
+    dgesv, expm = dyn.dgesv, dyn._expm
 
     def counting_dgesv(*args, **kwargs):
         solves.append(None)
         return dgesv(*args, **kwargs)
 
-    def counting_expm(matrix):
-        exponentials.append(matrix)
-        return expm(matrix)
+    def counting_expm(scale, matrix, witnesses):
+        exponentials.append(scale * matrix)
+        return expm(scale, matrix, witnesses)
 
     monkeypatch.setattr(dyn, "dgesv", counting_dgesv)
-    monkeypatch.setattr(dyn.sla, "expm", counting_expm)
+    monkeypatch.setattr(dyn, "_expm", counting_expm)
     sigma = 0.5 * np.eye(6)
     for h_rate in (0.5, 8.0, 700.0):
         h = h_rate / propagator.rate
@@ -614,6 +626,198 @@ def test_propagator_advances_with_one_solve_and_one_expm_per_length(monkeypatch)
             sigma = propagator.advance(sigma, h)
         assert len(solves) - before == 3
     assert len(exponentials) == 3
+
+
+@pytest.mark.parametrize("h", [math.nan, -1e-6, math.inf])
+def test_propagator_rejects_an_interval_that_is_not_finite_and_non_negative(h):
+    # NaN would give an all-NaN covariance, a negative h runs the flow
+    # backwards to an unphysical state, and inf leaked a RuntimeWarning.
+    propagator = random_physical_coefficients(0, 3).propagator
+    sigma = 0.5 * np.eye(6)
+    propagator.advance(sigma, 1e-3)  # a cached flow does not let h through
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        propagator.advance(sigma, h)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        propagator.sample(sigma, h, np.empty((3, 6, 6)))
+    assert all(cached_h == 1e-3 for cached_h, _ in propagator._flow_slots)
+
+
+def test_propagator_over_a_zero_interval_gives_back_sigma():
+    # A chunk's remainder interval can round to 0; the flow is then the identity.
+    propagator = random_physical_coefficients(1, 3).propagator
+    rng = np.random.default_rng(1)
+    m = rng.normal(size=(6, 6))
+    sigma = 0.5 * np.eye(6) + m @ m.T
+    assert propagator.advance(sigma, 0.0).tobytes() == sigma.tobytes()
+
+
+@pytest.mark.parametrize("halvings", [1, 2, 7, 40, 200, 1000])
+def test_flow_of_a_long_interval_is_the_expm_flow_bit_for_bit(halvings):
+    # h lambda = 0.75 2^k is exponentiated at 0.75 and doubled k times.
+    propagator = random_physical_coefficients(halvings, 3).propagator
+    h = math.ldexp(0.75, halvings) / propagator.rate
+    want = expm_flow(propagator, h)
+    assert want[2] is not None and same_flow(propagator._flow(h), want)
+
+
+def generic_matrix(rng, n, norm):
+    """A random n x n matrix of 1-norm ``norm``, non-zero everywhere."""
+    a = rng.normal(size=(n, n))
+    a[a == 0.0] = 1.0
+    return a * (norm / np.linalg.norm(a, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n=hst.integers(2, 24),
+       log_norm=hst.floats(-4.0, 3.0), scale=hst.sampled_from([1.0, 2.0**-5, 1e-3]))
+def test_expm_is_scipy_expm_bit_for_bit_on_generic_matrices(seed, n, log_norm, scale):
+    # 1-norms from 1e-4 to 1e3 reach every Pade order 3-13 and up to about
+    # 12 squarings (see the next test).
+    a = generic_matrix(np.random.default_rng(seed), n, 10.0 ** log_norm / scale)
+    got = dyn._expm(scale, a, dyn._off_diagonal_witnesses(a))
+    want = sla.expm(scale * a)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def pade_structure(a):
+    """``(order, squarings)`` that scipy's kernel picks for ``a``."""
+    work = np.empty((5, *a.shape))
+    work[0] = a
+    return tuple(int(v) for v in dyn.pick_pade_structure(work))
+
+
+@pytest.mark.skipif(dyn.pick_pade_structure is None, reason="scipy has no Pade kernels")
+def test_expm_is_scipy_expm_bit_for_bit_at_every_pade_order_and_squaring():
+    rng = np.random.default_rng(5)
+    structures = set()
+    for norm in np.geomspace(1e-4, 1e3, 36):
+        for n in (2, 12, 24):
+            a = generic_matrix(rng, n, norm)
+            structures.add(pade_structure(a))
+            got = dyn._expm(1.0, a, dyn._off_diagonal_witnesses(a))
+            assert got.tobytes() == sla.expm(a).tobytes()
+    assert {order for order, _ in structures} == {3, 5, 7, 9, 13}
+    assert max(squarings for _, squarings in structures) >= 8
+
+
+def counting_scipy_expm(monkeypatch):
+    """Count calls of ``scipy.linalg.expm`` made through ``dynamics``."""
+    calls, expm = [], sla.expm
+
+    def counted(matrix):
+        calls.append(matrix)
+        return expm(matrix)
+
+    monkeypatch.setattr(dyn.sla, "expm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["lower", "upper", "diagonal"])
+@pytest.mark.parametrize("norm", [0.1, 50.0])
+def test_expm_leaves_triangular_and_diagonal_matrices_to_scipy(monkeypatch, kind, norm):
+    # scipy treats these in branches of their own, which the kernels skip;
+    # at norm 50 the triangular branch recomputes the diagonal per squaring.
+    a = generic_matrix(np.random.default_rng(2), 8, norm)
+    a = {"lower": np.tril(a), "upper": np.triu(a), "diagonal": np.diag(np.diag(a))}[kind]
+    want = sla.expm(a)
+    calls = counting_scipy_expm(monkeypatch)
+    got = dyn._expm(1.0, a, dyn._off_diagonal_witnesses(a))
+    assert len(calls) == 1 and got.tobytes() == want.tobytes()
+
+
+def test_expm_leaves_a_matrix_whose_scaled_witness_underflows_to_scipy(monkeypatch):
+    # Below the diagonal the largest entry is 1e-300, so at scale 1e-30 every
+    # one of them underflows to 0: scale a is upper triangular.
+    a = generic_matrix(np.random.default_rng(3), 6, 6.0)
+    below = np.tril_indices(6, -1)
+    a[below] *= 1e-300 / np.abs(a[below]).max()
+    witnesses = dyn._off_diagonal_witnesses(a)
+    assert witnesses[0] == 1e-300 and 1e-30 * witnesses[0] == 0.0
+    want = sla.expm(1e-30 * a)
+    calls = counting_scipy_expm(monkeypatch)
+    assert dyn._expm(1e-30, a, witnesses).tobytes() == want.tobytes()
+    assert len(calls) == 1
+    # One step up the witness is the smallest subnormal: scale a is generic
+    # then, with one non-zero entry below the diagonal, and takes the kernels.
+    a = generic_matrix(np.random.default_rng(3), 6, 6.0)
+    a[np.tril_indices(6, -1)] = 0.25
+    a[3, 1] = 1.0
+    scale = 5e-324
+    assert np.count_nonzero(np.tril(scale * a, -1)) == 1
+    monkeypatch.undo()
+    want = sla.expm(scale * a)
+    calls = counting_scipy_expm(monkeypatch)
+    assert dyn._expm(scale, a, dyn._off_diagonal_witnesses(a)).tobytes() == want.tobytes()
+    assert len(calls) == (dyn._expm is dyn._scipy_expm)
+
+
+@pytest.mark.skipif(dyn._expm is not dyn._pade_expm, reason="the direct kernels are off")
+@pytest.mark.parametrize("failure", ["order", "info"])
+def test_expm_leaves_a_kernel_failure_to_scipy(monkeypatch, failure):
+    # A negative Pade order or a non-zero info is a failed allocation or a
+    # LAPACK error; scipy's expm then raises its own error.
+    if failure == "order":
+        monkeypatch.setattr(dyn, "pick_pade_structure", lambda work: (-1, 0))
+    else:
+        monkeypatch.setattr(dyn, "pade_UV_calc", lambda work, order: -11)
+    a = generic_matrix(np.random.default_rng(6), 8, 3.0)
+    want = sla.expm(a)
+    calls = counting_scipy_expm(monkeypatch)
+    assert dyn._expm(1.0, a, dyn._off_diagonal_witnesses(a)).tobytes() == want.tobytes()
+    assert len(calls) == 1
+
+
+@pytest.mark.skipif(tuple(int(v) for v in scipy.__version__.split(".")[:2]) < (1, 17),
+                    reason="the direct kernels were verified on scipy 1.17")
+def test_flows_are_built_by_the_direct_pade_kernels():
+    assert dyn._expm is dyn._pade_expm
+
+
+def fresh_dynamics(monkeypatch, kernels):
+    """A second copy of ``mechmbqc.dynamics``, imported while scipy's Pade
+    kernel module is ``kernels`` (``None``: the import fails)."""
+    monkeypatch.setitem(sys.modules, "scipy.linalg._matfuncs_expm", kernels)
+    spec = importlib.util.spec_from_file_location("mechmbqc._dynamics_copy", dyn.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def mismatching_kernels():
+    """scipy's kernels, with the last bit of one Pade result flipped."""
+    def pade_UV_calc(work, order):
+        info = dyn.pade_UV_calc(work, order)
+        work[0, 0, 0] = np.nextafter(work[0, 0, 0], np.inf)
+        return info
+
+    return types.SimpleNamespace(pick_pade_structure=dyn.pick_pade_structure,
+                                 pade_UV_calc=pade_UV_calc)
+
+
+def old_convention_kernels():
+    """Kernels with another call convention: ``pade_UV_calc(Am, n, m)``."""
+    def pade_UV_calc(work, n, order):
+        raise AssertionError("never reached")
+
+    return types.SimpleNamespace(pick_pade_structure=dyn.pick_pade_structure,
+                                 pade_UV_calc=pade_UV_calc)
+
+
+@pytest.mark.parametrize("kernels", [None, mismatching_kernels, old_convention_kernels],
+                         ids=["missing", "mismatching", "old-convention"])
+def test_expm_falls_back_to_scipy_expm_when_the_kernels_fail_the_import_probe(
+        monkeypatch, kernels):
+    module = fresh_dynamics(monkeypatch, kernels and kernels())
+    assert module._expm is module._scipy_expm
+    coeffs = random_physical_coefficients(4, 3)
+    propagator = module.EvolutionCoefficients(
+        coeffs.drift, coeffs.diffusion, coeffs.backaction).propagator
+    for h_rate in (0.5, 8.0, 700.0):
+        h = h_rate / propagator.rate
+        want = expm_flow(coeffs.propagator, h)
+        assert same_flow(propagator._flow(h), want)
+        assert same_flow(coeffs.propagator._flow(h), want)
 
 
 @settings(max_examples=20, deadline=None)

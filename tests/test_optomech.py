@@ -1,9 +1,11 @@
 """Tests for the cavity-resonator model and the stepped monitoring protocol."""
 
+import importlib.util
 import itertools
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from mechmbqc import states as st
 
 from dataclasses import fields, replace
 
-from oracles import generic_solve_advance
+from oracles import expm_flow, generic_solve_advance, same_flow
 
 
 # ---------------------------------------------------------------------------
@@ -977,13 +979,13 @@ def test_propagator_advances_an_interval_whose_h_lambda_overflows(monkeypatch, h
     propagator = protocol.steps[0].propagator
     assert h * propagator.rate == np.inf
     exponents = []
-    expm = dyn.sla.expm
+    expm = dyn._expm
 
-    def recording_expm(matrix):
-        exponents.append(matrix)
-        return expm(matrix)
+    def recording_expm(scale, matrix, witnesses):
+        exponents.append(scale * matrix)
+        return expm(scale, matrix, witnesses)
 
-    monkeypatch.setattr(dyn.sla, "expm", recording_expm)
+    monkeypatch.setattr(dyn, "_expm", recording_expm)
     sigma = protocol.initial_cov()
     long = propagator.advance(sigma, h)
     (piece,) = exponents
@@ -992,6 +994,52 @@ def test_propagator_advances_an_interval_whose_h_lambda_overflows(monkeypatch, h
     settled = propagator.advance(sigma, 1e4)
     assert np.all(np.isfinite(long))
     assert np.max(np.abs(long - settled)) <= 5e-10 * np.max(np.abs(settled))
+
+
+def benchmark_workloads():
+    """The benchmark's op streams, ``perfbench/workloads.py``, only read."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def test_protocol_block_flows_are_the_expm_flows_bit_for_bit(monkeypatch, tmp_path):
+    # Every interval length of the benchmark's seed-0 protocol block, both
+    # presets x the four gates at 120 samples per step, built again through
+    # scipy.linalg.expm. Every QND step's H is generic, so with the direct
+    # kernels live none of its flows falls back to expm.
+    workloads = benchmark_workloads()
+    flow, intervals, fallbacks = dyn.Propagator._flow, {}, []
+    expm = dyn.sla.expm
+
+    def recording_flow(propagator, h):
+        intervals.setdefault((id(propagator), h), (propagator, h))
+        return flow(propagator, h)
+
+    def counting_expm(matrix):
+        fallbacks.append(matrix)
+        return expm(matrix)
+
+    monkeypatch.setattr(dyn.Propagator, "_flow", recording_flow)
+    monkeypatch.setattr(dyn.sla, "expm", counting_expm)
+    workload = workloads.setup("protocol", workloads.DEFAULT_SEED, tmp_path)
+    block = [workload.op(index) for index in range(workload.block_size)]
+    assert {(spec["gate"].split(":")[0], spec["preset"]) for spec, *_ in block} == {
+        (gate, preset) for gate in workloads.GATES for preset in ("set1", "set2")}
+    for op in block:
+        workload.run(op)
+    monkeypatch.undo()
+    assert len(intervals) > 500
+    if dyn._expm is dyn._pade_expm:
+        assert not fallbacks
+    for propagator, h in intervals.values():
+        propagator._flow_slots = ()
+        assert same_flow(propagator._flow(h), expm_flow(propagator, h)), h
 
 
 # ---------------------------------------------------------------------------

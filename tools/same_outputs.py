@@ -20,9 +20,17 @@ Each side reports one sha256 per output field over all ops, in order:
 * ``sweep``: the bytes of each op's ``sweep.csv``.
 
 Arrays are hashed as float64 bytes, so a difference in the last bit, or in
-the sign of a zero, is a mismatch. The report lists every field; the exit
-status is 0 if all are equal and 1 otherwise. Standard library and numpy
-only.
+the sign of a zero, is a mismatch.
+
+It then runs the CLI on this repository's ``configs/`` in each checkout, one
+fresh process per run with that checkout's ``src`` first on the path:
+``simulate`` on ``simulate_set2.json``, ``optimize`` on
+``optimize_set1.json``, and ``sweep`` on ``sweep_gamma_temperature.json``
+at ``--workers 1`` and ``2``. Each run writes into an empty directory of its
+own; the sha256 of every file written and the exit status are compared.
+
+The report lists every field and file; the exit status is 0 if all are
+equal and 1 otherwise. Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -44,7 +52,16 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+REPO = Path(__file__).resolve().parent.parent
+WORKLOADS_PY = REPO / "perfbench" / "workloads.py"
+CONFIGS = REPO / "configs"
+# (command, config, workers) of each CLI run.
+CLI_RUNS = (
+    ("simulate", "simulate_set2.json", 1),
+    ("optimize", "optimize_set1.json", 1),
+    ("sweep", "sweep_gamma_temperature.json", 1),
+    ("sweep", "sweep_gamma_temperature.json", 2),
+)
 WORKLOADS = ("protocol", "optimize", "sweep")
 FIELDS = {
     "protocol": ("times", "fidelities", "output_cov"),
@@ -118,6 +135,43 @@ def digest_of(checkout: Path, seed: int, n_ops: int) -> dict:
     return json.loads(lines[-1])
 
 
+def cli_digest(checkout: Path) -> dict:
+    """``{run: {"exit": status, "files": {name: sha256}}}`` of the CLI runs
+    of :data:`CLI_RUNS` on ``checkout``'s source."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    digest = {}
+    for command, config, workers in CLI_RUNS:
+        with tempfile.TemporaryDirectory() as out_dir:
+            argv = [sys.executable, "-m", "mechmbqc.cli", command,
+                    "--config", str(CONFIGS / config), "--out", out_dir,
+                    "--workers", str(workers)]
+            proc = subprocess.run(argv, cwd=out_dir, env=env, capture_output=True)
+            out = Path(out_dir)
+            files = {path.relative_to(out).as_posix():
+                     hashlib.sha256(path.read_bytes()).hexdigest()
+                     for path in sorted(out.rglob("*")) if path.is_file()}
+        run = f"{command} {Path(config).stem} --workers {workers}"
+        digest[run] = {"exit": proc.returncode, "files": files}
+    return digest
+
+
+def compare_cli(base: dict, change: dict) -> int:
+    """Print one line per CLI run and file; return the number of mismatches."""
+    mismatches = 0
+    for run in base:
+        b_run, c_run = base[run], change[run]
+        verdict = "equal" if b_run["exit"] == c_run["exit"] else "DIFFERENT"
+        mismatches += verdict != "equal"
+        print(f"cli       {run}  exit base {b_run['exit']}  change {c_run['exit']}  {verdict}")
+        for name in sorted(b_run["files"].keys() | c_run["files"].keys()):
+            b_hash = b_run["files"].get(name, "(missing)")
+            c_hash = c_run["files"].get(name, "(missing)")
+            verdict = "equal" if b_hash == c_hash else "DIFFERENT"
+            mismatches += verdict != "equal"
+            print(f"cli       {run}  {name}  base {b_hash[:16]}  change {c_hash[:16]}  {verdict}")
+    return mismatches
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path)
@@ -145,6 +199,8 @@ def main():
             mismatches += base != change
             verdict = "equal" if base == change else "DIFFERENT"
             print(f"{name:9s} {field:11s} base {base[:16]}  change {change[:16]}  {verdict}")
+    mismatches += compare_cli(*(cli_digest(path.resolve())
+                                for path in (args.base, args.change)))
     if mismatches:
         sys.exit(1)
 
