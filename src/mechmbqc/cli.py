@@ -51,7 +51,8 @@ def _base_header(config: ExperimentConfig, command: str) -> dict:
         "tool": f"mechmbqc {__version__}",
         "command": command,
         "config_hash": config.digest(),
-        "gate": config.gate,
+        # A line break in the gate name would end the metadata line early.
+        "gate": " ".join(config.gate.split()),
     }
 
 
@@ -71,11 +72,11 @@ def _run(config: ExperimentConfig, overrides: dict = None) -> tuple:
     params = config.physical_params(overrides)
     if config.schedule_mode == "optimized":
         return optimize_schedule(
-            config.program(), params,
+            config.program, params,
             time_resolution=config.time_resolution_us * 1e-6,
             max_step_duration=config.max_step_us * 1e-6,
         )
-    result = run_monitoring_protocol(config.program(), params, config.schedule(),
+    result = run_monitoring_protocol(config.program, params, config.schedule(),
                                      samples_per_step=config.samples_per_step)
     return result.schedule, result
 
@@ -147,7 +148,7 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def cmd_oracle(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    program = config.program()
+    program = config.program
     params = config.physical_params()
     r_db = params.r_cluster_db
     header = _base_header(config, "oracle")

@@ -95,7 +95,7 @@ class ExperimentConfig:
                 f"got '{self.schedule_mode}'"
             )
         try:
-            self.program()
+            self.program
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for key, values in (("t_mon_us", (self.t_mon_us,)),
@@ -126,15 +126,12 @@ class ExperimentConfig:
                               f"{MAX_SWEEP_POINTS}")
 
     @cached_property
-    def _program(self) -> GateProgram:
-        return named_program(self.gate)
-
     def program(self) -> GateProgram:
         """The configured gate program, built once per config."""
-        return self._program
+        return named_program(self.gate)
 
     def n_steps(self) -> int:
-        return len(self.program().pattern.measured)
+        return len(self.program.pattern.measured)
 
     def physical_params(self, overrides: dict = None) -> PhysicalParams:
         """The configured parameters, with sweep ``overrides`` applied."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy import linalg as sla
@@ -204,11 +204,12 @@ class Propagator:
     interval h is sigma <- (Phi21 + Phi22 sigma)(Phi11 + Phi12 sigma)^-1.
 
     :meth:`sample` applies the flow of one interval length repeatedly and
-    writes each sample into a preallocated stack; :meth:`advance` is its
-    one-sample case. Every sample is one product and one LAPACK ``dgesv``,
-    whatever h; the map it applies is built when its interval length is
-    first used and kept while it is one of the last two lengths built. Let
-    lambda be the largest real part in the spectrum of H, by which X grows.
+    writes each sample into a preallocated stack; :meth:`advance` is
+    :meth:`sample` of one entry. Every sample is one product and one LAPACK
+    ``dgesv``, whatever h; the map it applies, :func:`_flow` of its interval
+    length, is built when that length is first used and kept while it is
+    one of the last two lengths used. Let lambda be the largest real part in
+    the spectrum of H, by which X grows.
 
     * If h lambda <= 1, the interval is one Davison-Maki step: [X; Y] =
       Phi[:, :n] + Phi[:, n:] sigma, then X^T sigma' = Y^T. X grows by at
@@ -239,12 +240,11 @@ class Propagator:
     with the bits of ``scipy.linalg.expm``, which it falls back to for a
     triangular or diagonal h H.
 
-    A propagator may serve several threads at once: each :meth:`sample` and
-    :meth:`advance` call works in scratch of its own, and the cached flows
-    are one tuple of ``(h, flow)`` slots that a call reads and replaces
-    whole. A singular matrix in any solve raises
-    :class:`numpy.linalg.LinAlgError`; an interval h that is not finite and
-    >= 0 raises ``ValueError``.
+    A propagator may serve several threads at once: each :meth:`sample`
+    call works in scratch of its own, and the flows of the last two interval
+    lengths used sit in a ``functools.lru_cache`` over :func:`_flow`. A
+    singular matrix in any solve raises :class:`numpy.linalg.LinAlgError`;
+    an interval h that is not finite and >= 0 raises ``ValueError``.
     """
 
     def __init__(self, coeffs: EvolutionCoefficients):
@@ -258,51 +258,12 @@ class Propagator:
         self.hamiltonian[d:, d:] = a
         self.hamiltonian.flags.writeable = False
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
-        self._witnesses = _off_diagonal_witnesses(self.hamiltonian)
-        # The flows of the last two lengths built, newest first. A chunk of a
-        # monitored step samples two lengths, its grid's and its remainder's,
-        # and where a step has settled the next chunk repeats both; a
-        # propagator shared by many runs keeps no more.
-        self._flow_slots = ()
-
-    def _flow(self, h: float):
-        """``(offset, slope, post)`` of the interval ``h``: [X; Y / 2] =
-        offset + slope sigma, and ``post`` is ``None`` for a Davison-Maki
-        step or ``(W_c / 2, Psi)`` for the interval form."""
-        slots = self._flow_slots
-        for cached_h, flow in slots:
-            if cached_h == h:
-                return flow
-        # Checked only here, so a cached length costs nothing; NaN never hits
-        # the cache. h = 0 is the identity flow, and a grid's remainder
-        # interval can round to it.
-        if not 0.0 <= h < math.inf:
-            raise ValueError(f"interval h must be finite and non-negative, got {h!r}")
-        mantissa, halvings = math.frexp(h * self.rate)
-        if math.isinf(mantissa):
-            # h lambda overflows: add the exponents of h and lambda.
-            (m_h, e_h), (m_rate, e_rate) = math.frexp(h), math.frexp(self.rate)
-            mantissa, halvings = math.frexp(m_h * m_rate)
-            halvings += e_h + e_rate
-        halvings = max(0, halvings - (mantissa == 0.5))
-        phi = _expm(math.ldexp(h, -halvings), self.hamiltonian, self._witnesses)
-        d = self.dim
-        if halvings:
-            w_c, psi, w_o = _doubled_map(phi, d, halvings)
-            flow = (np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), (0.5 * w_c, psi))
-        else:
-            phi[d:] *= 0.5
-            flow = (np.ascontiguousarray(phi[:, :d]),
-                    np.ascontiguousarray(phi[:, d:]), None)
-        self._flow_slots = ((h, flow), *slots[:1])
-        return flow
-
-    def _scratch(self) -> tuple:
-        """Scratch of one call: [X; Y / 2], its Fortran-ordered views X^T and
-        Y^T / 2 that dgesv solves in place, and the interval form's Psi Z."""
-        d = self.dim
-        work = np.empty((3 * d, d))
-        return work[:2 * d], work[:d].T, work[d:2 * d].T, work[2 * d:]
+        # A chunk of a monitored step samples two lengths, its grid's and its
+        # remainder's, and where a step has settled the next chunk repeats
+        # both; a propagator shared by many runs keeps no more. The partial
+        # holds no reference to the propagator, so no cycle forms.
+        self._flow = lru_cache(maxsize=2)(partial(
+            _flow, self.hamiltonian, self.rate, _off_diagonal_witnesses(self.hamiltonian)))
 
     def sample(self, sigma: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
         """Write the covariances after 1, 2, ..., ``len(out)`` intervals ``h``
@@ -311,7 +272,11 @@ class Propagator:
         If the solve of entry k fails, the ``LinAlgError`` raised carries
         ``samples_written = k``: the entries before it hold their samples.
         """
-        flow, step, work = self._flow(h), self._step, self._scratch()
+        flow, step, d = self._flow(h), self._step, self.dim
+        # Scratch of one call: [X; Y / 2], its Fortran-ordered views X^T and
+        # Y^T / 2 that dgesv solves in place, and the interval form's Psi Z.
+        scratch = np.empty((3 * d, d))
+        work = scratch[:2 * d], scratch[:d].T, scratch[d:2 * d].T, scratch[2 * d:]
         try:
             for k in range(len(out)):
                 sigma = step(sigma, flow, work, out[k])
@@ -337,10 +302,41 @@ class Propagator:
         return np.add(half, half.T, out)
 
     def advance(self, sigma: np.ndarray, h: float) -> np.ndarray:
-        """Covariance after an interval ``h``, starting from ``sigma``: the
-        one-sample case of :meth:`sample`."""
-        return self._step(sigma, self._flow(h), self._scratch(),
-                          np.empty((self.dim, self.dim)))
+        """Covariance after an interval ``h``, starting from ``sigma``:
+        :meth:`sample` of one entry."""
+        return self.sample(sigma, h, np.empty((1, self.dim, self.dim)))[0]
+
+
+def _flow(hamiltonian: np.ndarray, rate: float, witnesses: tuple, h: float):
+    """``(offset, slope, post)`` of the interval ``h`` of the flow of
+    :class:`Propagator` with H ``hamiltonian``, of largest growth rate
+    ``rate`` and :func:`_off_diagonal_witnesses` ``witnesses``: [X; Y / 2] =
+    offset + slope sigma, and ``post`` is ``None`` for a Davison-Maki step
+    or ``(W_c / 2, Psi)`` for the interval form."""
+    # h = 0 is the identity flow, and a grid's remainder interval can round to it.
+    if not 0.0 <= h < math.inf:
+        raise ValueError(f"interval h must be finite and non-negative, got {h!r}")
+    halvings = _halvings(h, rate)
+    phi = _expm(math.ldexp(h, -halvings), hamiltonian, witnesses)
+    d = len(hamiltonian) // 2
+    if halvings:
+        w_c, psi, w_o = _doubled_map(phi, d, halvings)
+        return np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), (0.5 * w_c, psi)
+    phi[d:] *= 0.5
+    return np.ascontiguousarray(phi[:, :d]), np.ascontiguousarray(phi[:, d:]), None
+
+
+def _halvings(h: float, rate: float) -> int:
+    """The fewest k >= 0 with 2^-k h rate <= 1, for finite h, rate >= 0.
+
+    The exponents of h, of rate and of their mantissas' product add exactly,
+    so h rate is never formed and cannot overflow. Scaling by a power of two
+    is exact in the normal range, so there this is the exponent of the
+    rounded h rate; below it, and for a zero product, it is 0.
+    """
+    (m_h, e_h), (m_rate, e_rate) = math.frexp(h), math.frexp(rate)
+    mantissa, exponent = math.frexp(m_h * m_rate)
+    return max(0, exponent + e_h + e_rate - (mantissa == 0.5)) if mantissa else 0
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

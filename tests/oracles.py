@@ -81,19 +81,32 @@ def doubled_map(phi, d, doublings):
     return w_c, psi, w_o
 
 
+def product_halvings(h, rate):
+    """The fewest k >= 0 with 2^-k h rate <= 1, from the exponent of the
+    rounded product h rate, and from the exponents of h and rate where that
+    product overflows to inf.
+
+    ``dynamics._halvings`` always adds the exponents, and so never forms
+    the product.
+    """
+    mantissa, halvings = math.frexp(h * rate)
+    if math.isinf(mantissa):
+        # h lambda overflows: add the exponents of h and lambda.
+        (m_h, e_h), (m_rate, e_rate) = math.frexp(h), math.frexp(rate)
+        mantissa, halvings = math.frexp(m_h * m_rate)
+        halvings += e_h + e_rate
+    return max(0, halvings - (mantissa == 0.5))
+
+
 def expm_flow(propagator, h):
     """``Propagator._flow(h)`` built with no cache and with
     ``scipy.linalg.expm``, as before the flows called scipy's Pade kernels
     directly: ``(offset, slope, post)`` with [X; Y / 2] = offset + slope
     sigma, and ``post`` ``None`` for a Davison-Maki step or ``(W_c / 2,
-    Psi)`` for the interval form, doubled by :func:`doubled_map`."""
-    mantissa, halvings = math.frexp(h * propagator.rate)
-    if math.isinf(mantissa):
-        # h lambda overflows: add the exponents of h and lambda.
-        (m_h, e_h), (m_rate, e_rate) = math.frexp(h), math.frexp(propagator.rate)
-        mantissa, halvings = math.frexp(m_h * m_rate)
-        halvings += e_h + e_rate
-    halvings = max(0, halvings - (mantissa == 0.5))
+    Psi)`` for the interval form, halved by :func:`product_halvings` and
+    doubled by :func:`doubled_map`. ``propagator`` needs only ``hamiltonian``,
+    ``rate`` and ``dim``."""
+    halvings = product_halvings(h, propagator.rate)
     phi = sla.expm(math.ldexp(h, -halvings) * propagator.hamiltonian)
     d = propagator.dim
     if halvings:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness: exit codes, file outputs
 and deterministic reproduction."""
 
+import csv
 import json
 import pickle
 from pathlib import Path
@@ -380,6 +381,35 @@ def header_of(path):
                 if line.startswith("# "))
 
 
+@pytest.mark.parametrize("gate, written", [("identity\n", "identity"), ("shear:\n1", "shear: 1")],
+                         ids=["trailing-break", "inner-break"])
+def test_a_gate_name_with_a_line_break_keeps_every_header_line_metadata(
+        tmp_path, gate, written):
+    # The gate is written with its whitespace runs collapsed; raw, its line
+    # break left a blank or a bare "1" line among the metadata, which a
+    # reader of the non-'#' lines took for the column row.
+    payload = dict(BASE, gate=gate, schedule={"mode": "equal", "t_mon_us": 3.0,
+                                              "resolution_us": 2.0, "max_step_us": 4.0},
+                   sweep={"axes": [{"param": "eta", "values": [0.99]}]})
+    path = write_config(tmp_path, payload)
+    files = {"simulate": ("trace.csv", "summary.csv"), "optimize": ("optimize.csv",),
+             "sweep": ("sweep.csv",), "oracle": ("oracle.csv", "nullifiers.csv")}
+    for command, names in files.items():
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        for name in names:
+            lines = (out / name).read_text().splitlines()
+            n_meta = sum(line.startswith("# ") for line in lines)
+            assert all(line.startswith("# ") for line in lines[:n_meta]), name
+            assert not any(line.startswith("#") for line in lines[n_meta:]), name
+            assert header_of(out / name)["gate"] == written
+            rows = list(csv.DictReader(lines[n_meta:]))
+            assert rows and all(None not in row and None not in row.values()
+                                for row in rows), name
+            assert list(rows[0])[-1] in {"fidelity", "max_fidelity", "output_cov",
+                                         "nullifier_variance", "t_mon4_us"}, name
+
+
 def test_simulate_on_an_optimized_config_runs_the_optimizer(tmp_path):
     path = str(EXAMPLES / "optimize_set1.json")
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == 0
@@ -607,7 +637,7 @@ def test_sweep_points_use_config_samples_per_step(tmp_path):
 
     config = load_config(path)
     direct = run_monitoring_protocol(
-        config.program(), config.physical_params({"eta": 0.99}),
+        config.program, config.physical_params({"eta": 0.99}),
         config.schedule(), samples_per_step=40)
     assert row["max_fidelity"] == f"{direct.max_fidelity:.12g}"
     assert row["final_fidelity"] == f"{direct.final_fidelity:.12g}"
@@ -779,7 +809,7 @@ def test_shipped_example_configs_load_and_run_oracle(tmp_path):
         header = dict(line[2:].split(": ", 1) for line in
                       (out / "oracle.csv").read_text().splitlines()
                       if line.startswith("# "))
-        phases = config.program().pattern.phases
+        phases = config.program.pattern.phases
         assert header["gate"] == config.gate
         assert header["phases"] == " ".join(f"{phi:.12g}" for phi in phases)
         assert len(phases) == config.n_steps()

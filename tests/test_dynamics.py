@@ -6,6 +6,7 @@ import importlib.util
 import math
 import sys
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
     doubled_map,
     expm_flow,
     generic_solve_advance,
+    product_halvings,
     same_flow,
     substep_chain_advance,
 )
@@ -639,7 +641,11 @@ def test_propagator_rejects_an_interval_that_is_not_finite_and_non_negative(h):
         propagator.advance(sigma, h)
     with pytest.raises(ValueError, match="finite and non-negative"):
         propagator.sample(sigma, h, np.empty((3, 6, 6)))
-    assert all(cached_h == 1e-3 for cached_h, _ in propagator._flow_slots)
+    # The rejected h left no flow: the one cached length is still 1e-3.
+    assert propagator._flow.cache_info().currsize == 1
+    misses = propagator._flow.cache_info().misses
+    propagator.advance(sigma, 1e-3)
+    assert propagator._flow.cache_info().misses == misses
 
 
 def test_propagator_over_a_zero_interval_gives_back_sigma():
@@ -658,6 +664,64 @@ def test_flow_of_a_long_interval_is_the_expm_flow_bit_for_bit(halvings):
     h = math.ldexp(0.75, halvings) / propagator.rate
     want = expm_flow(propagator, h)
     assert want[2] is not None and same_flow(propagator._flow(h), want)
+
+
+def test_a_propagator_keeps_two_flows_and_rebuilds_an_evicted_one_bit_for_bit():
+    # The flows are kept for the last two lengths used; a third length evicts
+    # the least recently used one, whose flow is then built again, the same.
+    propagator = random_physical_coefficients(2, 3).propagator
+    lengths = [h_rate / propagator.rate for h_rate in (0.5, 8.0, 700.0)]
+    first = [propagator._flow(h) for h in lengths[:2]]
+    assert propagator._flow(lengths[0]) is first[0]  # now the most recent
+    propagator._flow(lengths[2])  # evicts lengths[1]
+    info = propagator._flow.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (2, 2, 3)
+    assert propagator._flow(lengths[0]) is first[0]
+    rebuilt = propagator._flow(lengths[1])
+    assert rebuilt is not first[1] and same_flow(rebuilt, first[1])
+    assert propagator._flow.cache_info().misses == 4
+
+
+def test_the_cached_flow_holds_no_reference_to_its_propagator():
+    # The flow cache wraps the module's pure _flow over the propagator's own
+    # H, rate and witnesses, so dropping a propagator frees it at once.
+    propagator = random_physical_coefficients(2, 3).propagator
+    cached = propagator._flow.__wrapped__
+    assert cached.func is dyn._flow
+    assert cached.args[:2] == (propagator.hamiltonian, propagator.rate)
+    assert not any(arg is propagator for arg in cached.args)
+    ref = weakref.ref(propagator)
+    propagator._flow(1e-3)
+    flows = propagator._flow
+    del propagator
+    assert ref() is None and flows.cache_info().currsize == 1
+
+
+# Non-negative finite floats, subnormals included, and the edge values
+# drawn every run: zero, exact powers of two from the smallest subnormal to
+# the largest, and products that round to 2^k or overflow to inf.
+HALVING_EDGES = [0.0, 5e-324, 2.0**-1022, 2.0**-1074 * 3, 0.5, 1.0, 2.0, 2.0**1023,
+                 math.nextafter(2.0, 0.0), math.nextafter(1.0, 2.0), 1e-300, 1e300,
+                 sys.float_info.max]
+
+
+@settings(max_examples=500, deadline=None)
+@given(h=hst.one_of(hst.sampled_from(HALVING_EDGES), hst.floats(0.0, allow_infinity=False)),
+       rate=hst.one_of(hst.sampled_from(HALVING_EDGES), hst.floats(0.0, allow_infinity=False)))
+def test_halvings_from_exponents_equal_those_of_the_rounded_product(h, rate):
+    assert dyn._halvings(h, rate) == product_halvings(h, rate)
+
+
+@pytest.mark.parametrize("h, rate, want", [
+    (0.0, 1e300, 0), (1e300, 0.0, 0), (0.0, 0.0, 0),
+    (5e-324, 5e-324, 0), (1e-200, 1e-200, 0), (5e-324, 2.0**1023, 0),
+    (1.0, 1.0, 0), (2.0, 1.0, 1), (2.0, 2.0, 2), (2.0**-3, 2.0**10, 7),
+    (math.nextafter(1.0, 2.0), 1.0, 1), (3.0, 1.0, 2),
+    (1e300, 1e300, 1994), (sys.float_info.max, sys.float_info.max, 2048),
+])
+def test_halvings_at_zero_subnormals_powers_of_two_and_overflow(h, rate, want):
+    # 1e300 * 1e300 = 1e600 lies in (2^1993, 2^1994]; max * max in (2^2047, 2^2048].
+    assert dyn._halvings(h, rate) == product_halvings(h, rate) == want
 
 
 def generic_matrix(rng, n, norm):

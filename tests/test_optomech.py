@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import sys
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -620,7 +621,7 @@ def test_threads_sharing_the_run_caches_get_the_serial_results():
 def test_run_caches_stay_within_their_bound():
     # More distinct params and cluster squeezings than the bound: each cache
     # keeps the most recent RUN_CACHE_SIZE keys, and every propagator keeps
-    # the flows of at most two interval lengths, the last two it built.
+    # the flows of at most two interval lengths, the last two it used.
     sched = om.MonitoringSchedule.equal(3e-6, 4)
     program = mbqc.identity_program()
     protocols = []
@@ -633,10 +634,14 @@ def test_run_caches_stay_within_their_bound():
     assert om._prepare(program, p).steps is protocols[-1].steps
     for protocol in protocols:
         for coeffs in protocol.steps:
-            lengths = [h for h, _ in coeffs.propagator._flow_slots]
-            assert 1 <= len(lengths) <= 2
+            flows = coeffs.propagator._flow
+            before = flows.cache_info()
+            assert before.maxsize == 2 and 1 <= before.currsize <= 2
             coeffs.propagator.advance(protocol.initial_cov(), 1e-6)
-            assert [h for h, _ in coeffs.propagator._flow_slots] == [1e-6, lengths[0]]
+            coeffs.propagator.advance(protocol.initial_cov(), 1e-6)
+            after = flows.cache_info()
+            assert after.currsize == 2
+            assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
 
 
 # Final and maximum fidelities of short runs, recorded before the protocol
@@ -1013,19 +1018,23 @@ def test_protocol_block_flows_are_the_expm_flows_bit_for_bit(monkeypatch, tmp_pa
     # presets x the four gates at 120 samples per step, built again through
     # scipy.linalg.expm. Every QND step's H is generic, so with the direct
     # kernels live none of its flows falls back to expm.
+    # The run caches start empty, so every propagator of the block is built
+    # here, over the patched _flow.
     workloads = benchmark_workloads()
-    flow, intervals, fallbacks = dyn.Propagator._flow, {}, []
+    flow, intervals, fallbacks = dyn._flow, {}, []
     expm = dyn.sla.expm
 
-    def recording_flow(propagator, h):
-        intervals.setdefault((id(propagator), h), (propagator, h))
-        return flow(propagator, h)
+    def recording_flow(hamiltonian, rate, witnesses, h):
+        propagator = types.SimpleNamespace(hamiltonian=hamiltonian, rate=rate,
+                                           dim=len(hamiltonian) // 2)
+        intervals.setdefault((id(hamiltonian), h), (propagator, witnesses, h))
+        return flow(hamiltonian, rate, witnesses, h)
 
     def counting_expm(matrix):
         fallbacks.append(matrix)
         return expm(matrix)
 
-    monkeypatch.setattr(dyn.Propagator, "_flow", recording_flow)
+    monkeypatch.setattr(dyn, "_flow", recording_flow)
     monkeypatch.setattr(dyn.sla, "expm", counting_expm)
     workload = workloads.setup("protocol", workloads.DEFAULT_SEED, tmp_path)
     block = [workload.op(index) for index in range(workload.block_size)]
@@ -1037,9 +1046,9 @@ def test_protocol_block_flows_are_the_expm_flows_bit_for_bit(monkeypatch, tmp_pa
     assert len(intervals) > 500
     if dyn._expm is dyn._pade_expm:
         assert not fallbacks
-    for propagator, h in intervals.values():
-        propagator._flow_slots = ()
-        assert same_flow(propagator._flow(h), expm_flow(propagator, h)), h
+    for propagator, witnesses, h in intervals.values():
+        got = dyn._flow(propagator.hamiltonian, propagator.rate, witnesses, h)
+        assert same_flow(got, expm_flow(propagator, h)), h
 
 
 # ---------------------------------------------------------------------------
@@ -1281,9 +1290,9 @@ def poison_increment(monkeypatch, start_cov, propagator, increment, resolution):
 
     def step(self, sigma, flow, work, out):
         real_step(self, sigma, flow, work, out)
-        is_resolution = any(h == resolution and cached is flow
-                            for h, cached in self._flow_slots)
-        if is_resolution and np.array_equal(sigma, poisoned_input):
+        # The resolution's flow stays cached while a call samples it, so a
+        # flow is the resolution's iff its cache hands back that very object.
+        if np.array_equal(sigma, poisoned_input) and flow is self._flow(resolution):
             out[...] = np.nan
         return out
 
