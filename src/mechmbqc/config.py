@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .dynamics import sample_cap
 from .mbqc import GateProgram, named_program
 from .optomech import PRESETS, MonitoringSchedule, PhysicalParams
 
@@ -86,9 +87,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.gate, str):
             raise ConfigError(f"'gate' must be a string, got {self.gate!r}")
-        if type(self.samples_per_step) is not int or self.samples_per_step < 2:
-            raise ConfigError("'samples_per_step' must be an integer of at least 2, "
-                              f"got {self.samples_per_step!r}")
+        try:
+            object.__setattr__(self, "samples_per_step",
+                               sample_cap(self.samples_per_step, "'samples_per_step'"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.schedule_mode not in _SCHEDULE_MODES:
             raise ConfigError(
                 f"schedule mode must be one of {_SCHEDULE_MODES}, "

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import linalg as sla
@@ -35,6 +35,7 @@ from .states import (
     UnphysicalStateError,
     db_to_squeeze_parameter,
     first_unphysical,
+    is_integer,
     symplectic_form,
 )
 
@@ -260,10 +261,16 @@ class Propagator:
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
         # A chunk of a monitored step samples two lengths, its grid's and its
         # remainder's, and where a step has settled the next chunk repeats
-        # both; a propagator shared by many runs keeps no more. The partial
+        # both; a propagator shared by many runs keeps no more. The closure
         # holds no reference to the propagator, so no cycle forms.
-        self._flow = lru_cache(maxsize=2)(partial(
-            _flow, self.hamiltonian, self.rate, _off_diagonal_witnesses(self.hamiltonian)))
+        hamiltonian, rate = self.hamiltonian, self.rate
+        witnesses = _off_diagonal_witnesses(hamiltonian)
+
+        @lru_cache(maxsize=2)
+        def flow(h):
+            return _flow(hamiltonian, rate, witnesses, h)
+
+        self._flow = flow
 
     def sample(self, sigma: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
         """Write the covariances after 1, 2, ..., ``len(out)`` intervals ``h``
@@ -522,7 +529,7 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
         t_total: integration horizon (finite, >= 0).
         dt: grid step (finite, > 0).
         n_samples: cap on the number of stored samples (endpoints
-            included), an integer of at least 2.
+            included), an integer of at least 2 (:func:`sample_cap`).
 
     Returns:
         Trajectory of sampled times and covariances, starting at time 0.
@@ -535,11 +542,18 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
     if not 0.0 <= t_total < np.inf:
         raise ValueError("integration horizon t_total must be non-negative and "
                          f"finite, got {t_total!r}")
-    if type(n_samples) is not int or n_samples < 2:
-        raise ValueError("n_samples must be an integer of at least 2, "
-                         f"got {n_samples!r}")
+    n_samples = sample_cap(n_samples, "n_samples")
 
     return _sample_flow(sigma, coeffs, t_total, 1, lambda _: dt, n_samples, 0.0)
+
+
+def sample_cap(value, name: str) -> int:
+    """A cap on the samples stored, as a plain ``int``: the package's one rule
+    for it. ``value`` must be an :func:`~mechmbqc.states.is_integer` of at
+    least 2, or a ``ValueError`` names ``name``."""
+    if not (is_integer(value) and value >= 2):
+        raise ValueError(f"{name} must be an integer of at least 2, got {value!r}")
+    return int(value)
 
 
 def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,

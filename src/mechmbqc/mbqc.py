@@ -31,6 +31,7 @@ from .states import (
     cz_matrix,
     is_index,
     is_symplectic,
+    quadratures,
 )
 
 FOURIER = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -149,6 +150,15 @@ class MeasurementPattern:
             frame[2 * node:2 * node + 2, 2 * node:2 * node + 2] = [[s, -c], [c, s]]
         frame.flags.writeable = False
         return frame
+
+    @cached_property
+    def output_index(self) -> tuple:
+        """Read-only ``(rows, cols)`` that gather the output nodes' block, in
+        output order, from a covariance or a stack whose first modes are the
+        graph's nodes, in one step: ``cov[..., rows, cols]``."""
+        idx = quadratures(self.outputs, self.graph.n_nodes)
+        idx.flags.writeable = False
+        return idx[:, None], idx
 
     def complete_covs(self, covs: np.ndarray) -> np.ndarray:
         """Finish the pattern by ideal homodyne measurements, for each

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mbqc
 from .states import (GaussianState, build_cluster, condition_on_homodyne, fidelity_to,
-                     is_index, quadratures, thermal, vacuum)
+                     is_index, thermal, vacuum)
 from .dynamics import (
     EvolutionCoefficients,
     PhysicalityError,
@@ -30,6 +30,7 @@ from .dynamics import (
     build_riccati,
     grid_step_rule,
     homodyne_post_meas_cov,
+    sample_cap,
 )
 
 
@@ -315,8 +316,8 @@ class _Protocol:
     def output_block(self, cov: np.ndarray) -> np.ndarray:
         """The output nodes' block of a full-system covariance, or of each
         covariance in a stack."""
-        idx = quadratures(self.pattern.outputs, self.pattern.graph.n_nodes)
-        return cov[..., idx, :][..., idx]
+        rows, cols = self.pattern.output_index
+        return cov[..., rows, cols]
 
     def completed_fidelities(self, covs: np.ndarray, step: int) -> np.ndarray:
         """Fidelity of the output the protocol would deliver if monitoring
@@ -496,13 +497,11 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
         ProtocolResult with the fidelity-vs-time trace and final states.
 
     Raises:
-        ValueError: if ``samples_per_step`` is not an integer of at least 2.
+        ValueError: if ``samples_per_step`` is not an integer (an ``int`` or
+            a numpy integer, not a bool) of at least 2.
     """
-    if type(samples_per_step) is not int or samples_per_step < 2:
-        raise ValueError("samples_per_step must be an integer of at least 2, "
-                         f"got {samples_per_step!r}")
-    return _monitor(_prepare(program, params), schedule, samples_per_step,
-                    keep_trajectories)
+    return _monitor(_prepare(program, params), schedule,
+                    sample_cap(samples_per_step, "samples_per_step"), keep_trajectories)
 
 
 def measured_node_decorrelation(trajectory: Trajectory, node: int,
@@ -540,26 +539,33 @@ SEARCH_BLOCK = 24
 
 
 def _score_increments(protocol: _Protocol, step: int, cov: np.ndarray,
-                      times: list, time_resolution: float):
+                      times: list, time_resolution: float, with_start: bool = False):
     """Covariances and completed fidelities after each of ``len(times)``
-    increments from ``cov``, guarded as samples at the step times ``times``."""
-    covs = protocol.steps[step].propagator.sample(cov, time_resolution,
-                                                  np.empty((len(times), *cov.shape)))
-    _check_samples(times, covs)
+    increments from ``cov``, guarded as samples at the step times ``times``.
+    With ``with_start``, ``cov`` itself leads both stacks, scored in the same
+    completion call."""
+    covs = np.empty((with_start + len(times), *cov.shape))
+    if with_start:
+        covs[0] = cov
+    protocol.steps[step].propagator.sample(cov, time_resolution, covs[with_start:])
+    _check_samples(times, covs[with_start:])
     return covs, protocol.completed_fidelities(covs, step)
 
 
 def _step_increments(protocol: _Protocol, step: int, cov: np.ndarray,
                      time_resolution: float, max_step_duration: float):
-    """Yield ``(elapsed, covariance, completed fidelity)`` after every
-    increment of one step, computed ``SEARCH_BLOCK`` increments at a time.
+    """Yield ``(elapsed, covariance, completed fidelity)`` of the step's start
+    ``cov``, at elapsed time 0.0, and then after every increment of the step,
+    computed ``SEARCH_BLOCK`` increments at a time.
 
+    The start is scored as entry 0 of the first block's one completion call.
     The first increment is taken even past ``max_step_duration``. A block
-    that fails anywhere is redone one increment at a time, so the error
-    surfaces at the increment that causes it, and only if the caller reads
-    that far.
+    that fails anywhere is redone one entry at a time, the first block's
+    start before its increments, so an unphysical start raises before any
+    increment's error, and an increment's error surfaces at the increment
+    that causes it, and only if the caller reads that far.
     """
-    elapsed = 0.0
+    elapsed, with_start = 0.0, True
     while True:
         times = []
         while len(times) < SEARCH_BLOCK and (
@@ -569,15 +575,19 @@ def _step_increments(protocol: _Protocol, step: int, cov: np.ndarray,
         if not times:
             return
         try:
-            covs, fids = _score_increments(protocol, step, cov, times, time_resolution)
+            covs, fids = _score_increments(protocol, step, cov, times, time_resolution,
+                                           with_start)
         except (np.linalg.LinAlgError, ValueError):
+            if with_start:
+                yield 0.0, cov, protocol.completed_fidelities(cov[None], step)[0]
             for t in times:
                 (cov,), (f_now,) = _score_increments(protocol, step, cov, [t],
                                                      time_resolution)
                 yield t, cov, f_now
-            continue
-        yield from zip(times, covs, fids)
-        cov = covs[-1]
+        else:
+            yield from zip([0.0] * with_start + times, covs, fids)
+            cov = covs[-1]
+        with_start = False
 
 
 def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
@@ -600,7 +610,9 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
     Increments are propagated, guarded and scored in blocks of
     ``SEARCH_BLOCK``, then scanned in order; the result is the same as one
     increment at a time, and a :class:`PhysicalityError` reports the
-    failing increment's elapsed time within its step.
+    failing increment's elapsed time within its step. The step's start, the
+    initial best, is scored in its first block's completion call, so the
+    search makes one completion call per block.
 
     Returns:
         (MonitoringSchedule, ProtocolResult) where the result's trace was
@@ -617,11 +629,10 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
     for k in range(len(protocol.steps)):
         if k:
             cov = protocol.handover(cov)
-        best_f = protocol.completed_fidelities(cov[None], k)[0]
-        best_cov, best_t = cov, 0.0
+        increments = _step_increments(protocol, k, cov, time_resolution, max_step_duration)
+        best_t, best_cov, best_f = next(increments)
         first_cov = None
-        for t, cov_t, f_now in _step_increments(protocol, k, cov, time_resolution,
-                                                max_step_duration):
+        for t, cov_t, f_now in increments:
             if first_cov is None:
                 first_cov = cov_t
             if f_now > best_f:

@@ -119,11 +119,16 @@ def first_unphysical(covs: np.ndarray):
     return None
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or a numpy integer, and not a bool:
+    the package's one test of an integer argument."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_index(value, size: int) -> bool:
-    """Whether ``value`` is an integer (not a bool, not a float) in
-    ``range(size)``: the package's one test of a mode or node index."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and 0 <= value < size)
+    """Whether ``value`` is an :func:`is_integer` (not a bool, not a float)
+    in ``range(size)``: the package's one test of a mode or node index."""
+    return is_integer(value) and 0 <= value < size
 
 
 def quadratures(modes, n_modes: int) -> np.ndarray:
@@ -207,11 +212,12 @@ def vacuum(n_modes: int) -> GaussianState:
 def thermal(n_modes: int, occupancy) -> GaussianState:
     """Product of thermal states with mean occupation ``occupancy`` per mode.
 
-    ``occupancy`` may be a scalar or a length-``n_modes`` sequence.
+    ``occupancy`` may be a scalar or a length-``n_modes`` sequence; an
+    occupancy that is not finite and >= 0 is a ``ValueError``.
     """
     nbar = np.broadcast_to(np.asarray(occupancy, dtype=float), (n_modes,))
-    if np.any(nbar < 0):
-        raise ValueError("thermal occupancy must be non-negative")
+    if not np.all((0.0 <= nbar) & (nbar < np.inf)):
+        raise ValueError("thermal occupancy must be non-negative and finite")
     diag = np.repeat(nbar + VACUUM_VAR, 2)
     return GaussianState(np.diag(diag))
 
@@ -292,8 +298,7 @@ class GraphSpec:
 
     def __post_init__(self):
         n_nodes = self.n_nodes
-        if not (isinstance(n_nodes, (int, np.integer)) and not isinstance(n_nodes, bool)
-                and n_nodes >= 1):
+        if not (is_integer(n_nodes) and n_nodes >= 1):
             raise ValueError(f"a graph needs an integer node count of at least 1, "
                              f"got {n_nodes!r}")
         object.__setattr__(self, "n_nodes", int(n_nodes))

@@ -214,7 +214,7 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
 
 
-@pytest.mark.parametrize("value", [0, 1, -3, 2.5])
+@pytest.mark.parametrize("value", [0, 1, -3, 2.5, True])
 def test_samples_per_step_must_be_an_integer_of_at_least_two(tmp_path, value):
     with pytest.raises(ConfigError, match="samples_per_step"):
         config_from_dict(dict(BASE, samples_per_step=value))
@@ -225,6 +225,18 @@ def test_samples_per_step_must_be_an_integer_of_at_least_two(tmp_path, value):
 
 def test_two_samples_per_step_is_accepted():
     assert config_from_dict(dict(BASE, samples_per_step=2)).samples_per_step == 2
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), np.float64(6.0)])
+def test_a_numpy_samples_per_step_that_is_not_an_integer_of_at_least_two_is_rejected(value):
+    with pytest.raises(ConfigError, match="'samples_per_step' must be an integer of at least 2"):
+        config_from_dict(dict(BASE, samples_per_step=value))
+
+
+def test_a_numpy_integer_samples_per_step_is_stored_as_a_plain_int():
+    config = config_from_dict(dict(BASE, samples_per_step=np.int64(6)))
+    assert type(config.samples_per_step) is int and config.samples_per_step == 6
+    assert config.digest() == config_from_dict(BASE).digest()
 
 
 @pytest.mark.parametrize("key, field", [

@@ -4,6 +4,7 @@ solutions and an independent RK4 integrator."""
 
 import importlib.util
 import math
+import re
 import sys
 import types
 import weakref
@@ -312,13 +313,17 @@ def test_integrate_rejects_a_non_finite_horizon_or_step(t_total, dt, name):
         dyn.integrate(0.5 * np.eye(2), coeffs, t_total, dt=dt)
 
 
-@pytest.mark.parametrize("n_samples", [1, 0, -3, 2.5, 3.0, True])
+@pytest.mark.parametrize("n_samples", [1, 0, -3, 2.5, 3.0, True, np.int64(1), np.bool_(True)])
 def test_integrate_sample_cap_must_be_an_integer_of_at_least_two(n_samples):
     # The cap counts both endpoints, so no grid can honour a cap below 2.
     coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
-    with pytest.raises(ValueError,
-                       match=f"n_samples must be an integer of at least 2, got {n_samples!r}"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"n_samples must be an integer of at least 2, got {n_samples!r}")):
         dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.1, n_samples=n_samples)
+    # A numpy integer is an integer, as it is for an index: the same run.
+    want = dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.1, n_samples=5)
+    got = dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.1, n_samples=np.int64(5))
+    assert np.array_equal(got.times, want.times) and np.array_equal(got.covs, want.covs)
 
 
 def test_integrate_aborts_on_physicality_loss():
@@ -683,13 +688,16 @@ def test_a_propagator_keeps_two_flows_and_rebuilds_an_evicted_one_bit_for_bit():
 
 
 def test_the_cached_flow_holds_no_reference_to_its_propagator():
-    # The flow cache wraps the module's pure _flow over the propagator's own
-    # H, rate and witnesses, so dropping a propagator frees it at once.
+    # The flow cache wraps a closure of the module's pure _flow over the
+    # propagator's own H, rate and witnesses, so dropping a propagator frees
+    # it at once.
     propagator = random_physical_coefficients(2, 3).propagator
     cached = propagator._flow.__wrapped__
-    assert cached.func is dyn._flow
-    assert cached.args[:2] == (propagator.hamiltonian, propagator.rate)
-    assert not any(arg is propagator for arg in cached.args)
+    captured = [cell.cell_contents for cell in cached.__closure__]
+    assert "_flow" in cached.__code__.co_names
+    assert any(value is propagator.hamiltonian for value in captured)
+    assert any(value is propagator.rate for value in captured)
+    assert not any(value is propagator for value in captured)
     ref = weakref.ref(propagator)
     propagator._flow(1e-3)
     flows = propagator._flow

@@ -377,12 +377,21 @@ def test_protocol_fidelities_in_range_and_rising_to_high_values():
     assert res.output_state.n_modes == 1
 
 
-@pytest.mark.parametrize("samples", [0, 1, -3, 2.5, True])
+@pytest.mark.parametrize("samples", [0, 1, -3, 2.5, True, np.int64(1), np.bool_(True)])
 def test_protocol_rejects_a_bad_sample_count(samples):
     sched = om.MonitoringSchedule.equal(3e-6, 4)
     with pytest.raises(ValueError, match="samples_per_step"):
         om.run_monitoring_protocol(mbqc.identity_program(), om.params_set2(), sched,
                                    samples_per_step=samples)
+
+
+def test_protocol_takes_a_numpy_integer_sample_count():
+    sched = om.MonitoringSchedule.equal(3e-6, 4)
+    runs = [om.run_monitoring_protocol(mbqc.identity_program(), om.params_set2(), sched,
+                                       samples_per_step=samples)
+            for samples in (20, np.int64(20))]
+    assert np.array_equal(runs[0].times, runs[1].times)
+    assert np.array_equal(runs[0].fidelities, runs[1].fidelities)
 
 
 def test_protocol_cz_runs_two_steps():
@@ -1203,12 +1212,11 @@ def test_a_dip_within_the_decrease_tolerance_does_not_end_a_step(monkeypatch):
     trace = (0.90, 0.95, 0.95 - 1.5e-4, 0.96, 0.96 - 3e-4, 0.99)
 
     def scripted(protocol, step, cov, time_resolution, max_step_duration):
+        yield 0.0, cov, 0.5  # the step's start, scored below every increment
         for k, fidelity in enumerate(trace, start=1):
             yield k * time_resolution, cov, fidelity
 
     monkeypatch.setattr(om, "_step_increments", scripted)
-    monkeypatch.setattr(om._Protocol, "completed_fidelities",
-                        lambda self, covs, step: np.full(len(covs), 0.5))
     schedule, result = om.optimize_schedule(mbqc.identity_program(), om.params_set2(),
                                             time_resolution=1e-6, max_step_duration=1e-5)
     assert schedule.durations == (4 * 1e-6,) * 4
@@ -1337,6 +1345,87 @@ def test_optimizer_physicality_error_reports_elapsed_step_time(monkeypatch):
         om.optimize_schedule(program, p, resolution, max_step)
     assert info.value.t == pytest.approx(6e-6, rel=1e-12)
     assert info.value.nu_min == float("-inf")
+
+
+def test_the_search_makes_one_completion_call_per_block(monkeypatch):
+    # Each step's start is scored inside its first block's completion call,
+    # so the search completes nothing beside its blocks. The replay scores
+    # its samples without a completion.
+    calls = {"completions": 0, "blocks": 0}
+    complete, score = om._Protocol.completed_fidelities, om._score_increments
+
+    def counting_completion(self, covs, step):
+        calls["completions"] += 1
+        return complete(self, covs, step)
+
+    def counting_block(*args, **kwargs):
+        calls["blocks"] += 1
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(om._Protocol, "completed_fidelities", counting_completion)
+    monkeypatch.setattr(om, "_score_increments", counting_block)
+    program, p, resolution, max_step = SEARCH_CASE
+    sched, _ = om.optimize_schedule(program, p, resolution, max_step)
+    assert calls["blocks"] >= len(sched.durations)
+    assert calls["completions"] == calls["blocks"]
+
+
+def unphysical_start_case(monkeypatch):
+    """Make step 0 of SEARCH_CASE start from an unphysical covariance, and
+    return it with the error its own completion raises."""
+    program, p, resolution, max_step = SEARCH_CASE
+    protocol = om._prepare(program, p)
+    start = 0.5 * protocol.initial_cov()  # every symplectic eigenvalue below vacuum
+    monkeypatch.setattr(om._Protocol, "initial_cov", lambda self: start.copy())
+    with pytest.raises(st.UnphysicalStateError) as info:
+        protocol.completed_fidelities(start[None], 0)
+    return info.value
+
+
+def singular_sample(self, sigma, h, out):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def nan_sample(self, sigma, h, out):
+    out[...] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("sample", [singular_sample, nan_sample, None],
+                         ids=["linalg", "physicality", "unpatched"])
+def test_an_unphysical_start_raises_before_its_first_block_error(monkeypatch, sample):
+    # The first block fails (a singular solve, a NaN sample the guard
+    # rejects, or whatever the real block meets): the start, scored on its
+    # own first, raises its own completion error, as if it were scored
+    # before any increment.
+    want = unphysical_start_case(monkeypatch)
+    if sample is not None:
+        monkeypatch.setattr(dyn.Propagator, "sample", sample)
+    with pytest.raises(st.UnphysicalStateError) as info:
+        om.optimize_schedule(*SEARCH_CASE)
+    assert type(info.value) is type(want) is st.UnphysicalStateError
+    assert str(info.value) == str(want) and "input state is unphysical" in str(want)
+
+
+@pytest.mark.parametrize("poisoned", [None, 1, 30], ids=["clean", "first-block", "second-block"])
+def test_a_step_start_yields_its_own_completion_byte_for_byte(monkeypatch, poisoned):
+    # Entry 0 of the first block's completion call, or the start's own call
+    # where that block fails, gives the bits of a completion of the start
+    # alone, at every step's start.
+    program, p, resolution, max_step = SEARCH_CASE
+    _, steps = greedy_oracle(program, p, resolution, max_step)
+    protocol = om._prepare(program, p)
+    for k, step in enumerate(steps):
+        start = step["start"]
+        with monkeypatch.context() as patch:
+            if poisoned:
+                poison_increment(patch, start, protocol.steps[k].propagator, poisoned,
+                                 resolution)
+            t, cov, score = next(om._step_increments(protocol, k, start, resolution,
+                                                     max_step))
+        assert t == 0.0 and np.array_equal(cov, start)
+        alone = protocol.completed_fidelities(start[None], k)[0]
+        assert type(score) is type(alone) and score.tobytes() == alone.tobytes()
 
 
 def test_optimizer_rejects_bad_arguments():

@@ -145,6 +145,23 @@ def test_symplectic_spectrum_is_cached_and_read_only():
         state.symplectic_spectrum = np.zeros(2)
 
 
+@pytest.mark.parametrize("occupancy, ok", [
+    (np.nan, False), (np.inf, False), (-np.inf, False), (-1.0, False), (0.0, True),
+    ([0.3, np.nan], False), ([np.inf, 0.3], False), ([0.3, -1.0], False), ([0.3, 0.0], True),
+], ids=["nan", "inf", "-inf", "-1", "0", "mixed-nan", "mixed-inf", "mixed-negative",
+        "mixed-good"])
+def test_thermal_takes_only_finite_non_negative_occupancies(occupancy, ok):
+    if not ok:
+        with pytest.raises(ValueError, match="thermal occupancy must be non-negative "
+                                             "and finite"):
+            st.thermal(2, occupancy)
+        return
+    state = st.thermal(2, occupancy)
+    assert_allclose(np.diag(state.cov), np.repeat(np.broadcast_to(occupancy, 2), 2) + 0.5,
+                    rtol=0, atol=0)
+    assert state.is_physical()
+
+
 def test_state_rejects_asymmetric_covariance():
     cov = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
