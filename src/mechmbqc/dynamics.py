@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy import linalg as sla
@@ -259,10 +260,11 @@ class Propagator:
         self.hamiltonian[d:, d:] = a
         self.hamiltonian.flags.writeable = False
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
-        # A chunk of a monitored step samples two lengths, its grid's and its
-        # remainder's, and where a step has settled the next chunk repeats
-        # both; a propagator shared by many runs keeps no more. The closure
-        # holds no reference to the propagator, so no cycle forms.
+        # A monitored step samples two lengths: the chunk's, whose chain gives
+        # the chunk ends, and each chunk's grid's in turn; where a step has
+        # settled the next chunk repeats its grid's. A propagator shared by
+        # many runs keeps no more. The closure holds no reference to the
+        # propagator, so no cycle forms.
         hamiltonian, rate = self.hamiltonian, self.rate
         witnesses = _off_diagonal_witnesses(hamiltonian)
 
@@ -278,7 +280,10 @@ class Propagator:
 
         If the solve of entry k fails, the ``LinAlgError`` raised carries
         ``samples_written = k``: the entries before it hold their samples.
+        An empty ``out`` is returned as it is, and no flow is built for it.
         """
+        if not len(out):
+            return out
         flow, step, d = self._flow(h), self._step, self.dim
         # Scratch of one call: [X; Y / 2], its Fortran-ordered views X^T and
         # Y^T / 2 that dgesv solves in place, and the interval form's Psi Z.
@@ -320,7 +325,7 @@ def _flow(hamiltonian: np.ndarray, rate: float, witnesses: tuple, h: float):
     ``rate`` and :func:`_off_diagonal_witnesses` ``witnesses``: [X; Y / 2] =
     offset + slope sigma, and ``post`` is ``None`` for a Davison-Maki step
     or ``(W_c / 2, Psi)`` for the interval form."""
-    # h = 0 is the identity flow, and a grid's remainder interval can round to it.
+    # h = 0 is the identity flow.
     if not 0.0 <= h < math.inf:
         raise ValueError(f"interval h must be finite and non-negative, got {h!r}")
     halvings = _halvings(h, rate)
@@ -472,12 +477,11 @@ class Trajectory:
 # Grid steps per inverse fastest rate in :func:`grid_step_rule`.
 DT_SAFETY = 20.0
 
-_FLOAT_MAX = sys.float_info.max
-
 
 def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
-    """The grid step that decides where :func:`integrate` places its
-    samples, as a function of the covariance at the start of the grid.
+    """The grid steps that decide where :func:`integrate` places its
+    samples, as a function of the stack of covariances at the starts of the
+    grids: one step per start.
 
     The propagation between samples is exact, so this step sets no accuracy;
     it fixes the sample times, which are part of every run's output (the
@@ -489,8 +493,10 @@ def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
     diffusive growth over the horizon) rather than of the full covariance.
     The two norms are computed once per coefficients
     (:attr:`EvolutionCoefficients.rate_norms`) and the horizon's growth once
-    per rule; a call, on a float64 covariance, computes only the columns'
-    SVD.
+    per rule; a call, on a float64 stack, computes only the columns'
+    singular values, in one batched SVD whose every entry has the bits of a
+    call on that matrix alone. A start that is not finite fails that SVD
+    with :class:`numpy.linalg.LinAlgError`.
     """
     drift_norm, cols, bbt_norm = coeffs.rate_norms
     if cols.size:
@@ -499,12 +505,12 @@ def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
         window = np.minimum(horizon, 1.0 / np.maximum(-np.diag(coeffs.drift), 1.0 / horizon))
         growth = float(np.max(np.diag(coeffs.diffusion) * window, initial=0.0))
 
-    def dt_of(sigma) -> float:
-        rate = drift_norm
+    def dt_of(starts) -> list:
+        rates = [drift_norm] * len(starts)
         if cols.size:
-            v_est = max(np.linalg.svd(sigma[:, cols], compute_uv=False).max() + growth, 1.0)
-            rate += bbt_norm * v_est
-        return horizon if rate <= 0.0 else min(horizon, 1.0 / (DT_SAFETY * rate))
+            norms = np.linalg.svd(starts[:, :, cols], compute_uv=False).max(axis=1)
+            rates = (drift_norm + bbt_norm * np.maximum(norms + growth, 1.0)).tolist()
+        return [horizon if r <= 0.0 else min(horizon, 1.0 / (DT_SAFETY * r)) for r in rates]
 
     return dt_of
 
@@ -544,7 +550,8 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
                          f"finite, got {t_total!r}")
     n_samples = sample_cap(n_samples, "n_samples")
 
-    return _sample_flow(sigma, coeffs, t_total, 1, lambda _: dt, n_samples, 0.0)
+    return _sample_flow(sigma, coeffs, t_total, 1, lambda starts: [dt] * len(starts),
+                        n_samples, 0.0)
 
 
 def sample_cap(value, name: str) -> int:
@@ -559,60 +566,61 @@ def sample_cap(value, name: str) -> int:
 def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
                  n_chunks: int, dt_of, n_samples: int, t_offset: float) -> Trajectory:
     """Sample the exact flow from ``sigma`` over ``n_chunks`` chunks of length ``chunk``,
-    each on :func:`integrate`'s grid for the step ``dt_of(cov)`` at its start and at most
-    ``n_samples`` samples, and guard all samples after the start with one
+    each on :func:`integrate`'s grid for the step that ``dt_of`` gives its start and at
+    most ``n_samples`` samples, and guard all samples after the start with one
     :func:`_check_samples`.
 
-    Every sample is written straight into the step's one stack. Two samples per chunk
-    keep only each chunk's end point, whatever the step, so ``dt_of`` is not called and
-    all chunks are one :meth:`Propagator.sample` call of ``n_chunks`` intervals ``chunk``,
-    their times summed chunk by chunk. Otherwise a chunk is at most two calls, one per
-    interval length.
+    The chunk ends come first, as one :meth:`Propagator.sample` chain of intervals
+    ``chunk`` from ``sigma``, their times summed chunk by chunk. ``dt_of`` then takes
+    the stack of chunk starts, ``sigma`` and all ends but the last, and returns one
+    step per start; two samples per chunk keep only the ends, whatever the step, so it
+    is not called. Each chunk's interior is then one chain of its grid's sample
+    interval from its start, written into the step's one stack, allocated at its final
+    size. A ``LinAlgError`` of the ends' chain, of ``dt_of`` on a start that is not
+    finite, or of an interior is raised after the samples before it in time are guarded.
     """
-    sample = coeffs.propagator.sample
-    times = [t_offset]
-    covs = np.empty((1 + n_chunks, *sigma.shape))
-    covs[0] = sigma
-    filled = 1
+    sample, fault = coeffs.propagator.sample, None
+    n_chunks = n_chunks if chunk > 0 else 0  # a step of length 0 keeps only its start
+    starts = np.empty((1 + n_chunks, *sigma.shape))
+    starts[0] = sigma
     try:
-        if n_samples == 2:
-            if chunk > 0:
-                for _ in range(n_chunks):
-                    times.append(times[-1] + chunk)
-                sample(sigma, chunk, covs[1:])
-                filled = len(covs)
-        else:
-            for left in range(n_chunks, 0, -1):
-                # The floor binds only where chunk / dt would overflow to inf.
-                dt = max(dt_of(covs[filled - 1]), chunk / _FLOAT_MAX)
-                n_steps = max(1, math.ceil(chunk / dt)) if chunk > 0 else 0
-                if not n_steps:
-                    continue
-                # The quotient is rounded to a float first, as it always was;
-                # past 2^53 steps its ceiling can differ from the exact one.
-                sample_every = max(1, math.ceil(n_steps / max(1, n_samples - 1)))
-                marks = range(sample_every, n_steps, sample_every)
-                if filled + len(marks) + 1 > len(covs):
-                    # Room for the rest of the step at this chunk's count.
-                    grown = np.empty((filled + left * (len(marks) + 1), *sigma.shape))
-                    grown[:filled] = covs[:filled]
-                    covs = grown
-                start = times[-1]
-                times.extend(start + k * dt for k in marks)
-                times.append(start + chunk)
-                for h, count in ((sample_every * dt, len(marks)),
-                                 (chunk - (marks[-1] * dt if marks else 0.0), 1)):
-                    if count:
-                        sample(covs[filled - 1], h, covs[filled:filled + count])
-                        filled += count
+        sample(sigma, chunk, starts[1:])
     except np.linalg.LinAlgError as error:
-        # A sample before the failed solve may already be unphysical; that
-        # is the first fault, so it is reported in preference.
-        filled += getattr(error, "samples_written", 0)
-        _check_samples(times[1:filled], covs[1:filled])
-        raise
-    covs = covs[:filled]
-    _check_samples(times[1:], covs[1:])
+        fault, starts = error, starts[:1 + error.samples_written]
+    bounds = list(accumulate([t_offset] + [chunk] * n_chunks))  # chunk starts and ends
+    times, covs, filled = bounds[:len(starts)], starts, len(starts)
+    if n_samples > 2:  # each chunk keeps more than its end
+        known = min(len(starts), n_chunks)  # chunks whose start is known
+        try:
+            steps = dt_of(starts[:known])
+        except np.linalg.LinAlgError as error:
+            # The chunks before the first start that is not finite come first.
+            fault, known = error, int(np.argmin(np.isfinite(starts[:known]).all(axis=(1, 2))))
+            steps = dt_of(starts[:known])
+        times, grids = [t_offset], []
+        for start, end, dt in zip(bounds, bounds[1:], steps):
+            # The floor binds only where chunk / dt would overflow to inf.
+            dt = max(dt, chunk / sys.float_info.max)
+            n_steps = max(1, math.ceil(chunk / dt))
+            # The quotient is rounded to a float first, as it always was;
+            # past 2^53 steps its ceiling can differ from the exact one.
+            sample_every = max(1, math.ceil(n_steps / max(1, n_samples - 1)))
+            marks = range(sample_every, n_steps, sample_every)
+            grids.append((len(times), sample_every * dt, len(marks)))
+            times += [start + k * dt for k in marks] + [end]
+        covs = np.empty((len(times), *sigma.shape))
+        ends = [first + count for first, _, count in grids[:len(starts) - 1]]
+        covs[[0, *ends]] = starts[:1 + known]
+        filled = len(times) - (len(starts) == known)  # less an end whose solve failed
+        for start, (first, h, count) in zip(starts, grids):
+            try:
+                sample(start, h, covs[first:first + count])
+            except np.linalg.LinAlgError as error:
+                fault, filled = error, first + error.samples_written
+                break
+    _check_samples(times[1:filled], covs[1:filled])
+    if fault is not None:
+        raise fault
     return Trajectory(np.asarray(times), covs)
 
 

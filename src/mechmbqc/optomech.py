@@ -398,17 +398,20 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
     return _Protocol(params, pattern, cluster, reference, steps)
 
 
-# Chunks per monitoring step. A chunk of over two samples lays its own grid
-# from a freshly suggested dt, so early transients are sampled more densely
-# than the rest of the step. The propagation itself is exact; the chunks only
-# set the sample times, which the reported fidelity trace (and its maximum) is
-# taken on. The samples of all chunks are guarded together, once per step.
+# Chunks per monitoring step. The chunk ends are sampled first, as one chain
+# of chunk-length flows; a chunk of over two samples then lays its own grid
+# from a dt suggested at its start, so early transients are sampled more
+# densely than the rest of the step. The propagation itself is exact; the
+# chunks only set the sample times, which the reported fidelity trace (and
+# its maximum) is taken on. The samples of all chunks are guarded together,
+# once per step.
 CHUNKS_PER_STEP = 8
 
 
 def _integrate_step(cov: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
                     n_samples: int, t_offset: float) -> Trajectory:
-    """Propagate one step in chunks, guarded once; two-sample chunks need no dt."""
+    """Propagate one step in chunks, their ends first, guarded once; two-sample
+    chunks keep only their ends and need no dt."""
     chunk = t_mon / CHUNKS_PER_STEP
     per_chunk = max(2, int(np.ceil(n_samples / CHUNKS_PER_STEP)))
     dt_of = grid_step_rule(coeffs, chunk) if per_chunk > 2 else None
@@ -482,6 +485,10 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
     input (momentum-squeezed vacuum at the cluster squeezing). The fidelity
     trace compares the reduced state of the output node(s) with the
     projective-measurement reference at every sample.
+
+    A step is sampled in 8 chunks: their ends first, by one chain of exact
+    chunk-length flows, so the covariance a step leaves has the same bits
+    at every ``samples_per_step``; then each chunk's grid from its start.
 
     Args:
         program: any gate program; its pattern sets the steps.

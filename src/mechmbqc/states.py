@@ -78,19 +78,25 @@ def first_unphysical(covs: np.ndarray):
     """The first matrix of a stack ``(N, 2n, 2n)`` that is not a physical
     state, as ``(index, min symplectic eigenvalue)``, or ``None``.
 
-    A matrix fails if it is not finite (reported as ``-inf``; no later
-    matrix is examined) or if its minimum symplectic eigenvalue is below
-    vacuum by more than the one slack ``max(PHYSICALITY_ATOL, 1e-10 *
-    max|cov|)``, scaled because highly squeezed covariances stress the
-    eigensolver. This is the one physicality test of the package.
+    A state's ``cov + i Omega / 2`` is positive semidefinite, which holds
+    exactly when ``cov`` is positive definite and its minimum symplectic
+    eigenvalue ``nu_min`` is at least 1/2 (Simon, Mukunda & Dutta, PRA 49,
+    1567 (1994)). A matrix passes if its least eigenvalue is at least
+    ``-slack`` and its ``nu_min`` at least ``1/2 - slack``, with the one
+    slack ``max(PHYSICALITY_ATOL, 1e-10 * max|cov|)``, scaled because
+    highly squeezed covariances stress the eigensolvers. A matrix that is
+    not finite fails as ``-inf``, and no later matrix is examined; one below
+    the first bound has no symplectic spectrum, and fails with its least
+    eigenvalue. This is the one physicality test of the package.
 
     A verdict is reached in two stages. A finite, non-empty stack is first
     certified by one batched Cholesky of the Hermitian ``cov + i c Omega``
-    with ``c = 1/2 - slack``: it exists exactly when ``nu_min >= c``
-    (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)), and then the answer is
+    with ``c = 1/2 - slack``, which exists exactly when every ``cov`` is
+    positive definite with ``nu_min >= c``, and then the answer is
     ``None``. Only a stack the certificate does not pass, or one holding a
-    NaN or inf, takes the spectral path, which decides, finds the first
-    failing index and reports its ``nu_min``.
+    NaN or inf, takes the spectral path: one batched ``eigvalsh`` of the
+    covariances and one symplectic spectrum decide, find the first failing
+    index and report its value.
     """
     covs = np.asarray(covs, dtype=float)
     # NaN and inf propagate through the max, so it also tells finiteness.
@@ -109,8 +115,11 @@ def first_unphysical(covs: np.ndarray):
             return None
         except np.linalg.LinAlgError:
             pass
-    nu_min = symplectic_eigenvalues(checked)[:, 0]
-    unphysical = ~(nu_min >= VACUUM_VAR - slack)
+    # |eig(Omega cov)| can reach 1/2 for an indefinite cov, so definiteness is tested apart.
+    least = np.linalg.eigvalsh(checked)[:, 0]
+    definite = least >= -slack
+    nu_min = np.where(definite, symplectic_eigenvalues(checked)[:, 0], least)
+    unphysical = ~(definite & (nu_min >= VACUUM_VAR - slack))
     if np.any(unphysical):
         first = int(np.argmax(unphysical))
         return first, float(nu_min[first])
@@ -174,7 +183,8 @@ class GaussianState:
     Because ``cov`` cannot change, the symplectic spectrum is computed at
     most once per state, as :attr:`symplectic_spectrum`, and shared by every
     purity test; :meth:`is_physical` goes through :func:`first_unphysical`
-    like every other physicality test. States compare by identity and are
+    like every other physicality test, also at most once per state, and
+    :meth:`is_pure` requires it. States compare by identity and are
     hashable; compare ``cov`` to compare covariances.
     """
 
@@ -197,11 +207,17 @@ class GaussianState:
         spectrum.flags.writeable = False
         return spectrum
 
-    def is_physical(self) -> bool:
+    @cached_property
+    def _physical(self) -> bool:
         return first_unphysical(self.cov[None]) is None
 
+    def is_physical(self) -> bool:
+        return self._physical
+
     def is_pure(self, atol: float = PURITY_ATOL) -> bool:
-        return bool(np.all(np.abs(self.symplectic_spectrum - VACUUM_VAR) < atol))
+        """Physical, with every symplectic eigenvalue within ``atol`` of vacuum."""
+        return bool(np.all(np.abs(self.symplectic_spectrum - VACUUM_VAR) < atol)) \
+            and self.is_physical()
 
 
 def vacuum(n_modes: int) -> GaussianState:

@@ -337,50 +337,71 @@ def test_integrate_aborts_on_physicality_loss():
     assert info.value.nu_min == pytest.approx(0.4)
 
 
-def failing_propagator(monkeypatch, coeffs, failures):
-    """Make the n-th sample of ``coeffs.propagator`` misbehave.
+def failing_propagator(monkeypatch, coeffs, clean, failures):
+    """Make the samples of ``coeffs.propagator`` misbehave from the first one
+    that ``failures`` names on.
 
-    ``failures`` maps a sample number (1-based) to a function of the
-    correctly advanced covariance that returns the sample to store or raises.
+    ``failures`` maps a sample number of the clean trajectory ``clean``
+    (1-based, in time order) to a function of the correctly advanced
+    covariance that returns the sample to store or raises. The first named
+    sample is found by its clean value, whatever the order in which the
+    samples are computed, and each later sample computed counts as the next
+    one, as along the chain of a grid.
     """
     propagator = coeffs.propagator
     step = propagator._step
+    first = min(failures)
     calls = []
 
     def faulty(sigma, flow, work, out):
-        calls.append(flow)
-        out[...] = failures.get(len(calls), lambda s: s)(step(sigma, flow, work, out))
+        step(sigma, flow, work, out)
+        if calls or np.array_equal(out, clean.covs[first]):
+            calls.append(flow)
+            out[...] = failures.get(first + len(calls) - 1, lambda s: s)(out)
         return out
 
     monkeypatch.setattr(propagator, "_step", faulty)
 
 
+# A start that relaxes towards vacuum, so every sample of the grid below has a
+# value of its own.
+GRID_START = 2.0 * np.eye(2)
+
+
+def grid_case():
+    """Fresh coefficients and the clean run of ten samples on them that the
+    fault tests below corrupt."""
+    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
+    return coeffs, dyn.integrate(GRID_START, coeffs, 1.0, dt=0.1, n_samples=11)
+
+
 def test_integrate_reports_non_finite_sample_at_its_time(monkeypatch):
     # The third of ten samples turns to NaN; every later sample inherits it.
-    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
-    failing_propagator(monkeypatch, coeffs, {3: lambda s: np.full_like(s, np.nan)})
+    coeffs, clean = grid_case()
+    failing_propagator(monkeypatch, coeffs, clean, {3: lambda s: np.full_like(s, np.nan)})
     with pytest.raises(dyn.PhysicalityError) as info:
-        dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.1, n_samples=11)
+        dyn.integrate(GRID_START, coeffs, 1.0, dt=0.1, n_samples=11)
     assert info.value.t == pytest.approx(0.3)
     assert info.value.nu_min == -np.inf
 
 
 def test_integrate_guards_samples_before_a_failed_solve(monkeypatch):
-    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
+    coeffs, clean = grid_case()
 
     def singular(sigma):
         raise np.linalg.LinAlgError("Singular matrix")
 
     # Physical samples before the failure: the solver's error propagates.
-    failing_propagator(monkeypatch, coeffs, {4: singular})
+    failing_propagator(monkeypatch, coeffs, clean, {4: singular})
     with pytest.raises(np.linalg.LinAlgError):
-        dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.1, n_samples=11)
+        dyn.integrate(GRID_START, coeffs, 1.0, dt=0.1, n_samples=11)
 
     # An unphysical sample before the failure is the first fault.
-    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
-    failing_propagator(monkeypatch, coeffs, {2: lambda s: 0.3 * np.eye(2), 4: singular})
+    coeffs, clean = grid_case()
+    failing_propagator(monkeypatch, coeffs, clean,
+                       {2: lambda s: 0.3 * np.eye(2), 4: singular})
     with pytest.raises(dyn.PhysicalityError) as info:
-        dyn.integrate(0.5 * np.eye(2), coeffs, 1.0, dt=0.1, n_samples=11)
+        dyn.integrate(GRID_START, coeffs, 1.0, dt=0.1, n_samples=11)
     assert info.value.t == pytest.approx(0.2)
     assert info.value.nu_min == pytest.approx(0.3)
 
@@ -389,7 +410,7 @@ def test_suggest_dt_resolves_fastest_scale():
     gamma = 50.0
     drift, diffusion = dyn.build_lyapunov(mode_coupling(gamma), 0.5 * np.eye(2))
     coeffs = dyn.EvolutionCoefficients(drift, diffusion)
-    dt = dyn.grid_step_rule(coeffs, 1.0)(0.5 * np.eye(2))
+    (dt,) = dyn.grid_step_rule(coeffs, 1.0)(0.5 * np.eye(2)[None])
     assert dt <= 1.0 / (20.0 * gamma / 2.0)
 
 
@@ -417,8 +438,8 @@ def one_shot_suggest_dt(coeffs, sigma0, horizon):
        log_horizon=hst.floats(-7.0, 1.0), monitored=hst.booleans())
 def test_grid_step_rule_is_suggest_dt_for_every_covariance(seed, n_modes, log_horizon,
                                                            monitored):
-    # One rule, built once, serves any number of covariances, and gives the
-    # one-shot step of each bit for bit.
+    # One rule, built once, serves a stack of any number of covariances in
+    # one call, and gives the one-shot step of each bit for bit.
     coeffs = random_physical_coefficients(seed, n_modes)
     if not monitored:
         coeffs = dyn.EvolutionCoefficients(coeffs.drift, coeffs.diffusion)
@@ -426,15 +447,19 @@ def test_grid_step_rule_is_suggest_dt_for_every_covariance(seed, n_modes, log_ho
     rule = dyn.grid_step_rule(coeffs, horizon)
     rng = np.random.default_rng(seed + 1)
     omega = symplectic_form(n_modes)
+    sigmas = []
     for _ in range(3):
         # A random physical state: a symplectic map of a thermal state.
         m = rng.normal(size=(2 * n_modes, 2 * n_modes))
         s = sla.expm(omega @ (0.5 * (m + m.T)))
         nu = np.repeat(rng.uniform(0.5, 3.0, size=n_modes), 2)
-        sigma = (s * nu) @ s.T
-        dt = rule(sigma)
+        sigmas.append((s * nu) @ s.T)
+    dts = rule(np.array(sigmas))
+    assert len(dts) == len(sigmas)
+    for sigma, dt in zip(sigmas, dts):
         assert dt == one_shot_suggest_dt(coeffs, sigma, horizon)
         assert 0.0 < dt <= horizon
+    assert rule(np.empty((0, 2 * n_modes, 2 * n_modes))) == []
 
 
 def test_integrator_dt_refinement_converges():

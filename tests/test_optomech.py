@@ -774,16 +774,17 @@ def sample_in_chunk_3_of_step_2():
 
 
 def faulty_advance_from(monkeypatch, trigger, faults):
-    """Make the propagators' samples misbehave from the one whose input
-    equals ``trigger`` on. ``faults`` maps a sample number, counted from
-    that sample (0), to a function of the correctly advanced covariance that
-    returns the sample to store or raises."""
+    """Make the propagators' samples misbehave from the one whose correctly
+    advanced value equals ``trigger`` on, whatever the order in which a step
+    computes its samples. ``faults`` maps a sample number, counted in the
+    order computed from that sample (0), to a function of the correctly
+    advanced covariance that returns the sample to store or raises."""
     real_step = dyn.Propagator._step
     calls = []
 
     def step(self, sigma, flow, work, out):
         real_step(self, sigma, flow, work, out)
-        if calls or np.array_equal(sigma, trigger):
+        if calls or np.array_equal(out, trigger):
             calls.append(flow)
             out[...] = faults.get(len(calls) - 1, lambda s: s)(out)
         return out
@@ -809,7 +810,7 @@ def test_protocol_reports_a_non_finite_sample_at_its_time(monkeypatch):
     # reports that sample, and the NaN raises no warning on its way through
     # the later solves and dt suggestions of the step.
     traj, index = sample_in_chunk_3_of_step_2()
-    faulty_advance_from(monkeypatch, traj.covs[index - 1],
+    faulty_advance_from(monkeypatch, traj.covs[index],
                         {0: lambda s: np.full_like(s, np.nan)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -827,12 +828,85 @@ def test_protocol_reports_an_unphysical_sample_before_a_later_failed_solve(
         raise np.linalg.LinAlgError("Singular matrix")
 
     # The solve fails five samples later, in a later chunk of the same step.
-    faulty_advance_from(monkeypatch, traj.covs[index - 1],
+    faulty_advance_from(monkeypatch, traj.covs[index],
                         {0: lambda s: 0.3 * np.eye(len(s)), 5: singular})
     with pytest.raises(dyn.PhysicalityError) as info:
         run_guard_case()
     assert info.value.t == traj.times[index]
     assert info.value.nu_min == pytest.approx(0.3)
+
+
+def test_a_failed_solve_of_a_chunk_end_after_an_unphysical_sample_reports_that_sample(
+        monkeypatch):
+    # A step's chunk ends are computed before any chunk's interior: the solve
+    # of the end of chunk 6 fails first, then a sample inside chunk 3 comes
+    # out unphysical. That sample is earlier in time, so it is reported.
+    traj, index = sample_in_chunk_3_of_step_2()
+    t0, chunk = traj.times[0], GUARD_CASE[2].durations[1] / om.CHUNKS_PER_STEP
+    assert traj.times[index] < t0 + 3.0 * chunk
+    end_6 = int(np.searchsorted(traj.times, t0 + 6.0 * chunk - 1e-15))
+    assert abs(traj.times[end_6] - (t0 + 6.0 * chunk)) < 1e-15
+    real_step, fired = dyn.Propagator._step, []
+
+    def step(self, sigma, flow, work, out):
+        real_step(self, sigma, flow, work, out)
+        if np.array_equal(out, traj.covs[end_6]):
+            fired.append("end")
+            raise np.linalg.LinAlgError("Singular matrix")
+        if np.array_equal(out, traj.covs[index]):
+            fired.append("interior")
+            out[...] = 0.3 * np.eye(len(out))
+        return out
+
+    monkeypatch.setattr(dyn.Propagator, "_step", step)
+    with pytest.raises(dyn.PhysicalityError) as info:
+        run_guard_case()
+    assert fired == ["end", "interior"]
+    assert info.value.t == traj.times[index]
+    assert info.value.nu_min == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("unphysical_before", [False, True], ids=["alone", "after"])
+def test_a_non_finite_chunk_end_is_reported_after_the_samples_before_it(
+        monkeypatch, unphysical_before):
+    # NaN from the end of chunk 3 of step 2 on: every later chunk start is
+    # NaN, so the step's grid-rule SVD fails. The chunks before that end are
+    # still filled and guarded first, with no warning from the NaN: that end
+    # is reported, or an unphysical sample inside chunk 3 before it.
+    traj, index = sample_in_chunk_3_of_step_2()
+    t0, chunk = traj.times[0], GUARD_CASE[2].durations[1] / om.CHUNKS_PER_STEP
+    end_3 = int(np.searchsorted(traj.times, t0 + 3.0 * chunk - 1e-15))
+    assert index < end_3 and abs(traj.times[end_3] - (t0 + 3.0 * chunk)) < 1e-15
+    real_step, svd_failures, svd = dyn.Propagator._step, [], np.linalg.svd
+
+    def step(self, sigma, flow, work, out):
+        real_step(self, sigma, flow, work, out)
+        if np.array_equal(out, traj.covs[end_3]):
+            out[...] = np.nan
+        elif unphysical_before and np.array_equal(out, traj.covs[index]):
+            out[...] = 0.3 * np.eye(len(out))
+        return out
+
+    def recording_svd(*args, **kwargs):
+        try:
+            return svd(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            svd_failures.append(len(args[0]))
+            raise
+
+    monkeypatch.setattr(dyn.Propagator, "_step", step)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dyn.PhysicalityError) as info:
+            run_guard_case()
+    assert svd_failures == [om.CHUNKS_PER_STEP]
+    if unphysical_before:
+        assert info.value.t == traj.times[index]
+        assert info.value.nu_min == pytest.approx(0.3)
+    else:
+        assert info.value.t == traj.times[end_3]
+        assert info.value.nu_min == float("-inf")
 
 
 def counting_fidelity_to(monkeypatch):
@@ -904,7 +978,8 @@ def run_short_case(samples_per_step):
 @pytest.mark.parametrize("samples_per_step", [2, 9, 16, 17])
 def test_chunks_of_two_samples_evaluate_no_grid_step(monkeypatch, samples_per_step):
     # At up to 16 samples per step a chunk keeps only its end point, so no
-    # grid step is suggested; at 17 each step builds its rule once.
+    # grid step is suggested; at 17 each step builds its rule once and
+    # suggests the steps of all its chunks in one SVD call.
     built, svds = [], []
     rule, svd = om.grid_step_rule, np.linalg.svd
 
@@ -922,13 +997,67 @@ def test_chunks_of_two_samples_evaluate_no_grid_step(monkeypatch, samples_per_st
     _, _, schedule, _ = GUARD_CASE
     if samples_per_step > 16:
         assert built == [t / om.CHUNKS_PER_STEP for t in schedule.durations]
-        assert len(svds) == om.CHUNKS_PER_STEP * len(schedule.durations)
+        assert len(svds) == len(schedule.durations)
+        assert all(shape[0] == om.CHUNKS_PER_STEP for shape in svds)
         return
     assert built == [] and svds == []
     for traj, t_mon in zip(result.trajectories, schedule.durations):
         chunk = t_mon / om.CHUNKS_PER_STEP
         assert np.array_equal(traj.times,
                               np.cumsum([traj.times[0]] + [chunk] * om.CHUNKS_PER_STEP))
+
+
+@pytest.mark.parametrize("program", [mbqc.identity_program(), mbqc.cz_program()],
+                         ids=["identity", "cz"])
+def test_step_ends_do_not_depend_on_the_sample_count(program):
+    # Each chunk end comes from the chain of chunk-length flows, whatever
+    # grid fills the chunk, so the covariance each step leaves and the final
+    # fidelity have the same bits at every sample count.
+    p = om.params_set1()
+    schedule = om.MonitoringSchedule.equal(20e-6, len(program.pattern.measured))
+    seen = {}
+    for samples in (2, 9, 17, 60, 120):
+        finals = []
+
+        def run():
+            finals.append(om.run_monitoring_protocol(program, p, schedule,
+                                                     samples).final_fidelity)
+
+        ends = [traj.covs[-1] for traj in frame_trajectories(run)]
+        seen[samples] = (np.array(ends).tobytes(), finals[0])
+    for samples, got in seen.items():
+        assert got == seen[2], samples
+
+
+def test_a_step_makes_one_grid_rule_svd_and_a_flow_per_chunk_grid(monkeypatch):
+    # At 120 samples each chunk lays a grid of its own: a step builds at most
+    # the chunk's flow and one flow per chunk grid, and suggests all its
+    # chunks' grid steps in one SVD.
+    svds, flows, per_step = [], [], []
+    svd, flow, sample_flow = np.linalg.svd, dyn._flow, om._sample_flow
+
+    def counting_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def counting_flow(*args):
+        flows.append(args[-1])
+        return flow(*args)
+
+    def spy(*args):
+        before = len(svds), len(flows)
+        traj = sample_flow(*args)
+        per_step.append((len(svds) - before[0], len(flows) - before[1]))
+        return traj
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(dyn, "_flow", counting_flow)
+    monkeypatch.setattr(om, "_sample_flow", spy)
+    run_short_case(120)
+    assert len(per_step) == len(GUARD_CASE[2].durations)
+    for n_svd, n_flow in per_step:
+        assert n_svd == 1
+        assert n_flow <= 1 + om.CHUNKS_PER_STEP
 
 
 @pytest.mark.parametrize("samples_per_step", [2, 9, 16])
@@ -938,7 +1067,7 @@ def test_chunks_of_two_samples_report_a_non_finite_sample_at_its_time(
     # sample's time, with no warning from the later solves of the step.
     traj = frame_trajectories(lambda: run_short_case(samples_per_step))[1]
     assert len(traj) == om.CHUNKS_PER_STEP + 1
-    faulty_advance_from(monkeypatch, traj.covs[3],
+    faulty_advance_from(monkeypatch, traj.covs[4],
                         {0: lambda s: np.full_like(s, np.nan)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -740,19 +740,25 @@ def test_stacked_symplectic_eigenvalues_equal_per_matrix_calls(seed, n_modes, n_
 
 def first_unphysical_oracle(covs):
     """The physicality test spelled out one matrix at a time, with the one
-    slack max(1e-9, 1e-10 max|cov|)."""
+    slack max(1e-9, 1e-10 max|cov|): the least eigenvalue must be at least
+    -slack (else it is reported), and then nu_min at least 1/2 - slack."""
     for index, cov in enumerate(covs):
         if not np.all(np.isfinite(cov)):
             return index, -np.inf
+        slack = max(1e-9, 1e-10 * np.max(np.abs(cov)))
+        least = np.linalg.eigvalsh(cov)[0]
+        if not least >= -slack:
+            return index, least
         nu_min = st.symplectic_eigenvalues(cov)[0]
-        if not nu_min >= 0.5 - max(1e-9, 1e-10 * np.max(np.abs(cov))):
+        if not nu_min >= 0.5 - slack:
             return index, nu_min
     return None
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 4),
-       kinds=hst.lists(hst.sampled_from(["physical", "scaled", "nan"]),
+       kinds=hst.lists(hst.sampled_from(["physical", "scaled", "nan", "negated",
+                                          "negated mode"]),
                        min_size=0, max_size=6))
 def test_first_unphysical_equals_per_matrix_check(seed, n_modes, kinds):
     rng = np.random.default_rng(seed)
@@ -763,9 +769,57 @@ def test_first_unphysical_equals_per_matrix_check(seed, n_modes, kinds):
             cov = rng.uniform(0.2, 1.0) * cov
         elif kind == "nan":
             cov[tuple(rng.integers(2 * n_modes, size=2))] = np.nan
+        elif kind == "negated":
+            cov = -cov
+        elif kind == "negated mode":
+            mode = 2 * int(rng.integers(n_modes))
+            cov[mode:mode + 2, mode:mode + 2] *= -1.0
         covs.append(cov)
     covs = np.array(covs).reshape(len(kinds), 2 * n_modes, 2 * n_modes)
     assert st.first_unphysical(covs) == first_unphysical_oracle(covs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 4),
+       negate=hst.sampled_from(["all", "one mode"]), pure=hst.booleans())
+def test_an_indefinite_covariance_is_unphysical(seed, n_modes, negate, pure):
+    # -sigma, and a product state with one mode's block negated, keep every
+    # |eig(Omega sigma)| of a physical state, so their "symplectic
+    # eigenvalues" reach 1/2; neither is positive definite, so neither is a
+    # state, and each is reported with its least eigenvalue.
+    rng = np.random.default_rng(seed)
+    if negate == "all":
+        cov = -random_physical_cov(rng, n_modes, pure=pure)
+    else:
+        blocks = [random_physical_cov(rng, 1, pure=pure) for _ in range(n_modes)]
+        blocks[int(rng.integers(n_modes))] *= -1.0
+        cov = block_diag(*blocks)
+    assert st.symplectic_eigenvalues(cov)[0] >= 0.5 - 1e-9
+    omega = st.symplectic_form(n_modes)
+    assert np.linalg.eigvalsh(cov + 0.5j * omega)[0] < 0.0
+    least = np.linalg.eigvalsh(cov)[0]
+    assert least < -1e-9
+    assert st.first_unphysical(cov[None]) == (0, least)
+    assert st.first_unphysical(np.array([0.5 * np.eye(2 * n_modes), cov])) == (1, least)
+    state = st.GaussianState(cov)
+    assert not state.is_physical() and not state.is_pure()
+
+
+@pytest.mark.parametrize("cov", [np.diag([-0.6, -0.6]), np.diag([-1.0, -1.0, 0.6, 0.6]),
+                                 -0.5 * np.eye(2)], ids=["-0.6 I", "one mode negated", "-vacuum"])
+def test_indefinite_matrices_are_neither_physical_nor_pure(cov):
+    least = float(np.min(np.diag(cov)))
+    assert st.first_unphysical(cov[None]) == (0, least)
+    state = st.GaussianState(cov)
+    assert not state.is_physical()
+    assert not state.is_pure()
+
+
+def test_an_indefinite_reference_is_not_scored():
+    # -I/2 once passed as a pure reference, and 2I scored 0.667 against it.
+    with pytest.raises(st.UnphysicalStateError, match="the reference, min symplectic "
+                       "eigenvalue -0.5"):
+        st.fidelity_to(2.0 * np.eye(2)[None], st.GaussianState(-0.5 * np.eye(2)))
 
 
 def random_symplectic(rng, n_modes, squeeze_db):

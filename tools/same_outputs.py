@@ -20,7 +20,12 @@ Each side reports one sha256 per output field over all ops, in order:
 * ``sweep``: the bytes of each op's ``sweep.csv``.
 
 Arrays are hashed as float64 bytes, so a difference in the last bit, or in
-the sign of a zero, is a mismatch.
+the sign of a zero, is a mismatch. A float field that differs is also
+sized: the report says whether the two sides' arrays have the same shapes,
+op by op, and if they do, gives the largest difference, absolute for
+fidelities and covariances and relative to the base's entry for times and
+durations. A method change can so show that it stays within a tolerance;
+any difference still counts as a mismatch.
 
 It then runs the CLI on this repository's ``configs/`` in each checkout, one
 fresh process per run with that checkout's ``src`` first on the path:
@@ -68,44 +73,79 @@ FIELDS = {
     "optimize": ("durations", "times", "fidelities", "output_cov"),
     "sweep": ("sweep_csv",),
 }
+# Float fields whose difference is sized relative to the base's entries; the
+# other float fields are sized in absolute terms.
+RELATIVE = ("times", "durations")
 
 
-def _array_bytes(values) -> bytes:
-    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+def _float_array(values) -> np.ndarray:
+    """``values`` as a contiguous float64 array, whose bytes are hashed."""
+    return np.ascontiguousarray(values, dtype=np.float64)
 
 
-def _result_bytes(result) -> dict:
-    """The hashed fields of a ``ProtocolResult``."""
-    return {"times": _array_bytes(result.times),
-            "fidelities": _array_bytes(result.fidelities),
-            "output_cov": _array_bytes(result.output_state.cov)}
+def _result_arrays(result) -> dict:
+    """The compared fields of a ``ProtocolResult``."""
+    return {"times": _float_array(result.times),
+            "fidelities": _float_array(result.fidelities),
+            "output_cov": _float_array(result.output_state.cov)}
 
 
 def run_workload(workloads, name: str, seed: int, n_ops: int) -> dict:
-    """``{field: sha256}`` of the first ``n_ops`` ops of one workload."""
+    """``{field: {"sha256": digest}}`` of the first ``n_ops`` ops of one
+    workload; a float field also carries each op's array ``shapes`` and all
+    its ``values``, flattened in order."""
     hashes = {field: hashlib.sha256() for field in FIELDS[name]}
+    arrays = {field: [] for field in FIELDS[name] if field != "sweep_csv"}
     with tempfile.TemporaryDirectory() as work_dir:
         workload = workloads.setup(name, seed, Path(work_dir))
         try:
             for index in range(n_ops):
                 raw = workload.run(workload.op(index))
                 if name == "protocol":
-                    parts = _result_bytes(raw)
+                    parts = _result_arrays(raw)
                 elif name == "optimize":
                     schedule, result = raw
-                    parts = dict(_result_bytes(result),
-                                 durations=_array_bytes(schedule.durations))
+                    parts = dict(_result_arrays(result),
+                                 durations=_float_array(schedule.durations))
                 else:
                     if raw != 0:
                         raise RuntimeError(f"sweep op {index} exited {raw}")
                     csv_path = workload._out_dir() / "sweep.csv"
                     parts = {"sweep_csv": csv_path.read_bytes()}
                     csv_path.unlink()
-                for field, blob in parts.items():
-                    hashes[field].update(blob)
+                for field, value in parts.items():
+                    hashes[field].update(value)
+                    if field in arrays:
+                        arrays[field].append(value)
         finally:
             workload.cleanup()
-    return {field: h.hexdigest() for field, h in hashes.items()}
+    return {field: {"sha256": h.hexdigest(), **_shapes_and_values(arrays.get(field))}
+            for field, h in hashes.items()}
+
+
+def _shapes_and_values(arrays) -> dict:
+    """The ``shapes`` and flattened ``values`` of a field's arrays, or
+    nothing for a field of bytes (``None``)."""
+    if arrays is None:
+        return {}
+    return {"shapes": [list(np.shape(a)) for a in arrays],
+            "values": np.concatenate([np.ravel(a) for a in arrays]).tolist()}
+
+
+def mismatch_size(field: str, base: dict, change: dict) -> str:
+    """How far a differing float field moved: whether the shapes match,
+    and if so the largest difference, relative for :data:`RELATIVE` fields
+    and absolute otherwise."""
+    if base["shapes"] != change["shapes"]:
+        return "shapes differ"
+    b, c = np.array(base["values"]), np.array(change["values"])
+    delta = np.abs(c - b)
+    delta[(c == b) | (np.isnan(b) & np.isnan(c))] = 0.0
+    if field in RELATIVE:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.where(delta == 0.0, 0.0, delta / np.abs(b))
+    largest = float(np.max(delta, initial=0.0))
+    return f"shapes equal, max |d| {largest:.3g} ({'relative' if field in RELATIVE else 'absolute'})"
 
 
 def child(checkout: Path, seed: int, n_ops: int):
@@ -196,9 +236,14 @@ def main():
     for name in WORKLOADS:
         for field in FIELDS[name]:
             base, change = digests["base"][name][field], digests["change"][name][field]
-            mismatches += base != change
-            verdict = "equal" if base == change else "DIFFERENT"
-            print(f"{name:9s} {field:11s} base {base[:16]}  change {change[:16]}  {verdict}")
+            b_hash, c_hash = base["sha256"], change["sha256"]
+            verdict = "equal"
+            if b_hash != c_hash:
+                mismatches += 1
+                verdict = "DIFFERENT"
+                if "values" in base:
+                    verdict += f"  {mismatch_size(field, base, change)}"
+            print(f"{name:9s} {field:11s} base {b_hash[:16]}  change {c_hash[:16]}  {verdict}")
     mismatches += compare_cli(*(cli_digest(path.resolve())
                                 for path in (args.base, args.change)))
     if mismatches:
