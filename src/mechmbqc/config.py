@@ -68,10 +68,11 @@ def params_from_dict(values: dict) -> PhysicalParams:
 class ExperimentConfig:
     """One experiment: parameter set, gate program, schedule and sweep axes.
 
-    ``samples_per_step`` caps the samples stored per step (see
-    ``run_monitoring_protocol``) of monitored runs of a fixed schedule only;
-    an optimized schedule (``optimize``, or ``simulate`` and ``sweep`` on
-    such a config) always replays at ``optomech.SAMPLES_PER_STEP`` (120).
+    ``samples_per_step`` is the ``n_samples`` of each step's
+    ``dynamics.sample_step``, which states the count rule, in monitored runs
+    of a fixed schedule only; an optimized schedule (``optimize``, or
+    ``simulate`` and ``sweep`` on such a config) always replays at
+    ``optomech.SAMPLES_PER_STEP`` (120).
     """
 
     param_values: dict

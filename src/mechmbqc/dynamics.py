@@ -181,7 +181,7 @@ class EvolutionCoefficients:
 
     @cached_property
     def rate_norms(self) -> tuple:
-        """``(drift_norm, cols, bbt_norm)`` for :func:`grid_step_rule`: the
+        """``(drift_norm, cols, bbt_norm)`` for :func:`_grid_steps`: the
         spectral norms of the drift and of B B^T (0 if B is empty), and the
         read-only indices of the columns where B B^T is non-zero."""
         cols = np.flatnonzero(np.abs(self.bbt).max(axis=0))
@@ -260,10 +260,12 @@ class Propagator:
         self.hamiltonian[d:, d:] = a
         self.hamiltonian.flags.writeable = False
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
-        # A monitored step samples two lengths: the chunk's, whose chain gives
-        # the chunk ends, and each chunk's grid's in turn; where a step has
-        # settled the next chunk repeats its grid's. A propagator shared by
-        # many runs keeps no more. The closure holds no reference to the
+        # Seed-0 benchmark blocks reuse few flows: 10 hits in 1,008 sample
+        # calls of a protocol block (32 ops), none in 128 of a sweep block
+        # (8 ops), and 30 in 446 of an optimize block (12 ops), 26 of them in
+        # the search's later blocks of a step. Without the cache an optimize
+        # block ran 3.3% slower (15 of 16 in-process pairs), the others no
+        # slower, so it stays. The closure holds no reference to the
         # propagator, so no cycle forms.
         hamiltonian, rate = self.hamiltonian, self.rate
         witnesses = _off_diagonal_witnesses(hamiltonian)
@@ -474,14 +476,14 @@ class Trajectory:
         return len(self.times)
 
 
-# Grid steps per inverse fastest rate in :func:`grid_step_rule`.
+# Grid steps per inverse fastest rate in :func:`_grid_steps`.
 DT_SAFETY = 20.0
 
 
-def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
-    """The grid steps that decide where :func:`integrate` places its
-    samples, as a function of the stack of covariances at the starts of the
-    grids: one step per start.
+def _grid_steps(coeffs: EvolutionCoefficients, horizon: float, starts: np.ndarray) -> list:
+    """The grid rule of :func:`sample_step`: the grid step of each chunk of
+    length ``horizon`` from the stack ``starts`` of its start covariances,
+    one step per start.
 
     The propagation between samples is exact, so this step sets no accuracy;
     it fixes the sample times, which are part of every run's output (the
@@ -492,27 +494,21 @@ def grid_step_rule(coeffs: EvolutionCoefficients, horizon: float):
     is the spectral norm of ``B B^T`` times the norm of those columns (plus
     diffusive growth over the horizon) rather than of the full covariance.
     The two norms are computed once per coefficients
-    (:attr:`EvolutionCoefficients.rate_norms`) and the horizon's growth once
-    per rule; a call, on a float64 stack, computes only the columns'
-    singular values, in one batched SVD whose every entry has the bits of a
-    call on that matrix alone. A start that is not finite fails that SVD
-    with :class:`numpy.linalg.LinAlgError`.
+    (:attr:`EvolutionCoefficients.rate_norms`); a call, on a float64 stack,
+    computes the columns' singular values in one batched SVD whose every
+    entry has the bits of a call on that matrix alone. A start that is not
+    finite fails that SVD with :class:`numpy.linalg.LinAlgError`.
     """
     drift_norm, cols, bbt_norm = coeffs.rate_norms
+    rates = [drift_norm] * len(starts)
     if cols.size:
         # Diffusive growth per direction saturates once the local damping
         # balances it, so damped directions do not inflate long horizons.
         window = np.minimum(horizon, 1.0 / np.maximum(-np.diag(coeffs.drift), 1.0 / horizon))
         growth = float(np.max(np.diag(coeffs.diffusion) * window, initial=0.0))
-
-    def dt_of(starts) -> list:
-        rates = [drift_norm] * len(starts)
-        if cols.size:
-            norms = np.linalg.svd(starts[:, :, cols], compute_uv=False).max(axis=1)
-            rates = (drift_norm + bbt_norm * np.maximum(norms + growth, 1.0)).tolist()
-        return [horizon if r <= 0.0 else min(horizon, 1.0 / (DT_SAFETY * r)) for r in rates]
-
-    return dt_of
+        norms = np.linalg.svd(starts[:, :, cols], compute_uv=False).max(axis=1)
+        rates = (drift_norm + bbt_norm * np.maximum(norms + growth, 1.0)).tolist()
+    return [horizon if r <= 0.0 else min(horizon, 1.0 / (DT_SAFETY * r)) for r in rates]
 
 
 def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
@@ -550,8 +546,7 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
                          f"finite, got {t_total!r}")
     n_samples = sample_cap(n_samples, "n_samples")
 
-    return _sample_flow(sigma, coeffs, t_total, 1, lambda starts: [dt] * len(starts),
-                        n_samples, 0.0)
+    return _sample_flow(sigma, coeffs, t_total, 1, dt, n_samples, 0.0)
 
 
 def sample_cap(value, name: str) -> int:
@@ -563,24 +558,56 @@ def sample_cap(value, name: str) -> int:
     return int(value)
 
 
+# Chunks per monitoring step in :func:`sample_step`. A chunk of over two
+# samples lays its own grid from a dt suggested at its start, so early
+# transients are sampled more densely than the rest of the step. The
+# propagation itself is exact; the chunks only set the sample times, which
+# the reported fidelity trace (and its maximum) is taken on.
+CHUNKS_PER_STEP = 8
+
+
+def sample_step(sigma: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
+                n_samples: int, t_offset: float) -> Trajectory:
+    """The samples of one monitoring step: the exact flow of ``coeffs`` over
+    ``t_mon`` from ``sigma``, its times counted from ``t_offset``. This is the
+    one owner of a step's sample grid.
+
+    The step is cut into ``CHUNKS_PER_STEP`` = 8 chunks of at most
+    ``max(2, ceil(n_samples / 8))`` samples each, both ends included, so it
+    stores at most ``1 + 8 * (max(2, ceil(n_samples / 8)) - 1)`` samples, its
+    start included: 9 for any ``n_samples`` up to 16, 113 for 120, and fewer
+    where a chunk's grid is coarser. The chunk ends come first, so the
+    covariance a step leaves has the same bits at every ``n_samples``. A
+    chunk that keeps more than its end then lays the grid that
+    :func:`_grid_steps` gives its start. The samples after the start are
+    guarded once, by :func:`check_samples`; see :func:`_sample_flow`. A
+    ``t_mon`` that is negative or not finite is a ``ValueError``.
+    """
+    per_chunk = max(2, math.ceil(n_samples / CHUNKS_PER_STEP))
+    return _sample_flow(sigma, coeffs, t_mon / CHUNKS_PER_STEP, CHUNKS_PER_STEP, None,
+                        per_chunk, t_offset)
+
+
 def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
-                 n_chunks: int, dt_of, n_samples: int, t_offset: float) -> Trajectory:
+                 n_chunks: int, dt, n_samples: int, t_offset: float) -> Trajectory:
     """Sample the exact flow from ``sigma`` over ``n_chunks`` chunks of length ``chunk``,
-    each on :func:`integrate`'s grid for the step that ``dt_of`` gives its start and at
-    most ``n_samples`` samples, and guard all samples after the start with one
-    :func:`_check_samples`.
+    each on :func:`integrate`'s grid, of step ``dt`` or, for ``dt=None``, the step
+    :func:`_grid_steps` gives its start, and at most ``n_samples`` samples, and guard
+    all samples after the start with one :func:`check_samples`.
 
     The chunk ends come first, as one :meth:`Propagator.sample` chain of intervals
-    ``chunk`` from ``sigma``, their times summed chunk by chunk. ``dt_of`` then takes
-    the stack of chunk starts, ``sigma`` and all ends but the last, and returns one
-    step per start; two samples per chunk keep only the ends, whatever the step, so it
-    is not called. Each chunk's interior is then one chain of its grid's sample
-    interval from its start, written into the step's one stack, allocated at its final
-    size. A ``LinAlgError`` of the ends' chain, of ``dt_of`` on a start that is not
-    finite, or of an interior is raised after the samples before it in time are guarded.
+    ``chunk`` from ``sigma``, their times summed chunk by chunk. Two samples per chunk
+    keep only the ends, whatever the step, so no step is needed. Otherwise the grid
+    rule takes the stack of chunk starts, ``sigma`` and all ends but the last, once,
+    and each chunk's interior is one chain of its grid's sample interval from its
+    start, written into the step's one stack, allocated at its final size. A
+    ``LinAlgError`` of the ends' chain, of the grid rule on a start that is not
+    finite, or of an interior is raised after the samples before it in time are
+    guarded. A ``chunk`` of 0 keeps only the start; a negative or non-finite one
+    fails the flow's own check.
     """
     sample, fault = coeffs.propagator.sample, None
-    n_chunks = n_chunks if chunk > 0 else 0  # a step of length 0 keeps only its start
+    n_chunks = n_chunks if chunk else 0
     starts = np.empty((1 + n_chunks, *sigma.shape))
     starts[0] = sigma
     try:
@@ -589,25 +616,25 @@ def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
         fault, starts = error, starts[:1 + error.samples_written]
     bounds = list(accumulate([t_offset] + [chunk] * n_chunks))  # chunk starts and ends
     times, covs, filled = bounds[:len(starts)], starts, len(starts)
-    if n_samples > 2:  # each chunk keeps more than its end
+    if n_samples > 2 and n_chunks:  # each chunk keeps more than its end
         known = min(len(starts), n_chunks)  # chunks whose start is known
         try:
-            steps = dt_of(starts[:known])
+            steps = [dt] * known if dt is not None else _grid_steps(coeffs, chunk, starts[:known])
         except np.linalg.LinAlgError as error:
             # The chunks before the first start that is not finite come first.
             fault, known = error, int(np.argmin(np.isfinite(starts[:known]).all(axis=(1, 2))))
-            steps = dt_of(starts[:known])
+            steps = _grid_steps(coeffs, chunk, starts[:known])
         times, grids = [t_offset], []
-        for start, end, dt in zip(bounds, bounds[1:], steps):
-            # The floor binds only where chunk / dt would overflow to inf.
-            dt = max(dt, chunk / sys.float_info.max)
-            n_steps = max(1, math.ceil(chunk / dt))
+        for start, end, step in zip(bounds, bounds[1:], steps):
+            # The floor binds only where chunk / step would overflow to inf.
+            step = max(step, chunk / sys.float_info.max)
+            n_steps = max(1, math.ceil(chunk / step))
             # The quotient is rounded to a float first, as it always was;
             # past 2^53 steps its ceiling can differ from the exact one.
             sample_every = max(1, math.ceil(n_steps / max(1, n_samples - 1)))
             marks = range(sample_every, n_steps, sample_every)
-            grids.append((len(times), sample_every * dt, len(marks)))
-            times += [start + k * dt for k in marks] + [end]
+            grids.append((len(times), sample_every * step, len(marks)))
+            times += [start + k * step for k in marks] + [end]
         covs = np.empty((len(times), *sigma.shape))
         ends = [first + count for first, _, count in grids[:len(starts) - 1]]
         covs[[0, *ends]] = starts[:1 + known]
@@ -618,13 +645,13 @@ def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
             except np.linalg.LinAlgError as error:
                 fault, filled = error, first + error.samples_written
                 break
-    _check_samples(times[1:filled], covs[1:filled])
+    check_samples(times[1:filled], covs[1:filled])
     if fault is not None:
         raise fault
     return Trajectory(np.asarray(times), covs)
 
 
-def _check_samples(times: list, covs: np.ndarray):
+def check_samples(times: list, covs: np.ndarray):
     """Raise :class:`PhysicalityError` at the first sample that
     :func:`~mechmbqc.states.first_unphysical` rejects."""
     unphysical = first_unphysical(covs)

@@ -18,19 +18,18 @@ import numpy as np
 
 from . import mbqc
 from .states import (GaussianState, build_cluster, condition_on_homodyne, fidelity_to,
-                     is_index, thermal, vacuum)
+                     is_index, is_integer, thermal, vacuum)
 from .dynamics import (
     EvolutionCoefficients,
     PhysicalityError,
     Trajectory,
-    _check_samples,
-    _sample_flow,
     add_system_hamiltonian,
     build_lyapunov,
     build_riccati,
-    grid_step_rule,
+    check_samples,
     homodyne_post_meas_cov,
     sample_cap,
+    sample_step,
 )
 
 
@@ -39,11 +38,13 @@ HBAR, K_B = 6.62607015e-34 / (2.0 * np.pi), 1.380649e-23
 
 
 def thermal_occupancy(omega: float, temperature_k: float) -> float:
-    """Bose occupation n = 1 / (exp(hbar omega / k_B T) - 1)."""
-    if omega <= 0.0:
-        raise ValueError("mode frequency must be positive")
-    if temperature_k < 0.0:
-        raise ValueError("temperature must be non-negative")
+    """Bose occupation n = 1 / (exp(hbar omega / k_B T) - 1). A frequency that
+    is not finite and > 0, or a temperature that is not finite and >= 0, is a
+    ``ValueError``."""
+    if not 0.0 < omega < np.inf:
+        raise ValueError(f"mode frequency must be positive and finite, got {omega!r}")
+    if not 0.0 <= temperature_k < np.inf:
+        raise ValueError(f"temperature must be non-negative and finite, got {temperature_k!r}")
     if temperature_k == 0.0:
         return 0.0
     x = HBAR * omega / (K_B * temperature_k)
@@ -246,6 +247,11 @@ class MonitoringSchedule:
 
     @staticmethod
     def equal(t_mon: float, n_steps: int) -> "MonitoringSchedule":
+        """``n_steps`` steps of ``t_mon`` each. ``n_steps`` is a non-negative
+        :func:`is_integer` (0 for a pattern that measures no node), or a
+        ``ValueError``."""
+        if not (is_integer(n_steps) and n_steps >= 0):
+            raise ValueError(f"n_steps must be a non-negative integer, got {n_steps!r}")
         return MonitoringSchedule((float(t_mon),) * n_steps)
 
     @property
@@ -398,27 +404,6 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
     return _Protocol(params, pattern, cluster, reference, steps)
 
 
-# Chunks per monitoring step. The chunk ends are sampled first, as one chain
-# of chunk-length flows; a chunk of over two samples then lays its own grid
-# from a dt suggested at its start, so early transients are sampled more
-# densely than the rest of the step. The propagation itself is exact; the
-# chunks only set the sample times, which the reported fidelity trace (and
-# its maximum) is taken on. The samples of all chunks are guarded together,
-# once per step.
-CHUNKS_PER_STEP = 8
-
-
-def _integrate_step(cov: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
-                    n_samples: int, t_offset: float) -> Trajectory:
-    """Propagate one step in chunks, their ends first, guarded once; two-sample
-    chunks keep only their ends and need no dt."""
-    chunk = t_mon / CHUNKS_PER_STEP
-    per_chunk = max(2, int(np.ceil(n_samples / CHUNKS_PER_STEP)))
-    dt_of = grid_step_rule(coeffs, chunk) if per_chunk > 2 else None
-    return _sample_flow(cov, coeffs, chunk, CHUNKS_PER_STEP, dt_of,
-                        per_chunk, t_offset)
-
-
 def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
              samples_per_step: int, keep_trajectories: bool) -> ProtocolResult:
     """Run a prepared protocol on a schedule and score every sample in one
@@ -445,7 +430,7 @@ def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
         for k, (coeffs, t_mon) in enumerate(zip(protocol.steps, schedule.durations)):
             if k:
                 cov = protocol.handover(cov)
-            traj = _integrate_step(cov, coeffs, t_mon, samples_per_step, t_start)
+            traj = sample_step(cov, coeffs, t_mon, samples_per_step, t_start)
             cov = traj.covs[-1]
             t_start += t_mon
             if keep_trajectories:
@@ -486,18 +471,14 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
     trace compares the reduced state of the output node(s) with the
     projective-measurement reference at every sample.
 
-    A step is sampled in 8 chunks: their ends first, by one chain of exact
-    chunk-length flows, so the covariance a step leaves has the same bits
-    at every ``samples_per_step``; then each chunk's grid from its start.
-
     Args:
         program: any gate program; its pattern sets the steps.
         params: physical parameters; the pattern sets the resonator count,
             one per cluster node.
         schedule: one duration per measurement step.
-        samples_per_step: caps the fidelity samples stored per step at
-            ``1 + 8 * (max(2, ceil(n / 8)) - 1)``, its start included (9 up
-            to n = 16, 113 for 120); fewer where a chunk's grid is coarser.
+        samples_per_step: the ``n_samples`` of each step's
+            :func:`~mechmbqc.dynamics.sample_step`, whose count rule sets
+            the fidelity samples stored per step.
         keep_trajectories: also return the full-system trajectories, in the lab frame.
 
     Returns:
@@ -555,7 +536,7 @@ def _score_increments(protocol: _Protocol, step: int, cov: np.ndarray,
     if with_start:
         covs[0] = cov
     protocol.steps[step].propagator.sample(cov, time_resolution, covs[with_start:])
-    _check_samples(times, covs[with_start:])
+    check_samples(times, covs[with_start:])
     return covs, protocol.completed_fidelities(covs, step)
 
 

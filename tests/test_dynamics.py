@@ -410,13 +410,13 @@ def test_suggest_dt_resolves_fastest_scale():
     gamma = 50.0
     drift, diffusion = dyn.build_lyapunov(mode_coupling(gamma), 0.5 * np.eye(2))
     coeffs = dyn.EvolutionCoefficients(drift, diffusion)
-    (dt,) = dyn.grid_step_rule(coeffs, 1.0)(0.5 * np.eye(2)[None])
+    (dt,) = dyn._grid_steps(coeffs, 1.0, 0.5 * np.eye(2)[None])
     assert dt <= 1.0 / (20.0 * gamma / 2.0)
 
 
 def one_shot_suggest_dt(coeffs, sigma0, horizon):
     """The grid step as it was computed in one pass per call, before the
-    coefficient-only part moved into ``grid_step_rule``."""
+    coefficient-only part moved into ``EvolutionCoefficients.rate_norms``."""
     sigma = np.asarray(sigma0, dtype=float)
     rate = float(np.linalg.norm(coeffs.drift, 2))
     bbt = coeffs.bbt
@@ -438,13 +438,12 @@ def one_shot_suggest_dt(coeffs, sigma0, horizon):
        log_horizon=hst.floats(-7.0, 1.0), monitored=hst.booleans())
 def test_grid_step_rule_is_suggest_dt_for_every_covariance(seed, n_modes, log_horizon,
                                                            monitored):
-    # One rule, built once, serves a stack of any number of covariances in
-    # one call, and gives the one-shot step of each bit for bit.
+    # One call of the grid rule serves a stack of any number of covariances,
+    # and gives the one-shot step of each bit for bit.
     coeffs = random_physical_coefficients(seed, n_modes)
     if not monitored:
         coeffs = dyn.EvolutionCoefficients(coeffs.drift, coeffs.diffusion)
     horizon = 10.0 ** log_horizon
-    rule = dyn.grid_step_rule(coeffs, horizon)
     rng = np.random.default_rng(seed + 1)
     omega = symplectic_form(n_modes)
     sigmas = []
@@ -454,12 +453,12 @@ def test_grid_step_rule_is_suggest_dt_for_every_covariance(seed, n_modes, log_ho
         s = sla.expm(omega @ (0.5 * (m + m.T)))
         nu = np.repeat(rng.uniform(0.5, 3.0, size=n_modes), 2)
         sigmas.append((s * nu) @ s.T)
-    dts = rule(np.array(sigmas))
+    dts = dyn._grid_steps(coeffs, horizon, np.array(sigmas))
     assert len(dts) == len(sigmas)
     for sigma, dt in zip(sigmas, dts):
         assert dt == one_shot_suggest_dt(coeffs, sigma, horizon)
         assert 0.0 < dt <= horizon
-    assert rule(np.empty((0, 2 * n_modes, 2 * n_modes))) == []
+    assert dyn._grid_steps(coeffs, horizon, np.empty((0, 2 * n_modes, 2 * n_modes))) == []
 
 
 def test_integrator_dt_refinement_converges():

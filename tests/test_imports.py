@@ -1,7 +1,8 @@
 """Module-level facts of the package source: only the propagator imports
 scipy, for ``expm`` and ``dgesv``, only ``states`` defines a tolerance
-constant (``*_ATOL``), so physicality has one slack, and only
-``states.is_index`` checks that an index is in range."""
+constant (``*_ATOL``), so physicality has one slack, only
+``states.is_index`` checks that an index is in range, and no module imports
+a private (``_``-prefixed) name of another."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,26 @@ def test_only_is_index_checks_an_index_range():
     found = {path.name: sorted(hand_written_index_checks(ast.parse(path.read_text())))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def private_imports(tree: ast.AST):
+    """``module.name`` of each ``_``-prefixed name, not a dunder, that a
+    relative ``from`` import anywhere in ``tree`` loads; ``from . import _x``
+    gives ``._x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.endswith("__"))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # Sampling policy lives behind dynamics.sample_step, so optomech needs no
+    # private name of dynamics.
+    source = ("from .dynamics import _sample_flow, sample_step\n"
+              "from . import _private, __version__\nfrom numpy import _core\n"
+              "def f():\n    from .states import _check\n")
+    assert sorted(private_imports(ast.parse(source))) == [
+        "._private", "dynamics._sample_flow", "states._check"]
+    found = {path.name: sorted(private_imports(ast.parse(path.read_text())))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

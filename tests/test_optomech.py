@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 from scipy import constants
 
@@ -53,6 +55,17 @@ def test_thermal_occupancy_rejects_bad_input():
         om.thermal_occupancy(0.0, 1.0)
     with pytest.raises(ValueError):
         om.thermal_occupancy(1.0, -1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argument", ["omega", "temperature_k"])
+def test_thermal_occupancy_rejects_non_finite_input(argument, value):
+    # NaN passed both checks and gave NaN, an infinite temperature gave inf
+    # with a divide-by-zero warning, and an infinite frequency gave 0.
+    args = {"omega": 2 * np.pi * 11e6, "temperature_k": 1e-3, argument: value}
+    name = "mode frequency" if argument == "omega" else "temperature"
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        om.thermal_occupancy(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -749,14 +762,14 @@ def frame_trajectories(run):
     """The trajectories ``run()`` propagates, in the measurement frame in
     which it propagates them: they come back rotated to the lab frame, and
     a fault matched on a covariance inside the run must match this one."""
-    recorded, integrate_step = [], om._integrate_step
+    recorded, sample_step = [], om.sample_step
 
     def spy(*args):
-        recorded.append(integrate_step(*args))
+        recorded.append(sample_step(*args))
         return recorded[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(om, "_integrate_step", spy)
+        patch.setattr(om, "sample_step", spy)
         run()
     return recorded
 
@@ -767,7 +780,7 @@ def sample_in_chunk_3_of_step_2():
     third chunk."""
     _, _, schedule, _ = GUARD_CASE
     traj = frame_trajectories(run_guard_case)[1]
-    t0, chunk = traj.times[0], schedule.durations[1] / om.CHUNKS_PER_STEP
+    t0, chunk = traj.times[0], schedule.durations[1] / dyn.CHUNKS_PER_STEP
     index = int(np.searchsorted(traj.times, t0 + 2.5 * chunk))
     assert t0 + 2.0 * chunk < traj.times[index] <= t0 + 3.0 * chunk + 1e-15
     return traj, index
@@ -794,13 +807,13 @@ def faulty_advance_from(monkeypatch, trigger, faults):
 
 def test_protocol_guards_each_step_once(monkeypatch):
     guarded = []
-    check = dyn._check_samples
+    check = dyn.check_samples
 
     def spy(times, covs):
         guarded.append(len(times))
         check(times, covs)
 
-    monkeypatch.setattr(dyn, "_check_samples", spy)
+    monkeypatch.setattr(dyn, "check_samples", spy)
     result = run_guard_case()
     assert guarded == [s.stop - s.start - 1 for s in result.step_slices]
 
@@ -842,7 +855,7 @@ def test_a_failed_solve_of_a_chunk_end_after_an_unphysical_sample_reports_that_s
     # of the end of chunk 6 fails first, then a sample inside chunk 3 comes
     # out unphysical. That sample is earlier in time, so it is reported.
     traj, index = sample_in_chunk_3_of_step_2()
-    t0, chunk = traj.times[0], GUARD_CASE[2].durations[1] / om.CHUNKS_PER_STEP
+    t0, chunk = traj.times[0], GUARD_CASE[2].durations[1] / dyn.CHUNKS_PER_STEP
     assert traj.times[index] < t0 + 3.0 * chunk
     end_6 = int(np.searchsorted(traj.times, t0 + 6.0 * chunk - 1e-15))
     assert abs(traj.times[end_6] - (t0 + 6.0 * chunk)) < 1e-15
@@ -874,7 +887,7 @@ def test_a_non_finite_chunk_end_is_reported_after_the_samples_before_it(
     # still filled and guarded first, with no warning from the NaN: that end
     # is reported, or an unphysical sample inside chunk 3 before it.
     traj, index = sample_in_chunk_3_of_step_2()
-    t0, chunk = traj.times[0], GUARD_CASE[2].durations[1] / om.CHUNKS_PER_STEP
+    t0, chunk = traj.times[0], GUARD_CASE[2].durations[1] / dyn.CHUNKS_PER_STEP
     end_3 = int(np.searchsorted(traj.times, t0 + 3.0 * chunk - 1e-15))
     assert index < end_3 and abs(traj.times[end_3] - (t0 + 3.0 * chunk)) < 1e-15
     real_step, svd_failures, svd = dyn.Propagator._step, [], np.linalg.svd
@@ -900,7 +913,7 @@ def test_a_non_finite_chunk_end_is_reported_after_the_samples_before_it(
         warnings.simplefilter("error")
         with pytest.raises(dyn.PhysicalityError) as info:
             run_guard_case()
-    assert svd_failures == [om.CHUNKS_PER_STEP]
+    assert svd_failures == [dyn.CHUNKS_PER_STEP]
     if unphysical_before:
         assert info.value.t == traj.times[index]
         assert info.value.nu_min == pytest.approx(0.3)
@@ -950,20 +963,20 @@ def test_an_unphysical_output_is_reported_before_a_later_step_fails(monkeypatch,
     # Step 2 leaves an unphysical output block in one of its samples (not the
     # one handed to step 3), then step 3 fails: the earlier fault is the
     # scoring error, as when each step was scored before the next ran.
-    integrate_step, steps = om._integrate_step, []
+    sample_step, steps = om.sample_step, []
 
     def faulty(*args):
         steps.append(args)
         if len(steps) == 3:
             raise error
-        traj = integrate_step(*args)
+        traj = sample_step(*args)
         if len(steps) == 2:
             covs = traj.covs.copy()
             covs[1] = 0.3 * np.eye(covs.shape[1])
             traj = dyn.Trajectory(traj.times, covs)
         return traj
 
-    monkeypatch.setattr(om, "_integrate_step", faulty)
+    monkeypatch.setattr(om, "sample_step", faulty)
     with pytest.raises(ValueError, match="fidelity input is unphysical"):
         run_guard_case()
 
@@ -978,33 +991,33 @@ def run_short_case(samples_per_step):
 @pytest.mark.parametrize("samples_per_step", [2, 9, 16, 17])
 def test_chunks_of_two_samples_evaluate_no_grid_step(monkeypatch, samples_per_step):
     # At up to 16 samples per step a chunk keeps only its end point, so no
-    # grid step is suggested; at 17 each step builds its rule once and
+    # grid step is suggested; at 17 each step calls its grid rule once and
     # suggests the steps of all its chunks in one SVD call.
     built, svds = [], []
-    rule, svd = om.grid_step_rule, np.linalg.svd
+    rule, svd = dyn._grid_steps, np.linalg.svd
 
-    def counting_rule(coeffs, horizon):
+    def counting_rule(coeffs, horizon, starts):
         built.append(horizon)
-        return rule(coeffs, horizon)
+        return rule(coeffs, horizon, starts)
 
     def counting_svd(*args, **kwargs):
         svds.append(args[0].shape)
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(om, "grid_step_rule", counting_rule)
+    monkeypatch.setattr(dyn, "_grid_steps", counting_rule)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     result = run_short_case(samples_per_step)
     _, _, schedule, _ = GUARD_CASE
     if samples_per_step > 16:
-        assert built == [t / om.CHUNKS_PER_STEP for t in schedule.durations]
+        assert built == [t / dyn.CHUNKS_PER_STEP for t in schedule.durations]
         assert len(svds) == len(schedule.durations)
-        assert all(shape[0] == om.CHUNKS_PER_STEP for shape in svds)
+        assert all(shape[0] == dyn.CHUNKS_PER_STEP for shape in svds)
         return
     assert built == [] and svds == []
     for traj, t_mon in zip(result.trajectories, schedule.durations):
-        chunk = t_mon / om.CHUNKS_PER_STEP
+        chunk = t_mon / dyn.CHUNKS_PER_STEP
         assert np.array_equal(traj.times,
-                              np.cumsum([traj.times[0]] + [chunk] * om.CHUNKS_PER_STEP))
+                              np.cumsum([traj.times[0]] + [chunk] * dyn.CHUNKS_PER_STEP))
 
 
 @pytest.mark.parametrize("program", [mbqc.identity_program(), mbqc.cz_program()],
@@ -1029,12 +1042,49 @@ def test_step_ends_do_not_depend_on_the_sample_count(program):
         assert got == seen[2], samples
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_samples=hst.integers(2, 130), t_mon_us=hst.floats(1.0, 100.0),
+       t_offset=hst.floats(0.0, 1e-3))
+def test_sample_step_keeps_its_count_its_chunk_ends_and_its_last_covariance(
+        n_samples, t_mon_us, t_offset):
+    # One set1 step: the step stores at most the chunked count, exactly 9 up
+    # to 16 samples; its times rise strictly from t_offset through the chunk
+    # ends summed chunk by chunk; and it leaves the covariance of the
+    # two-sample run, bit for bit.
+    protocol = om._prepare(mbqc.identity_program(), om.params_set1())
+    cov, coeffs, t_mon = protocol.initial_cov(), protocol.steps[0], t_mon_us * 1e-6
+    traj = dyn.sample_step(cov, coeffs, t_mon, n_samples, t_offset)
+    per_chunk = max(2, int(np.ceil(n_samples / dyn.CHUNKS_PER_STEP)))
+    assert len(traj) <= 1 + dyn.CHUNKS_PER_STEP * (per_chunk - 1)
+    if n_samples <= 16:
+        assert len(traj) == dyn.CHUNKS_PER_STEP + 1
+    assert traj.times[0] == t_offset
+    assert np.all(np.diff(traj.times) > 0.0)
+    ends = list(itertools.accumulate([t_offset] + [t_mon / 8] * 8))
+    assert set(ends) <= set(traj.times.tolist())
+    assert traj.times[-1] == ends[-1]
+    two = dyn.sample_step(cov, coeffs, t_mon, 2, t_offset)
+    assert traj.covs[-1].tobytes() == two.covs[-1].tobytes()
+
+
+@pytest.mark.parametrize("n_samples", [2, 120])
+def test_sample_step_of_length_0_keeps_its_start_and_a_bad_length_is_rejected(n_samples):
+    protocol = om._prepare(mbqc.identity_program(), om.params_set1())
+    cov, coeffs = protocol.initial_cov(), protocol.steps[0]
+    traj = dyn.sample_step(cov, coeffs, 0.0, n_samples, 5e-6)
+    assert traj.times.tolist() == [5e-6]
+    assert np.array_equal(traj.covs, cov[None])
+    for t_mon in (-1e-6, *NON_FINITE):
+        with pytest.raises(ValueError, match="interval h must be finite and non-negative"):
+            dyn.sample_step(cov, coeffs, t_mon, n_samples, 0.0)
+
+
 def test_a_step_makes_one_grid_rule_svd_and_a_flow_per_chunk_grid(monkeypatch):
     # At 120 samples each chunk lays a grid of its own: a step builds at most
     # the chunk's flow and one flow per chunk grid, and suggests all its
     # chunks' grid steps in one SVD.
     svds, flows, per_step = [], [], []
-    svd, flow, sample_flow = np.linalg.svd, dyn._flow, om._sample_flow
+    svd, flow, sample_step = np.linalg.svd, dyn._flow, om.sample_step
 
     def counting_svd(*args, **kwargs):
         svds.append(args[0].shape)
@@ -1046,18 +1096,18 @@ def test_a_step_makes_one_grid_rule_svd_and_a_flow_per_chunk_grid(monkeypatch):
 
     def spy(*args):
         before = len(svds), len(flows)
-        traj = sample_flow(*args)
+        traj = sample_step(*args)
         per_step.append((len(svds) - before[0], len(flows) - before[1]))
         return traj
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(dyn, "_flow", counting_flow)
-    monkeypatch.setattr(om, "_sample_flow", spy)
+    monkeypatch.setattr(om, "sample_step", spy)
     run_short_case(120)
     assert len(per_step) == len(GUARD_CASE[2].durations)
     for n_svd, n_flow in per_step:
         assert n_svd == 1
-        assert n_flow <= 1 + om.CHUNKS_PER_STEP
+        assert n_flow <= 1 + dyn.CHUNKS_PER_STEP
 
 
 @pytest.mark.parametrize("samples_per_step", [2, 9, 16])
@@ -1066,7 +1116,7 @@ def test_chunks_of_two_samples_report_a_non_finite_sample_at_its_time(
     # NaN from the fourth sample of step 2 on: it is reported at that
     # sample's time, with no warning from the later solves of the step.
     traj = frame_trajectories(lambda: run_short_case(samples_per_step))[1]
-    assert len(traj) == om.CHUNKS_PER_STEP + 1
+    assert len(traj) == dyn.CHUNKS_PER_STEP + 1
     faulty_advance_from(monkeypatch, traj.covs[4],
                         {0: lambda s: np.full_like(s, np.nan)})
     with warnings.catch_warnings():
@@ -1288,7 +1338,7 @@ def greedy_oracle(program, params, time_resolution, max_step_duration):
     """The greedy search one increment at a time, as a reference.
 
     Each increment is propagated with ``Propagator.advance``, guarded with
-    ``_check_samples`` at its elapsed step time, and scored by a per-state
+    ``check_samples`` at its elapsed step time, and scored by a per-state
     completion and ``fidelity``. Returns the schedule and, per step, the
     covariance it started from, the increments scanned and how it ended.
     """
@@ -1313,7 +1363,7 @@ def greedy_oracle(program, params, time_resolution, max_step_duration):
         while elapsed + time_resolution <= max_step_duration + 1e-15:
             cov = coeffs.propagator.advance(cov, time_resolution)
             elapsed += time_resolution
-            dyn._check_samples([elapsed], cov[None])
+            dyn.check_samples([elapsed], cov[None])
             step["scanned"] += 1
             f_now = completed(cov, k)
             if f_now > best_f:
@@ -1325,7 +1375,7 @@ def greedy_oracle(program, params, time_resolution, max_step_duration):
             step["stop"] = "never_improved"
             best_t = time_resolution
             best_cov = coeffs.propagator.advance(best_cov, time_resolution)
-            dyn._check_samples([time_resolution], best_cov[None])
+            dyn.check_samples([time_resolution], best_cov[None])
         cov = best_cov
         durations.append(best_t)
         steps.append(step)
@@ -1649,6 +1699,19 @@ def test_schedule_validation():
         om.MonitoringSchedule((1e-6, 0.0))
     sched = om.MonitoringSchedule.equal(2e-6, 4)
     assert sched.total == pytest.approx(8e-6)
+
+
+@pytest.mark.parametrize("n_steps", [-1, 2.5, True, "4", None],
+                         ids=["negative", "float", "bool", "str", "none"])
+def test_an_equal_schedule_needs_a_non_negative_integer_step_count(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be a non-negative integer"):
+        om.MonitoringSchedule.equal(2e-6, n_steps)
+
+
+def test_an_equal_schedule_of_no_steps_is_empty():
+    # A pattern may measure no node; a numpy integer counts as an integer.
+    assert om.MonitoringSchedule.equal(2e-6, 0).durations == ()
+    assert om.MonitoringSchedule.equal(2e-6, np.int64(3)).durations == (2e-6,) * 3
 
 
 def test_schedule_rejects_non_finite_durations():

@@ -594,13 +594,13 @@ def test_one_physicality_slack():
         with pytest.raises(ValueError, match="fidelity input is unphysical"):
             st.fidelity_to(cov[None], st.vacuum(2))
         with pytest.raises(dyn.PhysicalityError) as err:
-            dyn._check_samples([1.0], cov[None])
+            dyn.check_samples([1.0], cov[None])
         assert err.value.t == 1.0
         assert_allclose(err.value.nu_min, nu, rtol=0, atol=1e-12)
         assert str(err.value) == ("covariance lost physicality at t = 1.000000e+00 "
                                   f"(min symplectic eigenvalue {printed})")
     # Just inside the slack, the guard passes the sample.
-    dyn._check_samples([1.0], np.diag([0.5 - 5e-10] * 2 + [0.5, 0.5])[None])
+    dyn.check_samples([1.0], np.diag([0.5 - 5e-10] * 2 + [0.5, 0.5])[None])
 
 
 # ---------------------------------------------------------------------------
