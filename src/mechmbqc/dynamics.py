@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -207,11 +208,14 @@ class Propagator:
 
     :meth:`sample` applies the flow of one interval length repeatedly and
     writes each sample into a preallocated stack; :meth:`advance` is
-    :meth:`sample` of one entry. Every sample is one product and one LAPACK
-    ``dgesv``, whatever h; the map it applies, :func:`_flow` of its interval
-    length, is built when that length is first used and kept while it is
-    one of the last two lengths used. Let lambda be the largest real part in
-    the spectrum of H, by which X grows.
+    :meth:`sample` of one entry, and :meth:`sample_chains` advances
+    independent chains, each of its own interval length, in lockstep. One
+    kernel, :meth:`_step`, forms every sample, of a lone chain or of a stack
+    of chains: one product, one LAPACK ``dgesv`` per chain and one
+    symmetrization, whatever h. The map it applies, :func:`_flow` of the
+    interval length, is built when that length is first used and kept while
+    it is one of the last two lengths used. Let lambda be the largest real
+    part in the spectrum of H, by which X grows.
 
     * If h lambda <= 1, the interval is one Davison-Maki step: [X; Y] =
       Phi[:, :n] + Phi[:, n:] sigma, then X^T sigma' = Y^T. X grows by at
@@ -242,11 +246,12 @@ class Propagator:
     with the bits of ``scipy.linalg.expm``, which it falls back to for a
     triangular or diagonal h H.
 
-    A propagator may serve several threads at once: each :meth:`sample`
-    call works in scratch of its own, and the flows of the last two interval
-    lengths used sit in a ``functools.lru_cache`` over :func:`_flow`. A
-    singular matrix in any solve raises :class:`numpy.linalg.LinAlgError`;
-    an interval h that is not finite and >= 0 raises ``ValueError``.
+    A propagator may serve several threads at once: each thread works in
+    scratch of its own, and the flows of the last two interval lengths used
+    sit in a ``functools.lru_cache`` over :func:`_flow`. A singular matrix
+    in any solve, the flow's included, raises
+    :class:`numpy.linalg.LinAlgError`; an interval h that is not finite and
+    >= 0 raises ``ValueError``.
     """
 
     def __init__(self, coeffs: EvolutionCoefficients):
@@ -260,13 +265,15 @@ class Propagator:
         self.hamiltonian[d:, d:] = a
         self.hamiltonian.flags.writeable = False
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
-        # Seed-0 benchmark blocks reuse few flows: 10 hits in 1,008 sample
-        # calls of a protocol block (32 ops), none in 128 of a sweep block
-        # (8 ops), and 30 in 446 of an optimize block (12 ops), 26 of them in
-        # the search's later blocks of a step. Without the cache an optimize
-        # block ran 3.3% slower (15 of 16 in-process pairs), the others no
-        # slower, so it stays. The closure holds no reference to the
-        # propagator, so no cycle forms.
+        # Seed-0 benchmark blocks reuse few flows: 10 hits in 1,008 lookups
+        # of a protocol block (32 ops), none in 128 of a sweep block (8 ops),
+        # and 30 in 446 of an optimize block (12 ops), 26 of them in the
+        # search's later blocks of a step. A lockstep of chains looks its
+        # flows up in chain order, as one sample call per chain did, so these
+        # counts are those of the calls it replaced. Without the cache an
+        # optimize block ran 3.3% slower (15 of 16 in-process pairs), the
+        # others no slower, so it stays. The closure holds no reference to
+        # the propagator, so no cycle forms.
         hamiltonian, rate = self.hamiltonian, self.rate
         witnesses = _off_diagonal_witnesses(hamiltonian)
 
@@ -278,20 +285,19 @@ class Propagator:
 
     def sample(self, sigma: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
         """Write the covariances after 1, 2, ..., ``len(out)`` intervals ``h``
-        from ``sigma`` into the stack ``out``, and return it.
+        from ``sigma`` into the stack ``out``, and return it: one chain of
+        :meth:`_step` on lone matrices.
 
-        If the solve of entry k fails, the ``LinAlgError`` raised carries
-        ``samples_written = k``: the entries before it hold their samples.
-        An empty ``out`` is returned as it is, and no flow is built for it.
+        If the flow or the solve of entry k fails, the ``LinAlgError`` raised
+        carries ``samples_written = k``: the entries before it hold their
+        samples. An empty ``out`` is returned as it is, and no flow is built
+        for it.
         """
         if not len(out):
             return out
-        flow, step, d = self._flow(h), self._step, self.dim
-        # Scratch of one call: [X; Y / 2], its Fortran-ordered views X^T and
-        # Y^T / 2 that dgesv solves in place, and the interval form's Psi Z.
-        scratch = np.empty((3 * d, d))
-        work = scratch[:2 * d], scratch[:d].T, scratch[d:2 * d].T, scratch[2 * d:]
+        k = 0
         try:
+            flow, step, work = self._flow(h), self._step, _scratch(self.dim)
             for k in range(len(out)):
                 sigma = step(sigma, flow, work, out[k])
         except np.linalg.LinAlgError as error:
@@ -299,21 +305,77 @@ class Propagator:
             raise
         return out
 
-    def _step(self, sigma, flow, work, out) -> np.ndarray:
-        """One sample: ``flow`` applied to ``sigma``, written to ``out``,
-        with the views ``work`` of the call's scratch."""
-        offset, slope, post = flow
-        xy, x_t, y_t, psi_z = work
-        np.matmul(slope, sigma, xy)
-        xy += offset
-        # Y X^-1 is symmetric, so it equals X^-T Y^T, which one solve gives;
-        # in the interval form, (I + sigma W_o) Z = sigma Psi^T.
-        half = _solve(x_t, y_t)
-        if post is not None:
+    def sample_chains(self, chains: list, out: np.ndarray) -> np.ndarray:
+        """Write independent chains of samples into the stack ``out`` in
+        lockstep, and return it.
+
+        Chain ``(sigma, h, first, count)`` writes what :meth:`sample` of
+        ``count`` intervals ``h`` from ``sigma`` writes, with its bits, into
+        ``out[first:first + count]``; the chains are in time order and do not
+        overlap. Their flows are built in that order, so the flow cache sees
+        the lookups of one :meth:`sample` call per chain. The chains of each
+        form and count then advance together: per interval, one
+        :meth:`_step` of their stack, so every sample is still one ``dgesv``
+        of its own.
+
+        If a flow or a solve fails, the chains are redone one :meth:`sample`
+        at a time, in time order: the first failure in time is raised, its
+        ``LinAlgError`` carrying ``samples_written``, the index in ``out`` of
+        the sample that failed, with every sample of a chain before it
+        written.
+        """
+        try:
+            # Chains of one form and one count, in time order. A Davison-Maki
+            # chain does not join the interval form's stack as one with Psi = I
+            # and W_c = 0: adding that W_c flips the sign of exact zeros.
+            groups = {}
+            for sigma, h, first, count in chains:
+                flow = self._flow(h)
+                groups.setdefault((len(flow), count), []).append((first, sigma, *flow))
+            for (_, count), group in groups.items():
+                firsts, sigmas, *flow = zip(*group)
+                sigmas, flow = np.stack(sigmas), [np.stack(part) for part in flow]
+                work = _scratch(self.dim, len(group))
+                gaps = {b - a for a, b in zip(firsts, firsts[1:])} or {1}
+                for k in range(count):
+                    # Evenly spaced samples are written in place, others copied.
+                    dest = out[firsts[0] + k::min(gaps)][:len(group)] if len(gaps) == 1 else sigmas
+                    sigmas = self._step(sigmas, flow, work, dest)
+                    if len(gaps) > 1:
+                        out[[first + k for first in firsts]] = sigmas
+        except np.linalg.LinAlgError:
+            for sigma, h, first, count in chains:
+                try:
+                    self.sample(sigma, h, out[first:first + count])
+                except np.linalg.LinAlgError as error:
+                    error.samples_written += first
+                    raise
+        return out
+
+    def _step(self, sigmas, flow, work, out) -> np.ndarray:
+        """One sample of each chain of a stack, the one code that forms a
+        sample: entry i of ``out`` is the flow of entry i of the stacks
+        ``flow`` applied to entry i of ``sigmas``, in the :func:`_scratch`
+        ``work`` of the stack's shape. A lone chain may come as lone
+        matrices, with no stack axis. ``flow`` is ``(offsets, slopes)`` of
+        [X; Y / 2] = offset + slope sigma, plus ``(W_c / 2, Psi)`` in the
+        interval form. ``out`` may be ``sigmas``; a singular solve raises
+        :class:`numpy.linalg.LinAlgError`.
+        """
+        offsets, slopes, *post = flow
+        xy, solves, half, half_t, psi_z, psi_z_t = work
+        np.matmul(slopes, sigmas, xy)
+        xy += offsets
+        # Y X^-1 is symmetric, so it equals X^-T Y^T, which one solve per chain
+        # gives in place; in the interval form, (I + sigma W_o) Z = sigma Psi^T.
+        for x_t, y_t in solves:
+            _solve(x_t, y_t)
+        if post:
             w_c, psi = post
-            half = np.matmul(psi, half, psi_z)
-            half += w_c
-        return np.add(half, half.T, out)
+            np.matmul(psi, half, psi_z)
+            psi_z += w_c
+            half, half_t = psi_z, psi_z_t
+        return np.add(half, half_t, out)
 
     def advance(self, sigma: np.ndarray, h: float) -> np.ndarray:
         """Covariance after an interval ``h``, starting from ``sigma``:
@@ -322,11 +384,11 @@ class Propagator:
 
 
 def _flow(hamiltonian: np.ndarray, rate: float, witnesses: tuple, h: float):
-    """``(offset, slope, post)`` of the interval ``h`` of the flow of
+    """``(offset, slope)`` of the interval ``h`` of the flow of
     :class:`Propagator` with H ``hamiltonian``, of largest growth rate
-    ``rate`` and :func:`_off_diagonal_witnesses` ``witnesses``: [X; Y / 2] =
-    offset + slope sigma, and ``post`` is ``None`` for a Davison-Maki step
-    or ``(W_c / 2, Psi)`` for the interval form."""
+    ``rate`` and :func:`_off_diagonal_witnesses` ``witnesses``, with
+    [X; Y / 2] = offset + slope sigma, for a Davison-Maki step, or
+    ``(offset, slope, W_c / 2, Psi)`` for the interval form."""
     # h = 0 is the identity flow.
     if not 0.0 <= h < math.inf:
         raise ValueError(f"interval h must be finite and non-negative, got {h!r}")
@@ -335,9 +397,9 @@ def _flow(hamiltonian: np.ndarray, rate: float, witnesses: tuple, h: float):
     d = len(hamiltonian) // 2
     if halvings:
         w_c, psi, w_o = _doubled_map(phi, d, halvings)
-        return np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), (0.5 * w_c, psi)
+        return np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), 0.5 * w_c, psi
     phi[d:] *= 0.5
-    return np.ascontiguousarray(phi[:, :d]), np.ascontiguousarray(phi[:, d:]), None
+    return np.ascontiguousarray(phi[:, :d]), np.ascontiguousarray(phi[:, d:])
 
 
 def _halvings(h: float, rate: float) -> int:
@@ -351,6 +413,27 @@ def _halvings(h: float, rate: float) -> int:
     (m_h, e_h), (m_rate, e_rate) = math.frexp(h), math.frexp(rate)
     mantissa, exponent = math.frexp(m_h * m_rate)
     return max(0, exponent + e_h + e_rate - (mantissa == 0.5)) if mantissa else 0
+
+
+# Per thread, the scratch of :meth:`Propagator._step` by dimension and stack
+# shape. A thread runs one step at a time, so its propagators can share it.
+_scratches = threading.local()
+
+
+def _scratch(d: int, *shape) -> list:
+    """The scratch of :meth:`Propagator._step` on stacks of ``shape``, ``()``
+    for lone matrices, of dimension ``d``: per chain [X; Y / 2], its
+    Fortran-ordered views X^T and Y^T / 2 that dgesv solves in place, the
+    solution Z read back from Y^T / 2 and its transpose, and the interval
+    form's Psi Z and its transpose. Each thread builds it once and reuses it,
+    and threads never share it."""
+    kept = vars(_scratches)
+    if (d, shape) not in kept:
+        scratch = np.empty((*shape, 3 * d, d))
+        xy, z_t, psi_z = scratch[..., :2 * d, :], scratch[..., d:2 * d, :], scratch[..., 2 * d:, :]
+        kept[d, shape] = [xy, [(x[:d].T, x[d:].T) for x in xy.reshape(-1, 2 * d, d)],
+                          z_t.swapaxes(-1, -2), z_t, psi_z, psi_z.swapaxes(-1, -2)]
+    return kept[d, shape]
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -600,18 +683,19 @@ def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
     keep only the ends, whatever the step, so no step is needed. Otherwise the grid
     rule takes the stack of chunk starts, ``sigma`` and all ends but the last, once,
     and each chunk's interior is one chain of its grid's sample interval from its
-    start, written into the step's one stack, allocated at its final size. A
-    ``LinAlgError`` of the ends' chain, of the grid rule on a start that is not
-    finite, or of an interior is raised after the samples before it in time are
-    guarded. A ``chunk`` of 0 keeps only the start; a negative or non-finite one
-    fails the flow's own check.
+    start. The chains are independent, so one :meth:`Propagator.sample_chains`
+    call writes them all in lockstep into the step's one stack, allocated at its
+    final size. A ``LinAlgError`` of the ends' chain, of the grid rule on a start
+    that is not finite, or of an interior, a flow's build included, is raised
+    after the samples before it in time are guarded. A ``chunk`` of 0 keeps only
+    the start; a negative or non-finite one fails the flow's own check.
     """
-    sample, fault = coeffs.propagator.sample, None
+    propagator, fault = coeffs.propagator, None
     n_chunks = n_chunks if chunk else 0
     starts = np.empty((1 + n_chunks, *sigma.shape))
     starts[0] = sigma
     try:
-        sample(sigma, chunk, starts[1:])
+        propagator.sample(sigma, chunk, starts[1:])
     except np.linalg.LinAlgError as error:
         fault, starts = error, starts[:1 + error.samples_written]
     bounds = list(accumulate([t_offset] + [chunk] * n_chunks))  # chunk starts and ends
@@ -633,18 +717,16 @@ def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
             # past 2^53 steps its ceiling can differ from the exact one.
             sample_every = max(1, math.ceil(n_steps / max(1, n_samples - 1)))
             marks = range(sample_every, n_steps, sample_every)
-            grids.append((len(times), sample_every * step, len(marks)))
+            grids.append((sample_every * step, len(times), len(marks)))
             times += [start + k * step for k in marks] + [end]
         covs = np.empty((len(times), *sigma.shape))
-        ends = [first + count for first, _, count in grids[:len(starts) - 1]]
+        ends = [first + count for _, first, count in grids[:len(starts) - 1]]
         covs[[0, *ends]] = starts[:1 + known]
         filled = len(times) - (len(starts) == known)  # less an end whose solve failed
-        for start, (first, h, count) in zip(starts, grids):
-            try:
-                sample(start, h, covs[first:first + count])
-            except np.linalg.LinAlgError as error:
-                fault, filled = error, first + error.samples_written
-                break
+        try:
+            propagator.sample_chains([(s, *g) for s, g in zip(starts, grids) if g[2]], covs)
+        except np.linalg.LinAlgError as error:
+            fault, filled = error, error.samples_written
     check_samples(times[1:filled], covs[1:filled])
     if fault is not None:
         raise fault

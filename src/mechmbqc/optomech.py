@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mbqc
 from .states import (GaussianState, build_cluster, condition_on_homodyne, fidelity_to,
-                     is_index, is_integer, thermal, vacuum)
+                     is_index, is_integer, real_number, thermal, vacuum)
 from .dynamics import (
     EvolutionCoefficients,
     PhysicalityError,
@@ -235,24 +235,28 @@ def _monitored_channel(kappa: float, eta: float, r_post_meas_db: float,
 
 @dataclass(frozen=True)
 class MonitoringSchedule:
-    """Durations of the monitoring steps, in seconds."""
+    """Durations of the monitoring steps, in seconds: a sequence (not a
+    string) of :func:`~mechmbqc.states.real_number` values, each positive and
+    finite, or a ``ValueError``."""
 
     durations: tuple
 
     def __post_init__(self):
-        durations = tuple(float(t) for t in self.durations)
+        if isinstance(self.durations, (str, bytes)) or not np.iterable(self.durations):
+            raise ValueError(f"durations must be a sequence of numbers, got {self.durations!r}")
+        durations = tuple(real_number(t, "a monitoring duration") for t in self.durations)
         if not all(0 < t < np.inf for t in durations):
             raise ValueError("monitoring durations must be positive and finite")
         object.__setattr__(self, "durations", durations)
 
     @staticmethod
     def equal(t_mon: float, n_steps: int) -> "MonitoringSchedule":
-        """``n_steps`` steps of ``t_mon`` each. ``n_steps`` is a non-negative
-        :func:`is_integer` (0 for a pattern that measures no node), or a
-        ``ValueError``."""
+        """``n_steps`` steps of ``t_mon`` each. ``t_mon`` is a
+        :func:`real_number` and ``n_steps`` a non-negative :func:`is_integer`
+        (0 for a pattern that measures no node), or a ``ValueError``."""
         if not (is_integer(n_steps) and n_steps >= 0):
             raise ValueError(f"n_steps must be a non-negative integer, got {n_steps!r}")
-        return MonitoringSchedule((float(t_mon),) * n_steps)
+        return MonitoringSchedule((real_number(t_mon, "t_mon"),) * n_steps)
 
     @property
     def total(self) -> float:

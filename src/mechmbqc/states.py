@@ -134,6 +134,16 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def real_number(value, name: str) -> float:
+    """``value`` as a plain ``float``: the package's one rule for a real
+    argument. It must be an ``int``, a ``float`` or a numpy real, and not a
+    bool, a string or bytes; otherwise a ``ValueError`` names ``name`` and
+    the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def is_index(value, size: int) -> bool:
     """Whether ``value`` is an :func:`is_integer` (not a bool, not a float)
     in ``range(size)``: the package's one test of a mode or node index."""

@@ -47,11 +47,11 @@ def generic_solve_advance(propagator, sigma, h):
     stored halved, solves X^T s = Y^T / 2, applies the interval form's
     post-map W_c / 2 + Psi s if the flow has one, and symmetrizes the half
     covariance s as s + s^T."""
-    offset, slope, post = propagator._flow(h)
+    offset, slope, *post = propagator._flow(h)
     d = propagator.dim
     xy = offset + slope @ sigma
     sigma = np.linalg.solve(xy[:d].T, xy[d:].T)
-    if post is not None:
+    if post:
         w_c, psi = post
         sigma = w_c + psi @ sigma
     return sigma + sigma.T
@@ -101,9 +101,9 @@ def product_halvings(h, rate):
 def expm_flow(propagator, h):
     """``Propagator._flow(h)`` built with no cache and with
     ``scipy.linalg.expm``, as before the flows called scipy's Pade kernels
-    directly: ``(offset, slope, post)`` with [X; Y / 2] = offset + slope
-    sigma, and ``post`` ``None`` for a Davison-Maki step or ``(W_c / 2,
-    Psi)`` for the interval form, halved by :func:`product_halvings` and
+    directly: ``(offset, slope)`` with [X; Y / 2] = offset + slope sigma
+    for a Davison-Maki step, or ``(offset, slope, W_c / 2, Psi)`` for the
+    interval form, halved by :func:`product_halvings` and
     doubled by :func:`doubled_map`. ``propagator`` needs only ``hamiltonian``,
     ``rate`` and ``dim``."""
     halvings = product_halvings(h, propagator.rate)
@@ -111,20 +111,17 @@ def expm_flow(propagator, h):
     d = propagator.dim
     if halvings:
         w_c, psi, w_o = doubled_map(phi, d, halvings)
-        return np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), (0.5 * w_c, psi)
+        return np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), 0.5 * w_c, psi
     phi[d:] *= 0.5
-    return np.ascontiguousarray(phi[:, :d]), np.ascontiguousarray(phi[:, d:]), None
+    return np.ascontiguousarray(phi[:, :d]), np.ascontiguousarray(phi[:, d:])
 
 
 def same_flow(got, want) -> bool:
-    """Whether two ``(offset, slope, post)`` flows agree in every bit, the
-    sign of zeros too."""
-    (g_offset, g_slope, g_post), (w_offset, w_slope, w_post) = got, want
-    if (g_post is None) != (w_post is None):
-        return False
-    pairs = [(g_offset, w_offset), (g_slope, w_slope), *zip(g_post or (), w_post or ())]
-    return all(g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
-               for g, w in pairs)
+    """Whether two flows, ``(offset, slope)`` or ``(offset, slope, W_c / 2,
+    Psi)``, agree in every bit, the sign of zeros too."""
+    return len(got) == len(want) and all(
+        g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want))
 
 
 def substep_chain_advance(propagator, sigma, h):

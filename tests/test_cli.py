@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mechmbqc import cli, optomech
+from mechmbqc import cli, dynamics, optomech
 from mechmbqc import config as config_module
 from mechmbqc.config import ConfigError, PRESETS, config_from_dict, load_config
 from mechmbqc.optomech import run_monitoring_protocol
@@ -528,6 +528,19 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("numerical failure: covariance lost physicality")
+
+
+def test_a_failed_flow_build_exits_3(tmp_path, monkeypatch, capsys):
+    # A solve that fails while a step's flow is built reaches the CLI as the
+    # LinAlgError it is, so simulate exits 3 with its message.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix in a flow")
+
+    monkeypatch.setattr(dynamics, "_flow", singular)
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path, BASE)),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "numerical failure: Singular matrix in a flow\n"
 
 
 @pytest.mark.parametrize("error, exit_code", [

@@ -20,6 +20,7 @@ from scipy import linalg as sla
 from mechmbqc import dynamics as dyn
 from mechmbqc.states import GaussianState, symplectic_form, vacuum
 
+from faults import fault_samples
 from oracles import (
     doubled_map,
     expm_flow,
@@ -338,29 +339,16 @@ def test_integrate_aborts_on_physicality_loss():
 
 
 def failing_propagator(monkeypatch, coeffs, clean, failures):
-    """Make the samples of ``coeffs.propagator`` misbehave from the first one
-    that ``failures`` names on.
+    """Make the samples of ``coeffs.propagator`` misbehave.
 
     ``failures`` maps a sample number of the clean trajectory ``clean``
     (1-based, in time order) to a function of the correctly advanced
-    covariance that returns the sample to store or raises. The first named
-    sample is found by its clean value, whatever the order in which the
-    samples are computed, and each later sample computed counts as the next
-    one, as along the chain of a grid.
+    covariance that returns the sample to store or raises. Each sample is
+    keyed on its clean value, whatever the order or the stack in which the
+    samples are formed; those after a fault count on from it, as along the
+    chain of a grid (:func:`faults.fault_samples`).
     """
-    propagator = coeffs.propagator
-    step = propagator._step
-    first = min(failures)
-    calls = []
-
-    def faulty(sigma, flow, work, out):
-        step(sigma, flow, work, out)
-        if calls or np.array_equal(out, clean.covs[first]):
-            calls.append(flow)
-            out[...] = failures.get(first + len(calls) - 1, lambda s: s)(out)
-        return out
-
-    monkeypatch.setattr(propagator, "_step", faulty)
+    fault_samples(monkeypatch, clean.covs, failures, coeffs.propagator)
 
 
 # A start that relaxes towards vacuum, so every sample of the grid below has a
@@ -567,7 +555,7 @@ def test_propagator_substep_is_a_generic_solve(seed, n_modes, substeps):
     h = (substeps - 0.5) / propagator.rate
     # h lambda <= 1 is one Davison-Maki step; a longer interval takes the
     # interval form, whose flow carries a post-map.
-    assert (propagator._flow(h)[2] is None) == (substeps == 1)
+    assert (len(propagator._flow(h)) == 2) == (substeps == 1)
     squeezing = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=n_modes)
     sigma = reference = 0.5 * np.diag(np.exp(np.ravel([[r, -r] for r in squeezing])))
     for _ in range(4):
@@ -597,8 +585,8 @@ def test_propagator_matches_the_substep_chain_at_any_interval_length(
     # 10,200 draws of these coefficients up to h lambda = 1000.
     scale = np.linalg.cond(reference) * np.max(np.abs(reference))
     assert np.max(np.abs(sigma - reference)) <= 5e-14 * scale
-    _, slope, post = propagator._flow(h)
-    if post is not None:
+    _, slope, *post = propagator._flow(h)
+    if post:
         for w in (post[0], slope[:2 * n_modes]):
             assert np.array_equal(w, w.T)
             assert np.linalg.eigvalsh(w).min() >= -1e-14 * np.max(np.abs(w))
@@ -932,6 +920,118 @@ def test_sample_is_chained_one_sample_calls_bit_for_bit(seed, n_modes, h_rate):
         sigma = propagator.advance(sigma, h)
         chained.append(sigma)
     assert np.array_equal(out, chained)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 3),
+       chains=hst.lists(hst.tuples(hst.integers(0, 15), hst.sampled_from([0.5, 8.0]),
+                                   hst.integers(0, 2)), min_size=1, max_size=8)
+       .filter(lambda chains: len(chains) == 1 or len({c[0] for c in chains}) > 1))
+def test_sample_chains_is_one_sample_call_per_chain_bit_for_bit(seed, n_modes, chains):
+    # Chains of unequal counts, h lambda = 0.5 (Davison-Maki) or 8 (the
+    # interval form) and 0 to 2 entries between them: the lockstep writes the
+    # bits, signs of zeros included, of one sample call per chain in time order.
+    propagator = random_physical_coefficients(seed, n_modes).propagator
+    rng = np.random.default_rng(seed + 1)
+    dim, first, args = 2 * n_modes, 0, []
+    for count, h_rate, gap in chains:
+        squeezing = rng.uniform(-1.0, 1.0, size=n_modes)
+        thermal = rng.uniform(1.0, 2.0)  # a squeezed thermal state
+        sigma = 0.5 * thermal * np.diag(np.exp(np.ravel([[r, -r] for r in squeezing])))
+        args.append((sigma, h_rate / propagator.rate, first + gap, count))
+        first += gap + count
+    want, got = np.full((2, first, dim, dim), 7.0)
+    for sigma, h, start, count in args:
+        propagator.sample(sigma, h, want[start:start + count])
+    assert propagator.sample_chains(args, got) is got
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_davison_maki_chain_keeps_the_signs_of_its_exact_zeros(monkeypatch):
+    # A Davison-Maki flow with X = -I and Y = I gives Z = -I / 2, whose zeros
+    # are negative, so each sample is -I with negative zeros. Taken as the
+    # interval form with Psi = I and W_c = 0, the lockstep would add W_c and
+    # turn them positive.
+    flow = np.vstack([-np.eye(2), 0.5 * np.eye(2)]), np.zeros((4, 2))
+    monkeypatch.setattr(dyn, "_flow", lambda *args: flow)
+    propagator = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2)).propagator
+    want, got = np.full((2, 8, 2, 2), 7.0)
+    chains = [(GRID_START, 0.1, 0, 3), (GRID_START, 0.2, 4, 3)]
+    for sigma, h, first, count in chains:
+        propagator.sample(sigma, h, want[first:first + count])
+    propagator.sample_chains(chains, got)
+    assert np.signbit(want[[0, 4], 0, 1]).all()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_an_earlier_chunk_failing_later_takes_over_a_later_chunk_failing_earlier(
+        monkeypatch):
+    # Chunk 5's first interior solve fails, and then, in the same lockstep,
+    # chunk 2's sixth. Chunk 2's failure is the earlier in time: it is raised,
+    # after the one guard of the samples before it.
+    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
+    clean = dyn.sample_step(GRID_START, coeffs, 8.0, 120, 0.0)
+    ends = np.searchsorted(clean.times, np.arange(1.0, 9.0))
+    first_2, first_5 = ends[1] + 1, ends[4] + 1
+    assert ends[2] - first_2 > 5 and clean.times[ends[7]] == 8.0
+
+    def failure(chunk):
+        def fail(sigma):
+            raise np.linalg.LinAlgError(f"chunk {chunk}")
+        return fail
+
+    guarded, check = [], dyn.check_samples
+
+    def spy(times, covs):
+        guarded.append(len(times))
+        check(times, covs)
+
+    monkeypatch.setattr(dyn, "check_samples", spy)
+    fault_samples(monkeypatch, clean.covs, {first_2 + 5: failure(2), first_5: failure(5)},
+                  coeffs.propagator)
+    with pytest.raises(np.linalg.LinAlgError, match="chunk 2") as info:
+        dyn.sample_step(GRID_START, coeffs, 8.0, 120, 0.0)
+    assert info.value.samples_written == first_2 + 5
+    assert guarded == [first_2 + 4]
+
+
+def test_sample_chains_reports_a_failed_flow_build_at_its_chain(monkeypatch):
+    # The flow of the later chain fails to build: the earlier chain is
+    # written, and the failure is that chain's first sample.
+    propagator = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2)).propagator
+    flow = dyn._flow
+
+    def failing_flow(hamiltonian, rate, witnesses, h):
+        if h == 0.3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return flow(hamiltonian, rate, witnesses, h)
+
+    monkeypatch.setattr(dyn, "_flow", failing_flow)
+    want, got = np.zeros((2, 9, 2, 2))
+    propagator.sample(GRID_START, 0.1, want[1:4])
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        propagator.sample_chains([(GRID_START, 0.1, 1, 3), (GRID_START, 0.3, 5, 3)], got)
+    assert info.value.samples_written == 5
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("run", [
+    lambda coeffs: dyn.sample_step(GRID_START, coeffs, 16.0, 2, 0.0),
+    lambda coeffs: dyn.sample_step(GRID_START, coeffs, 16.0, 120, 0.0),
+    lambda coeffs: dyn.integrate(GRID_START, coeffs, 4.0, dt=0.5),
+], ids=["step-of-2", "step-of-120", "integrate"])
+def test_a_failed_flow_build_raises_its_own_linalg_error(monkeypatch, run):
+    # The chunk ends' interval, h lambda = 2, takes the interval form, whose
+    # doubling fails: the sampler raises that error, after the samples
+    # before it, not an AttributeError.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix in a doubling")
+
+    monkeypatch.setattr(dyn, "_doubled_map", singular)
+    coeffs = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2))
+    assert coeffs.propagator.rate == 1.0
+    with pytest.raises(np.linalg.LinAlgError, match="in a doubling"):
+        run(coeffs)
 
 
 def test_propagator_raises_on_an_exactly_singular_substep():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import re
 import sys
 import types
 import warnings
@@ -22,6 +23,7 @@ from mechmbqc import states as st
 
 from dataclasses import fields, replace
 
+from faults import fault_samples
 from oracles import expm_flow, generic_solve_advance, same_flow
 
 
@@ -786,23 +788,31 @@ def sample_in_chunk_3_of_step_2():
     return traj, index
 
 
-def faulty_advance_from(monkeypatch, trigger, faults):
-    """Make the propagators' samples misbehave from the one whose correctly
-    advanced value equals ``trigger`` on, whatever the order in which a step
-    computes its samples. ``faults`` maps a sample number, counted in the
-    order computed from that sample (0), to a function of the correctly
-    advanced covariance that returns the sample to store or raises."""
-    real_step = dyn.Propagator._step
-    calls = []
+def test_a_clean_step_solves_each_computed_sample_once(monkeypatch):
+    # A 120-sample set1 step computes its 8 chunk ends, one chain, and then
+    # every chunk interior in lockstep: one dgesv per sample, and one stacked
+    # step per interval of the interiors.
+    protocol = om._prepare(mbqc.identity_program(), om.params_set1())
+    dgesv, step, inside, solves, stacks = dyn.dgesv, dyn.Propagator._step, [], [], []
 
-    def step(self, sigma, flow, work, out):
-        real_step(self, sigma, flow, work, out)
-        if calls or np.array_equal(out, trigger):
-            calls.append(flow)
-            out[...] = faults.get(len(calls) - 1, lambda s: s)(out)
-        return out
+    def counting_dgesv(*args):
+        solves.extend(inside)
+        return dgesv(*args)
 
-    monkeypatch.setattr(dyn.Propagator, "_step", step)
+    def counting_step(self, sigmas, flow, work, out):
+        stacks.append(len(out) if np.ndim(out) == 3 else 1)
+        inside.append(1)
+        try:
+            return step(self, sigmas, flow, work, out)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(dyn, "dgesv", counting_dgesv)
+    monkeypatch.setattr(dyn.Propagator, "_step", counting_step)
+    traj = dyn.sample_step(protocol.initial_cov(), protocol.steps[0], 40e-6, 120, 0.0)
+    assert len(solves) == sum(stacks) == len(traj) - 1 == 112
+    assert stacks[:dyn.CHUNKS_PER_STEP] == [1] * dyn.CHUNKS_PER_STEP
+    assert stacks[dyn.CHUNKS_PER_STEP:] == [dyn.CHUNKS_PER_STEP] * 13
 
 
 def test_protocol_guards_each_step_once(monkeypatch):
@@ -823,8 +833,7 @@ def test_protocol_reports_a_non_finite_sample_at_its_time(monkeypatch):
     # reports that sample, and the NaN raises no warning on its way through
     # the later solves and dt suggestions of the step.
     traj, index = sample_in_chunk_3_of_step_2()
-    faulty_advance_from(monkeypatch, traj.covs[index],
-                        {0: lambda s: np.full_like(s, np.nan)})
+    fault_samples(monkeypatch, traj.covs, {index: lambda s: np.full_like(s, np.nan)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(dyn.PhysicalityError) as info:
@@ -840,9 +849,13 @@ def test_protocol_reports_an_unphysical_sample_before_a_later_failed_solve(
     def singular(sigma):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    # The solve fails five samples later, in a later chunk of the same step.
-    faulty_advance_from(monkeypatch, traj.covs[index],
-                        {0: lambda s: 0.3 * np.eye(len(s)), 5: singular})
+    # The solve fails later, inside the fifth chunk after that sample's, the
+    # last chunk of the same step.
+    later = index + 10
+    chunk = GUARD_CASE[2].durations[1] / dyn.CHUNKS_PER_STEP
+    assert traj.times[0] + 7.0 * chunk < traj.times[later] < traj.times[-1]
+    fault_samples(monkeypatch, traj.covs,
+                  {index: lambda s: 0.3 * np.eye(len(s)), later: singular})
     with pytest.raises(dyn.PhysicalityError) as info:
         run_guard_case()
     assert info.value.t == traj.times[index]
@@ -859,19 +872,17 @@ def test_a_failed_solve_of_a_chunk_end_after_an_unphysical_sample_reports_that_s
     assert traj.times[index] < t0 + 3.0 * chunk
     end_6 = int(np.searchsorted(traj.times, t0 + 6.0 * chunk - 1e-15))
     assert abs(traj.times[end_6] - (t0 + 6.0 * chunk)) < 1e-15
-    real_step, fired = dyn.Propagator._step, []
+    fired = []
 
-    def step(self, sigma, flow, work, out):
-        real_step(self, sigma, flow, work, out)
-        if np.array_equal(out, traj.covs[end_6]):
-            fired.append("end")
-            raise np.linalg.LinAlgError("Singular matrix")
-        if np.array_equal(out, traj.covs[index]):
-            fired.append("interior")
-            out[...] = 0.3 * np.eye(len(out))
-        return out
+    def singular(sigma):
+        fired.append("end")
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(dyn.Propagator, "_step", step)
+    def unphysical(sigma):
+        fired.append("interior")
+        return 0.3 * np.eye(len(sigma))
+
+    fault_samples(monkeypatch, traj.covs, {end_6: singular, index: unphysical})
     with pytest.raises(dyn.PhysicalityError) as info:
         run_guard_case()
     assert fired == ["end", "interior"]
@@ -890,15 +901,10 @@ def test_a_non_finite_chunk_end_is_reported_after_the_samples_before_it(
     t0, chunk = traj.times[0], GUARD_CASE[2].durations[1] / dyn.CHUNKS_PER_STEP
     end_3 = int(np.searchsorted(traj.times, t0 + 3.0 * chunk - 1e-15))
     assert index < end_3 and abs(traj.times[end_3] - (t0 + 3.0 * chunk)) < 1e-15
-    real_step, svd_failures, svd = dyn.Propagator._step, [], np.linalg.svd
-
-    def step(self, sigma, flow, work, out):
-        real_step(self, sigma, flow, work, out)
-        if np.array_equal(out, traj.covs[end_3]):
-            out[...] = np.nan
-        elif unphysical_before and np.array_equal(out, traj.covs[index]):
-            out[...] = 0.3 * np.eye(len(out))
-        return out
+    svd_failures, svd = [], np.linalg.svd
+    faults = {end_3: lambda s: np.full_like(s, np.nan)}
+    if unphysical_before:
+        faults[index] = lambda s: 0.3 * np.eye(len(s))
 
     def recording_svd(*args, **kwargs):
         try:
@@ -907,7 +913,7 @@ def test_a_non_finite_chunk_end_is_reported_after_the_samples_before_it(
             svd_failures.append(len(args[0]))
             raise
 
-    monkeypatch.setattr(dyn.Propagator, "_step", step)
+    fault_samples(monkeypatch, traj.covs, faults)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1117,8 +1123,7 @@ def test_chunks_of_two_samples_report_a_non_finite_sample_at_its_time(
     # sample's time, with no warning from the later solves of the step.
     traj = frame_trajectories(lambda: run_short_case(samples_per_step))[1]
     assert len(traj) == dyn.CHUNKS_PER_STEP + 1
-    faulty_advance_from(monkeypatch, traj.covs[4],
-                        {0: lambda s: np.full_like(s, np.nan)})
+    fault_samples(monkeypatch, traj.covs, {4: lambda s: np.full_like(s, np.nan)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(dyn.PhysicalityError) as info:
@@ -1468,22 +1473,12 @@ def test_search_block_size_changes_no_result(monkeypatch, program, temperature_k
 
 def poison_increment(monkeypatch, start_cov, propagator, increment, resolution):
     """Make the propagators' samples NaN for one increment of a step: the
-    one that starts from the covariance ``increment - 1`` clean increments
-    after ``start_cov``."""
-    poisoned_input = start_cov
-    for _ in range(increment - 1):
-        poisoned_input = propagator.advance(poisoned_input, resolution)
-    real_step = dyn.Propagator._step
-
-    def step(self, sigma, flow, work, out):
-        real_step(self, sigma, flow, work, out)
-        # The resolution's flow stays cached while a call samples it, so a
-        # flow is the resolution's iff its cache hands back that very object.
-        if np.array_equal(sigma, poisoned_input) and flow is self._flow(resolution):
-            out[...] = np.nan
-        return out
-
-    monkeypatch.setattr(dyn.Propagator, "_step", step)
+    one whose clean value lies ``increment`` clean increments after
+    ``start_cov``."""
+    clean = [start_cov]
+    for _ in range(increment):
+        clean.append(propagator.advance(clean[-1], resolution))
+    fault_samples(monkeypatch, clean, {increment: lambda s: np.full_like(s, np.nan)})
 
 
 SEARCH_CASE = (mbqc.identity_program(), replace(om.params_set1(), temperature_k=10e-3),
@@ -1706,6 +1701,32 @@ def test_schedule_validation():
 def test_an_equal_schedule_needs_a_non_negative_integer_step_count(n_steps):
     with pytest.raises(ValueError, match="n_steps must be a non-negative integer"):
         om.MonitoringSchedule.equal(2e-6, n_steps)
+
+
+@pytest.mark.parametrize("durations, bad", [
+    ("12", "'12'"), (b"12", "b'12'"), (5e-6, "5e-06"), ([True, 2e-6], "True"),
+    ([np.bool_(False), 2e-6], "False"), (["1e-6", 2e-6], "'1e-6'"), ([None], "None"),
+], ids=["str", "bytes", "bare-float", "bool", "numpy-bool", "str-entry", "none-entry"])
+def test_a_schedule_takes_a_sequence_of_real_numbers_only(durations, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        om.MonitoringSchedule(durations)
+
+
+@pytest.mark.parametrize("t_mon", ["1e-6", True, np.bool_(True), None, [1e-6]],
+                         ids=["str", "bool", "numpy-bool", "none", "list"])
+def test_an_equal_schedule_takes_a_real_step_length_only(t_mon):
+    with pytest.raises(ValueError, match=re.escape(f"t_mon must be a real number, got {t_mon!r}")):
+        om.MonitoringSchedule.equal(t_mon, 2)
+
+
+def test_a_schedule_takes_ints_floats_numpy_reals_and_arrays():
+    want = (1e-6, 2e-6)
+    assert om.MonitoringSchedule(np.array(want)).durations == want
+    assert om.MonitoringSchedule([np.float64(1e-6), 2e-6]).durations == want
+    assert om.MonitoringSchedule((np.float32(0.5), 1, np.int64(2))).durations == (0.5, 1.0, 2.0)
+    assert all(type(t) is float for t in om.MonitoringSchedule(np.array(want)).durations)
+    assert om.MonitoringSchedule.equal(np.float64(1e-6), 2).durations == (1e-6,) * 2
+    assert om.MonitoringSchedule.equal(2, 1).durations == (2.0,)
 
 
 def test_an_equal_schedule_of_no_steps_is_empty():

@@ -1,0 +1,101 @@
+"""In-process A/B pairs of one benchmark block in two checkouts.
+
+Usage (from anywhere):
+
+    python3 tools/block_ab.py --base ../parent --change . \
+        --workload protocol --pairs 10 --seed 0 --blocks 5
+
+``--base`` and ``--change`` are two checkouts of this repository, for
+example the parent commit unpacked by ``git archive`` and the working tree.
+Each pair runs one fresh subprocess per side, one after the other, and
+alternates which side runs first. A subprocess has one BLAS thread and
+imports that checkout's own ``src`` and ``perfbench/workloads.py``, which are
+only read. It builds the seed's first block of ops of the workload (32
+``protocol`` runs, 12 ``optimize`` runs, one ``sweep``), runs that block
+once to warm up, then times it ``--blocks`` times and reports the fastest.
+Sweep outputs go to a temporary directory. No output is checked: use
+``tools/same_outputs.py`` for that.
+
+The report gives each side's min and median block time over the pairs, the
+median per-pair ratio change / base, and the pairs the change won. Where
+``tools/ab_pairs.py`` times whole benchmark runs, this times the simulator
+alone, without the benchmark's host-speed probe. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS")}
+
+# The subprocess: argv is checkout, workload, seed, timed blocks; it prints
+# the fastest timed block in seconds.
+CHILD = """
+import importlib.util, sys, tempfile, time
+from pathlib import Path
+checkout, name, seed, blocks = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+sys.path.insert(0, str(checkout / "src"))
+spec = importlib.util.spec_from_file_location("workloads", checkout / "perfbench" / "workloads.py")
+workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+with tempfile.TemporaryDirectory() as tmp:
+    workload = workloads.setup(name, seed, Path(tmp))
+    ops = [workload.op(i) for i in range(workload.block_size)]
+    times = []
+    for _ in range(1 + blocks):
+        start = time.perf_counter()
+        for op in ops:
+            workload.run(op)
+        times.append(time.perf_counter() - start)
+    workload.cleanup()
+print(min(times[1:]))
+"""
+
+
+def run_side(checkout: Path, workload: str, seed: int, blocks: int) -> float:
+    """The fastest of ``blocks`` timed blocks in a fresh subprocess."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-c", CHILD, str(checkout), workload, str(seed), str(blocks)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"block_ab: {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--blocks", type=int, default=5)
+    args = parser.parse_args()
+    if args.pairs < 1 or args.blocks < 1:
+        parser.error("--pairs and --blocks must be at least 1")
+
+    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    times = {"base": [], "change": []}
+    for k in range(args.pairs):
+        for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
+            times[side].append(run_side(sides[side], args.workload, args.seed, args.blocks))
+        print(f"pair {k + 1}  base {times['base'][-1]:.4f} s  "
+              f"change {times['change'][-1]:.4f} s", flush=True)
+    ratios = [c / b for b, c in zip(times["base"], times["change"])]
+    wins = sum(r < 1.0 for r in ratios)
+    print(f"# {args.workload}, seed {args.seed}, {args.pairs} pairs, fastest of "
+          f"{args.blocks} timed blocks per side, base first in odd pairs")
+    for side, values in times.items():
+        print(f"{side:6s} min {min(values):.4f} s  median {statistics.median(values):.4f} s")
+    print(f"change / base: median ratio {statistics.median(ratios):.4f} "
+          f"({statistics.median(ratios) - 1.0:+.2%}), change faster in {wins}/{args.pairs}")
+
+
+if __name__ == "__main__":
+    main()
