@@ -11,9 +11,11 @@ identical configurations reproduce identical files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -98,6 +100,55 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     return EXIT_OK
 
 
+# The thread-count entry points of OpenBLAS as the numpy and scipy wheels
+# bundle it: numpy's 64-bit-integer build suffixes its symbols.
+_OPENBLAS_THREADS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+                     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"))
+
+
+def _openblas_threads() -> list:
+    """``(set, get)`` of the thread count of each OpenBLAS that the numpy
+    and scipy wheels bundle (in ``numpy.libs`` and ``scipy.libs``) and this
+    process has loaded, as ``ctypes`` functions; an empty list where none is
+    found (another BLAS, or another platform)."""
+    nowhere = getattr(os, "RTLD_NOLOAD", None)
+    controls = []
+    for name in ("numpy", "scipy") if nowhere is not None else ():
+        root = Path(sys.modules[name].__file__).parent
+        for path in sorted(root.parent.glob(f"{name}.libs/*openblas*")):
+            try:  # only a library already loaded: RTLD_NOLOAD loads none
+                library = ctypes.CDLL(str(path), mode=nowhere | os.RTLD_LAZY)
+            except OSError:
+                continue
+            for setter, getter in _OPENBLAS_THREADS:
+                if hasattr(library, setter) and hasattr(library, getter):
+                    set_threads, get_threads = getattr(library, setter), getattr(library, getter)
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    controls.append((set_threads, get_threads))
+                    break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """One thread on every loaded OpenBLAS while a fork pool runs, the
+    counts restored after it. Every matrix here is at most 24 x 24, so BLAS
+    threads buy nothing, and one per core in each worker oversubscribes the
+    host. The workers inherit the count when they fork: setting it in a
+    worker would restart OpenBLAS's thread pool there, whose threads spin
+    before they sleep."""
+    controls = _openblas_threads()
+    counts = [get_threads() for _, get_threads in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, counts):
+            set_threads(count)
+
+
 def _sweep_point(args):
     """:func:`_run` at one grid point; module-level so it pickles."""
     schedule, result = _run(*args)
@@ -110,10 +161,11 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     points = config.sweep_points()
     jobs = [(config, point) for point in points]
 
-    # A fork pool starts all of its workers on the first submit.
+    # A fork pool starts all of its workers on the first submit. The serial
+    # path keeps the process's BLAS threads as they are.
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:
         results = [_sweep_point(job) for job in jobs]

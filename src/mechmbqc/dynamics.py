@@ -252,6 +252,12 @@ class Propagator:
     in any solve, the flow's included, raises
     :class:`numpy.linalg.LinAlgError`; an interval h that is not finite and
     >= 0 raises ``ValueError``.
+
+    A run's chunk flows are built together, before its first step, by
+    :func:`prepare_steps`, which hands each one to its propagator. The cache
+    takes such a flow on the miss where it would have built it, so it sees
+    the same lookups, misses and evictions, and keeps the same bits; a flow
+    that was not handed over is built on the miss, as ever.
     """
 
     def __init__(self, coeffs: EvolutionCoefficients):
@@ -266,20 +272,25 @@ class Propagator:
         self.hamiltonian.flags.writeable = False
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
         # Seed-0 benchmark blocks reuse few flows: 10 hits in 1,008 lookups
-        # of a protocol block (32 ops), none in 128 of a sweep block (8 ops),
-        # and 30 in 446 of an optimize block (12 ops), 26 of them in the
-        # search's later blocks of a step. A lockstep of chains looks its
-        # flows up in chain order, as one sample call per chain did, so these
-        # counts are those of the calls it replaced. Without the cache an
-        # optimize block ran 3.3% slower (15 of 16 in-process pairs), the
-        # others no slower, so it stays. The closure holds no reference to
-        # the propagator, so no cycle forms.
+        # of a protocol block (32 ops), none in 16 of a sweep block (1 op)
+        # and 30 in 446 of an optimize block (12 ops). A lockstep of chains
+        # looks its flows up in chain order, as one sample call per chain
+        # did, and a miss first takes the flow of its length that
+        # prepare_steps handed over, if any (12 of the protocol block's 998
+        # misses, all 16 of the sweep block's, none of the optimize block's,
+        # whose search fills each cache first), so these are the counts of
+        # lazy builds. Without the cache, fresh blocks of ops (block_ab.py,
+        # 10 pairs) ran: optimize 3.5% slower (slower in 7 pairs), protocol
+        # +0.5% (5) and sweep -1.5% (4), so it stays. The closure holds no
+        # reference to the propagator, so no cycle forms.
         hamiltonian, rate = self.hamiltonian, self.rate
-        witnesses = _off_diagonal_witnesses(hamiltonian)
+        witnesses = self._witnesses = _off_diagonal_witnesses(hamiltonian)
+        prebuilt = self._prebuilt = {}
 
         @lru_cache(maxsize=2)
         def flow(h):
-            return _flow(hamiltonian, rate, witnesses, h)
+            built = prebuilt.pop(h, None)
+            return _flow(hamiltonian, rate, witnesses, h) if built is None else built
 
         self._flow = flow
 
@@ -396,10 +407,16 @@ def _flow(hamiltonian: np.ndarray, rate: float, witnesses: tuple, h: float):
     phi = _expm(math.ldexp(h, -halvings), hamiltonian, witnesses)
     d = len(hamiltonian) // 2
     if halvings:
-        w_c, psi, w_o = _doubled_map(phi, d, halvings)
-        return np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), 0.5 * w_c, psi
+        return _interval_flow(*_doubled_map(phi, d, halvings))
     phi[d:] *= 0.5
     return np.ascontiguousarray(phi[:, :d]), np.ascontiguousarray(phi[:, d:])
+
+
+def _interval_flow(w_c: np.ndarray, psi: np.ndarray, w_o: np.ndarray) -> tuple:
+    """The cached interval-form flow ``(offset, slope, W_c / 2, Psi)`` of one
+    :func:`_doubled_map` result."""
+    d = len(psi)
+    return np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), 0.5 * w_c, psi
 
 
 def _halvings(h: float, rate: float) -> int:
@@ -517,34 +534,46 @@ _expm = _pade_expm if _kernels_reproduce_expm() else _scipy_expm
 
 def _doubled_map(phi: np.ndarray, d: int, doublings: int):
     """``(W_c, Psi, W_o)`` of the interval form of the flow ``phi`` composed
-    with itself ``doublings`` times, one solve per doubling (see
-    :class:`Propagator`).
+    with itself ``doublings`` times, one solve per flow and doubling (see
+    :class:`Propagator`). ``phi`` is a stack of flows, all doubled as often,
+    or a lone flow, and the three results have its stack shape: a run's
+    chunk flows are built together (:func:`prepare_steps`) by the code that
+    builds one.
 
     Every solve works in place on Fortran-ordered buffers allocated once per
-    call: the first right-hand side [I, Phi21^T], then per doubling
-    M = I + W_c W_o and [Psi, W_c Psi^T]. The products and sums are those of
-    the plain formulas, in the same order, so the bits are too.
+    call, one set per flow: the first right-hand side [I, Phi21^T], then per
+    doubling M = I + W_c W_o and [Psi, W_c Psi^T]. The products and sums are
+    those of the plain formulas, in the same order, one product per flow on
+    the layout a lone flow has, so each flow of a stack has the bits of the
+    flow alone, and those of the formulas.
     """
-    buffers = np.empty((d, 5 * d), order="F")
-    first, rhs, lhs = buffers[:, :2 * d], buffers[:, 2 * d:4 * d], buffers[:, 4 * d:]
+    # Per flow, the transpose of a C-ordered 5d x d block: a Fortran-ordered d x 5d one.
+    blocks = np.empty((*phi.shape[:-2], 5 * d, d))
+    buffers = blocks.swapaxes(-1, -2)
+    first, rhs, lhs = buffers[..., :2 * d], buffers[..., 2 * d:4 * d], buffers[..., 4 * d:]
+    # Per flow, its views (M or Phi11^T, first right-hand side, doubling right-hand side).
+    solves = [(block[4 * d:].T, block[:2 * d].T, block[2 * d:4 * d].T)
+              for block in blocks.reshape(-1, 5 * d, d)]
     eye = np.eye(d)
     # Phi11^T [Psi, W_c] = [I, Phi21^T], and W_o = Psi^T Phi12.
-    lhs[...] = phi[:d, :d].T
-    first[:, :d] = eye
-    first[:, d:] = phi[d:, :d].T
-    psi_wc = _solve(lhs, first)
-    psi, w_c = psi_wc[:, :d], psi_wc[:, d:]
-    w_o = psi.T @ phi[:d, d:]
-    w_c, w_o = 0.5 * (w_c + w_c.T), 0.5 * (w_o + w_o.T)
+    lhs[...] = phi[..., :d, :d].swapaxes(-1, -2)
+    first[..., :d] = eye
+    first[..., d:] = phi[..., d:, :d].swapaxes(-1, -2)
+    for a, b, _ in solves:
+        _solve(a, b)
+    psi, w_c = first[..., :d], first[..., d:]
+    w_o = psi.swapaxes(-1, -2) @ phi[..., :d, d:]
+    w_c, w_o = 0.5 * (w_c + w_c.swapaxes(-1, -2)), 0.5 * (w_o + w_o.swapaxes(-1, -2))
     for _ in range(doublings):
         np.add(eye, w_c @ w_o, out=lhs)
-        rhs[:, :d] = psi
-        rhs[:, d:] = w_c @ psi.T
-        solved = _solve(lhs, rhs)
-        m_psi, m_wc_psi = solved[:, :d], solved[:, d:]
-        w_c, w_o, psi = (w_c + psi @ m_wc_psi, w_o + psi.T @ w_o @ m_psi,
-                         psi @ m_psi)
-        w_c, w_o = 0.5 * (w_c + w_c.T), 0.5 * (w_o + w_o.T)
+        rhs[..., :d] = psi
+        psi_t = psi.swapaxes(-1, -2)
+        rhs[..., d:] = w_c @ psi_t
+        for a, _, b in solves:
+            _solve(a, b)
+        m_psi, m_wc_psi = rhs[..., :d], rhs[..., d:]
+        w_c, w_o, psi = w_c + psi @ m_wc_psi, w_o + psi_t @ w_o @ m_psi, psi @ m_psi
+        w_c, w_o = 0.5 * (w_c + w_c.swapaxes(-1, -2)), 0.5 * (w_o + w_o.swapaxes(-1, -2))
     return w_c, psi, w_o
 
 
@@ -669,6 +698,48 @@ def sample_step(sigma: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
     per_chunk = max(2, math.ceil(n_samples / CHUNKS_PER_STEP))
     return _sample_flow(sigma, coeffs, t_mon / CHUNKS_PER_STEP, CHUNKS_PER_STEP, None,
                         per_chunk, t_offset)
+
+
+def prepare_steps(steps) -> None:
+    """Build together the chunk flows of a run's monitoring steps, each
+    ``(coeffs, t_mon)`` a step of :func:`sample_step`, before the first one.
+
+    A step's first flow lookup is its chunk length. For each step whose
+    propagator holds no flow yet (and for its first step only, if one serves
+    several), the ``expm`` of the chunk flow's piece is built on its own, then
+    the pieces of one halvings count are doubled as one stack by
+    :func:`_doubled_map`, with the bits of a lone build. Each flow goes to its
+    propagator, whose cache takes it on that length's first miss. A chunk flow
+    of no halvings is a lone ``expm`` and is left to that miss.
+
+    No build error escapes it. What it cannot build, an interval that is not
+    finite and >= 0, a propagator or ``expm`` that fails, or a stack with a
+    singular solve or a floating-point error, is left to the miss as well, so
+    every such error and warning surfaces at its step, as without this call.
+    """
+    seen, stacks = set(), {}  # stacks: (halvings, dim) -> {propagator: (h, phi)}
+    with np.errstate(all="raise"):
+        for coeffs, t_mon in steps:
+            try:
+                propagator, h = coeffs.propagator, t_mon / CHUNKS_PER_STEP
+                if (propagator in seen or propagator._prebuilt
+                        or propagator._flow.cache_info().currsize or not 0.0 <= h < math.inf):
+                    continue
+                seen.add(propagator)
+                halvings = _halvings(h, propagator.rate)
+                if halvings:
+                    phi = _expm(math.ldexp(h, -halvings), propagator.hamiltonian,
+                                propagator._witnesses)
+                    stacks.setdefault((halvings, propagator.dim), {})[propagator] = h, phi
+            except (ArithmeticError, TypeError, ValueError):  # raised again at its step
+                continue
+        for (halvings, d), stack in stacks.items():
+            try:
+                doubled = _doubled_map(np.stack([phi for _, phi in stack.values()]), d, halvings)
+            except (ArithmeticError, ValueError):  # a LinAlgError is a ValueError
+                continue
+            for (propagator, (h, _)), *parts in zip(stack.items(), *doubled):
+                propagator._prebuilt[h] = _interval_flow(*parts)
 
 
 def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,

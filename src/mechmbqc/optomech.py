@@ -28,6 +28,7 @@ from .dynamics import (
     build_riccati,
     check_samples,
     homodyne_post_meas_cov,
+    prepare_steps,
     sample_cap,
     sample_step,
 )
@@ -411,8 +412,10 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
 def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
              samples_per_step: int, keep_trajectories: bool) -> ProtocolResult:
     """Run a prepared protocol on a schedule and score every sample in one
-    :func:`fidelity_to` call. If a step fails, the steps before it are scored
-    first: an unphysical output among them is the earlier fault."""
+    :func:`fidelity_to` call. The steps' chunk flows are built together
+    first, by :func:`~mechmbqc.dynamics.prepare_steps`. If a step fails, the
+    steps before it are scored first: an unphysical output among them is the
+    earlier fault."""
     if len(schedule.durations) != len(protocol.steps):
         raise ValueError(
             f"schedule has {len(schedule.durations)} steps, "
@@ -430,6 +433,7 @@ def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
     def score():
         return fidelity_to(np.concatenate(blocks), protocol.reference) if blocks else np.empty(0)
 
+    prepare_steps(zip(protocol.steps, schedule.durations))
     try:
         for k, (coeffs, t_mon) in enumerate(zip(protocol.steps, schedule.durations)):
             if k:

@@ -137,11 +137,15 @@ def is_integer(value) -> bool:
 def real_number(value, name: str) -> float:
     """``value`` as a plain ``float``: the package's one rule for a real
     argument. It must be an ``int``, a ``float`` or a numpy real, and not a
-    bool, a string or bytes; otherwise a ``ValueError`` names ``name`` and
-    the value."""
+    bool, a string or bytes, and an ``int`` must lie within the float range;
+    otherwise a ``ValueError`` names ``name`` and the value."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number within the float range, "
+                         f"got {value!r}") from None
 
 
 def is_index(value, size: int) -> bool:

@@ -3,7 +3,11 @@ and deterministic reproduction."""
 
 import csv
 import json
+import os
 import pickle
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -777,6 +781,71 @@ def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
         assert pools == expected_pools
         assert outputs[0] == outputs[1]
         pools.clear()
+
+
+def blas_threads(_=None) -> list:
+    """The thread count of each loaded OpenBLAS, read by its own getter."""
+    return [get_threads() for _, get_threads in cli._openblas_threads()]
+
+
+def worker_threads(_=None) -> tuple:
+    """A process's BLAS thread counts, and its thread count where ``/proc``
+    lists it (else None)."""
+    tasks = Path("/proc/self/task")
+    return blas_threads(), len(list(tasks.iterdir())) if tasks.is_dir() else None
+
+
+def test_sweep_workers_run_one_blas_thread_and_the_caller_keeps_its_own(tmp_path, monkeypatch):
+    # The caller runs two threads per OpenBLAS. The sweep's workers read one
+    # each and run no BLAS thread besides their own, and the caller's counts
+    # are as they were after a parallel sweep and during a serial one.
+    controls = cli._openblas_threads()
+    if not controls:
+        pytest.skip("no loaded OpenBLAS whose thread count can be read")
+    seen = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            seen.extend(super().map(worker_threads, range(4)))
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    payload = dict(BASE)
+    payload["sweep"] = {"axes": [{"param": "eta", "values": [1.0, 0.9]}]}
+    path = write_config(tmp_path, payload)
+    restore, outputs = blas_threads(), []
+    try:
+        for set_threads, _ in controls:
+            set_threads(2)
+        for workers in ("2", "1"):
+            out = tmp_path / f"w{workers}"
+            assert cli.main(["sweep", "--config", str(path), "--out", str(out),
+                             "--workers", workers]) == 0
+            outputs.append((out / "sweep.csv").read_bytes())
+            assert blas_threads() == [2] * len(controls)
+    finally:
+        for (set_threads, _), count in zip(controls, restore):
+            set_threads(count)
+    assert len(seen) == 4
+    assert all(counts == [1] * len(controls) and threads in (1, None) for counts, threads in seen)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the cores")
+def test_importing_the_package_sets_no_blas_thread_count():
+    # A fresh process started with two threads per OpenBLAS still has them
+    # after the whole package is imported.
+    code = ("from mechmbqc import cli, config, dynamics, mbqc, optomech, states\n"
+            "print([get() for _, get in cli._openblas_threads()])")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    counts = json.loads(proc.stdout)
+    if not counts:
+        pytest.skip("no loaded OpenBLAS whose thread count can be read")
+    assert counts == [2] * len(counts)
 
 
 def test_sweep_rejects_a_repeated_axis(tmp_path, monkeypatch):

@@ -607,6 +607,89 @@ def test_doubled_map_is_the_plain_formulas_bit_for_bit(seed, n_modes, h_rate, do
         assert g.tobytes() == w.tobytes()  # every bit, the sign of zeros too
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 5),
+       h_rates=hst.lists(hst.floats(0.05, 1.0), min_size=1, max_size=6),
+       doublings=hst.sampled_from([1, 2, 3, 40]))
+def test_a_stack_of_doubled_maps_is_the_plain_formulas_bit_for_bit(seed, n_modes, h_rates,
+                                                                    doublings):
+    # Each flow of a stack, of coefficients of its own, has the bits of the
+    # oracle's lone build.
+    phis = []
+    for k, h_rate in enumerate(h_rates):
+        propagator = random_physical_coefficients(seed + k, n_modes).propagator
+        phis.append(sla.expm((h_rate / propagator.rate) * propagator.hamiltonian))
+    got = dyn._doubled_map(np.stack(phis), 2 * n_modes, doublings)
+    assert all(part.shape == (len(phis), 2 * n_modes, 2 * n_modes) for part in got)
+    for k, phi in enumerate(phis):
+        want = doubled_map(phi.copy(), 2 * n_modes, doublings)
+        for g, w in zip(got, want, strict=True):
+            assert g[k].dtype == w.dtype and g[k].tobytes() == w.tobytes()
+
+
+def test_prepared_chunk_flows_are_the_lazy_flows_and_the_cache_sees_the_same_lookups(
+        monkeypatch):
+    # Four steps, two of one halvings count, one of another and one of none:
+    # each of the first three is handed its chunk flow, which the cache takes
+    # on that length's first miss, with the counts of a lazy build.
+    stacks, doubled_map_kernel = [], dyn._doubled_map
+
+    def spy(phi, d, doublings):
+        stacks.append((phi.shape, doublings))
+        return doubled_map_kernel(phi, d, doublings)
+
+    monkeypatch.setattr(dyn, "_doubled_map", spy)
+    prepared = [random_physical_coefficients(seed, 3) for seed in range(4)]
+    lazy = [random_physical_coefficients(seed, 3) for seed in range(4)]
+    h_rates = (6.0, 7.0, 40.0, 0.5)  # 3, 3, 6 and 0 halvings
+    steps = [(coeffs, dyn.CHUNKS_PER_STEP * h_rate / coeffs.propagator.rate)
+             for coeffs, h_rate in zip(prepared, h_rates)]
+    dyn.prepare_steps(steps)
+    assert stacks == [((2, 12, 12), 3), ((1, 12, 12), 6)]
+    for (coeffs, t_mon), other in zip(steps, lazy):
+        propagator, h = coeffs.propagator, t_mon / dyn.CHUNKS_PER_STEP
+        assert list(propagator._prebuilt) == ([h] if dyn._halvings(h, propagator.rate) else [])
+        handed = propagator._prebuilt.get(h)
+        flow = propagator._flow(h)
+        assert not propagator._prebuilt and (handed is None or flow is handed)
+        assert same_flow(flow, other.propagator._flow(h))
+        assert same_flow(flow, expm_flow(propagator, h))
+        assert propagator._flow.cache_info() == other.propagator._flow.cache_info()
+
+
+def test_prepare_steps_skips_a_propagator_that_holds_flows_or_serves_an_earlier_step():
+    coeffs, held = random_physical_coefficients(5, 2), random_physical_coefficients(6, 2)
+    held.propagator.advance(0.5 * np.eye(4), 1e-3)
+    t_mon = dyn.CHUNKS_PER_STEP * 8.0 / coeffs.propagator.rate
+    dyn.prepare_steps([(coeffs, t_mon), (coeffs, 2 * t_mon), (held, t_mon)])
+    assert list(coeffs.propagator._prebuilt) == [t_mon / dyn.CHUNKS_PER_STEP]
+    assert not held.propagator._prebuilt
+    dyn.prepare_steps([(coeffs, 2 * t_mon)])  # it holds one handed over
+    assert list(coeffs.propagator._prebuilt) == [t_mon / dyn.CHUNKS_PER_STEP]
+
+
+def test_prepare_steps_never_raises_and_leaves_what_it_cannot_build_to_the_step(monkeypatch):
+    # Bad lengths, a propagator that cannot be built and a stack whose
+    # doubling fails are each left alone; the step then raises as ever.
+    good = random_physical_coefficients(7, 2)
+    broken = dyn.EvolutionCoefficients(np.full((2, 2), np.nan), np.eye(2))
+    t_mon = dyn.CHUNKS_PER_STEP * 8.0 / good.propagator.rate
+    steps = [(good, math.nan), (good, -t_mon), (good, math.inf), (broken, t_mon)]
+    dyn.prepare_steps(steps)
+    assert not good.propagator._prebuilt
+    with pytest.raises(np.linalg.LinAlgError):
+        dyn.sample_step(0.5 * np.eye(2), broken, t_mon, 2, 0.0)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix in a doubling")
+
+    monkeypatch.setattr(dyn, "_doubled_map", singular)
+    dyn.prepare_steps([(good, t_mon)])
+    assert not good.propagator._prebuilt
+    with pytest.raises(np.linalg.LinAlgError, match="in a doubling"):
+        dyn.sample_step(0.5 * np.eye(4), good, t_mon, 2, 0.0)
+
+
 @pytest.mark.parametrize("n_modes", [1, 3, 6])
 def test_propagator_hamiltonian_is_the_block_matrix_and_read_only(n_modes):
     coeffs = random_physical_coefficients(n_modes, n_modes)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import math
 import re
 import sys
 import types
@@ -1244,6 +1245,157 @@ def test_protocol_block_flows_are_the_expm_flows_bit_for_bit(monkeypatch, tmp_pa
         assert same_flow(got, expm_flow(propagator, h)), h
 
 
+def test_sweep_block_prepared_chunk_flows_are_the_expm_flows_bit_for_bit(monkeypatch, tmp_path):
+    # The flows a run hands its propagators before its first step bypass
+    # _flow, so they are recorded as handed over: the seed-0 sweep block's
+    # 2 x 2 points x 4 steps, each step's chunk flow built in one stack.
+    workloads = benchmark_workloads()
+    prepare, prepared = om.prepare_steps, []
+
+    def recording_prepare(steps):
+        steps = list(steps)
+        prepare(steps)
+        for coeffs, _ in steps:
+            prepared.extend((coeffs.propagator, h, flow)
+                            for h, flow in coeffs.propagator._prebuilt.items())
+
+    monkeypatch.setattr(om, "prepare_steps", recording_prepare)
+    om._step_coefficients.cache_clear()
+    workload = workloads.setup("sweep", workloads.DEFAULT_SEED, tmp_path)
+    for index in range(workload.block_size):
+        workload.run(workload.op(index))
+    workload.cleanup()
+    assert len(prepared) == 16 * workload.block_size
+    for propagator, h, flow in prepared:
+        assert len(flow) == 4 and same_flow(flow, expm_flow(propagator, h)), h
+
+
+def run_with_and_without_prepared_flows(monkeypatch, run):
+    """``run()`` twice on fresh run caches, first with the chunk flows built
+    together, then with ``prepare_steps`` a no-op, and the stacks that the
+    first run doubled."""
+    prepare, doubled_map, stacks, results = om.prepare_steps, dyn._doubled_map, [], []
+
+    def spy(phi, d, doublings):
+        if phi.ndim == 3:
+            stacks.append((len(phi), doublings))
+        return doubled_map(phi, d, doublings)
+
+    monkeypatch.setattr(dyn, "_doubled_map", spy)
+    for prepared in (prepare, lambda steps: None):
+        monkeypatch.setattr(om, "prepare_steps", prepared)
+        om._step_coefficients.cache_clear()
+        results.append(run())
+    return results, stacks
+
+
+def same_run(got, want) -> bool:
+    """Whether two protocol results agree in every bit of their outputs."""
+    return (got.times.tobytes() == want.times.tobytes()
+            and got.fidelities.tobytes() == want.fidelities.tobytes()
+            and got.output_state.cov.tobytes() == want.output_state.cov.tobytes()
+            and len(got.trajectories) == len(want.trajectories)
+            and all(g.covs.tobytes() == w.covs.tobytes()
+                    for g, w in zip(got.trajectories, want.trajectories)))
+
+
+@pytest.mark.parametrize("preset", ["set1", "set2"])
+@pytest.mark.parametrize("program", [mbqc.shear_program(1.0), mbqc.cz_program()],
+                         ids=["chain", "cz"])
+@pytest.mark.parametrize("samples", [16, 120])
+@pytest.mark.parametrize("reset_cavity", [False, True], ids=["keep", "reset"])
+def test_a_run_with_its_chunk_flows_built_together_is_the_same_bit_for_bit(
+        monkeypatch, preset, program, samples, reset_cavity):
+    p = replace(om.PhysicalParams.from_values(om.PRESETS[preset]), reset_cavity=reset_cavity)
+    sched = om.MonitoringSchedule.equal(60e-6, len(program.pattern.measured))
+    (got, want), stacks = run_with_and_without_prepared_flows(
+        monkeypatch, lambda: om.run_monitoring_protocol(program, p, sched, samples,
+                                                        keep_trajectories=True))
+    assert same_run(got, want)
+    assert [n for n, _ in stacks] == [len(program.pattern.measured)]
+
+
+def test_a_schedule_of_several_halvings_counts_is_the_same_bit_for_bit(monkeypatch):
+    # Chunks of 0.5, 7.5 (twice) and 50 us: no halving, 3 and 6 of them, so
+    # one step is left to its miss and the others take two stacks.
+    sched = om.MonitoringSchedule((4e-6, 60e-6, 400e-6, 60e-6))
+    (got, want), stacks = run_with_and_without_prepared_flows(
+        monkeypatch, lambda: om.run_monitoring_protocol(
+            mbqc.shear_program(2.0), om.params_set1(), sched, 24, keep_trajectories=True))
+    assert same_run(got, want)
+    assert sorted(stacks) == [(1, 6), (2, 3)]
+
+
+def failed_runs_with_and_without_prepared_flows(monkeypatch, run):
+    """The error of ``run()``, and what it guarded and scored before it,
+    first with the chunk flows built together, then with ``prepare_steps`` a
+    no-op."""
+    prepare, check, fidelity = om.prepare_steps, dyn.check_samples, om.fidelity_to
+    records = []
+
+    def guard(times, covs):
+        records[-1][3].append((list(times), covs.tobytes()))
+        check(times, covs)
+
+    def score(covs, reference):
+        records[-1][4].append(covs.tobytes())
+        return fidelity(covs, reference)
+
+    monkeypatch.setattr(dyn, "check_samples", guard)
+    monkeypatch.setattr(om, "fidelity_to", score)
+    for prepared in (prepare, lambda steps: None):
+        monkeypatch.setattr(om, "prepare_steps", prepared)
+        om._step_coefficients.cache_clear()
+        records.append([None, None, None, [], []])
+        with pytest.raises((np.linalg.LinAlgError, ValueError)) as info:
+            run()
+        error = info.value
+        records[-1][:3] = type(error), str(error), getattr(error, "samples_written", None)
+    return records
+
+
+def test_a_singular_solve_in_a_prepared_doubling_surfaces_at_its_step(monkeypatch):
+    # Step 2's chunk flow fails its doubling, in the stack and alone: the run
+    # raises the error at step 2, after guarding and scoring steps 0 and 1,
+    # as it does with no flow built ahead.
+    program, p = mbqc.shear_program(1.0), om.params_set1()
+    sched = om.MonitoringSchedule.equal(60e-6, 4)
+    propagator, h = om._prepare(program, p).steps[2].propagator, 60e-6 / dyn.CHUNKS_PER_STEP
+    bad = dyn._expm(math.ldexp(h, -dyn._halvings(h, propagator.rate)),
+                    propagator.hamiltonian, propagator._witnesses).tobytes()
+    doubled_map, hits = dyn._doubled_map, []
+
+    def singular(phi, d, doublings):
+        if any(flow.tobytes() == bad for flow in np.reshape(phi, (-1, *phi.shape[-2:]))):
+            hits.append(phi.ndim)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return doubled_map(phi, d, doublings)
+
+    monkeypatch.setattr(dyn, "_doubled_map", singular)
+    records = failed_runs_with_and_without_prepared_flows(
+        monkeypatch, lambda: om.run_monitoring_protocol(program, p, sched, 24))
+    assert hits == [3, 2, 2]  # the stack, then step 2 alone; then step 2 alone
+    assert records[0] == records[1]
+    kind, message, written, guarded, scored = records[0]
+    assert (kind, message, written) == (np.linalg.LinAlgError, "Singular matrix", 0)
+    # Steps 0 and 1, then what step 2 sampled before its failed chunk ends.
+    times = [t for t, _ in guarded]
+    assert len(times) == 3 and times[0][-1] < times[1][0] and times[1][-1] < times[2][0]
+    assert len(scored) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, -60e-6], ids=["nan", "negative"])
+def test_a_bad_step_length_still_fails_its_flow_at_its_step(monkeypatch, bad):
+    # A schedule rejects such lengths, so the run is driven directly.
+    sched = types.SimpleNamespace(durations=(60e-6, 60e-6, bad, 60e-6))
+    records = failed_runs_with_and_without_prepared_flows(monkeypatch, lambda: om._monitor(
+        om._prepare(mbqc.shear_program(1.0), om.params_set1()), sched, 16, False))
+    assert records[0] == records[1]
+    kind, message, _, guarded, _ = records[0]
+    assert kind is ValueError and "interval h must be finite and non-negative" in message
+    assert len(guarded) == 2
+
+
 # ---------------------------------------------------------------------------
 # decorrelation
 
@@ -1727,6 +1879,23 @@ def test_a_schedule_takes_ints_floats_numpy_reals_and_arrays():
     assert all(type(t) is float for t in om.MonitoringSchedule(np.array(want)).durations)
     assert om.MonitoringSchedule.equal(np.float64(1e-6), 2).durations == (1e-6,) * 2
     assert om.MonitoringSchedule.equal(2, 1).durations == (2.0,)
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (10**400, False), (-10**400, False), (2**1024, False), (2**1024 - 2**971, True),
+    (np.int64(2**63 - 1), True), (np.int64(-2**63), True), (np.uint64(2**64 - 1), True),
+], ids=["10^400", "-10^400", "2^1024", "largest-float", "int64-max",
+        "int64-min", "uint64-max"])
+def test_an_integer_beyond_the_float_range_is_a_value_error_naming_it(value, accepted):
+    # float() of such an int raises OverflowError; numpy integers always fit.
+    if accepted:
+        assert st.real_number(value, "t_mon") == float(value)
+        return
+    for build, name in ((lambda: om.MonitoringSchedule((1e-6, value)), "a monitoring duration"),
+                        (lambda: om.MonitoringSchedule.equal(value, 2), "t_mon")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be a real number within the float range, got {value!r}")):
+            build()
 
 
 def test_an_equal_schedule_of_no_steps_is_empty():

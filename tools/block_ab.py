@@ -1,25 +1,30 @@
-"""In-process A/B pairs of one benchmark block in two checkouts.
+"""In-process A/B pairs of fresh benchmark blocks in two checkouts.
 
 Usage (from anywhere):
 
     python3 tools/block_ab.py --base ../parent --change . \
-        --workload protocol --pairs 10 --seed 0 --blocks 5
+        --workload sweep --pairs 10 --seed 0 --blocks 5
 
 ``--base`` and ``--change`` are two checkouts of this repository, for
 example the parent commit unpacked by ``git archive`` and the working tree.
 Each pair runs one fresh subprocess per side, one after the other, and
 alternates which side runs first. A subprocess has one BLAS thread and
 imports that checkout's own ``src`` and ``perfbench/workloads.py``, which are
-only read. It builds the seed's first block of ops of the workload (32
-``protocol`` runs, 12 ``optimize`` runs, one ``sweep``), runs that block
-once to warm up, then times it ``--blocks`` times and reports the fastest.
-Sweep outputs go to a temporary directory. No output is checked: use
-``tools/same_outputs.py`` for that.
+only read. It runs the seed's first block of ops of the workload once to warm
+up (32 ``protocol`` runs, 12 ``optimize`` runs, one ``sweep``), then times
+``--blocks`` blocks of the ops that follow it, each op run once: whole
+workload blocks of at least 16 ops (32 ``protocol``, 24 ``optimize`` and 16
+``sweep`` ops per timed block). Every timed op is fresh, so it pays the
+set-up that a benchmark op pays, such as building a new sweep point's flows,
+where a repeated op would find them in the run caches; both sides time the
+same ops. Sweep outputs go to a temporary directory. No output is checked:
+use ``tools/same_outputs.py`` for that.
 
-The report gives each side's min and median block time over the pairs, the
-median per-pair ratio change / base, and the pairs the change won. Where
-``tools/ab_pairs.py`` times whole benchmark runs, this times the simulator
-alone, without the benchmark's host-speed probe. Standard library only.
+Each subprocess reports the median of its timed blocks. The report gives each
+side's min and median of those over the pairs, the median per-pair ratio
+change / base, and the pairs the change won. Where ``tools/ab_pairs.py``
+times whole benchmark runs, this times the simulator alone, without the
+benchmark's host-speed probe. Standard library only.
 """
 
 from __future__ import annotations
@@ -34,34 +39,43 @@ from pathlib import Path
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
-# The subprocess: argv is checkout, workload, seed, timed blocks; it prints
-# the fastest timed block in seconds.
+# Ops per timed block, at least: whole workload blocks are timed.
+MIN_TIMED_OPS = 16
+
+# The subprocess: argv is checkout, workload, seed, timed blocks, least ops per
+# timed block; it prints the median timed block in seconds.
 CHILD = """
-import importlib.util, sys, tempfile, time
+import importlib.util, math, statistics, sys, tempfile, time
 from pathlib import Path
-checkout, name, seed, blocks = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+checkout, name, seed, blocks, least = (Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]),
+                                       int(sys.argv[4]), int(sys.argv[5]))
 sys.path.insert(0, str(checkout / "src"))
 spec = importlib.util.spec_from_file_location("workloads", checkout / "perfbench" / "workloads.py")
 workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(workloads)
 with tempfile.TemporaryDirectory() as tmp:
     workload = workloads.setup(name, seed, Path(tmp))
-    ops = [workload.op(i) for i in range(workload.block_size)]
+    warm = workload.block_size
+    size = warm * math.ceil(least / warm)
+    for index in range(warm):
+        workload.run(workload.op(index))
     times = []
-    for _ in range(1 + blocks):
+    for block in range(blocks):
+        ops = [workload.op(warm + block * size + k) for k in range(size)]
         start = time.perf_counter()
         for op in ops:
             workload.run(op)
         times.append(time.perf_counter() - start)
     workload.cleanup()
-print(min(times[1:]))
+print(statistics.median(times))
 """
 
 
 def run_side(checkout: Path, workload: str, seed: int, blocks: int) -> float:
-    """The fastest of ``blocks`` timed blocks in a fresh subprocess."""
+    """The median of ``blocks`` timed blocks of fresh ops in a fresh subprocess."""
     env = {**os.environ, **ONE_THREAD, "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-c", CHILD, str(checkout), workload, str(seed), str(blocks)]
+    argv = [sys.executable, "-c", CHILD, str(checkout), workload, str(seed), str(blocks),
+            str(MIN_TIMED_OPS)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"block_ab: {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -89,8 +103,8 @@ def main():
               f"change {times['change'][-1]:.4f} s", flush=True)
     ratios = [c / b for b, c in zip(times["base"], times["change"])]
     wins = sum(r < 1.0 for r in ratios)
-    print(f"# {args.workload}, seed {args.seed}, {args.pairs} pairs, fastest of "
-          f"{args.blocks} timed blocks per side, base first in odd pairs")
+    print(f"# {args.workload}, seed {args.seed}, {args.pairs} pairs, median of "
+          f"{args.blocks} timed blocks of fresh ops per side, base first in odd pairs")
     for side, values in times.items():
         print(f"{side:6s} min {min(values):.4f} s  median {statistics.median(values):.4f} s")
     print(f"change / base: median ratio {statistics.median(ratios):.4f} "
