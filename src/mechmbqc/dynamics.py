@@ -38,6 +38,7 @@ from .states import (
     db_to_squeeze_parameter,
     first_unphysical,
     is_integer,
+    shown,
     symplectic_form,
 )
 
@@ -213,9 +214,8 @@ class Propagator:
     kernel, :meth:`_step`, forms every sample, of a lone chain or of a stack
     of chains: one product, one LAPACK ``dgesv`` per chain and one
     symmetrization, whatever h. The map it applies, :func:`_flow` of the
-    interval length, is built when that length is first used and kept while
-    it is one of the last two lengths used. Let lambda be the largest real
-    part in the spectrum of H, by which X grows.
+    interval length, is kept for the last length used, in one slot. Let
+    lambda be the largest real part in the spectrum of H, by which X grows.
 
     * If h lambda <= 1, the interval is one Davison-Maki step: [X; Y] =
       Phi[:, :n] + Phi[:, n:] sigma, then X^T sigma' = Y^T. X grows by at
@@ -236,7 +236,7 @@ class Propagator:
       with M = I + W_c W_o, sets Psi <- Psi M^-1 Psi,
       W_c <- W_c + Psi M^-1 W_c Psi^T and W_o <- W_o + Psi^T W_o M^-1 Psi.
 
-    A cached flow stores its Y rows halved (in the interval form, W_c and
+    A flow stores its Y rows halved (in the interval form, W_c and
     the Psi rows of the slope), so the solve yields half the new covariance
     and its symmetric part is S + S^T, one addition. Halving is exact in
     binary floating point away from underflow, so the samples carry the
@@ -246,18 +246,14 @@ class Propagator:
     with the bits of ``scipy.linalg.expm``, which it falls back to for a
     triangular or diagonal h H.
 
-    A propagator may serve several threads at once: each thread works in
-    scratch of its own, and the flows of the last two interval lengths used
-    sit in a ``functools.lru_cache`` over :func:`_flow`. A singular matrix
-    in any solve, the flow's included, raises
+    The slot ``_last`` holds ``(h, flow)``; :func:`prepare_steps` may fill it
+    before a run. A lookup reads it once and, for another length, builds that
+    flow and only then overwrites it, so a rejected h leaves it as it was. A
+    propagator may serve several threads at once: each thread works in
+    scratch of its own, and a race on the slot costs at most a rebuild. A
+    singular matrix in any solve, the flow's included, raises
     :class:`numpy.linalg.LinAlgError`; an interval h that is not finite and
     >= 0 raises ``ValueError``.
-
-    A run's chunk flows are built together, before its first step, by
-    :func:`prepare_steps`, which hands each one to its propagator. The cache
-    takes such a flow on the miss where it would have built it, so it sees
-    the same lookups, misses and evictions, and keeps the same bits; a flow
-    that was not handed over is built on the miss, as ever.
     """
 
     def __init__(self, coeffs: EvolutionCoefficients):
@@ -271,28 +267,16 @@ class Propagator:
         self.hamiltonian[d:, d:] = a
         self.hamiltonian.flags.writeable = False
         self.rate = max(0.0, float(np.max(np.linalg.eigvals(self.hamiltonian).real)))
-        # Seed-0 benchmark blocks reuse few flows: 10 hits in 1,008 lookups
-        # of a protocol block (32 ops), none in 16 of a sweep block (1 op)
-        # and 30 in 446 of an optimize block (12 ops). A lockstep of chains
-        # looks its flows up in chain order, as one sample call per chain
-        # did, and a miss first takes the flow of its length that
-        # prepare_steps handed over, if any (12 of the protocol block's 998
-        # misses, all 16 of the sweep block's, none of the optimize block's,
-        # whose search fills each cache first), so these are the counts of
-        # lazy builds. Without the cache, fresh blocks of ops (block_ab.py,
-        # 10 pairs) ran: optimize 3.5% slower (slower in 7 pairs), protocol
-        # +0.5% (5) and sweep -1.5% (4), so it stays. The closure holds no
-        # reference to the propagator, so no cycle forms.
-        hamiltonian, rate = self.hamiltonian, self.rate
-        witnesses = self._witnesses = _off_diagonal_witnesses(hamiltonian)
-        prebuilt = self._prebuilt = {}
+        self._witnesses = _off_diagonal_witnesses(self.hamiltonian)
+        self._last = None, None
 
-        @lru_cache(maxsize=2)
-        def flow(h):
-            built = prebuilt.pop(h, None)
-            return _flow(hamiltonian, rate, witnesses, h) if built is None else built
-
-        self._flow = flow
+    def _flow(self, h: float) -> tuple:
+        """The flow of the interval ``h``: the slot's, if it holds ``h``."""
+        last, flow = self._last
+        if last != h:
+            flow = _flow(self.hamiltonian, self.rate, self._witnesses, h)
+            self._last = h, flow
+        return flow
 
     def sample(self, sigma: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
         """Write the covariances after 1, 2, ..., ``len(out)`` intervals ``h``
@@ -323,11 +307,10 @@ class Propagator:
         Chain ``(sigma, h, first, count)`` writes what :meth:`sample` of
         ``count`` intervals ``h`` from ``sigma`` writes, with its bits, into
         ``out[first:first + count]``; the chains are in time order and do not
-        overlap. Their flows are built in that order, so the flow cache sees
-        the lookups of one :meth:`sample` call per chain. The chains of each
-        form and count then advance together: per interval, one
-        :meth:`_step` of their stack, so every sample is still one ``dgesv``
-        of its own.
+        overlap. Their flows are looked up in that order, as by one
+        :meth:`sample` call per chain. The chains of each form and count then
+        advance together: per interval, one :meth:`_step` of their stack, so
+        every sample is still one ``dgesv`` of its own.
 
         If a flow or a solve fails, the chains are redone one :meth:`sample`
         at a time, in time order: the first failure in time is raised, its
@@ -413,7 +396,7 @@ def _flow(hamiltonian: np.ndarray, rate: float, witnesses: tuple, h: float):
 
 
 def _interval_flow(w_c: np.ndarray, psi: np.ndarray, w_o: np.ndarray) -> tuple:
-    """The cached interval-form flow ``(offset, slope, W_c / 2, Psi)`` of one
+    """The interval-form flow ``(offset, slope, W_c / 2, Psi)`` of one
     :func:`_doubled_map` result."""
     d = len(psi)
     return np.eye(2 * d, d), np.vstack([w_o, 0.5 * psi]), 0.5 * w_c, psi
@@ -666,7 +649,7 @@ def sample_cap(value, name: str) -> int:
     for it. ``value`` must be an :func:`~mechmbqc.states.is_integer` of at
     least 2, or a ``ValueError`` names ``name``."""
     if not (is_integer(value) and value >= 2):
-        raise ValueError(f"{name} must be an integer of at least 2, got {value!r}")
+        raise ValueError(f"{name} must be an integer of at least 2, got {shown(value)}")
     return int(value)
 
 
@@ -695,7 +678,7 @@ def sample_step(sigma: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
     guarded once, by :func:`check_samples`; see :func:`_sample_flow`. A
     ``t_mon`` that is negative or not finite is a ``ValueError``.
     """
-    per_chunk = max(2, math.ceil(n_samples / CHUNKS_PER_STEP))
+    per_chunk = max(2, -(-n_samples // CHUNKS_PER_STEP))  # exact for any int
     return _sample_flow(sigma, coeffs, t_mon / CHUNKS_PER_STEP, CHUNKS_PER_STEP, None,
                         per_chunk, t_offset)
 
@@ -705,27 +688,24 @@ def prepare_steps(steps) -> None:
     ``(coeffs, t_mon)`` a step of :func:`sample_step`, before the first one.
 
     A step's first flow lookup is its chunk length. For each step whose
-    propagator holds no flow yet (and for its first step only, if one serves
-    several), the ``expm`` of the chunk flow's piece is built on its own, then
-    the pieces of one halvings count are doubled as one stack by
-    :func:`_doubled_map`, with the bits of a lone build. Each flow goes to its
-    propagator, whose cache takes it on that length's first miss. A chunk flow
-    of no halvings is a lone ``expm`` and is left to that miss.
+    propagator's slot does not hold that length, the ``expm`` of the chunk
+    flow's piece is built on its own, then the pieces of one halvings count
+    are doubled as one stack by :func:`_doubled_map`, with the bits of a lone
+    build, and each flow is written into its propagator's slot. A chunk flow
+    of no halvings is a lone ``expm`` and is left to the step.
 
     No build error escapes it. What it cannot build, an interval that is not
     finite and >= 0, a propagator or ``expm`` that fails, or a stack with a
-    singular solve or a floating-point error, is left to the miss as well, so
+    singular solve or a floating-point error, is left to the step as well, so
     every such error and warning surfaces at its step, as without this call.
     """
-    seen, stacks = set(), {}  # stacks: (halvings, dim) -> {propagator: (h, phi)}
+    stacks = {}  # (halvings, dim) -> {propagator: (h, phi)}
     with np.errstate(all="raise"):
         for coeffs, t_mon in steps:
             try:
                 propagator, h = coeffs.propagator, t_mon / CHUNKS_PER_STEP
-                if (propagator in seen or propagator._prebuilt
-                        or propagator._flow.cache_info().currsize or not 0.0 <= h < math.inf):
+                if propagator._last[0] == h or not 0.0 <= h < math.inf:
                     continue
-                seen.add(propagator)
                 halvings = _halvings(h, propagator.rate)
                 if halvings:
                     phi = _expm(math.ldexp(h, -halvings), propagator.hamiltonian,
@@ -739,7 +719,7 @@ def prepare_steps(steps) -> None:
             except (ArithmeticError, ValueError):  # a LinAlgError is a ValueError
                 continue
             for (propagator, (h, _)), *parts in zip(stack.items(), *doubled):
-                propagator._prebuilt[h] = _interval_flow(*parts)
+                propagator._last = h, _interval_flow(*parts)
 
 
 def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,

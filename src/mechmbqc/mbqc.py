@@ -32,6 +32,7 @@ from .states import (
     is_index,
     is_symplectic,
     quadratures,
+    shown,
 )
 
 FOURIER = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -129,8 +130,8 @@ class MeasurementPattern:
         missing = [node for node in (*self.inputs, *self.measured, *self.outputs)
                    if not is_index(node, n_nodes)]
         if missing:
-            raise ValueError(f"pattern nodes {missing} are not integer nodes "
-                             f"of a {n_nodes}-node graph")
+            raise ValueError(f"pattern nodes [{', '.join(map(shown, missing))}] are not "
+                             f"integer nodes of a {n_nodes}-node graph")
         for name in ("inputs", "measured", "outputs"):
             object.__setattr__(self, name, tuple(int(node) for node in getattr(self, name)))
         object.__setattr__(self, "phases", tuple(float(phi) for phi in self.phases))

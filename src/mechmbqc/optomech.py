@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mbqc
 from .states import (GaussianState, build_cluster, condition_on_homodyne, fidelity_to,
-                     is_index, is_integer, real_number, thermal, vacuum)
+                     is_index, is_integer, real_number, shown, thermal, vacuum)
 from .dynamics import (
     EvolutionCoefficients,
     PhysicalityError,
@@ -176,7 +176,7 @@ def qnd_hamiltonian(params: PhysicalParams, n_resonators: int, addressed: int) -
     position couples to the resonator's momentum at strength 2 alpha_g. An ``addressed``
     that is not an index (:func:`is_index`) of the resonators is a ``ValueError``."""
     if not is_index(addressed, n_resonators):
-        raise ValueError(f"resonator {addressed!r} is not an integer resonator "
+        raise ValueError(f"resonator {shown(addressed)} is not an integer resonator "
                          f"of {n_resonators}")
     h_system = np.zeros((2 * n_resonators + 2,) * 2)
     h_system[2 * n_resonators, 2 * addressed + 1] = 2.0 * params.alpha_g
@@ -244,7 +244,8 @@ class MonitoringSchedule:
 
     def __post_init__(self):
         if isinstance(self.durations, (str, bytes)) or not np.iterable(self.durations):
-            raise ValueError(f"durations must be a sequence of numbers, got {self.durations!r}")
+            raise ValueError("durations must be a sequence of numbers, "
+                             f"got {shown(self.durations)}")
         durations = tuple(real_number(t, "a monitoring duration") for t in self.durations)
         if not all(0 < t < np.inf for t in durations):
             raise ValueError("monitoring durations must be positive and finite")
@@ -256,7 +257,7 @@ class MonitoringSchedule:
         :func:`real_number` and ``n_steps`` a non-negative :func:`is_integer`
         (0 for a pattern that measures no node), or a ``ValueError``."""
         if not (is_integer(n_steps) and n_steps >= 0):
-            raise ValueError(f"n_steps must be a non-negative integer, got {n_steps!r}")
+            raise ValueError(f"n_steps must be a non-negative integer, got {shown(n_steps)}")
         return MonitoringSchedule((real_number(t_mon, "t_mon"),) * n_steps)
 
     @property
@@ -387,7 +388,7 @@ def _step_coefficients(key: _CoefficientKey, n_nodes: int, measured: tuple) -> t
     The steps share one build of the channels and differ only in the drift's
     Hamiltonian term. The coefficients are immutable, so runs on the same
     coefficient fields and measured nodes share them and all they derive once: the
-    propagators, with their last two flows, and the grid rule's norms.
+    propagators, with the flow of their last interval length, and the grid rule's norms.
     """
     params = key.params
     shared = qnd_coefficients(params, n_nodes)
@@ -512,7 +513,7 @@ def measured_node_decorrelation(trajectory: Trajectory, node: int,
     """
     covs = trajectory.covs
     if not is_index(node, covs.shape[1] // 2):
-        raise ValueError(f"node {node!r} is not a mode of the "
+        raise ValueError(f"node {shown(node)} is not a mode of the "
                          f"{covs.shape[1] // 2}-mode trajectory")
     keep = np.ones(covs.shape[1], dtype=bool)
     keep[2 * node : 2 * node + 2] = False

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -134,18 +135,33 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message, or, for an ``int`` too long for
+    Python's string conversion, its sign and count of digits."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to show"
+        magnitude = abs(value)
+        digits = int(math.log10(magnitude)) + 1
+        # log10 may round across a power of ten; the exact comparisons mend that.
+        digits += (10 ** digits <= magnitude) - (10 ** (digits - 1) > magnitude)
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def real_number(value, name: str) -> float:
     """``value`` as a plain ``float``: the package's one rule for a real
     argument. It must be an ``int``, a ``float`` or a numpy real, and not a
     bool, a string or bytes, and an ``int`` must lie within the float range;
     otherwise a ``ValueError`` names ``name`` and the value."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise ValueError(f"{name} must be a real number, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} must be a real number within the float range, "
-                         f"got {value!r}") from None
+                         f"got {shown(value)}") from None
 
 
 def is_index(value, size: int) -> bool:
@@ -160,7 +176,8 @@ def quadratures(modes, n_modes: int) -> np.ndarray:
     of the state is a ``ValueError``."""
     for mode in modes:
         if not is_index(mode, n_modes):
-            raise ValueError(f"mode {mode!r} is not an integer mode of a {n_modes}-mode state")
+            raise ValueError(f"mode {shown(mode)} is not an integer mode "
+                             f"of a {n_modes}-mode state")
     modes = np.asarray(modes, dtype=int)
     return np.stack([2 * modes, 2 * modes + 1], axis=-1).ravel()
 
@@ -265,7 +282,8 @@ def embed_single_mode(matrix2: np.ndarray, n_modes: int, mode: int) -> np.ndarra
     """Embed a 2x2 matrix acting on ``mode`` into a 2n x 2n identity; a
     ``mode`` that is not an :func:`is_index` of n modes is a ``ValueError``."""
     if not is_index(mode, n_modes):
-        raise ValueError(f"mode {mode!r} is not an integer mode of a {n_modes}-mode state")
+        raise ValueError(f"mode {shown(mode)} is not an integer mode "
+                         f"of a {n_modes}-mode state")
     full = np.eye(2 * n_modes)
     s = slice(2 * mode, 2 * mode + 2)
     full[s, s] = matrix2
@@ -301,7 +319,8 @@ def cz_matrix(n_modes: int, j: int, k: int, weight: float = 1.0) -> np.ndarray:
     """Symplectic matrix of CZ between modes j and k: p_j += w q_k, p_k += w q_j.
     Unless j and k are distinct :func:`is_index` of n modes, a ``ValueError``."""
     if not (is_index(j, n_modes) and is_index(k, n_modes)) or j == k:
-        raise ValueError(f"CZ needs two distinct modes of {n_modes}, got ({j!r}, {k!r})")
+        raise ValueError(f"CZ needs two distinct modes of {n_modes}, "
+                         f"got ({shown(j)}, {shown(k)})")
     full = np.eye(2 * n_modes)
     full[2 * j + 1, 2 * k] = weight
     full[2 * k + 1, 2 * j] = weight
@@ -330,7 +349,7 @@ class GraphSpec:
         n_nodes = self.n_nodes
         if not (is_integer(n_nodes) and n_nodes >= 1):
             raise ValueError(f"a graph needs an integer node count of at least 1, "
-                             f"got {n_nodes!r}")
+                             f"got {shown(n_nodes)}")
         object.__setattr__(self, "n_nodes", int(n_nodes))
         normalized = []
         for edge in self.edges:
@@ -342,7 +361,7 @@ class GraphSpec:
             if j == k:
                 raise ValueError("graph may not contain self-loops")
             if not (is_index(j, self.n_nodes) and is_index(k, self.n_nodes)):
-                raise ValueError(f"edge ({j!r}, {k!r}) does not join two integer "
+                raise ValueError(f"edge ({shown(j)}, {shown(k)}) does not join two integer "
                                  f"nodes of a {self.n_nodes}-node graph")
             if not np.isfinite(float(weight)):
                 raise ValueError(f"edge ({j}, {k}) has a non-finite weight {weight!r}")

@@ -466,6 +466,22 @@ def test_simulate_runs_an_astronomically_long_step(tmp_path):
     assert float(header_of(out / "summary.csv")["final_fidelity"]) == pytest.approx(1.0)
 
 
+def test_simulate_runs_a_samples_per_step_beyond_the_float_range(tmp_path):
+    # 10^400 samples per step cannot be divided as floats; the chunks' grids
+    # are coarser than either cap, so the trace is that of 10^6 samples.
+    fidelities = []
+    for samples in (10**400, 10**6):
+        name = f"{len(str(samples))}-digits"
+        path = write_config(tmp_path, {**BASE, "samples_per_step": samples}, f"{name}.json")
+        out = tmp_path / name
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        rows = [line for line in (out / "trace.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        column = rows[0].split(",").index("fidelity")
+        fidelities.append([row.split(",")[column] for row in rows[1:]])
+    assert len(fidelities[0]) > 9 * 4 and fidelities[0] == fidelities[1]
+
+
 def test_simulate_runs_a_step_whose_h_lambda_overflows(tmp_path):
     # Each 1e302-s chunk times the step's rate (about 3.2e7 / s at
     # kappa / 2 pi = 10 MHz) overflows. The run ends where 1e4-s steps end:

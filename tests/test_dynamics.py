@@ -6,8 +6,11 @@ import importlib.util
 import math
 import re
 import sys
+import threading
+import time
 import types
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -627,11 +630,10 @@ def test_a_stack_of_doubled_maps_is_the_plain_formulas_bit_for_bit(seed, n_modes
             assert g[k].dtype == w.dtype and g[k].tobytes() == w.tobytes()
 
 
-def test_prepared_chunk_flows_are_the_lazy_flows_and_the_cache_sees_the_same_lookups(
-        monkeypatch):
+def test_prepared_chunk_flows_are_the_lazy_flows_and_fill_the_slot(monkeypatch):
     # Four steps, two of one halvings count, one of another and one of none:
-    # each of the first three is handed its chunk flow, which the cache takes
-    # on that length's first miss, with the counts of a lazy build.
+    # each of the first three has its chunk flow written into its slot, which
+    # the step's first lookup then takes.
     stacks, doubled_map_kernel = [], dyn._doubled_map
 
     def spy(phi, d, doublings):
@@ -648,24 +650,26 @@ def test_prepared_chunk_flows_are_the_lazy_flows_and_the_cache_sees_the_same_loo
     assert stacks == [((2, 12, 12), 3), ((1, 12, 12), 6)]
     for (coeffs, t_mon), other in zip(steps, lazy):
         propagator, h = coeffs.propagator, t_mon / dyn.CHUNKS_PER_STEP
-        assert list(propagator._prebuilt) == ([h] if dyn._halvings(h, propagator.rate) else [])
-        handed = propagator._prebuilt.get(h)
+        prepared, held = propagator._last
+        assert (prepared == h) == bool(dyn._halvings(h, propagator.rate))
         flow = propagator._flow(h)
-        assert not propagator._prebuilt and (handed is None or flow is handed)
+        assert held is None or flow is held
         assert same_flow(flow, other.propagator._flow(h))
         assert same_flow(flow, expm_flow(propagator, h))
-        assert propagator._flow.cache_info() == other.propagator._flow.cache_info()
 
 
-def test_prepare_steps_skips_a_propagator_that_holds_flows_or_serves_an_earlier_step():
-    coeffs, held = random_physical_coefficients(5, 2), random_physical_coefficients(6, 2)
-    held.propagator.advance(0.5 * np.eye(4), 1e-3)
-    t_mon = dyn.CHUNKS_PER_STEP * 8.0 / coeffs.propagator.rate
-    dyn.prepare_steps([(coeffs, t_mon), (coeffs, 2 * t_mon), (held, t_mon)])
-    assert list(coeffs.propagator._prebuilt) == [t_mon / dyn.CHUNKS_PER_STEP]
-    assert not held.propagator._prebuilt
-    dyn.prepare_steps([(coeffs, 2 * t_mon)])  # it holds one handed over
-    assert list(coeffs.propagator._prebuilt) == [t_mon / dyn.CHUNKS_PER_STEP]
+def test_prepare_steps_skips_a_propagator_whose_slot_holds_the_chunk_length():
+    # A slot that holds another length is overwritten, one that holds the
+    # chunk length keeps its flow.
+    held, other = random_physical_coefficients(5, 2), random_physical_coefficients(6, 2)
+    t_mon = dyn.CHUNKS_PER_STEP * 8.0 / held.propagator.rate
+    h = t_mon / dyn.CHUNKS_PER_STEP
+    flow = held.propagator._flow(h)
+    other.propagator.advance(0.5 * np.eye(4), 1e-3)
+    dyn.prepare_steps([(held, t_mon), (other, t_mon)])
+    assert held.propagator._last[0] == h and held.propagator._last[1] is flow
+    assert other.propagator._last[0] == h
+    assert same_flow(other.propagator._last[1], expm_flow(other.propagator, h))
 
 
 def test_prepare_steps_never_raises_and_leaves_what_it_cannot_build_to_the_step(monkeypatch):
@@ -676,7 +680,7 @@ def test_prepare_steps_never_raises_and_leaves_what_it_cannot_build_to_the_step(
     t_mon = dyn.CHUNKS_PER_STEP * 8.0 / good.propagator.rate
     steps = [(good, math.nan), (good, -t_mon), (good, math.inf), (broken, t_mon)]
     dyn.prepare_steps(steps)
-    assert not good.propagator._prebuilt
+    assert good.propagator._last == (None, None)
     with pytest.raises(np.linalg.LinAlgError):
         dyn.sample_step(0.5 * np.eye(2), broken, t_mon, 2, 0.0)
 
@@ -685,7 +689,7 @@ def test_prepare_steps_never_raises_and_leaves_what_it_cannot_build_to_the_step(
 
     monkeypatch.setattr(dyn, "_doubled_map", singular)
     dyn.prepare_steps([(good, t_mon)])
-    assert not good.propagator._prebuilt
+    assert good.propagator._last == (None, None)
     with pytest.raises(np.linalg.LinAlgError, match="in a doubling"):
         dyn.sample_step(0.5 * np.eye(4), good, t_mon, 2, 0.0)
 
@@ -736,16 +740,15 @@ def test_propagator_rejects_an_interval_that_is_not_finite_and_non_negative(h):
     # backwards to an unphysical state, and inf leaked a RuntimeWarning.
     propagator = random_physical_coefficients(0, 3).propagator
     sigma = 0.5 * np.eye(6)
-    propagator.advance(sigma, 1e-3)  # a cached flow does not let h through
+    propagator.advance(sigma, 1e-3)  # a flow in the slot does not let h through
+    flow = propagator._last[1]
     with pytest.raises(ValueError, match="finite and non-negative"):
         propagator.advance(sigma, h)
     with pytest.raises(ValueError, match="finite and non-negative"):
         propagator.sample(sigma, h, np.empty((3, 6, 6)))
-    # The rejected h left no flow: the one cached length is still 1e-3.
-    assert propagator._flow.cache_info().currsize == 1
-    misses = propagator._flow.cache_info().misses
-    propagator.advance(sigma, 1e-3)
-    assert propagator._flow.cache_info().misses == misses
+    # The rejected h left the slot as it was.
+    assert propagator._last[0] == 1e-3 and propagator._last[1] is flow
+    assert propagator._flow(1e-3) is flow
 
 
 def test_propagator_over_a_zero_interval_gives_back_sigma():
@@ -766,38 +769,85 @@ def test_flow_of_a_long_interval_is_the_expm_flow_bit_for_bit(halvings):
     assert want[2] is not None and same_flow(propagator._flow(h), want)
 
 
-def test_a_propagator_keeps_two_flows_and_rebuilds_an_evicted_one_bit_for_bit():
-    # The flows are kept for the last two lengths used; a third length evicts
-    # the least recently used one, whose flow is then built again, the same.
+def test_a_propagator_keeps_its_last_flow_and_rebuilds_an_evicted_one_bit_for_bit():
+    # The slot keeps the flow of the last length used; another length evicts
+    # it, and its flow is then built again, the same.
     propagator = random_physical_coefficients(2, 3).propagator
-    lengths = [h_rate / propagator.rate for h_rate in (0.5, 8.0, 700.0)]
-    first = [propagator._flow(h) for h in lengths[:2]]
-    assert propagator._flow(lengths[0]) is first[0]  # now the most recent
-    propagator._flow(lengths[2])  # evicts lengths[1]
-    info = propagator._flow.cache_info()
-    assert (info.maxsize, info.currsize, info.misses) == (2, 2, 3)
-    assert propagator._flow(lengths[0]) is first[0]
-    rebuilt = propagator._flow(lengths[1])
-    assert rebuilt is not first[1] and same_flow(rebuilt, first[1])
-    assert propagator._flow.cache_info().misses == 4
+    for h_rate in (0.5, 8.0, 700.0):
+        h = h_rate / propagator.rate
+        first = propagator._flow(h)
+        assert propagator._flow(h) is first
+        assert propagator._last[0] == h and propagator._last[1] is first
+        propagator._flow(2 * h)  # evicts h
+        rebuilt = propagator._flow(h)
+        assert rebuilt is not first and same_flow(rebuilt, first)
 
 
 def test_the_cached_flow_holds_no_reference_to_its_propagator():
-    # The flow cache wraps a closure of the module's pure _flow over the
-    # propagator's own H, rate and witnesses, so dropping a propagator frees
-    # it at once.
+    # The slot holds plain arrays, so dropping a propagator frees it at once.
     propagator = random_physical_coefficients(2, 3).propagator
-    cached = propagator._flow.__wrapped__
-    captured = [cell.cell_contents for cell in cached.__closure__]
-    assert "_flow" in cached.__code__.co_names
-    assert any(value is propagator.hamiltonian for value in captured)
-    assert any(value is propagator.rate for value in captured)
-    assert not any(value is propagator for value in captured)
+    flow = propagator._flow(1e-3)
     ref = weakref.ref(propagator)
-    propagator._flow(1e-3)
-    flows = propagator._flow
     del propagator
-    assert ref() is None and flows.cache_info().currsize == 1
+    assert ref() is None and all(isinstance(part, np.ndarray) for part in flow)
+
+
+class YieldingPropagator(dyn.Propagator):
+    """A propagator whose slot lets other threads run at every read, so that
+    one may replace it between two reads of one lookup."""
+
+    @property
+    def _last(self):
+        time.sleep(0)
+        return self.__dict__["_last"]
+
+    @_last.setter
+    def _last(self, value):
+        self.__dict__["_last"] = value
+
+
+def test_one_propagator_serves_two_threads_bit_for_bit(monkeypatch):
+    # Two threads sample one propagator at once, each at two interval lengths
+    # of its own in turn, lone and as lockstep chains, so the slot changes
+    # hands within and between threads. Each thread's stack has the bits of
+    # a lone run on a propagator of its own. Every solve and every read of
+    # the slot lets the other thread run.
+    lengths = [(0.5, 8.0), (8.0, 700.0)]
+    solve = dyn._solve
+
+    def yielding_solve(a, b):
+        time.sleep(0)
+        return solve(a, b)
+
+    monkeypatch.setattr(dyn, "_solve", yielding_solve)
+    sigma = 0.5 * np.eye(6)
+
+    def run(propagator, h_rates, rounds=25):
+        h, g = (h_rate / propagator.rate for h_rate in h_rates)
+        out = np.empty((rounds, 16, 6, 6))
+        for k in range(rounds):
+            propagator.sample(sigma, h, out[k, :4])
+            propagator.sample(sigma, g, out[k, 4:8])
+            propagator.sample_chains([(sigma, h, 8, 4), (sigma, g, 12, 4)], out[k])
+        return out
+
+    want = [run(random_physical_coefficients(3, 3).propagator, h_rates) for h_rates in lengths]
+    shared = YieldingPropagator(random_physical_coefficients(3, 3))
+    barrier = threading.Barrier(2)
+
+    def worker(h_rates):
+        barrier.wait()
+        return run(shared, h_rates)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(worker, lengths, timeout=300))
+    finally:
+        sys.setswitchinterval(switch)
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
 
 
 # Non-negative finite floats, subnormals included, and the edge values

@@ -646,7 +646,7 @@ def test_threads_sharing_the_run_caches_get_the_serial_results():
 def test_run_caches_stay_within_their_bound():
     # More distinct params and cluster squeezings than the bound: each cache
     # keeps the most recent RUN_CACHE_SIZE keys, and every propagator keeps
-    # the flows of at most two interval lengths, the last two it used.
+    # the flow of one interval length, the last it used.
     sched = om.MonitoringSchedule.equal(3e-6, 4)
     program = mbqc.identity_program()
     protocols = []
@@ -659,14 +659,12 @@ def test_run_caches_stay_within_their_bound():
     assert om._prepare(program, p).steps is protocols[-1].steps
     for protocol in protocols:
         for coeffs in protocol.steps:
-            flows = coeffs.propagator._flow
-            before = flows.cache_info()
-            assert before.maxsize == 2 and 1 <= before.currsize <= 2
-            coeffs.propagator.advance(protocol.initial_cov(), 1e-6)
-            coeffs.propagator.advance(protocol.initial_cov(), 1e-6)
-            after = flows.cache_info()
-            assert after.currsize == 2
-            assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+            propagator = coeffs.propagator
+            assert propagator._last[0] is not None
+            propagator.advance(protocol.initial_cov(), 1e-6)
+            flow = propagator._last[1]
+            propagator.advance(protocol.initial_cov(), 1e-6)
+            assert propagator._last[0] == 1e-6 and propagator._last[1] is flow
 
 
 # Final and maximum fidelities of short runs, recorded before the protocol
@@ -1246,18 +1244,22 @@ def test_protocol_block_flows_are_the_expm_flows_bit_for_bit(monkeypatch, tmp_pa
 
 
 def test_sweep_block_prepared_chunk_flows_are_the_expm_flows_bit_for_bit(monkeypatch, tmp_path):
-    # The flows a run hands its propagators before its first step bypass
-    # _flow, so they are recorded as handed over: the seed-0 sweep block's
-    # 2 x 2 points x 4 steps, each step's chunk flow built in one stack.
+    # The flows a run writes into its propagators' slots before its first
+    # step bypass _flow, so they are recorded as they are written: the seed-0
+    # sweep block's 2 x 2 points x 4 steps, each step's chunk flow built in
+    # one stack.
     workloads = benchmark_workloads()
     prepare, prepared = om.prepare_steps, []
 
     def recording_prepare(steps):
         steps = list(steps)
+        held = [coeffs.propagator._last[1] for coeffs, _ in steps]
         prepare(steps)
-        for coeffs, _ in steps:
-            prepared.extend((coeffs.propagator, h, flow)
-                            for h, flow in coeffs.propagator._prebuilt.items())
+        for (coeffs, t_mon), before in zip(steps, held):
+            h, flow = coeffs.propagator._last
+            if flow is not before:
+                assert h == t_mon / dyn.CHUNKS_PER_STEP
+                prepared.append((coeffs.propagator, h, flow))
 
     monkeypatch.setattr(om, "prepare_steps", recording_prepare)
     om._step_coefficients.cache_clear()
@@ -1896,6 +1898,28 @@ def test_an_integer_beyond_the_float_range_is_a_value_error_naming_it(value, acc
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} must be a real number within the float range, got {value!r}")):
             build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: om.MonitoringSchedule((10**5000,)),
+     "a monitoring duration must be a real number within the float range, "
+     "got an integer of 5001 digits"),
+    (lambda: om.MonitoringSchedule.equal(10**5000, 2),
+     "t_mon must be a real number within the float range, got an integer of 5001 digits"),
+    (lambda: om.MonitoringSchedule.equal(1e-6, -10**5000),
+     "n_steps must be a non-negative integer, got a negative integer of 5001 digits"),
+    (lambda: dyn.sample_cap(-10**5000, "n"),
+     "n must be an integer of at least 2, got a negative integer of 5001 digits"),
+    (lambda: st.GraphSpec(-10**5000),
+     "a graph needs an integer node count of at least 1, "
+     "got a negative integer of 5001 digits"),
+], ids=["duration", "t_mon", "n_steps", "sample-cap", "node-count"])
+def test_an_integer_too_long_to_print_is_named_by_its_digit_count(build, message):
+    # Python refuses str() of an int past 4,300 digits, so the message may
+    # not format the value itself.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_an_equal_schedule_of_no_steps_is_empty():

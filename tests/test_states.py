@@ -279,13 +279,14 @@ INDEX_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, 0.5, -1, N_INDEXED],
-                         ids=["True", "np.True_", "0.5", "-1", "n"])
+@pytest.mark.parametrize("bad", [True, np.True_, 0.5, -1, N_INDEXED, 10**5000],
+                         ids=["True", "np.True_", "0.5", "-1", "n", "10^5000"])
 @pytest.mark.parametrize("name", INDEX_CALLS)
 def test_a_bad_index_is_a_value_error_at_the_call(name, bad):
     # A bool is no index (True would address mode 1), a float would be
-    # truncated, -1 would wrap to the last mode and n would leak numpy's
-    # broadcast or index error.
+    # truncated, -1 would wrap to the last mode, n would leak numpy's
+    # broadcast or index error, and a message that printed 10^5000 would
+    # fail on Python's digit limit instead.
     call, message = INDEX_CALLS[name]
     with pytest.raises(ValueError, match=message):
         call(bad)

@@ -21,8 +21,12 @@ same ops. Sweep outputs go to a temporary directory. No output is checked:
 use ``tools/same_outputs.py`` for that.
 
 Each subprocess reports the median of its timed blocks. The report gives each
-side's min and median of those over the pairs, the median per-pair ratio
-change / base, and the pairs the change won. Where ``tools/ab_pairs.py``
+side's min and quartiles of those over the pairs, the median per-pair ratio
+change / base, and the pairs the change won. It calls the difference
+"resolved" only where the gap between the two medians exceeds the base's
+interquartile range, the spread between the base's own runs, and
+"unresolved" otherwise: a run that shows no gap beyond that spread shows no
+change either way, not an unchanged time. Where ``tools/ab_pairs.py``
 times whole benchmark runs, this times the simulator alone, without the
 benchmark's host-speed probe. Standard library only.
 """
@@ -82,6 +86,15 @@ def run_side(checkout: Path, workload: str, seed: int, blocks: int) -> float:
     return float(proc.stdout.strip().splitlines()[-1])
 
 
+def quartiles_of(values: list) -> tuple:
+    """``(q1, median, q3)`` of ``values``, by linear interpolation between
+    the sorted values; a lone value is all three."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -105,10 +118,15 @@ def main():
     wins = sum(r < 1.0 for r in ratios)
     print(f"# {args.workload}, seed {args.seed}, {args.pairs} pairs, median of "
           f"{args.blocks} timed blocks of fresh ops per side, base first in odd pairs")
-    for side, values in times.items():
-        print(f"{side:6s} min {min(values):.4f} s  median {statistics.median(values):.4f} s")
+    quartiles = {side: quartiles_of(values) for side, values in times.items()}
+    for side, (q1, median, q3) in quartiles.items():
+        print(f"{side:6s} min {min(times[side]):.4f} s  quartiles {q1:.4f} / {median:.4f} / "
+              f"{q3:.4f} s")
+    (b1, base, b3), (_, change, _) = quartiles["base"], quartiles["change"]
+    verdict = "resolved" if abs(change - base) > b3 - b1 else "unresolved"
     print(f"change / base: median ratio {statistics.median(ratios):.4f} "
-          f"({statistics.median(ratios) - 1.0:+.2%}), change faster in {wins}/{args.pairs}")
+          f"({statistics.median(ratios) - 1.0:+.2%}), change faster in {wins}/{args.pairs}; "
+          f"median gap {change - base:+.4f} s against base IQR {b3 - b1:.4f} s: {verdict}")
 
 
 if __name__ == "__main__":
