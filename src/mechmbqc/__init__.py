@@ -51,6 +51,7 @@ from .optomech import (
     optimize_schedule,
     params_set1,
     params_set2,
+    run_monitoring_batch,
     run_monitoring_protocol,
     thermal_occupancy,
 )

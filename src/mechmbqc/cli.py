@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
-from .optomech import PRESETS, optimize_schedule, run_monitoring_protocol
+from .optomech import (PRESETS, RUN_CACHE_SIZE, optimize_schedule, run_monitoring_batch,
+                       run_monitoring_protocol)
 from .states import UnphysicalStateError, build_cluster, nullifier_variances
 
 EXIT_OK = 0
@@ -149,26 +150,43 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _sweep_point(args):
-    """:func:`_run` at one grid point; module-level so it pickles."""
-    schedule, result = _run(*args)
-    return result.final_fidelity, result.max_fidelity, schedule.durations
+def _sweep_batch(args) -> list:
+    """``(final fidelity, max fidelity, durations)`` at each of a batch of
+    grid points ``(config, points)``: one :func:`_run` per point for an
+    optimized schedule, whose search is sequential, and else one
+    :func:`run_monitoring_batch` of them all; module-level so it pickles."""
+    config, points = args
+    if config.schedule_mode == "optimized":
+        results = [_run(config, point)[1] for point in points]
+    else:
+        results = run_monitoring_batch(config.program,
+                                       [config.physical_params(point) for point in points],
+                                       config.schedule(),
+                                       samples_per_step=config.samples_per_step)
+    return [(res.final_fidelity, res.max_fidelity, res.schedule.durations) for res in results]
 
 
 def cmd_sweep(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     if not config.sweep_axes:
         raise ConfigError("sweep command needs a 'sweep' section with axes")
     points = config.sweep_points()
-    jobs = [(config, point) for point in points]
 
-    # A fork pool starts all of its workers on the first submit. The serial
-    # path keeps the process's BLAS threads as they are.
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    # A fork pool starts all of its workers on the first submit, so it is
+    # bounded by the CPUs this process may run on. The serial path keeps the
+    # process's BLAS threads as they are.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(points), cpus or 1)
+    # Batches in grid order, one per worker, of at most RUN_CACHE_SIZE points,
+    # so a batch's derived state stays in the run caches and its memory bounded.
+    n_batches = max(workers, -(-len(points) // RUN_CACHE_SIZE))
+    size = -(-len(points) // n_batches)
+    jobs = [(config, points[first:first + size]) for first in range(0, len(points), size)]
     if workers > 1:
         with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, jobs))
+            batches = list(pool.map(_sweep_batch, jobs))
     else:
-        results = [_sweep_point(job) for job in jobs]
+        batches = [_sweep_batch(job) for job in jobs]
+    results = [res for batch in batches for res in batch]
 
     header = _base_header(config, "sweep")
     names = [name for name, _ in config.sweep_axes]

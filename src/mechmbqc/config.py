@@ -32,7 +32,10 @@ _SCHEDULE_MODES = ("equal", "optimized", "explicit")
 
 # Most points a sweep grid may hold. Every point's parameters are built and
 # checked at load, about 50 us each on one Xeon core, so 10**6 points take
-# about a minute and 220 MB before the first point runs.
+# about a minute and 220 MB before the first point runs. The points then run
+# in batches of at most optomech.RUN_CACHE_SIZE (8) per worker; a batch of 8
+# peaks at about 8 MB of allocations (tracemalloc) at 120 samples per step on
+# the five-node chain, against 1.3 MB for its points one at a time.
 MAX_SWEEP_POINTS = 10**6
 
 

@@ -209,11 +209,11 @@ class Propagator:
 
     :meth:`sample` applies the flow of one interval length repeatedly and
     writes each sample into a preallocated stack; :meth:`advance` is
-    :meth:`sample` of one entry, and :meth:`sample_chains` advances
-    independent chains, each of its own interval length, in lockstep. One
-    kernel, :meth:`_step`, forms every sample, of a lone chain or of a stack
-    of chains: one product, one LAPACK ``dgesv`` per chain and one
-    symmetrization, whatever h. The map it applies, :func:`_flow` of the
+    :meth:`sample` of one entry, and :func:`sample_chains` advances
+    independent chains, each of its own propagator and interval length, in
+    lockstep. One kernel, :meth:`_step`, forms every sample, of a lone chain
+    or of a stack of chains: one product, one LAPACK ``dgesv`` per chain and
+    one symmetrization, whatever h. The map it applies, :func:`_flow` of the
     interval length, is kept for the last length used, in one slot. Let
     lambda be the largest real part in the spectrum of H, by which X grows.
 
@@ -246,7 +246,7 @@ class Propagator:
     with the bits of ``scipy.linalg.expm``, which it falls back to for a
     triangular or diagonal h H.
 
-    The slot ``_last`` holds ``(h, flow)``; :func:`prepare_steps` may fill it
+    The slot ``_last`` holds ``(h, flow)``; :func:`prepare_flows` may fill it
     before a run. A lookup reads it once and, for another length, builds that
     flow and only then overwrites it, so a rejected h leaves it as it was. A
     propagator may serve several threads at once: each thread works in
@@ -300,52 +300,6 @@ class Propagator:
             raise
         return out
 
-    def sample_chains(self, chains: list, out: np.ndarray) -> np.ndarray:
-        """Write independent chains of samples into the stack ``out`` in
-        lockstep, and return it.
-
-        Chain ``(sigma, h, first, count)`` writes what :meth:`sample` of
-        ``count`` intervals ``h`` from ``sigma`` writes, with its bits, into
-        ``out[first:first + count]``; the chains are in time order and do not
-        overlap. Their flows are looked up in that order, as by one
-        :meth:`sample` call per chain. The chains of each form and count then
-        advance together: per interval, one :meth:`_step` of their stack, so
-        every sample is still one ``dgesv`` of its own.
-
-        If a flow or a solve fails, the chains are redone one :meth:`sample`
-        at a time, in time order: the first failure in time is raised, its
-        ``LinAlgError`` carrying ``samples_written``, the index in ``out`` of
-        the sample that failed, with every sample of a chain before it
-        written.
-        """
-        try:
-            # Chains of one form and one count, in time order. A Davison-Maki
-            # chain does not join the interval form's stack as one with Psi = I
-            # and W_c = 0: adding that W_c flips the sign of exact zeros.
-            groups = {}
-            for sigma, h, first, count in chains:
-                flow = self._flow(h)
-                groups.setdefault((len(flow), count), []).append((first, sigma, *flow))
-            for (_, count), group in groups.items():
-                firsts, sigmas, *flow = zip(*group)
-                sigmas, flow = np.stack(sigmas), [np.stack(part) for part in flow]
-                work = _scratch(self.dim, len(group))
-                gaps = {b - a for a, b in zip(firsts, firsts[1:])} or {1}
-                for k in range(count):
-                    # Evenly spaced samples are written in place, others copied.
-                    dest = out[firsts[0] + k::min(gaps)][:len(group)] if len(gaps) == 1 else sigmas
-                    sigmas = self._step(sigmas, flow, work, dest)
-                    if len(gaps) > 1:
-                        out[[first + k for first in firsts]] = sigmas
-        except np.linalg.LinAlgError:
-            for sigma, h, first, count in chains:
-                try:
-                    self.sample(sigma, h, out[first:first + count])
-                except np.linalg.LinAlgError as error:
-                    error.samples_written += first
-                    raise
-        return out
-
     def _step(self, sigmas, flow, work, out) -> np.ndarray:
         """One sample of each chain of a stack, the one code that forms a
         sample: entry i of ``out`` is the flow of entry i of the stacks
@@ -375,6 +329,73 @@ class Propagator:
         """Covariance after an interval ``h``, starting from ``sigma``:
         :meth:`sample` of one entry."""
         return self.sample(sigma, h, np.empty((1, self.dim, self.dim)))[0]
+
+
+def sample_chains(chains: list, out: np.ndarray) -> np.ndarray:
+    """Write independent chains of samples into the stack ``out`` in
+    lockstep, and return it.
+
+    Chain ``(propagator, sigma, h, first, count)`` writes what
+    :meth:`Propagator.sample` of ``count`` intervals ``h`` from ``sigma``
+    writes, with its bits, into ``out[first:first + count]``; the chains'
+    propagators have the dimension of ``out``, and the chains are in time
+    order and do not overlap. Their flows are looked up in that order, as by
+    one :meth:`~Propagator.sample` call per chain. The chains of each form
+    and count then advance together, whatever their propagators: per
+    interval, one :meth:`Propagator._step` of their stack, so every sample
+    is still one ``dgesv`` of its own. A chain alone in its group advances
+    on lone matrices, as in :meth:`~Propagator.sample`.
+
+    A lone chain is one :meth:`~Propagator.sample` call. If a flow or a
+    solve of the lockstep fails, the chains are redone one
+    :meth:`~Propagator.sample` at a time, in time order: the first failure in
+    time is raised, its ``LinAlgError`` carrying ``samples_written``, the
+    index in ``out`` of the sample that failed, with every sample of a chain
+    before it written.
+    """
+    if len(chains) > 1:
+        try:
+            _lockstep(chains, out)
+            return out
+        except np.linalg.LinAlgError:
+            pass
+    for propagator, sigma, h, first, count in chains:
+        try:
+            propagator.sample(sigma, h, out[first:first + count])
+        except np.linalg.LinAlgError as error:
+            error.samples_written += first
+            raise
+    return out
+
+
+def _lockstep(chains: list, out: np.ndarray):
+    """The lockstep of :func:`sample_chains`, which raises its first error
+    as it meets it."""
+    # Chains of one form and one count, in time order. A Davison-Maki chain
+    # does not join the interval form's stack as one with Psi = I and W_c = 0:
+    # adding that W_c flips the sign of exact zeros.
+    groups = {}
+    for propagator, sigma, h, first, count in chains:
+        flow = propagator._flow(h)
+        groups.setdefault((len(flow), count), []).append((first, propagator, sigma, *flow))
+    for (_, count), group in groups.items():
+        firsts, propagators, sigmas, *flow = zip(*group)
+        n, step = len(group), propagators[0]._step
+        if n == 1:
+            sigmas, flow, work = sigmas[0], [part[0] for part in flow], _scratch(out.shape[-1])
+        else:
+            sigmas, flow = np.stack(sigmas), [np.stack(part) for part in flow]
+            work = _scratch(out.shape[-1], n)
+        gaps = {b - a for a, b in zip(firsts, firsts[1:])}
+        for k in range(count):
+            # Evenly spaced samples are written in place, others copied.
+            if n == 1:
+                dest = out[firsts[0] + k]
+            else:
+                dest = out[firsts[0] + k::min(gaps)][:n] if len(gaps) == 1 else sigmas
+            sigmas = step(sigmas, flow, work, dest)
+            if len(gaps) > 1:
+                out[[first + k for first in firsts]] = sigmas
 
 
 def _flow(hamiltonian: np.ndarray, rate: float, witnesses: tuple, h: float):
@@ -519,9 +540,9 @@ def _doubled_map(phi: np.ndarray, d: int, doublings: int):
     """``(W_c, Psi, W_o)`` of the interval form of the flow ``phi`` composed
     with itself ``doublings`` times, one solve per flow and doubling (see
     :class:`Propagator`). ``phi`` is a stack of flows, all doubled as often,
-    or a lone flow, and the three results have its stack shape: a run's
-    chunk flows are built together (:func:`prepare_steps`) by the code that
-    builds one.
+    or a lone flow, and the three results have its stack shape: the flows
+    of a batch of runs are built together (:func:`prepare_flows`) by the
+    code that builds one.
 
     Every solve works in place on Fortran-ordered buffers allocated once per
     call, one set per flow: the first right-hand side [I, Phi21^T], then per
@@ -641,7 +662,7 @@ def integrate(sigma0, coeffs: EvolutionCoefficients, t_total: float, dt: float,
                          f"finite, got {t_total!r}")
     n_samples = sample_cap(n_samples, "n_samples")
 
-    return _sample_flow(sigma, coeffs, t_total, 1, dt, n_samples, 0.0)
+    return _sample_flow([sigma], [coeffs], t_total, 1, dt, n_samples, 0.0)[0]
 
 
 def sample_cap(value, name: str) -> int:
@@ -661,8 +682,7 @@ def sample_cap(value, name: str) -> int:
 CHUNKS_PER_STEP = 8
 
 
-def sample_step(sigma: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
-                n_samples: int, t_offset: float) -> Trajectory:
+def sample_step(sigma, coeffs, t_mon: float, n_samples: int, t_offset: float):
     """The samples of one monitoring step: the exact flow of ``coeffs`` over
     ``t_mon`` from ``sigma``, its times counted from ``t_offset``. This is the
     one owner of a step's sample grid.
@@ -677,33 +697,40 @@ def sample_step(sigma: np.ndarray, coeffs: EvolutionCoefficients, t_mon: float,
     :func:`_grid_steps` gives its start. The samples after the start are
     guarded once, by :func:`check_samples`; see :func:`_sample_flow`. A
     ``t_mon`` that is negative or not finite is a ``ValueError``.
+
+    A batch of steps, of one dimension, one ``t_mon`` and one ``t_offset``,
+    is sampled in lockstep: ``coeffs`` is then a sequence of coefficients
+    and ``sigma`` the sequence of their starts, and a list of trajectories is
+    returned, each with the bits of its step sampled alone.
     """
     per_chunk = max(2, -(-n_samples // CHUNKS_PER_STEP))  # exact for any int
-    return _sample_flow(sigma, coeffs, t_mon / CHUNKS_PER_STEP, CHUNKS_PER_STEP, None,
-                        per_chunk, t_offset)
+    lone = isinstance(coeffs, EvolutionCoefficients)
+    trajectories = _sample_flow([sigma] if lone else sigma, [coeffs] if lone else coeffs,
+                                t_mon / CHUNKS_PER_STEP, CHUNKS_PER_STEP, None, per_chunk,
+                                t_offset)
+    return trajectories[0] if lone else trajectories
 
 
-def prepare_steps(steps) -> None:
-    """Build together the chunk flows of a run's monitoring steps, each
-    ``(coeffs, t_mon)`` a step of :func:`sample_step`, before the first one.
+def prepare_flows(intervals) -> None:
+    """Build together the flows of ``(coeffs, h)`` pairs, each the interval
+    ``h`` of the first flow lookup to come on ``coeffs.propagator``.
 
-    A step's first flow lookup is its chunk length. For each step whose
-    propagator's slot does not hold that length, the ``expm`` of the chunk
-    flow's piece is built on its own, then the pieces of one halvings count
-    are doubled as one stack by :func:`_doubled_map`, with the bits of a lone
-    build, and each flow is written into its propagator's slot. A chunk flow
-    of no halvings is a lone ``expm`` and is left to the step.
+    For each pair whose propagator's slot does not hold ``h``, the ``expm``
+    of the flow's piece is built on its own, then the pieces of one halvings
+    count are doubled as one stack by :func:`_doubled_map`, with the bits of
+    a lone build, and each flow is written into its propagator's slot. A
+    flow of no halvings is a lone ``expm`` and is left to its lookup.
 
     No build error escapes it. What it cannot build, an interval that is not
     finite and >= 0, a propagator or ``expm`` that fails, or a stack with a
-    singular solve or a floating-point error, is left to the step as well, so
-    every such error and warning surfaces at its step, as without this call.
+    singular solve or a floating-point error, is left to the lookup as well,
+    so every such error and warning surfaces there, as without this call.
     """
     stacks = {}  # (halvings, dim) -> {propagator: (h, phi)}
     with np.errstate(all="raise"):
-        for coeffs, t_mon in steps:
+        for coeffs, h in intervals:
             try:
-                propagator, h = coeffs.propagator, t_mon / CHUNKS_PER_STEP
+                propagator = coeffs.propagator
                 if propagator._last[0] == h or not 0.0 <= h < math.inf:
                     continue
                 halvings = _halvings(h, propagator.rate)
@@ -711,7 +738,7 @@ def prepare_steps(steps) -> None:
                     phi = _expm(math.ldexp(h, -halvings), propagator.hamiltonian,
                                 propagator._witnesses)
                     stacks.setdefault((halvings, propagator.dim), {})[propagator] = h, phi
-            except (ArithmeticError, TypeError, ValueError):  # raised again at its step
+            except (ArithmeticError, TypeError, ValueError):  # raised again at its lookup
                 continue
         for (halvings, d), stack in stacks.items():
             try:
@@ -722,66 +749,101 @@ def prepare_steps(steps) -> None:
                 propagator._last = h, _interval_flow(*parts)
 
 
-def _sample_flow(sigma: np.ndarray, coeffs: EvolutionCoefficients, chunk: float,
-                 n_chunks: int, dt, n_samples: int, t_offset: float) -> Trajectory:
-    """Sample the exact flow from ``sigma`` over ``n_chunks`` chunks of length ``chunk``,
-    each on :func:`integrate`'s grid, of step ``dt`` or, for ``dt=None``, the step
-    :func:`_grid_steps` gives its start, and at most ``n_samples`` samples, and guard
-    all samples after the start with one :func:`check_samples`.
+def prepare_steps(steps) -> None:
+    """:func:`prepare_flows` of the chunk flows of monitoring steps, each
+    ``(coeffs, t_mon)`` a step of :func:`sample_step`, before the first one:
+    a step's first flow lookup is its chunk length."""
+    prepare_flows([(coeffs, t_mon / CHUNKS_PER_STEP) for coeffs, t_mon in steps])
 
-    The chunk ends come first, as one :meth:`Propagator.sample` chain of intervals
-    ``chunk`` from ``sigma``, their times summed chunk by chunk. Two samples per chunk
-    keep only the ends, whatever the step, so no step is needed. Otherwise the grid
-    rule takes the stack of chunk starts, ``sigma`` and all ends but the last, once,
+
+def _sample_flow(sigmas, coeffs, chunk: float, n_chunks: int, dt, n_samples: int,
+                 t_offset: float) -> list:
+    """Sample the exact flow of each of a batch of ``coeffs``, of one dimension, from
+    its start in ``sigmas`` over ``n_chunks`` chunks of length ``chunk``, each on
+    :func:`integrate`'s grid, of step ``dt`` or, for ``dt=None``, the step
+    :func:`_grid_steps` gives its start, and at most ``n_samples`` samples, and guard
+    all samples after the starts with one :func:`check_samples`. Returns one
+    :class:`Trajectory` per run.
+
+    The chunk ends come first, as one chain per run of intervals ``chunk`` from its
+    start, their times summed chunk by chunk. Two samples per chunk keep only the
+    ends, whatever the step, so no step is needed. Otherwise each run's grid rule
+    takes the stack of its chunk starts, its start and all ends but the last, once,
     and each chunk's interior is one chain of its grid's sample interval from its
-    start. The chains are independent, so one :meth:`Propagator.sample_chains`
-    call writes them all in lockstep into the step's one stack, allocated at its
-    final size. A ``LinAlgError`` of the ends' chain, of the grid rule on a start
-    that is not finite, or of an interior, a flow's build included, is raised
-    after the samples before it in time are guarded. A ``chunk`` of 0 keeps only
-    the start; a negative or non-finite one fails the flow's own check.
+    start. The chains are independent, so one :func:`sample_chains` call writes the
+    ends, and one the interiors, of every run in lockstep into one stack, allocated
+    at its final size, of which each run's trajectory is a view. A ``chunk`` of 0
+    keeps only the starts; a negative or non-finite one fails the flow's own check.
+
+    A batch of several runs raises its first ``LinAlgError`` as it meets it, with
+    nothing guarded. A lone run raises a ``LinAlgError`` of the ends' chain, of the
+    grid rule on a start that is not finite, or of an interior, a flow's build
+    included, after the samples before it in time are guarded.
     """
-    propagator, fault = coeffs.propagator, None
-    n_chunks = n_chunks if chunk else 0
-    starts = np.empty((1 + n_chunks, *sigma.shape))
-    starts[0] = sigma
+    runs, n_chunks, fault = len(coeffs), n_chunks if chunk else 0, None
+    size = 1 + n_chunks  # a run's start and chunk ends: one block of the stack per run
+    starts, chains = np.empty((runs * size, *sigmas[0].shape)), []
+    for first, c, sigma in zip(range(0, len(starts), size), coeffs, sigmas):
+        starts[first] = sigma
+        chains.append((c.propagator, sigma, chunk, first, n_chunks))
     try:
-        propagator.sample(sigma, chunk, starts[1:])
+        sample_chains(chains if n_chunks else (), starts[1:])
     except np.linalg.LinAlgError as error:
+        if runs > 1:
+            raise
         fault, starts = error, starts[:1 + error.samples_written]
     bounds = list(accumulate([t_offset] + [chunk] * n_chunks))  # chunk starts and ends
-    times, covs, filled = bounds[:len(starts)], starts, len(starts)
+    times, covs, filled = [bounds[:len(starts)]] * runs, starts, len(starts)
     if n_samples > 2 and n_chunks:  # each chunk keeps more than its end
-        known = min(len(starts), n_chunks)  # chunks whose start is known
+        times, known_starts, chains, offset = [], [], [], 0
+        for first, c in zip(range(0, len(starts), size), coeffs):
+            s = starts[first:first + size]
+            known = min(len(s), n_chunks)  # chunks whose start is known
+            try:
+                steps = [dt] * known if dt is not None else _grid_steps(c, chunk, s[:known])
+            except np.linalg.LinAlgError as error:
+                if runs > 1:
+                    raise
+                # The chunks before the first start that is not finite come first.
+                fault, known = error, int(np.argmin(np.isfinite(s[:known]).all(axis=(1, 2))))
+                steps = _grid_steps(c, chunk, s[:known])
+            run_times, at = [t_offset], [offset]  # the run's samples, and where its starts go
+            for sigma, start, end, step in zip(s, bounds, bounds[1:], steps):
+                # The floor binds only where chunk / step would overflow to inf.
+                step = max(step, chunk / sys.float_info.max)
+                n_steps = max(1, math.ceil(chunk / step))
+                # The quotient is rounded to a float first, as it always was;
+                # past 2^53 steps its ceiling can differ from the exact one.
+                sample_every = max(1, math.ceil(n_steps / max(1, n_samples - 1)))
+                marks = range(sample_every, n_steps, sample_every)
+                if marks:
+                    chains.append((c.propagator, sigma, sample_every * step,
+                                   offset + len(run_times), len(marks)))
+                run_times += [start + k * step for k in marks] + [end]
+                at.append(offset + len(run_times) - 1)
+            times.append(run_times)
+            known_starts.append((at[:len(s)], s[:1 + known]))
+            offset += len(run_times)
+        covs = np.empty((offset, *starts.shape[1:]))
+        for at, values in known_starts:
+            covs[at] = values
+        filled = offset - (len(s) == known)  # less an end whose solve failed
         try:
-            steps = [dt] * known if dt is not None else _grid_steps(coeffs, chunk, starts[:known])
+            sample_chains(chains, covs)
         except np.linalg.LinAlgError as error:
-            # The chunks before the first start that is not finite come first.
-            fault, known = error, int(np.argmin(np.isfinite(starts[:known]).all(axis=(1, 2))))
-            steps = _grid_steps(coeffs, chunk, starts[:known])
-        times, grids = [t_offset], []
-        for start, end, step in zip(bounds, bounds[1:], steps):
-            # The floor binds only where chunk / step would overflow to inf.
-            step = max(step, chunk / sys.float_info.max)
-            n_steps = max(1, math.ceil(chunk / step))
-            # The quotient is rounded to a float first, as it always was;
-            # past 2^53 steps its ceiling can differ from the exact one.
-            sample_every = max(1, math.ceil(n_steps / max(1, n_samples - 1)))
-            marks = range(sample_every, n_steps, sample_every)
-            grids.append((sample_every * step, len(times), len(marks)))
-            times += [start + k * step for k in marks] + [end]
-        covs = np.empty((len(times), *sigma.shape))
-        ends = [first + count for _, first, count in grids[:len(starts) - 1]]
-        covs[[0, *ends]] = starts[:1 + known]
-        filled = len(times) - (len(starts) == known)  # less an end whose solve failed
-        try:
-            propagator.sample_chains([(s, *g) for s, g in zip(starts, grids) if g[2]], covs)
-        except np.linalg.LinAlgError as error:
+            if runs > 1:
+                raise
             fault, filled = error, error.samples_written
-    check_samples(times[1:filled], covs[1:filled])
-    if fault is not None:
-        raise fault
-    return Trajectory(np.asarray(times), covs)
+    if runs == 1:
+        check_samples(times[0][1:filled], covs[1:filled])
+        if fault is not None:
+            raise fault
+        return [Trajectory(np.asarray(times[0]), covs)]
+    offsets = list(accumulate(map(len, times), initial=0))  # of each run in the stack
+    samples = np.ones(len(covs), dtype=bool)
+    samples[offsets[:-1]] = False  # every sample but the runs' starts
+    check_samples([t for run_times in times for t in run_times[1:]], covs[samples])
+    return [Trajectory(np.asarray(t), covs[a:b]) for t, a, b in zip(times, offsets, offsets[1:])]
 
 
 def check_samples(times: list, covs: np.ndarray):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .dynamics import (
     build_riccati,
     check_samples,
     homodyne_post_meas_cov,
+    prepare_flows,
     prepare_steps,
     sample_cap,
     sample_step,
@@ -410,57 +412,89 @@ def _prepare(program: mbqc.GateProgram, params: PhysicalParams) -> _Protocol:
     return _Protocol(params, pattern, cluster, reference, steps)
 
 
-def _monitor(protocol: _Protocol, schedule: MonitoringSchedule,
-             samples_per_step: int, keep_trajectories: bool) -> ProtocolResult:
-    """Run a prepared protocol on a schedule and score every sample in one
-    :func:`fidelity_to` call. The steps' chunk flows are built together
-    first, by :func:`~mechmbqc.dynamics.prepare_steps`. If a step fails, the
-    steps before it are scored first: an unphysical output among them is the
-    earlier fault."""
-    if len(schedule.durations) != len(protocol.steps):
+def _monitor(protocols: list, schedule: MonitoringSchedule,
+             samples_per_step: int, keep_trajectories: bool) -> list:
+    """Run a batch of prepared protocols of one pattern on a schedule, in
+    lockstep, and return their results. The steps' chunk flows of every run
+    are built together first, by :func:`~mechmbqc.dynamics.prepare_steps`;
+    each step then samples every run in one
+    :func:`~mechmbqc.dynamics.sample_step`, on lone matrices for a batch of
+    one, and the samples of the runs of each reference are scored in one
+    :func:`fidelity_to` call. If a step fails, the steps before it are scored
+    first: an unphysical output among them is the earlier fault.
+
+    Each result has the bits of its run alone. A batch of several runs may
+    fail where its runs alone would not, or with another error:
+    :func:`run_monitoring_batch` then redoes them one at a time."""
+    if len(schedule.durations) != len(protocols[0].steps):
         raise ValueError(
             f"schedule has {len(schedule.durations)} steps, "
-            f"program needs {len(protocol.steps)}"
+            f"program needs {len(protocols[0].steps)}"
         )
-    cov = protocol.initial_cov()
-    lab = np.eye(len(cov))  # rotates a full-system covariance back to the lab frame
-    lab[:-2, :-2] = protocol.pattern.frame
-    times = []
-    blocks = []
-    slices = []
-    trajectories = []
+    covs = [protocol.initial_cov() for protocol in protocols]
+    if keep_trajectories:
+        lab = np.eye(len(covs[0]))  # rotates a full-system covariance back to the lab frame
+        lab[:-2, :-2] = protocols[0].pattern.frame
+    times = [[] for _ in protocols]  # each run's sample times, step by step
+    blocks = [[] for _ in protocols]  # its output blocks
+    trajectories = [[] for _ in protocols]  # its kept trajectories
     t_start = 0.0
 
-    def score():
-        return fidelity_to(np.concatenate(blocks), protocol.reference) if blocks else np.empty(0)
-
-    prepare_steps(zip(protocol.steps, schedule.durations))
+    prepare_steps([(coeffs, t_mon) for protocol in protocols
+                   for coeffs, t_mon in zip(protocol.steps, schedule.durations)])
     try:
-        for k, (coeffs, t_mon) in enumerate(zip(protocol.steps, schedule.durations)):
-            if k:
-                cov = protocol.handover(cov)
-            traj = sample_step(cov, coeffs, t_mon, samples_per_step, t_start)
-            cov = traj.covs[-1]
+        for k, t_mon in enumerate(schedule.durations):
+            if len(protocols) == 1:  # a lone step, as a run alone samples it
+                trajs = [sample_step(covs[0], protocols[0].steps[k], t_mon, samples_per_step,
+                                     t_start)]
+            else:
+                trajs = sample_step(covs, [protocol.steps[k] for protocol in protocols], t_mon,
+                                    samples_per_step, t_start)
             t_start += t_mon
-            if keep_trajectories:
-                trajectories.append(Trajectory(traj.times, lab.T @ traj.covs @ lab))
-            start = len(times)
-            times.extend(traj.times)
-            blocks.append(protocol.output_block(traj.covs))
-            slices.append(slice(start, len(times)))
+            for r, (protocol, traj) in enumerate(zip(protocols, trajs)):
+                covs[r] = traj.covs[-1]
+                times[r].append(traj.times)
+                blocks[r].append(protocol.output_block(traj.covs))
+                if keep_trajectories:
+                    trajectories[r].append(Trajectory(traj.times, lab.T @ traj.covs @ lab))
+                if k + 1 < len(schedule.durations):
+                    covs[r] = protocol.handover(covs[r])
     except (np.linalg.LinAlgError, PhysicalityError):
-        score()
+        _score(protocols, blocks)
         raise
 
-    return ProtocolResult(
-        times=np.asarray(times),
-        fidelities=score(),
-        step_slices=tuple(slices),
-        output_state=GaussianState(protocol.output_block(cov)),
-        reference_state=protocol.reference,
-        schedule=schedule,
-        trajectories=tuple(trajectories),
-    )
+    results = []
+    for protocol, cov, run_times, fidelities, run_trajectories in zip(
+            protocols, covs, times, _score(protocols, blocks), trajectories):
+        bounds = list(accumulate(map(len, run_times), initial=0))
+        results.append(ProtocolResult(
+            times=np.concatenate(run_times) if run_times else np.empty(0),
+            fidelities=fidelities,
+            step_slices=tuple(map(slice, bounds, bounds[1:])),
+            output_state=GaussianState(protocol.output_block(cov)),
+            reference_state=protocol.reference,
+            schedule=schedule,
+            trajectories=tuple(run_trajectories),
+        ))
+    return results
+
+
+def _score(protocols: list, blocks: list) -> list:
+    """The fidelities of each run's output blocks ``blocks[r]``, a list of
+    stacks, against its reference: one :func:`fidelity_to` call per distinct
+    reference."""
+    runs_of = {}
+    for r, protocol in enumerate(protocols):
+        runs_of.setdefault(id(protocol.reference), []).append(r)
+    scores = [np.empty(0)] * len(protocols)
+    for runs in runs_of.values():
+        stack = [block for r in runs for block in blocks[r]]
+        if stack:
+            fidelities = fidelity_to(np.concatenate(stack), protocols[runs[0]].reference)
+            for r in runs:
+                n = sum(map(len, blocks[r]))
+                scores[r], fidelities = fidelities[:n], fidelities[n:]
+    return scores
 
 
 # Samples per step of a protocol run, unless the caller asks otherwise.
@@ -478,7 +512,8 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
     dynamics for the scheduled duration. The cluster carries the default
     input (momentum-squeezed vacuum at the cluster squeezing). The fidelity
     trace compares the reduced state of the output node(s) with the
-    projective-measurement reference at every sample.
+    projective-measurement reference at every sample. This is
+    :func:`run_monitoring_batch` of one run.
 
     Args:
         program: any gate program; its pattern sets the steps.
@@ -497,8 +532,34 @@ def run_monitoring_protocol(program: mbqc.GateProgram, params: PhysicalParams,
         ValueError: if ``samples_per_step`` is not an integer (an ``int`` or
             a numpy integer, not a bool) of at least 2.
     """
-    return _monitor(_prepare(program, params), schedule,
-                    sample_cap(samples_per_step, "samples_per_step"), keep_trajectories)
+    return run_monitoring_batch(program, [params], schedule, samples_per_step,
+                                keep_trajectories)[0]
+
+
+def run_monitoring_batch(program: mbqc.GateProgram, params: list,
+                         schedule: MonitoringSchedule,
+                         samples_per_step: int = SAMPLES_PER_STEP,
+                         keep_trajectories: bool = False) -> list:
+    """:func:`run_monitoring_protocol` at each of a sequence of ``params``,
+    the runs stepped in lockstep: their results, in order, each with the
+    bits of its run alone.
+
+    A batch of several runs runs under ``np.errstate(divide="raise",
+    over="raise", invalid="raise")``, the floating-point events that numpy
+    warns on by default. If it raises anything, its runs are redone one at a
+    time in order, so every error and warning is the one that the first
+    failing run raises alone, after the runs before it.
+    """
+    samples_per_step = sample_cap(samples_per_step, "samples_per_step")
+    if len(params) > 1:
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return _monitor([_prepare(program, p) for p in params], schedule,
+                                samples_per_step, keep_trajectories)
+        except Exception:  # redone alone below, which raises as the runs alone do
+            pass
+    return [_monitor([_prepare(program, p)], schedule, samples_per_step, keep_trajectories)[0]
+            for p in params]
 
 
 def measured_node_decorrelation(trajectory: Trajectory, node: int,
@@ -609,7 +670,9 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
     increment at a time, and a :class:`PhysicalityError` reports the
     failing increment's elapsed time within its step. The step's start, the
     initial best, is scored in its first block's completion call, so the
-    search makes one completion call per block.
+    search makes one completion call per block. The increment flows of all
+    steps are built together before the search, by
+    :func:`~mechmbqc.dynamics.prepare_flows`.
 
     Returns:
         (MonitoringSchedule, ProtocolResult) where the result's trace was
@@ -620,6 +683,7 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     protocol = _prepare(program, params)
+    prepare_flows((coeffs, time_resolution) for coeffs in protocol.steps)
 
     cov = protocol.initial_cov()
     durations = []
@@ -644,7 +708,7 @@ def optimize_schedule(program: mbqc.GateProgram, params: PhysicalParams,
         durations.append(best_t)
 
     schedule = MonitoringSchedule(tuple(durations))
-    return schedule, _monitor(protocol, schedule, SAMPLES_PER_STEP, False)
+    return schedule, _monitor([protocol], schedule, SAMPLES_PER_STEP, False)[0]
 
 
 def gate_comparison(params: PhysicalParams, schedule: MonitoringSchedule,

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from mechmbqc import cli, dynamics, optomech
 from mechmbqc import config as config_module
 from mechmbqc.config import ConfigError, PRESETS, config_from_dict, load_config
 from mechmbqc.optomech import run_monitoring_protocol
+
+from faults import fault_samples
 
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "configs"
@@ -306,9 +309,9 @@ def test_sweep_values_are_validated_before_any_point_runs(tmp_path, monkeypatch,
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return run_monitoring_protocol(*args, **kwargs)
+        return optomech.run_monitoring_batch(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_monitoring_protocol", counting)
+    monkeypatch.setattr(cli, "run_monitoring_batch", counting)
     payload = dict(BASE, sweep={"axes": [axis]})
     with pytest.raises(ConfigError, match=f"{axis['param'].removesuffix('_hz')} must"):
         config_from_dict(payload)
@@ -534,6 +537,7 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
         raise PhysicalityError(0.0, -1.0)
 
     monkeypatch.setattr(cli, "run_monitoring_protocol", boom)
+    monkeypatch.setattr(cli, "run_monitoring_batch", boom)
     path = write_config(tmp_path, BASE)
     assert cli.main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 3
@@ -640,6 +644,61 @@ def test_numerical_failure_in_a_sweep_worker_exits_3(tmp_path, capsys):
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("numerical failure: fidelity reference is not pure")
+
+
+@pytest.mark.parametrize("values", [[3.0, 6.0, 80.0], [3.0, 80.0, 6.0]],
+                         ids=["propagation-first", "reference-first"])
+def test_a_failing_point_in_a_batch_exits_3_as_the_points_alone(tmp_path, capsys, monkeypatch,
+                                                                 values):
+    # The 80 dB point's reference is not pure, and a sample of the 6 dB
+    # point turns to inf, which warns in the next product before the guard
+    # rejects it. The batch of all three points fails, and its points are
+    # redone one at a time: the sweep reports the first failure in grid
+    # order, with the warnings of the points run alone and none from the
+    # batch.
+    payload = {"preset": "set1", "gate": "identity",
+               "schedule": {"mode": "equal", "t_mon_us": 40.0}, "samples_per_step": 8,
+               "sweep": {"axes": [{"param": "r_cluster_db", "values": values}]}}
+    path = write_config(tmp_path, payload)
+    config = load_config(path)
+    clean, sample_step = [], optomech.sample_step
+
+    def recording(*args):
+        clean.append(sample_step(*args))
+        return clean[-1]
+
+    monkeypatch.setattr(optomech, "sample_step", recording)
+    run_monitoring_protocol(config.program, config.physical_params({"r_cluster_db": 6.0}),
+                            config.schedule(), samples_per_step=8)
+    monkeypatch.undo()
+    fault_samples(monkeypatch, clean[1].covs, {4: lambda s: np.full_like(s, np.inf)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for point in config.sweep_points():
+                run_monitoring_protocol(config.program, config.physical_params(point),
+                                        config.schedule(), samples_per_step=8)
+        except (dynamics.PhysicalityError, ValueError) as exc:
+            alone = f"numerical failure: {exc}"
+    warned = [str(warning.message) for warning in caught]
+    assert warned == (["invalid value encountered in matmul"] if values[1] == 6.0 else [])
+    assert alone.startswith("numerical failure: covariance lost physicality"
+                            if values[1] == 6.0 else
+                            "numerical failure: fidelity reference is not pure")
+    batches, monitor = [], optomech._monitor
+    monkeypatch.setattr(optomech, "_monitor",
+                        lambda protocols, *args: batches.append(len(protocols))
+                        or monitor(protocols, *args))
+    for workers in ("1", "2"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["sweep", "--config", str(path), "--out",
+                             str(tmp_path / f"w{workers}"), "--workers", workers]) == 3
+        assert capsys.readouterr().err == alone + "\n"
+        assert not (tmp_path / f"w{workers}" / "sweep.csv").exists()
+        if workers == "1":
+            assert [str(warning.message) for warning in caught] == warned
+            assert batches == [3, 1, 1]
 
 
 @pytest.mark.parametrize("t_mon_us", [1e5, 1e6, 1e9])
@@ -764,9 +823,12 @@ def test_a_gamma_temperature_sweep_builds_one_program_and_one_monitored_channel(
         (tmp_path / "w2" / "sweep.csv").read_bytes()
 
 
-def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch, affinity):
     # A fork pool starts every worker it is asked for, so the pool is
-    # bounded by the grid and by the CPU count, with the same output.
+    # bounded by the grid and by the CPUs this process may use: its affinity
+    # mask where the platform has one, else the CPU count. The output is the
+    # same.
     pools = []
 
     class InProcessPool:
@@ -782,7 +844,12 @@ def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    if affinity:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    else:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     payload = dict(BASE)
     for values, expected_pools in (([1.0, 0.9], [2]), ([0.9], []),
                                    (list(np.linspace(0.5, 1.0, 8)), [3])):
@@ -797,6 +864,49 @@ def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
         assert pools == expected_pools
         assert outputs[0] == outputs[1]
         pools.clear()
+
+
+def test_a_sweep_runs_its_grid_in_batches_of_at_most_the_run_cache_size(tmp_path, monkeypatch):
+    # One batch per worker, more where the grid holds more than RUN_CACHE_SIZE
+    # points per worker, in grid order; the output does not depend on the
+    # batching.
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    batches, batch = [], optomech.run_monitoring_batch
+
+    def counting(program, params, *args, **kwargs):
+        batches.append([p.eta for p in params])
+        return batch(program, params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "run_monitoring_batch", counting)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert optomech.RUN_CACHE_SIZE == 8
+    for n, sizes in ((1, {"1": [1], "2": [1]}), (4, {"1": [4], "2": [2, 2]}),
+                     (9, {"1": [5, 4], "2": [5, 4]}), (20, {"1": [7, 7, 6], "2": [7, 7, 6]})):
+        values = [float(x) for x in np.linspace(0.5, 1.0, n)]
+        path = write_config(tmp_path, dict(BASE, sweep={"axes": [{"param": "eta",
+                                                                  "values": values}]}))
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}-{n}"
+            assert cli.main(["sweep", "--config", str(path), "--out", str(out),
+                             "--workers", workers]) == 0
+            assert [len(etas) for etas in batches] == sizes[workers]
+            assert [eta for etas in batches for eta in etas] == values
+            outputs.append((out / "sweep.csv").read_bytes())
+            batches.clear()
+        assert outputs[0] == outputs[1]
 
 
 def blas_threads(_=None) -> list:
@@ -866,7 +976,7 @@ def test_importing_the_package_sets_no_blas_thread_count():
 
 def test_sweep_rejects_a_repeated_axis(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "run_monitoring_protocol",
+    monkeypatch.setattr(cli, "run_monitoring_batch",
                         lambda *args, **kwargs: calls.append(args))
     payload = dict(BASE)
     payload["sweep"] = {"axes": [{"param": "eta", "values": [0.9, 1.0]},

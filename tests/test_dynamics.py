@@ -828,7 +828,8 @@ def test_one_propagator_serves_two_threads_bit_for_bit(monkeypatch):
         for k in range(rounds):
             propagator.sample(sigma, h, out[k, :4])
             propagator.sample(sigma, g, out[k, 4:8])
-            propagator.sample_chains([(sigma, h, 8, 4), (sigma, g, 12, 4)], out[k])
+            dyn.sample_chains([(propagator, sigma, h, 8, 4), (propagator, sigma, g, 12, 4)],
+                              out[k])
         return out
 
     want = [run(random_physical_coefficients(3, 3).propagator, h_rates) for h_rates in lengths]
@@ -1058,25 +1059,28 @@ def test_sample_is_chained_one_sample_calls_bit_for_bit(seed, n_modes, h_rate):
 @settings(max_examples=40, deadline=None)
 @given(seed=hst.integers(0, 2**32 - 1), n_modes=hst.integers(1, 3),
        chains=hst.lists(hst.tuples(hst.integers(0, 15), hst.sampled_from([0.5, 8.0]),
-                                   hst.integers(0, 2)), min_size=1, max_size=8)
+                                   hst.integers(0, 2), hst.integers(0, 2)),
+                        min_size=1, max_size=8)
        .filter(lambda chains: len(chains) == 1 or len({c[0] for c in chains}) > 1))
 def test_sample_chains_is_one_sample_call_per_chain_bit_for_bit(seed, n_modes, chains):
-    # Chains of unequal counts, h lambda = 0.5 (Davison-Maki) or 8 (the
-    # interval form) and 0 to 2 entries between them: the lockstep writes the
-    # bits, signs of zeros included, of one sample call per chain in time order.
-    propagator = random_physical_coefficients(seed, n_modes).propagator
-    rng = np.random.default_rng(seed + 1)
+    # Chains of unequal counts, on one of three propagators, h lambda = 0.5
+    # (Davison-Maki) or 8 (the interval form) and 0 to 2 entries between
+    # them: the lockstep writes the bits, signs of zeros included, of one
+    # sample call per chain in time order.
+    propagators = [random_physical_coefficients(seed + k, n_modes).propagator for k in range(3)]
+    rng = np.random.default_rng(seed + 3)
     dim, first, args = 2 * n_modes, 0, []
-    for count, h_rate, gap in chains:
+    for count, h_rate, gap, which in chains:
         squeezing = rng.uniform(-1.0, 1.0, size=n_modes)
         thermal = rng.uniform(1.0, 2.0)  # a squeezed thermal state
         sigma = 0.5 * thermal * np.diag(np.exp(np.ravel([[r, -r] for r in squeezing])))
-        args.append((sigma, h_rate / propagator.rate, first + gap, count))
+        propagator = propagators[which]
+        args.append((propagator, sigma, h_rate / propagator.rate, first + gap, count))
         first += gap + count
     want, got = np.full((2, first, dim, dim), 7.0)
-    for sigma, h, start, count in args:
+    for propagator, sigma, h, start, count in args:
         propagator.sample(sigma, h, want[start:start + count])
-    assert propagator.sample_chains(args, got) is got
+    assert dyn.sample_chains(args, got) is got
     assert got.tobytes() == want.tobytes()
 
 
@@ -1089,10 +1093,10 @@ def test_a_davison_maki_chain_keeps_the_signs_of_its_exact_zeros(monkeypatch):
     monkeypatch.setattr(dyn, "_flow", lambda *args: flow)
     propagator = dyn.EvolutionCoefficients(-np.eye(2), np.eye(2)).propagator
     want, got = np.full((2, 8, 2, 2), 7.0)
-    chains = [(GRID_START, 0.1, 0, 3), (GRID_START, 0.2, 4, 3)]
-    for sigma, h, first, count in chains:
+    chains = [(propagator, GRID_START, 0.1, 0, 3), (propagator, GRID_START, 0.2, 4, 3)]
+    for _, sigma, h, first, count in chains:
         propagator.sample(sigma, h, want[first:first + count])
-    propagator.sample_chains(chains, got)
+    dyn.sample_chains(chains, got)
     assert np.signbit(want[[0, 4], 0, 1]).all()
     assert got.tobytes() == want.tobytes()
 
@@ -1143,7 +1147,8 @@ def test_sample_chains_reports_a_failed_flow_build_at_its_chain(monkeypatch):
     want, got = np.zeros((2, 9, 2, 2))
     propagator.sample(GRID_START, 0.1, want[1:4])
     with pytest.raises(np.linalg.LinAlgError) as info:
-        propagator.sample_chains([(GRID_START, 0.1, 1, 3), (GRID_START, 0.3, 5, 3)], got)
+        dyn.sample_chains([(propagator, GRID_START, 0.1, 1, 3),
+                           (propagator, GRID_START, 0.3, 5, 3)], got)
     assert info.value.samples_written == 5
     assert got.tobytes() == want.tobytes()
 

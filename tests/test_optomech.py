@@ -945,6 +945,38 @@ def test_a_monitored_run_is_scored_in_one_call(monkeypatch):
     assert calls == [len(result.times)]
 
 
+def test_the_search_builds_its_increment_flows_in_one_stack(monkeypatch):
+    # Every step's increment flow is doubled in one stack before the search,
+    # so the search doubles no flow alone. With that build a no-op, the
+    # search doubles each step's flow alone, and the results are the same.
+    program = mbqc.identity_program()
+    doubled_map, monitor, replaying, runs = dyn._doubled_map, om._monitor, [], []
+
+    def spy(phi, d, doublings):
+        if not replaying:
+            runs[-1][1].append(np.ndim(phi))
+        return doubled_map(phi, d, doublings)
+
+    def replay(*args):
+        replaying.append(True)
+        try:
+            return monitor(*args)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(dyn, "_doubled_map", spy)
+    monkeypatch.setattr(om, "_monitor", replay)
+    for prepared in (om.prepare_flows, lambda intervals: None):
+        monkeypatch.setattr(om, "prepare_flows", prepared)
+        om._step_coefficients.cache_clear()
+        runs.append([None, []])
+        runs[-1][0] = om.optimize_schedule(program, om.params_set1(), time_resolution=2e-6,
+                                           max_step_duration=20e-6)
+    ((schedule, got), stacked), ((want_schedule, want), alone) = runs
+    assert stacked == [3] and alone == [2] * len(program.pattern.measured)
+    assert schedule == want_schedule and same_run(got, want)
+
+
 def test_the_optimizer_replay_is_scored_in_one_call(monkeypatch):
     calls = counting_fidelity_to(monkeypatch)
     monitor, replays = om._monitor, []
@@ -1391,11 +1423,54 @@ def test_a_bad_step_length_still_fails_its_flow_at_its_step(monkeypatch, bad):
     # A schedule rejects such lengths, so the run is driven directly.
     sched = types.SimpleNamespace(durations=(60e-6, 60e-6, bad, 60e-6))
     records = failed_runs_with_and_without_prepared_flows(monkeypatch, lambda: om._monitor(
-        om._prepare(mbqc.shear_program(1.0), om.params_set1()), sched, 16, False))
+        [om._prepare(mbqc.shear_program(1.0), om.params_set1())], sched, 16, False))
     assert records[0] == records[1]
     kind, message, _, guarded, _ = records[0]
     assert kind is ValueError and "interval h must be finite and non-negative" in message
     assert len(guarded) == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(preset=hst.sampled_from(["set1", "set2"]),
+       program=hst.sampled_from([mbqc.shear_program(1.0), mbqc.cz_program()]),
+       samples=hst.sampled_from([2, 16, 120]),
+       points=hst.lists(hst.tuples(hst.floats(0.0, 80.0), hst.floats(-4.0, -2.0),
+                                   hst.floats(0.5, 1.0), hst.sampled_from([3.0, 6.0]),
+                                   hst.booleans()), min_size=1, max_size=6))
+def test_a_batch_is_its_runs_alone_bit_for_bit(preset, program, samples, points):
+    # Points over gamma, T, eta, the cluster squeezing and the cavity reset,
+    # run as one lockstep batch, each with the bits of its run alone on
+    # fresh run caches. The batch is one engine call, never redone, and
+    # neither it nor a lone run steps a stack of one.
+    params = [replace(om.PhysicalParams.from_values(dict(
+        om.PRESETS[preset], gamma_hz=gamma_hz, temperature_k=10.0 ** log_t, eta=eta,
+        r_cluster_db=r_db)), reset_cavity=reset) for gamma_hz, log_t, eta, r_db, reset in points]
+    sched = om.MonitoringSchedule.equal(30e-6, len(program.pattern.measured))
+    monitor, step, batches, stacks = om._monitor, dyn.Propagator._step, [], []
+
+    def counting_monitor(protocols, *args):
+        batches.append(len(protocols))
+        return monitor(protocols, *args)
+
+    def counting_step(self, sigmas, flow, work, out):
+        stacks.append(len(out) if np.ndim(out) == 3 else 0)
+        return step(self, sigmas, flow, work, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(om, "_monitor", counting_monitor)
+        patch.setattr(dyn.Propagator, "_step", counting_step)
+        om._step_coefficients.cache_clear()
+        batch = om.run_monitoring_batch(program, params, sched, samples, keep_trajectories=True)
+        assert batches == [len(params)]
+        om._step_coefficients.cache_clear()
+        alone = [om.run_monitoring_protocol(program, p, sched, samples, keep_trajectories=True)
+                 for p in params]
+    assert 1 not in stacks
+    assert len(batch) == len(alone)
+    for got, want in zip(batch, alone):
+        assert same_run(got, want)
+        assert [(s.start, s.stop) for s in got.step_slices] == \
+            [(s.start, s.stop) for s in want.step_slices]
 
 
 # ---------------------------------------------------------------------------

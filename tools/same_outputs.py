@@ -17,7 +17,10 @@ Each side reports one sha256 per output field over all ops, in order:
 * ``protocol``: times, fidelities and the output covariance of each run;
 * ``optimize``: the step durations, then the same three fields of the
   replayed run;
-* ``sweep``: the bytes of each op's ``sweep.csv``.
+* ``sweep``: the bytes of each op's ``sweep.csv``, and its columns at full
+  precision, captured before they are formatted by wrapping
+  ``cli._write_columns``: the file prints 12 significant digits, so a
+  last-bit change of a sweep point shows only in the columns.
 
 Arrays are hashed as float64 bytes, so a difference in the last bit, or in
 the sign of a zero, is a mismatch. A float field that differs is also
@@ -71,7 +74,7 @@ WORKLOADS = ("protocol", "optimize", "sweep")
 FIELDS = {
     "protocol": ("times", "fidelities", "output_cov"),
     "optimize": ("durations", "times", "fidelities", "output_cov"),
-    "sweep": ("sweep_csv",),
+    "sweep": ("sweep_csv", "sweep_columns"),
 }
 # Float fields whose difference is sized relative to the base's entries; the
 # other float fields are sized in absolute terms.
@@ -98,6 +101,14 @@ def run_workload(workloads, name: str, seed: int, n_ops: int) -> dict:
     arrays = {field: [] for field in FIELDS[name] if field != "sweep_csv"}
     with tempfile.TemporaryDirectory() as work_dir:
         workload = workloads.setup(name, seed, Path(work_dir))
+        cli, columns = workload.api.cli, []
+        write_columns = cli._write_columns
+
+        def capturing_write(path, header, named_columns):
+            columns.append(_float_array(list(named_columns.values())))
+            return write_columns(path, header, named_columns)
+
+        cli._write_columns = capturing_write
         try:
             for index in range(n_ops):
                 raw = workload.run(workload.op(index))
@@ -111,13 +122,15 @@ def run_workload(workloads, name: str, seed: int, n_ops: int) -> dict:
                     if raw != 0:
                         raise RuntimeError(f"sweep op {index} exited {raw}")
                     csv_path = workload._out_dir() / "sweep.csv"
-                    parts = {"sweep_csv": csv_path.read_bytes()}
+                    parts = {"sweep_csv": csv_path.read_bytes(),
+                             "sweep_columns": columns.pop()}
                     csv_path.unlink()
                 for field, value in parts.items():
                     hashes[field].update(value)
                     if field in arrays:
                         arrays[field].append(value)
         finally:
+            cli._write_columns = write_columns
             workload.cleanup()
     return {field: {"sha256": h.hexdigest(), **_shapes_and_values(arrays.get(field))}
             for field, h in hashes.items()}
@@ -243,7 +256,7 @@ def main():
                 verdict = "DIFFERENT"
                 if "values" in base:
                     verdict += f"  {mismatch_size(field, base, change)}"
-            print(f"{name:9s} {field:11s} base {b_hash[:16]}  change {c_hash[:16]}  {verdict}")
+            print(f"{name:9s} {field:13s} base {b_hash[:16]}  change {c_hash[:16]}  {verdict}")
     mismatches += compare_cli(*(cli_digest(path.resolve())
                                 for path in (args.base, args.change)))
     if mismatches:
